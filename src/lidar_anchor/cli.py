@@ -60,7 +60,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stride", type=int, help="window stride in pixels (default patch // 2)")
     p.add_argument("--trees", type=int, help="number of trees in the forest")
     p.add_argument("--seed", type=int, help="RNG seed recorded in all outputs (default 42)")
-    p.add_argument("--threads", type=int, help="worker threads; results do not depend on this")
+    p.add_argument(
+        "--threads", type=int, help="processes that grow the forest; results do not depend on this"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,6 @@ prediction and clamping at zero yields the corrected raster.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -138,6 +137,7 @@ def build_training_set(
 
     Photons outside the raster or over nodata are skipped; the second
     return value counts them.  Raises when no photon is usable at all.
+    ``threads`` is accepted and ignored: features are extracted serially.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -169,16 +169,15 @@ def build_training_set(
     if skipped:
         logger.info("training set: %d photons skipped (outside raster or nodata)", skipped)
 
-    def extract(item: tuple[CleanPhoton, int, int, float]) -> TrainingSample:
-        p, col, row, target = item
-        fv = _feature_at(col, row, pred, optical, lc, embeddings, feature_mode, patch)
-        return TrainingSample(features=fv, target=target, x=p.x, y=p.y)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(extract, usable))
-    else:
-        samples = [extract(item) for item in usable]
+    samples = [
+        TrainingSample(
+            features=_feature_at(col, row, pred, optical, lc, embeddings, feature_mode, patch),
+            target=target,
+            x=p.x,
+            y=p.y,
+        )
+        for p, col, row, target in usable
+    ]
     return samples, skipped
 
 
@@ -206,9 +205,9 @@ def infer_residual_field(
 
     Windows of ``patch`` pixels tile the raster at ``stride`` (default
     patch // 2); each contributes one scalar and each pixel averages the
-    windows covering it.  The result is bit-identical for any ``threads``
-    value and any window evaluation order: scalars are computed
-    independently and accumulated in canonical row-major window order.
+    windows covering it.  Scalars are accumulated in row-major window
+    order.  ``threads`` is accepted and ignored: windows are evaluated
+    serially.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -227,8 +226,7 @@ def infer_residual_field(
     dim = forest.n_features
     matrix = np.empty((len(windows), dim), dtype=np.float64)
 
-    def fill(i: int) -> None:
-        r0, c0 = windows[i]
+    for i, (r0, c0) in enumerate(windows):
         if feature_mode == SCHEMA_NRF:
             assert embeddings is not None
             center_col = min(c0 + patch // 2, h.width - 1)
@@ -253,13 +251,6 @@ def infer_residual_field(
                 f"feature vector has {fv.values.size} dims, model expects {dim}"
             )
         matrix[i] = fv.values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(windows))))
-    else:
-        for i in range(len(windows)):
-            fill(i)
 
     scalars = predict_batch(forest, matrix)
 

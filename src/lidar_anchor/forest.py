@@ -5,9 +5,9 @@ generator simple enough to restate in any language (see the class docstring
 for the exact recurrence).  Tree ``t`` of a forest trained with seed ``s``
 draws from the stream seeded ``s XOR t``, consuming values in a fixed order:
 first the bootstrap indices, then one feature subset per node in depth-first
-preorder (left child before right).  Training is therefore bit-identical for
-any thread count, and a serialized model rebuilds the exact same predictor
-anywhere.
+preorder (left child before right).  Training is therefore bit-identical
+whether trees grow in one process or several, and a serialized model rebuilds
+the exact same predictor anywhere.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,24 +102,39 @@ class SplitMix64:
             z ^= z >> np.uint64(31)
         return z
 
+    def _float_block(self, m: int) -> np.ndarray:
+        return (self.u64_block(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
     def index_block(self, m: int, n: int) -> np.ndarray:
         """m uniform integers in [0, n) (the bootstrap draw)."""
         if n < 1:
             raise ValueError(f"index bound must be >= 1, got {n}")
-        f = (self.u64_block(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        idx = (f * n).astype(np.int64)
+        idx = (self._float_block(m) * n).astype(np.int64)
         np.minimum(idx, n - 1, out=idx)
         return idx
 
-    def choose_k(self, d: int, k: int) -> np.ndarray:
-        """k distinct integers from [0, d), ascending."""
+    def subset_block(self, m: int, d: int, k: int) -> np.ndarray:
+        """m successive k-of-d subsets as the rows of an (m, k) array.
+
+        Row r is what the r-th of m ``choose_k(d, k)`` calls returns: the
+        stream is read in the same order, and the Fisher-Yates swaps run on
+        all rows at once.
+        """
         if not (1 <= k <= d):
             raise ValueError(f"cannot choose {k} of {d} features")
-        pool = list(range(d))
+        bounds = np.arange(d, d - k, -1)
+        offsets = (self._float_block(m * k).reshape(m, k) * bounds).astype(np.int64)
+        np.minimum(offsets, bounds - 1, out=offsets)
+        pool = np.tile(np.arange(d), (m, 1))
+        rows = np.arange(m)
         for i in range(k):
-            j = i + self.randint(d - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.array(sorted(pool[:k]), dtype=np.int64)
+            j = offsets[:, i] + i
+            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+        return np.sort(pool[:, :k], axis=1)
+
+    def choose_k(self, d: int, k: int) -> np.ndarray:
+        """k distinct integers from [0, d), ascending."""
+        return self.subset_block(1, d, k)[0]
 
 
 # ===== Model types =====
@@ -185,76 +201,112 @@ class RandomForest:
 
 # ===== Training =====
 
+def _subset_stream(rng: SplitMix64, d: int, k: int) -> Iterator[np.ndarray]:
+    """Endless ``rng.choose_k(d, k)`` draws, generated 256 at a time.
+
+    Only the tree reads its stream, so drawing ahead leaves every subset
+    where ``choose_k`` would find it.
+    """
+    while True:
+        yield from rng.subset_block(256, d, k)
+
+
+def _feature_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its feature, one row per feature.
+
+    Equal values share a rank, so a stable sort of ranks orders samples
+    exactly as a stable sort of the values does; ranks that fit 16 bits
+    let numpy sort them by radix.
+    """
+    n, d = X.shape
+    ranks = np.empty((d, n), dtype=np.uint16 if n <= 1 << 16 else np.int64)
+    for c in range(d):
+        ranks[c] = np.unique(X[:, c], return_inverse=True)[1]
+    return ranks
+
 
 def _best_split(
     X: np.ndarray,
-    y: np.ndarray,
+    ranks: np.ndarray,
     idx: np.ndarray,
+    y_node: np.ndarray,
+    y_sum: float,
     feats: np.ndarray,
     min_samples_leaf: int,
+    ramp: np.ndarray,
+    col: np.ndarray,
 ) -> Optional[tuple[int, float, np.ndarray, np.ndarray]]:
     """Exhaustive best split of one node over the drawn feature subset.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  The criterion is weighted variance reduction; ties go to the
-    lower feature index, then the lower threshold.  Returns None when no
-    candidate reduces variance.
+    ``ranks`` is ``_feature_ranks(X)``, ``y_node`` the node's targets and
+    ``y_sum`` their sum; ``ramp`` is ``arange(len(idx) + 1)`` or longer as
+    float64 and ``col`` is ``arange(len(feats))[:, None]``.  Candidate
+    thresholds are midpoints between consecutive distinct sorted values.
+    The criterion is weighted variance reduction; ties go to the lower
+    feature index, then the lower threshold.  Returns None when no candidate
+    reduces variance.
     """
     m = idx.size
-    Xs = X[idx[:, None], feats[None, :]]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = y[idx][order]
+    rs = ranks[feats[:, None], idx]
+    order = rs.argsort(axis=1, kind="stable")
+    rs = rs[col, order]
+    csum = np.add.accumulate(y_node[order], axis=1)
+    sl = csum[:, :-1]
+    sr = csum[:, -1:] - sl
+    # left sizes 1 .. m-1 and right sizes m-1 .. 1, exact in float64
+    crit = sl * sl
+    crit /= ramp[1:m]
+    sr *= sr
+    sr /= ramp[m - 1 : 0 : -1]
+    crit += sr
 
-    csum = np.cumsum(ys, axis=0)
-    totals = csum[-1, :]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = np.float64(m) - nl
-    sl = csum[:-1, :]
-    sr = totals[None, :] - sl
-    crit = sl * sl / nl + sr * sr / nr
-
-    valid = xs[1:, :] > xs[:-1, :]
+    invalid = rs[:, 1:] == rs[:, :-1]
     if min_samples_leaf > 1:
-        pos = np.arange(1, m)
-        room = (pos >= min_samples_leaf) & (m - pos >= min_samples_leaf)
-        valid &= room[:, None]
-    crit = np.where(valid, crit, -np.inf)
+        invalid[:, : min_samples_leaf - 1] = True
+        invalid[:, m - min_samples_leaf :] = True
+    np.putmask(crit, invalid, -np.inf)
 
-    # argmax picks the first maximum: lowest threshold within a column,
-    # lowest feature index across columns (feats are ascending).
-    rows = np.argmax(crit, axis=0)
-    col_vals = crit[rows, np.arange(feats.size)]
-    j = int(np.argmax(col_vals))
-    best = float(col_vals[j])
-    if not np.isfinite(best):
+    # The first maximum in feature-major order: lowest feature index (feats
+    # are ascending), then lowest threshold.
+    j, i = divmod(int(crit.argmax()), m - 1)
+    best = float(crit[j, i])
+    if not math.isfinite(best):
         return None
-    baseline = float(np.sum(y[idx])) ** 2 / m
-    if not (best > baseline):
+    if not (best > y_sum**2 / m):
         return None
 
-    i = int(rows[j])
-    lo = float(xs[i, j])
-    hi = float(xs[i + 1, j])
+    f = int(feats[j])
+    sorted_idx = idx[order[j]]
+    lo = float(X[sorted_idx[i], f])
+    hi = float(X[sorted_idx[i + 1], f])
     thr = (lo + hi) / 2.0
     if thr >= hi:  # adjacent floats: keep both children non-empty
         thr = lo
-    left_idx = idx[order[: i + 1, j]]
-    right_idx = idx[order[i + 1 :, j]]
-    return int(feats[j]), thr, left_idx, right_idx
+    return f, thr, sorted_idx[: i + 1], sorted_idx[i + 1 :]
 
 
 def _grow_tree(
     X: np.ndarray,
+    ranks: np.ndarray,
     y: np.ndarray,
     root_idx: np.ndarray,
     params: ForestParams,
     max_features: int,
     rng: SplitMix64,
 ) -> RegressionTree:
-    """Grow one tree on the given sample indices (bootstrap multiset)."""
+    """Grow one tree on the given sample indices (bootstrap multiset).
+
+    ``ranks`` is ``_feature_ranks(X)``.  Node mean and variance are
+    the arithmetic of ``np.mean`` and ``np.var``: one pairwise sum divided by
+    the count.
+    """
     d = X.shape[1]
     msl = params.min_samples_leaf
+    max_depth = params.max_depth
+    ramp = np.arange(root_idx.size + 1, dtype=np.float64)
+    col = np.arange(max_features)[:, None]
+    subsets = _subset_stream(rng, d, max_features)
+    add = np.add.reduce
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -272,24 +324,28 @@ def _grow_tree(
                 left[parent] = nid
             else:
                 right[parent] = nid
+        m = idx.size
         y_node = y[idx]
+        y_sum = add(y_node)
+        mean = y_sum / m
+        dev = y_node - mean
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(float(np.mean(y_node)))
-        n_node.append(int(idx.size))
-        impurity.append(float(np.var(y_node)))
+        value.append(float(mean))
+        n_node.append(m)
+        impurity.append(float(add(dev * dev) / m))
 
-        if idx.size < 2 * msl:
+        if m < 2 * msl:
             continue
-        if params.max_depth is not None and depth >= params.max_depth:
+        if max_depth is not None and depth >= max_depth:
             continue
-        if np.ptp(y_node) == 0.0:
+        if np.maximum.reduce(y_node) == np.minimum.reduce(y_node):
             continue
 
-        feats = rng.choose_k(d, max_features)
-        split = _best_split(X, y, idx, feats, msl)
+        feats = next(subsets)
+        split = _best_split(X, ranks, idx, y_node, float(y_sum), feats, msl, ramp, col)
         if split is None:
             continue
         f, thr, left_idx, right_idx = split
@@ -336,6 +392,56 @@ def _coerce_samples(
     return X, y, schema
 
 
+def _build_forked(
+    build: Callable[[int], tuple[RegressionTree, np.ndarray]],
+    n_trees: int,
+    workers: int,
+) -> list[tuple[RegressionTree, np.ndarray]]:
+    """``[build(t) for t in range(n_trees)]`` over forked worker processes.
+
+    Worker w grows trees w, w + workers, ... and sends them back in one
+    message when it is done.  Forked workers inherit ``build`` and the
+    training data it closes over, so nothing but the grown trees is
+    pickled, and the results are unpickled on the calling thread.  The
+    package starts no threads, so forking is safe.
+    """
+    ctx = multiprocessing.get_context("fork")
+    pipes = [ctx.Pipe(duplex=False) for _ in range(workers)]
+
+    def grow(w: int) -> None:
+        # Keep only this worker's write end, so that each pipe has one
+        # writer and reads EOF as soon as that worker exits.
+        for i, (recv, send) in enumerate(pipes):
+            recv.close()
+            if i != w:
+                send.close()
+        with pipes[w][1] as send:
+            send.send([build(t) for t in range(w, n_trees, workers)])
+
+    procs: list[multiprocessing.process.BaseProcess] = []
+    try:
+        for w in range(workers):
+            procs.append(ctx.Process(target=grow, args=(w,)))
+            procs[-1].start()
+        for _, send in pipes:
+            send.close()
+        shares = []
+        for w, (recv, _) in enumerate(pipes):
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                raise RuntimeError(f"tree worker {w} exited without its trees") from None
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for recv, send in pipes:
+            recv.close()
+            send.close()
+    return [shares[t % workers][t // workers] for t in range(n_trees)]
+
+
 def train_forest(
     samples: Sequence[tuple[FeatureVector, float]],
     params: ForestParams = ForestParams(),
@@ -345,24 +451,27 @@ def train_forest(
 
     Each tree bootstraps len(samples) rows with replacement from its own
     SplitMix64 stream (seed XOR tree_index) and searches ceil(d/3) features
-    per node unless params says otherwise.  Results do not depend on
+    per node unless params says otherwise.  With ``threads`` > 1 the trees
+    grow in min(threads, n_trees, CPU count) forked worker processes, or
+    serially where ``fork`` is unavailable.  Results do not depend on
     ``threads``.
     """
     X, y, schema = _coerce_samples(samples)
     n, d = X.shape
     max_features = params.max_features if params.max_features is not None else math.ceil(d / 3)
     max_features = min(max_features, d)
+    ranks = _feature_ranks(X)
 
     def build(t: int) -> tuple[RegressionTree, np.ndarray]:
         rng = SplitMix64(params.seed ^ t)
         boot = rng.index_block(n, n)
-        tree = _grow_tree(X, y, boot, params, max_features, rng)
+        tree = _grow_tree(X, ranks, y, boot, params, max_features, rng)
         oob_mask = np.bincount(boot, minlength=n) == 0
         return tree, oob_mask
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, range(params.n_trees)))
+    workers = min(threads, params.n_trees, os.cpu_count() or 1)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        built = _build_forked(build, params.n_trees, workers)
     else:
         built = [build(t) for t in range(params.n_trees)]
 
@@ -450,16 +559,18 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
     """
     total = np.zeros(forest.n_features, dtype=np.float64)
     for tree in forest.trees:
-        contrib = np.zeros(forest.n_features, dtype=np.float64)
-        root_n = float(tree.n[0])
         internal = np.nonzero(tree.feature >= 0)[0]
-        for nid in internal:
-            l = tree.left[nid]
-            r = tree.right[nid]
-            child = (tree.n[l] * tree.impurity[l] + tree.n[r] * tree.impurity[r]) / tree.n[nid]
-            delta = tree.impurity[nid] - child
-            contrib[tree.feature[nid]] += delta * (tree.n[nid] / root_n)
-        total += contrib
+        l = tree.left[internal]
+        r = tree.right[internal]
+        n = tree.n[internal]
+        child = (tree.n[l] * tree.impurity[l] + tree.n[r] * tree.impurity[r]) / n
+        delta = tree.impurity[internal] - child
+        # bincount adds the weights in node order, as a loop over splits would
+        total += np.bincount(
+            tree.feature[internal],
+            weights=delta * (n / float(tree.n[0])),
+            minlength=forest.n_features,
+        )
     total /= len(forest.trees)
     s = float(total.sum())
     if s <= 0.0:
@@ -472,8 +583,13 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
 
 
 def save_model(forest: RandomForest, path: Path | str) -> None:
-    """Serialize a forest to JSON; reloading reproduces predictions bitwise."""
-    doc = {
+    """Serialize a forest to JSON; reloading reproduces predictions bitwise.
+
+    The bytes are those of ``json.dump(doc, f, sort_keys=True)`` plus a
+    newline.  ``"trees"`` sorts last among the keys, so the document is
+    written as its other keys, then one tree at a time.
+    """
+    header = {
         "format_version": MODEL_FORMAT_VERSION,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
@@ -485,8 +601,15 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
             "seed": forest.params.seed,
         },
         "oob_mae": forest.oob_mae,
-        "trees": [
-            {
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(header, sort_keys=True)[:-1] + ', "trees": [')
+        for t, tree in enumerate(forest.trees):
+            if t:
+                f.write(", ")
+            doc = {
                 "feature": tree.feature.tolist(),
                 "threshold": tree.threshold.tolist(),
                 "left": tree.left.tolist(),
@@ -495,14 +618,8 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
                 "n": tree.n.tolist(),
                 "impurity": tree.impurity.tolist(),
             }
-            for tree in forest.trees
-        ],
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+            f.write(json.dumps(doc, sort_keys=True))
+        f.write("]}\n")
 
 
 def load_model(path: Path | str) -> RandomForest:

@@ -3,7 +3,8 @@
 Each stage reads and writes files, so any stage can be re-run by hand from
 the artifacts of the previous one, and a pipeline run is just the stages in
 order.  All reports are JSON with sorted keys; identical configuration and
-seed produce byte-identical outputs, regardless of thread count.
+seed produce byte-identical outputs.  ``threads`` caps the worker processes
+that grow the forest's trees; no output depends on it.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
         footprint=cfg.footprint,
         feature_mode=cfg.feature_schema,
         embeddings=embeddings,
-        threads=cfg.threads,
     )
     model = forest.train_forest(
         [(s.features, s.target) for s in samples],
@@ -309,7 +309,6 @@ def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> 
         stride=cfg.resolved_stride(),
         feature_mode=cfg.feature_schema,
         embeddings=embeddings,
-        threads=cfg.threads,
     )
     corrected = correction.apply_correction(pred, field)
     save_raster(field.values, out_dir / "residual")

@@ -175,12 +175,14 @@ def generate_scene(
     lc[rrow : rrow + road_w, :] = LC_ROAD
     lc[:, rcol : rcol + road_w] = LC_ROAD
 
-    # buildings until the target fraction is reached
+    # buildings until the target fraction is reached; pixel counts are kept
+    # as stamps add to them instead of recounting the raster
     total = float(n * n)
     min_side = max(n // 42, 8)
     max_side = max(n // 10, min_side + 1)
+    built = np.count_nonzero(lc == LC_BUILDING)
     for _ in range(20000):
-        if float(np.count_nonzero(lc == LC_BUILDING)) / total >= cfg.building_density:
+        if float(built) / total >= cfg.building_density:
             break
         w = int(rng.integers(min_side, max_side + 1))
         h = int(rng.integers(min_side, max_side + 1))
@@ -192,7 +194,9 @@ def generate_scene(
         height = min(max(height, 3.0), 120.0)
         block = truth[r0 : r0 + h, c0 : c0 + w]
         np.maximum(block, height, out=block)
-        lc[r0 : r0 + h, c0 : c0 + w] = LC_BUILDING
+        lc_block = lc[r0 : r0 + h, c0 : c0 + w]
+        built += lc_block.size - np.count_nonzero(lc_block == LC_BUILDING)
+        lc_block[...] = LC_BUILDING
 
     # paved apron around buildings
     buildings = lc == LC_BUILDING
@@ -204,8 +208,9 @@ def generate_scene(
     lo, hi = cfg.tree_height_range
     r_min = max(int(round(2.0 / cfg.gsd)), 2)
     r_max = max(int(round(5.0 / cfg.gsd)), r_min + 1)
+    treed = np.count_nonzero(lc == LC_TREE)
     for _ in range(20000):
-        if float(np.count_nonzero(lc == LC_TREE)) / total >= cfg.tree_density:
+        if float(treed) / total >= cfg.tree_density:
             break
         radius = int(rng.integers(r_min, r_max + 1))
         cc = int(rng.integers(0, n))
@@ -222,6 +227,7 @@ def generate_scene(
         patch = truth[r0:r1, c0:c1]
         patch[sel] = np.maximum(patch[sel], height)
         lc[r0:r1, c0:c1][sel] = LC_TREE
+        treed += np.count_nonzero(sel)  # sel holds no tree pixel yet
 
     # smooth terrain: a few low-frequency cosine waves
     extent = n * cfg.gsd

@@ -9,7 +9,9 @@ comparison is well defined.
 
 from __future__ import annotations
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -293,3 +295,251 @@ def ssim_direct(
     if not scores:
         raise ValueError("every window touches nodata")
     return sum(scores) / len(scores)
+
+
+# ----- random forest: the loop-based grower -----
+#
+# The per-node grower, feature draw, importance loop and model writer as
+# first written: one numpy pass per node, a Python Fisher-Yates per draw, a
+# Python loop per split for importance and ``json.dump`` for the document.
+# Trees are SimpleNamespace objects with the attribute names of the package's
+# RegressionTree, so save_model_direct writes either kind.
+
+
+class SplitMix64Direct:
+    """The documented SplitMix64 recurrence, one Python integer at a time."""
+
+    def __init__(self, seed):
+        self.seed = seed & ((1 << 64) - 1)
+        self.counter = 0
+
+    def next_u64(self):
+        mask = (1 << 64) - 1
+        self.counter += 1
+        z = (self.seed + self.counter * 0x9E3779B97F4A7C15) & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    def randint(self, n):
+        v = int((self.next_u64() >> 11) * 2.0**-53 * n)
+        return n - 1 if v >= n else v
+
+
+def choose_k_direct(rng, d, k):
+    """k distinct integers from [0, d), ascending."""
+    if not (1 <= k <= d):
+        raise ValueError(f"cannot choose {k} of {d} features")
+    pool = list(range(d))
+    for i in range(k):
+        j = i + rng.randint(d - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.array(sorted(pool[:k]), dtype=np.int64)
+
+
+def _best_split(X, y, idx, feats, min_samples_leaf):
+    """Exhaustive best split of one node over the drawn feature subset.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values.  The criterion is weighted variance reduction; ties go to the
+    lower feature index, then the lower threshold.  Returns None when no
+    candidate reduces variance.
+    """
+    m = idx.size
+    Xs = X[idx[:, None], feats[None, :]]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    ys = y[idx][order]
+
+    csum = np.cumsum(ys, axis=0)
+    totals = csum[-1, :]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    nr = np.float64(m) - nl
+    sl = csum[:-1, :]
+    sr = totals[None, :] - sl
+    crit = sl * sl / nl + sr * sr / nr
+
+    valid = xs[1:, :] > xs[:-1, :]
+    if min_samples_leaf > 1:
+        pos = np.arange(1, m)
+        room = (pos >= min_samples_leaf) & (m - pos >= min_samples_leaf)
+        valid &= room[:, None]
+    crit = np.where(valid, crit, -np.inf)
+
+    # argmax picks the first maximum: lowest threshold within a column,
+    # lowest feature index across columns (feats are ascending).
+    rows = np.argmax(crit, axis=0)
+    col_vals = crit[rows, np.arange(feats.size)]
+    j = int(np.argmax(col_vals))
+    best = float(col_vals[j])
+    if not np.isfinite(best):
+        return None
+    baseline = float(np.sum(y[idx])) ** 2 / m
+    if not (best > baseline):
+        return None
+
+    i = int(rows[j])
+    lo = float(xs[i, j])
+    hi = float(xs[i + 1, j])
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # adjacent floats: keep both children non-empty
+        thr = lo
+    left_idx = idx[order[: i + 1, j]]
+    right_idx = idx[order[i + 1 :, j]]
+    return int(feats[j]), thr, left_idx, right_idx
+
+
+def _grow_tree(X, y, root_idx, params, max_features, rng):
+    """Grow one tree on the given sample indices (bootstrap multiset)."""
+    d = X.shape[1]
+    msl = params.min_samples_leaf
+    feature = []
+    threshold = []
+    left = []
+    right = []
+    value = []
+    n_node = []
+    impurity = []
+
+    stack = [(root_idx, 0, -1, 0)]
+    while stack:
+        idx, depth, parent, side = stack.pop()
+        nid = len(feature)
+        if parent >= 0:
+            if side == 0:
+                left[parent] = nid
+            else:
+                right[parent] = nid
+        y_node = y[idx]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(np.mean(y_node)))
+        n_node.append(int(idx.size))
+        impurity.append(float(np.var(y_node)))
+
+        if idx.size < 2 * msl:
+            continue
+        if params.max_depth is not None and depth >= params.max_depth:
+            continue
+        if np.ptp(y_node) == 0.0:
+            continue
+
+        feats = choose_k_direct(rng, d, max_features)
+        split = _best_split(X, y, idx, feats, msl)
+        if split is None:
+            continue
+        f, thr, left_idx, right_idx = split
+        feature[nid] = f
+        threshold[nid] = thr
+        stack.append((right_idx, depth + 1, nid, 1))
+        stack.append((left_idx, depth + 1, nid, 0))
+
+    return SimpleNamespace(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+        n=np.array(n_node, dtype=np.int64),
+        impurity=np.array(impurity, dtype=np.float64),
+    )
+
+
+def _route_direct(tree, row):
+    node = 0
+    while tree.feature[node] >= 0:
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return float(tree.value[node])
+
+
+def train_forest_direct(X, y, schema_id, params):
+    """Serial forest on a feature matrix, with the documented stream per tree:
+    seed XOR tree index, the bootstrap first, then one draw per node."""
+    n, d = X.shape
+    max_features = params.max_features if params.max_features is not None else math.ceil(d / 3)
+    max_features = min(max_features, d)
+    trees = []
+    sums = [0.0] * n
+    hits = [0] * n
+    for t in range(params.n_trees):
+        rng = SplitMix64Direct(params.seed ^ t)
+        boot = np.array([rng.randint(n) for _ in range(n)], dtype=np.int64)
+        tree = _grow_tree(X, y, boot, params, max_features, rng)
+        trees.append(tree)
+        drawn = set(boot.tolist())
+        for i in range(n):
+            if i not in drawn:
+                sums[i] += _route_direct(tree, X[i])
+                hits[i] += 1
+    errors = [abs(sums[i] / hits[i] - y[i]) for i in range(n) if hits[i] > 0]
+    return SimpleNamespace(
+        params=SimpleNamespace(
+            n_trees=params.n_trees,
+            max_depth=params.max_depth,
+            min_samples_leaf=params.min_samples_leaf,
+            max_features=max_features,
+            seed=params.seed,
+        ),
+        schema_id=schema_id,
+        n_features=d,
+        trees=trees,
+        oob_mae=float(np.mean(errors)) if errors else None,
+    )
+
+
+def feature_importance_direct(forest):
+    """Impurity-decrease importance, one split at a time, normalized to 1."""
+    total = np.zeros(forest.n_features, dtype=np.float64)
+    for tree in forest.trees:
+        contrib = np.zeros(forest.n_features, dtype=np.float64)
+        root_n = float(tree.n[0])
+        internal = np.nonzero(tree.feature >= 0)[0]
+        for nid in internal:
+            l = tree.left[nid]
+            r = tree.right[nid]
+            child = (tree.n[l] * tree.impurity[l] + tree.n[r] * tree.impurity[r]) / tree.n[nid]
+            delta = tree.impurity[nid] - child
+            contrib[tree.feature[nid]] += delta * (tree.n[nid] / root_n)
+        total += contrib
+    total /= len(forest.trees)
+    s = float(total.sum())
+    if s <= 0.0:
+        return np.full(forest.n_features, 1.0 / forest.n_features)
+    return total / s
+
+
+def save_model_direct(forest, path):
+    """The model document written in one ``json.dump`` call."""
+    doc = {
+        "format_version": 1,
+        "schema_id": forest.schema_id,
+        "n_features": forest.n_features,
+        "params": {
+            "n_trees": forest.params.n_trees,
+            "max_depth": forest.params.max_depth,
+            "min_samples_leaf": forest.params.min_samples_leaf,
+            "max_features": forest.params.max_features,
+            "seed": forest.params.seed,
+        },
+        "oob_mae": forest.oob_mae,
+        "trees": [
+            {
+                "feature": tree.feature.tolist(),
+                "threshold": tree.threshold.tolist(),
+                "left": tree.left.tolist(),
+                "right": tree.right.tolist(),
+                "value": tree.value.tolist(),
+                "n": tree.n.tolist(),
+                "impurity": tree.impurity.tolist(),
+            }
+            for tree in forest.trees
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True)
+        f.write("\n")

@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from lidar_anchor.forest import (
     RandomForest,
     RegressionTree,
     SplitMix64,
+    _build_forked,
+    _feature_ranks,
+    _grow_tree,
     _tree_predict,
     feature_importance,
     load_model,
@@ -21,6 +26,14 @@ from lidar_anchor.forest import (
     predict_batch,
     save_model,
     train_forest,
+)
+
+from oracles import (
+    choose_k_direct,
+    feature_importance_direct,
+    SplitMix64Direct,
+    save_model_direct,
+    train_forest_direct,
 )
 
 
@@ -100,6 +113,21 @@ class TestSplitMix64:
     def test_choose_all_returns_full_range(self):
         assert sorted(int(v) for v in SplitMix64(5).choose_k(6, 6)) == list(range(6))
 
+    def test_choose_k_matches_loop(self):
+        a = SplitMix64(11)
+        b = SplitMix64Direct(11)
+        for d, k in ((27, 9), (5, 5), (1, 1), (8, 3)):
+            for _ in range(20):
+                np.testing.assert_array_equal(a.choose_k(d, k), choose_k_direct(b, d, k))
+
+    def test_subset_block_rows_are_successive_draws(self):
+        a = SplitMix64(12)
+        b = SplitMix64(12)
+        block = a.subset_block(40, 10, 4)
+        for row in block:
+            np.testing.assert_array_equal(row, b.choose_k(10, 4))
+        assert a.counter == b.counter == 160
+
     def test_validation(self):
         rng = SplitMix64(0)
         with pytest.raises(ValueError):
@@ -134,6 +162,71 @@ class TestTraining:
         save_model(train_forest(samples, params, threads=1), tmp_path / "t1.json")
         save_model(train_forest(samples, params, threads=4), tmp_path / "t4.json")
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t4.json").read_bytes()
+
+    def test_serial_where_fork_is_unavailable(self, tmp_path, monkeypatch):
+        import lidar_anchor.forest as forest_module
+
+        samples, _, _ = make_samples(n=60)
+        params = ForestParams(n_trees=3, seed=5)
+        save_model(train_forest(samples, params, threads=1), tmp_path / "t1.json")
+
+        def no_pool(method):
+            raise AssertionError(f"no {method} pool expected")
+
+        monkeypatch.setattr(forest_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(forest_module.multiprocessing, "get_context", no_pool)
+        save_model(train_forest(samples, params, threads=2), tmp_path / "t2.json")
+        assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
+    def test_workers_capped_by_trees_and_cpus(self, monkeypatch):
+        import lidar_anchor.forest as forest_module
+
+        calls = []
+
+        def record(build, n_trees, workers):
+            calls.append((n_trees, workers))
+            return [build(t) for t in range(n_trees)]
+
+        monkeypatch.setattr(forest_module, "_build_forked", record)
+        samples, _, _ = make_samples(n=30)
+        train_forest(samples, ForestParams(n_trees=3, seed=1), threads=5)
+        assert calls in ([], [(3, min(3, os.cpu_count() or 1))])
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_build_keeps_tree_order_and_reports_a_dead_worker(self):
+        assert _build_forked(lambda t: ("tree", t), 5, 2) == [("tree", t) for t in range(5)]
+
+        def build(t):
+            if t == 1:
+                os._exit(3)
+            return t
+
+        with pytest.raises(RuntimeError, match="worker 1"):
+            _build_forked(build, 4, 2)
+
+    def test_ranks_order_like_values(self):
+        X = np.array([[0.5, 2.0], [-1.0, 2.0], [0.5, -0.0], [3.0, 0.0]])
+        ranks = _feature_ranks(X)
+        assert ranks.dtype == np.uint16
+        np.testing.assert_array_equal(ranks, [[1, 0, 1, 2], [1, 1, 0, 0]])
+        wide = _feature_ranks(np.arange(70000.0)[::-1, None])
+        assert wide.dtype == np.int64
+        np.testing.assert_array_equal(wide[0], np.arange(70000)[::-1])
+
+    def test_wide_ranks_grow_the_same_tree(self):
+        _, X, y = make_samples(n=300, d=6, seed=3)
+        X = np.round(X)  # ties
+        ranks = _feature_ranks(X)
+        params = ForestParams(n_trees=1, min_samples_leaf=1, seed=4)
+        trees = []
+        for r in (ranks, ranks.astype(np.int64)):
+            rng = SplitMix64(4)
+            boot = rng.index_block(300, 300)
+            trees.append(_grow_tree(X, r, y, boot, params, 2, rng))
+        for name in ("feature", "threshold", "left", "right", "value", "n", "impurity"):
+            np.testing.assert_array_equal(getattr(trees[0], name), getattr(trees[1], name))
 
     def test_fully_grown_tree_zero_error_on_its_bootstrap(self):
         samples, X, y = make_samples(n=120, d=4, seed=1)
@@ -335,3 +428,49 @@ class TestImportance:
         assert importance.shape == (4,)
         assert (importance >= 0).all()
         assert importance.sum() == pytest.approx(1.0)
+
+
+@st.composite
+def forest_problems(draw):
+    """Small training sets with tied columns, duplicated rows and tied targets."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    for c in range(d):
+        if draw(st.booleans()):
+            X[:, c] = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    y = draw(st.sampled_from([rng.normal, rng.standard_cauchy, rng.random]))(size=n)
+    y = np.round(y * draw(st.sampled_from([1.0, 2.0, 1e6])))
+    if draw(st.booleans()):
+        y = y / 3.0
+    dup = draw(st.integers(0, n // 2))
+    if dup:
+        X[:dup] = X[n - dup :]
+        y[:dup] = y[n - dup :]
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.sampled_from([None, 1, 4])),
+        min_samples_leaf=draw(st.sampled_from([1, 2, 5])),
+        max_features=draw(st.integers(1, d)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return X, y, params
+
+
+class TestGrowerOracle:
+    @given(forest_problems(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_model_bytes_and_importance_match_loop_grower(self, tmp_path_factory, problem, threads):
+        X, y, params = problem
+        tmp = tmp_path_factory.mktemp("oracle")
+        samples = [(FeatureVector(X[i], SCHEMA_NRF), float(y[i])) for i in range(len(y))]
+        forest = train_forest(samples, params, threads=threads)
+        reference = train_forest_direct(X, y, SCHEMA_NRF, params)
+        save_model(forest, tmp / "fast.json")
+        save_model_direct(reference, tmp / "loop.json")
+        assert (tmp / "fast.json").read_bytes() == (tmp / "loop.json").read_bytes()
+        np.testing.assert_array_equal(
+            feature_importance(forest), feature_importance_direct(reference)
+        )

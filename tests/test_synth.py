@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,21 @@ class TestGenerateScene:
         for ra, rb in zip(a, b):
             assert ra.header == rb.header
             np.testing.assert_array_equal(ra.values, rb.values)
+
+    def test_rasters_are_pinned(self):
+        # SHA-256 of the raw raster bytes, as this generator has always made them
+        want = {
+            "truth": "5897196573ade44b3b64e04f6615f8f43ecd21e12662616ec042c027d0aab110",
+            "optical": "33196737e23e05434d1bc46ca5b736d98fa40f78705114d76a0190a22860a2f3",
+            "landcover": "07ca8f103c22d16f6a7161f0874616a2d6b4e8aa55ada997a1e5ee134c6a43e2",
+            "dtm": "e5ed301b5a80bdac972aef923edff08f8399e1fd779b04777fb776eebae5e421",
+        }
+        rasters = generate_scene(SceneConfig(size=256, seed=42))
+        got = {
+            name: hashlib.sha256(r.values.tobytes()).hexdigest()
+            for name, r in zip(("truth", "optical", "landcover", "dtm"), rasters)
+        }
+        assert got == want
 
     def test_different_seed_differs(self):
         a = generate_scene(SceneConfig(size=128, seed=1))[0]
