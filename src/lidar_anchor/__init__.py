@@ -9,7 +9,6 @@ typical caller needs.
 
 from .correction import (
     ResidualField,
-    TrainingSample,
     apply_correction,
     build_training_set,
     infer_residual_field,
@@ -107,7 +106,6 @@ __all__ = [
     "SceneConfig",
     "SplitMix64",
     "TrackConfig",
-    "TrainingSample",
     "apply_affine",
     "apply_correction",
     "build_training_set",

@@ -83,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_io_flags(p)
         _add_run_flags(p)
-        if name == "correct":
-            p.add_argument("--model", help="trained model JSON (default <out>/model.json)")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark scene")
     p.add_argument("--config", help="JSON with scene / tracks / corruption sections")
@@ -148,9 +146,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
     out = _out_dir(cfg)
-    if args.model is not None and Path(args.model) != out / "model.json":
-        # stage_correct reads <out>/model.json; other locations are not wired up
-        raise ValueError("--model must point at <out>/model.json in this release")
     pipeline.stage_correct(cfg, cfg.pred, out)
     print(f"wrote {out / 'corrected.bin'} and {out / 'residual.bin'}")
     return 0

@@ -12,18 +12,13 @@ prediction and clamping at zero yields the corrected raster.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import (
-    SCHEMA_HRF,
-    SCHEMA_NRF,
-    FeatureVector,
-    hrf_features,
-    nrf_features,
-)
+from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features, nrf_features
 from .forest import RandomForest, predict_batch
 from .photons import CleanPhoton
 from .raster import (
@@ -31,25 +26,15 @@ from .raster import (
     HeightRaster,
     LandCoverRaster,
     OpticalRaster,
-    extract_window,
     footprint_mean,
     height_like,
+    window,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PATCH = 64
 DEFAULT_FOOTPRINT = 17.0
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    """One (features, residual target) pair with its photon location."""
-
-    features: FeatureVector
-    target: float
-    x: float
-    y: float
 
 
 @dataclass
@@ -71,41 +56,6 @@ def _check_grids(
         raise ValueError("land-cover raster is on a different grid than the prediction")
 
 
-def _feature_at(
-    col: int,
-    row: int,
-    pred: HeightRaster,
-    optical: Optional[OpticalRaster],
-    lc: Optional[LandCoverRaster],
-    embeddings: Optional[EmbeddingGrid],
-    feature_mode: str,
-    patch: int,
-) -> FeatureVector:
-    if feature_mode == SCHEMA_NRF:
-        assert embeddings is not None
-        return nrf_features(embeddings, col, row)
-    assert optical is not None and lc is not None
-    return hrf_features(
-        extract_window(pred, col, row, patch),
-        extract_window(optical, col, row, patch),
-        extract_window(lc, col, row, patch),
-        pred_nodata=pred.header.nodata,
-        lc_nodata=lc.header.nodata,
-    )
-
-
-def _patch_from(raster, r0: int, c0: int, patch: int) -> np.ndarray:
-    """Patch by top-left offset with edge replication past the borders.
-
-    Matches extract_window at center (c0 + patch // 2, r0 + patch // 2)
-    whenever that center lies inside the raster.
-    """
-    h = raster.header
-    rows = np.clip(np.arange(r0, r0 + patch), 0, h.height - 1)
-    cols = np.clip(np.arange(c0, c0 + patch), 0, h.width - 1)
-    return raster.values[np.ix_(rows, cols)]
-
-
 def _require_inputs(
     feature_mode: str,
     optical: Optional[OpticalRaster],
@@ -122,6 +72,43 @@ def _require_inputs(
         raise ValueError(f"unknown feature mode {feature_mode!r}")
 
 
+def _feature_matrix(
+    origins: Sequence[tuple[int, int]],
+    pred: HeightRaster,
+    optical: Optional[OpticalRaster],
+    lc: Optional[LandCoverRaster],
+    embeddings: Optional[EmbeddingGrid],
+    feature_mode: str,
+    patch: int,
+) -> np.ndarray:
+    """One feature row per ``patch``-pixel window, given by its top-left
+    (row0, col0).
+
+    Windows may reach past the raster: hrf patches replicate its edge
+    pixels, and nrf takes the embedding cell under the window center,
+    clamped to the last row and column.
+    """
+    h = pred.header
+    rows = []
+    for r0, c0 in origins:
+        if feature_mode == SCHEMA_NRF:
+            fv = nrf_features(
+                embeddings,
+                min(c0 + patch // 2, h.width - 1),
+                min(r0 + patch // 2, h.height - 1),
+            )
+        else:
+            fv = hrf_features(
+                window(pred, r0, c0, patch),
+                window(optical, r0, c0, patch),
+                window(lc, r0, c0, patch),
+                pred_nodata=h.nodata,
+                lc_nodata=lc.header.nodata,
+            )
+        rows.append(fv.values)
+    return np.array(rows)
+
+
 def build_training_set(
     pred: HeightRaster,
     optical: Optional[OpticalRaster],
@@ -131,37 +118,38 @@ def build_training_set(
     footprint: float = DEFAULT_FOOTPRINT,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
-    threads: int = 1,
-) -> tuple[list[TrainingSample], int]:
-    """One training sample per clean photon that lands on usable pixels.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Feature matrix X, targets y and a skip count from the clean photons.
 
-    Photons outside the raster or over nodata are skipped; the second
-    return value counts them.  Raises when no photon is usable at all.
-    ``threads`` is accepted and ignored: features are extracted serially.
+    Each photon on a valid pixel gives one row: the features of the window
+    centered on its pixel, and the footprint-mean prediction minus the
+    photon height as target.  Photons outside the raster or over invalid
+    pixels are skipped and counted.  Raises when no photon is usable.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
 
-    usable: list[tuple[CleanPhoton, int, int, float]] = []
+    h = pred.header
+    origins: list[tuple[int, int]] = []
+    targets: list[float] = []
     skipped = 0
     for p in photons:
-        if not pred.header.contains_point(p.x, p.y):
+        if not h.contains_point(p.x, p.y):
             skipped += 1
             continue
-        col, row = pred.header.pixel_of(p.x, p.y)
-        if (
-            pred.header.nodata is not None
-            and float(pred.values[row, col]) == pred.header.nodata
-        ):
+        col, row = h.pixel_of(p.x, p.y)
+        v = float(pred.values[row, col])
+        if not math.isfinite(v) or v == h.nodata:
             skipped += 1
             continue
         sampled = footprint_mean(pred, p.x, p.y, footprint)
         if sampled is None:
             skipped += 1
             continue
-        usable.append((p, col, row, sampled - p.h_ag))
+        origins.append((row - patch // 2, col - patch // 2))
+        targets.append(sampled - p.h_ag)
 
-    if not usable:
+    if not origins:
         raise ValueError(
             f"zero usable photons to train on ({skipped} skipped); "
             "check raster coverage and nodata"
@@ -169,16 +157,8 @@ def build_training_set(
     if skipped:
         logger.info("training set: %d photons skipped (outside raster or nodata)", skipped)
 
-    samples = [
-        TrainingSample(
-            features=_feature_at(col, row, pred, optical, lc, embeddings, feature_mode, patch),
-            target=target,
-            x=p.x,
-            y=p.y,
-        )
-        for p, col, row, target in usable
-    ]
-    return samples, skipped
+    X = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
+    return X, np.array(targets), skipped
 
 
 def _window_origins(extent: int, patch: int, stride: int) -> list[int]:
@@ -199,18 +179,21 @@ def infer_residual_field(
     stride: Optional[int] = None,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
-    threads: int = 1,
 ) -> ResidualField:
     """Predict a dense residual raster from the trained forest.
 
     Windows of ``patch`` pixels tile the raster at ``stride`` (default
     patch // 2); each contributes one scalar and each pixel averages the
     windows covering it.  Scalars are accumulated in row-major window
-    order.  ``threads`` is accepted and ignored: windows are evaluated
-    serially.
+    order.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
+    if feature_mode != forest.schema_id:
+        raise ValueError(
+            f"feature schema {feature_mode!r} does not match model schema "
+            f"{forest.schema_id!r}"
+        )
     if patch < 1:
         raise ValueError(f"patch must be >= 1, got {patch}")
     if stride is None:
@@ -223,35 +206,7 @@ def infer_residual_field(
     cols0 = _window_origins(h.width, patch, stride)
     windows = [(r0, c0) for r0 in rows0 for c0 in cols0]
 
-    dim = forest.n_features
-    matrix = np.empty((len(windows), dim), dtype=np.float64)
-
-    for i, (r0, c0) in enumerate(windows):
-        if feature_mode == SCHEMA_NRF:
-            assert embeddings is not None
-            center_col = min(c0 + patch // 2, h.width - 1)
-            center_row = min(r0 + patch // 2, h.height - 1)
-            fv = nrf_features(embeddings, center_col, center_row)
-        else:
-            assert optical is not None and lc is not None
-            fv = hrf_features(
-                _patch_from(pred, r0, c0, patch),
-                _patch_from(optical, r0, c0, patch),
-                _patch_from(lc, r0, c0, patch),
-                pred_nodata=pred.header.nodata,
-                lc_nodata=lc.header.nodata,
-            )
-        if fv.schema_id != forest.schema_id:
-            raise ValueError(
-                f"feature schema {fv.schema_id!r} does not match model schema "
-                f"{forest.schema_id!r}"
-            )
-        if fv.values.size != dim:
-            raise ValueError(
-                f"feature vector has {fv.values.size} dims, model expects {dim}"
-            )
-        matrix[i] = fv.values
-
+    matrix = _feature_matrix(windows, pred, optical, lc, embeddings, feature_mode, patch)
     scalars = predict_batch(forest, matrix)
 
     acc = np.zeros((h.height, h.width), dtype=np.float64)

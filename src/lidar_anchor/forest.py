@@ -19,7 +19,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -365,33 +365,6 @@ def _grow_tree(
     )
 
 
-def _coerce_samples(
-    samples: Sequence[tuple[FeatureVector, float]],
-) -> tuple[np.ndarray, np.ndarray, str]:
-    if len(samples) == 0:
-        raise ValueError("cannot train on an empty sample list")
-    schema = samples[0][0].schema_id
-    dim = samples[0][0].values.size
-    X = np.empty((len(samples), dim), dtype=np.float64)
-    y = np.empty(len(samples), dtype=np.float64)
-    for i, (fv, target) in enumerate(samples):
-        if fv.schema_id != schema:
-            raise ValueError(
-                f"sample {i} has schema {fv.schema_id!r}, expected {schema!r}"
-            )
-        if fv.values.size != dim:
-            raise ValueError(
-                f"sample {i} has {fv.values.size} features, expected {dim}"
-            )
-        X[i] = fv.values
-        y[i] = target
-    if not np.isfinite(X).all():
-        raise ValueError("feature matrix contains non-finite values")
-    if not np.isfinite(y).all():
-        raise ValueError("targets contain non-finite values")
-    return X, y, schema
-
-
 def _build_forked(
     build: Callable[[int], tuple[RegressionTree, np.ndarray]],
     n_trees: int,
@@ -443,20 +416,33 @@ def _build_forked(
 
 
 def train_forest(
-    samples: Sequence[tuple[FeatureVector, float]],
+    X: np.ndarray,
+    y: np.ndarray,
+    schema_id: str,
     params: ForestParams = ForestParams(),
     threads: int = 1,
 ) -> RandomForest:
-    """Train a bagged forest of CART trees on (feature vector, target) pairs.
+    """Train a bagged forest of CART trees on an (n, d) matrix of feature
+    rows from schema ``schema_id`` and their n targets.
 
-    Each tree bootstraps len(samples) rows with replacement from its own
-    SplitMix64 stream (seed XOR tree_index) and searches ceil(d/3) features
-    per node unless params says otherwise.  With ``threads`` > 1 the trees
-    grow in min(threads, n_trees, CPU count) forked worker processes, or
-    serially where ``fork`` is unavailable.  Results do not depend on
-    ``threads``.
+    Each tree bootstraps n rows with replacement from its own SplitMix64
+    stream (seed XOR tree_index) and searches ceil(d/3) features per node
+    unless params says otherwise.  With ``threads`` > 1 the trees grow in
+    min(threads, n_trees, CPU count) forked worker processes, or serially
+    where ``fork`` is unavailable.  Results do not depend on ``threads``.
     """
-    X, y, schema = _coerce_samples(samples)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if schema_id not in KNOWN_SCHEMAS:
+        raise ValueError(f"unknown feature schema {schema_id!r}")
+    if X.ndim != 2 or X.size == 0 or y.shape != X.shape[:1]:
+        raise ValueError(
+            f"need a non-empty (n, d) feature matrix and n targets, got {X.shape} and {y.shape}"
+        )
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix contains non-finite values")
+    if not np.isfinite(y).all():
+        raise ValueError("targets contain non-finite values")
     n, d = X.shape
     max_features = params.max_features if params.max_features is not None else math.ceil(d / 3)
     max_features = min(max_features, d)
@@ -501,7 +487,7 @@ def train_forest(
             max_features=max_features,
             seed=params.seed,
         ),
-        schema_id=schema,
+        schema_id=schema_id,
         n_features=d,
         trees=trees,
         oob_mae=oob_mae,

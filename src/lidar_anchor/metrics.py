@@ -1,12 +1,12 @@
 """Raster comparison metrics for height fields.
 
-All pixel metrics ignore pixels that are nodata in either raster.  SSIM
-follows the standard Gaussian-window formulation (11x11 window, sigma 1.5,
-C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range L taken from the
-reference raster's valid values and clamped below at 1 m so near-flat
-references do not blow up the stabilizers.  The height-error F1 counts a
-pixel as a true positive when both heights exceed a threshold and their
-ratio (after flooring both at 0.1 m) stays below eta.
+All pixel metrics ignore pixels that are nodata or non-finite in either
+raster.  SSIM follows the standard Gaussian-window formulation (11x11
+window, sigma 1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range
+L taken from the reference raster's valid values and clamped below at 1 m so
+near-flat references do not blow up the stabilizers.  The height-error F1
+counts a pixel as a true positive when both heights exceed a threshold and
+their ratio (after flooring both at 0.1 m) stays below eta.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def _check_pair(pred: HeightRaster, ref: HeightRaster) -> None:
 
 
 def _joint_valid(pred: HeightRaster, ref: HeightRaster) -> np.ndarray:
-    valid = np.ones(pred.values.shape, dtype=bool)
+    """Pixels that are finite and not nodata in both rasters."""
+    valid = np.isfinite(pred.values) & np.isfinite(ref.values)
     if pred.header.nodata is not None:
         valid &= pred.values != pred.header.nodata
     if ref.header.nodata is not None:
@@ -98,7 +99,7 @@ def ssim(
 ) -> float:
     """Mean structural similarity over all fully interior window positions.
 
-    Windows containing any nodata pixel in either raster are excluded.
+    Windows containing any invalid pixel in either raster are excluded.
     Identical rasters score exactly 1.
     """
     _check_pair(pred, ref)

@@ -576,13 +576,21 @@ def preprocess_photons(
 ) -> tuple[list[CleanPhoton], dict[str, int]]:
     """Run the full photon cleaning pipeline.
 
-    Returns the clean photons plus per-stage retention counts
-    (monotonically non-increasing).
+    Photons outside the DTM or land-cover extent are dropped, as a track
+    clipped to a tile runs past its edges.  Returns the clean photons plus
+    per-stage retention counts (monotonically non-increasing).
     """
     counts = {"loaded": len(photons)}
 
     kept = filter_confidence(photons)
     counts["confidence"] = len(kept)
+
+    kept = [
+        p
+        for p in kept
+        if dtm.header.contains_point(p.x, p.y) and lc.header.contains_point(p.x, p.y)
+    ]
+    counts["in_extent"] = len(kept)
 
     interp = GroundInterpolator(
         kept, power=params.idw_power, radius=params.idw_radius, k_max=params.idw_k_max

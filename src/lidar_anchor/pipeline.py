@@ -29,6 +29,7 @@ from .raster import (
     LC_TREE,
     LandCoverRaster,
     OpticalRaster,
+    Raster,
     load_raster,
     save_raster,
 )
@@ -109,13 +110,6 @@ class PipelineConfig:
         if isinstance(self.building_bounds, list):
             self.building_bounds = tuple(self.building_bounds)
 
-    @property
-    def feature_schema(self) -> str:
-        return _FEATURE_ALIASES[self.features]
-
-    def resolved_stride(self) -> int:
-        return self.stride if self.stride is not None else max(self.patch // 2, 1)
-
     def preprocess_params(self) -> PreprocessParams:
         return PreprocessParams(
             idw_power=self.idw_power,
@@ -186,7 +180,7 @@ def validate_inputs(cfg: PipelineConfig) -> None:
     relative-depth mode insists on a DTM and photons for calibration.
     """
     _require(cfg, "pred", "photons", "dtm", "landcover")
-    if cfg.feature_schema == SCHEMA_HRF:
+    if cfg.features == SCHEMA_HRF:
         _require(cfg, "optical")
     else:
         _require(cfg, "embeddings")
@@ -220,8 +214,8 @@ def _metrics_doc(report: metrics.MetricsReport, seed: int) -> dict:
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Photon cleaning: raw CSV -> clean_photons.csv + preprocess_report.json."""
     raw = photons.load_photons(cfg.photons)
-    dtm = _load_height(cfg.dtm, "dtm")
-    lc = _load_landcover(cfg.landcover)
+    dtm = _load(cfg.dtm, HeightRaster, "dtm")
+    lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
     clean, counts = photons.preprocess_photons(raw, dtm, lc, cfg.preprocess_params())
     if not clean:
         raise ValueError("preprocessing removed every photon")
@@ -236,7 +230,7 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
 
     Writes affine.json and the calibrated raster pred_abs.bin/.json.
     """
-    depth = _load_height(cfg.pred, "pred")
+    depth = _load(cfg.pred, HeightRaster, "pred")
     clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
     fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint, huber=cfg.huber)
     _write_json(
@@ -250,27 +244,21 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
 
 def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> dict:
     """Residual training: clean photons + rasters -> model.json + report."""
-    pred = _load_height(pred_path, "pred")
-    optical = _load_optical(cfg.optical) if cfg.feature_schema == SCHEMA_HRF else None
-    lc = _load_landcover(cfg.landcover) if cfg.feature_schema == SCHEMA_HRF else None
-    embeddings = _load_embeddings(cfg.embeddings) if cfg.feature_schema == SCHEMA_NRF else None
+    pred = _load(pred_path, HeightRaster, "pred")
+    optical, lc, embeddings = _feature_inputs(cfg)
     clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
 
-    samples, skipped = correction.build_training_set(
+    X, y, skipped = correction.build_training_set(
         pred,
         optical,
         lc,
         clean,
         patch=cfg.patch,
         footprint=cfg.footprint,
-        feature_mode=cfg.feature_schema,
+        feature_mode=cfg.features,
         embeddings=embeddings,
     )
-    model = forest.train_forest(
-        [(s.features, s.target) for s in samples],
-        cfg.forest_params(),
-        threads=cfg.threads,
-    )
+    model = forest.train_forest(X, y, cfg.features, cfg.forest_params(), threads=cfg.threads)
     forest.save_model(model, out_dir / "model.json")
 
     importance = forest.feature_importance(model)
@@ -283,7 +271,7 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
             writer.writerow([name, repr(float(weight)), group])
 
     report = {
-        "n_samples": len(samples),
+        "n_samples": len(y),
         "skipped": skipped,
         "oob_mae": model.oob_mae,
         "seed": cfg.seed,
@@ -294,10 +282,8 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
 
 def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> None:
     """Apply a trained model: corrected.bin/.json + residual.bin/.json."""
-    pred = _load_height(pred_path, "pred")
-    optical = _load_optical(cfg.optical) if cfg.feature_schema == SCHEMA_HRF else None
-    lc = _load_landcover(cfg.landcover) if cfg.feature_schema == SCHEMA_HRF else None
-    embeddings = _load_embeddings(cfg.embeddings) if cfg.feature_schema == SCHEMA_NRF else None
+    pred = _load(pred_path, HeightRaster, "pred")
+    optical, lc, embeddings = _feature_inputs(cfg)
     model = forest.load_model(out_dir / "model.json")
 
     field = correction.infer_residual_field(
@@ -306,8 +292,8 @@ def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> 
         lc,
         model,
         patch=cfg.patch,
-        stride=cfg.resolved_stride(),
-        feature_mode=cfg.feature_schema,
+        stride=cfg.stride,
+        feature_mode=cfg.features,
         embeddings=embeddings,
     )
     corrected = correction.apply_correction(pred, field)
@@ -322,13 +308,13 @@ def stage_evaluate(
     name: str = "metrics",
 ) -> metrics.MetricsReport:
     """Compare a height raster against the reference; writes <name>.json."""
-    pred = _load_height(eval_path, "raster under evaluation")
-    ref = _load_height(cfg.reference, "reference")
+    pred = _load(eval_path, HeightRaster, "raster under evaluation")
+    ref = _load(cfg.reference, HeightRaster, "reference")
     report = metrics.evaluate(pred, ref, threshold=cfg.f1_threshold, eta=cfg.f1_eta)
     _write_json(_metrics_doc(report, cfg.seed), out_dir / f"{name}.json")
 
     if cfg.landcover is not None:
-        lc = _load_landcover(cfg.landcover)
+        lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
         rows = metrics.per_class_breakdown(pred, ref, lc)
         with open(out_dir / f"{name}_per_class.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
@@ -450,29 +436,23 @@ def run_synth(
 # ===== Typed raster loading =====
 
 
-def _load_height(path, what: str) -> HeightRaster:
+def _load(path, cls: type[Raster], what: str) -> Raster:
     raster = load_raster(path)
-    if not isinstance(raster, HeightRaster):
-        raise ValueError(f"{what} raster at {path} is not a single-band float32 height raster")
+    if not isinstance(raster, cls):
+        raise ValueError(
+            f"{what} raster at {path} loads as {type(raster).__name__}, expected {cls.__name__}"
+        )
     return raster
 
 
-def _load_optical(path) -> OpticalRaster:
-    raster = load_raster(path)
-    if not isinstance(raster, OpticalRaster):
-        raise ValueError(f"optical raster at {path} is not a 3-band uint8 raster")
-    return raster
-
-
-def _load_landcover(path) -> LandCoverRaster:
-    raster = load_raster(path)
-    if not isinstance(raster, LandCoverRaster):
-        raise ValueError(f"land-cover raster at {path} is not a single-band uint8 raster")
-    return raster
-
-
-def _load_embeddings(path) -> EmbeddingGrid:
-    raster = load_raster(path)
-    if not isinstance(raster, EmbeddingGrid):
-        raise ValueError(f"embedding grid at {path} is missing cell_px or is not float32")
-    return raster
+def _feature_inputs(
+    cfg: PipelineConfig,
+) -> tuple[Optional[OpticalRaster], Optional[LandCoverRaster], Optional[EmbeddingGrid]]:
+    """The optical and land-cover rasters for hrf, or the embedding grid for nrf."""
+    if cfg.features == SCHEMA_HRF:
+        return (
+            _load(cfg.optical, OpticalRaster, "optical"),
+            _load(cfg.landcover, LandCoverRaster, "land-cover"),
+            None,
+        )
+    return None, None, _load(cfg.embeddings, EmbeddingGrid, "embedding")

@@ -325,12 +325,6 @@ def load_raster(path: Path | str) -> Raster:
 # ===== Sampling and windows =====
 
 
-def _valid_mask(raster: Raster) -> np.ndarray:
-    if raster.header.nodata is None:
-        return np.ones(raster.values.shape[:2], dtype=bool)
-    return raster.values != raster.header.nodata
-
-
 def sample_bilinear(raster: Raster, x: float, y: float) -> Optional[float]:
     """Bilinear sample of a single-band raster at map point (x, y).
 
@@ -374,29 +368,28 @@ def sample_bilinear(raster: Raster, x: float, y: float) -> Optional[float]:
     return acc / wsum
 
 
-def extract_window(raster: Raster, col: int, row: int, size: int) -> np.ndarray:
-    """Square window of ``size`` pixels centered on pixel (col, row).
+def window(raster: Raster, row0: int, col0: int, size: int) -> np.ndarray:
+    """Square window of ``size`` pixels whose top-left pixel is (row0, col0).
 
     Rows and columns that fall outside the raster are clamped to the edge
-    (edge replication), so the result always has the full requested size.
-    The window starts at center - size // 2; a size-1 window is exactly the
-    center pixel.  Returns a copy.
+    (edge replication), so the window may start or end past the raster and
+    always has the full requested size.  A window that covers no raster pixel
+    raises GeometryError.  Returns a copy.
     """
-    h = raster.header
     if size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
-    if not (0 <= col < h.width and 0 <= row < h.height):
-        raise GeometryError(f"window center ({col}, {row}) outside raster")
-    half = size // 2
-    rows = np.clip(np.arange(row - half, row - half + size), 0, h.height - 1)
-    cols = np.clip(np.arange(col - half, col - half + size), 0, h.width - 1)
-    return raster.values[np.ix_(rows, cols)].copy()
+    h = raster.header
+    if not (-size < row0 < h.height and -size < col0 < h.width):
+        raise GeometryError(f"window at ({row0}, {col0}) of size {size} misses the raster")
+    rows = np.clip(np.arange(row0, row0 + size), 0, h.height - 1)
+    cols = np.clip(np.arange(col0, col0 + size), 0, h.width - 1)
+    return raster.values[np.ix_(rows, cols)]
 
 
 def sobel_magnitude(patch: np.ndarray) -> np.ndarray:
     """Gradient magnitude of a 2D patch under the 3x3 Sobel operator.
 
-    Edges are handled by replication, matching extract_window.  A unit
+    Edges are handled by replication, as in ``window``.  A unit
     horizontal slope responds with magnitude 8 before any normalization.
     """
     if patch.ndim != 2 or patch.shape[0] < 1 or patch.shape[1] < 1:
@@ -419,7 +412,8 @@ def footprint_mean(raster: Raster, x: float, y: float, diameter: float) -> Optio
     The disk has the given diameter in meters.  When the disk is so small
     that it captures no pixel center, the value of the pixel containing
     (x, y) is used instead.  Returns None when every captured pixel is
-    nodata.  Raises GeometryError when the disk misses the raster entirely.
+    invalid (nodata or non-finite).  Raises GeometryError when the disk
+    misses the raster entirely.
     """
     h = raster.header
     if h.bands != 1:
@@ -461,7 +455,13 @@ def footprint_mean(raster: Raster, x: float, y: float, diameter: float) -> Optio
         if not usable.any():
             return None
 
-    return float(np.mean(block[usable].astype(np.float64)))
+    vals = block[usable].astype(np.float64)
+    mean = float(np.mean(vals))
+    if math.isfinite(mean):
+        return mean
+    # Non-finite pixels are invalid too; mask them only once one shows up.
+    vals = vals[np.isfinite(vals)]
+    return float(np.mean(vals)) if vals.size else None
 
 
 def _containing_pixel_value(raster: Raster, x: float, y: float) -> Optional[float]:
@@ -470,7 +470,7 @@ def _containing_pixel_value(raster: Raster, x: float, y: float) -> Optional[floa
         return None
     col, row = h.pixel_of(x, y)
     v = float(raster.values[row, col])
-    if h.nodata is not None and v == h.nodata:
+    if not math.isfinite(v) or v == h.nodata:
         return None
     return v
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lidar_anchor import pipeline
-from lidar_anchor.features import SCHEMA_NRF, FeatureVector
+from lidar_anchor.features import SCHEMA_NRF
 from lidar_anchor.forest import (
     ForestParams,
     SplitMix64,
@@ -349,17 +349,15 @@ def test_criterion_9_forest_correctness(announce):
     rng = np.random.default_rng(9)
     X = rng.uniform(0, 10, size=(150, 6))
     y = rng.normal(0, 5, 150)
-    samples = [(FeatureVector(X[i], SCHEMA_NRF), float(y[i])) for i in range(150)]
-    forest = train_forest(samples, ForestParams(n_trees=1, min_samples_leaf=1,
-                                                max_features=6, seed=31))
+    forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=1, min_samples_leaf=1,
+                                                        max_features=6, seed=31))
     boot = SplitMix64(31 ^ 0).index_block(150, 150)
     train_err = float(np.max(np.abs(predict_batch(forest, X[boot]) - y[boot])))
 
     Xd = rng.uniform(0, 10, size=(1200, 5))
     yd = Xd[:, 0].copy()
-    driver = [(FeatureVector(Xd[i], SCHEMA_NRF), float(yd[i])) for i in range(1200)]
-    forest_d = train_forest(driver, ForestParams(n_trees=40, min_samples_leaf=1,
-                                                 max_features=5, seed=8))
+    forest_d = train_forest(Xd, yd, SCHEMA_NRF, ForestParams(n_trees=40, min_samples_leaf=1,
+                                                             max_features=5, seed=8))
     X_test = rng.uniform(0, 10, size=(300, 5))
     held_mae = float(np.mean(np.abs(predict_batch(forest_d, X_test) - X_test[:, 0])))
     importance = feature_importance(forest_d)

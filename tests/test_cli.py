@@ -217,17 +217,6 @@ class TestEvaluateCommand:
         assert doc["ssim"] == 1.0
 
 
-class TestCorrectCommand:
-    def test_foreign_model_path_rejected(self, ws, tmp_path, capsys):
-        out = tmp_path / "c"
-        rc = cli.main([
-            "correct", "--config", str(ws["pipe_cfg"]), "--out", str(out),
-            "--model", str(tmp_path / "elsewhere.json"),
-        ])
-        assert rc == 1
-        assert "model" in capsys.readouterr().err
-
-
 class TestRelativeMode:
     def test_pipeline_runs_with_depth_input(self, ws, tmp_path, capsys):
         truth = load_raster(ws["scene"] / "truth")

@@ -13,9 +13,9 @@ from lidar_anchor.photons import CleanPhoton
 from lidar_anchor.raster import (
     EmbeddingGrid,
     RasterHeader,
-    extract_window,
     footprint_mean,
     height_like,
+    window,
 )
 
 from conftest import make_height, make_landcover, make_optical
@@ -61,32 +61,51 @@ class TestBuildTrainingSet:
     def test_targets_are_footprint_mean_minus_height(self):
         pred, optical, lc = scene()
         pts = photons_on(pred, count=12, h=2.5)
-        samples, skipped = build_training_set(pred, optical, lc, pts, patch=32)
+        X, y, skipped = build_training_set(pred, optical, lc, pts, patch=32)
         assert skipped == 0
-        assert len(samples) == 12
-        for s, p in zip(samples, pts):
+        assert X.shape == (12, HRF_DIM)
+        for target, p in zip(y, pts):
             want = footprint_mean(pred, p.x, p.y, 17.0) - p.h_ag
-            assert s.target == pytest.approx(want, abs=1e-9)
-            assert (s.x, s.y) == (p.x, p.y)
+            assert target == pytest.approx(want, abs=1e-9)
 
     def test_features_match_photon_centered_window(self):
         pred, optical, lc = scene()
         p = photons_on(pred, count=1)[0]
-        samples, _ = build_training_set(pred, optical, lc, [p], patch=32)
+        X, _, _ = build_training_set(pred, optical, lc, [p], patch=32)
         col, row = pred.header.pixel_of(p.x, p.y)
         want = hrf_features(
-            extract_window(pred, col, row, 32),
-            extract_window(optical, col, row, 32),
-            extract_window(lc, col, row, 32),
+            window(pred, row - 16, col - 16, 32),
+            window(optical, row - 16, col - 16, 32),
+            window(lc, row - 16, col - 16, 32),
         )
-        np.testing.assert_array_equal(samples[0].features.values, want.values)
+        np.testing.assert_array_equal(X[0], want.values)
+
+    def test_nrf_rows_are_embedding_cells_under_photons(self):
+        pred, _, _ = scene(n=64)
+        header = RasterHeader(
+            width=4, height=4, gsd=16.0, origin_x=0.0, origin_y=64.0,
+            crs_code=32654, bands=2, dtype="float32", nodata=None, cell_px=16,
+        )
+        cells = np.arange(32, dtype=np.float32).reshape(4, 4, 2)
+        emb = EmbeddingGrid(header, cells)
+        # off-diagonal cells, and photons within patch // 2 of the edges
+        pts = [
+            CleanPhoton(x, y, 1.0, "object", 4, 1)
+            for x, y in [(1.0, 40.0), (62.5, 63.5), (40.0, 0.5), (30.0, 20.0)]
+        ]
+        X, _, _ = build_training_set(
+            pred, None, None, pts, patch=32, feature_mode=SCHEMA_NRF, embeddings=emb
+        )
+        for row, p in zip(X, pts):
+            col, r = pred.header.pixel_of(p.x, p.y)
+            np.testing.assert_array_equal(row, cells[r // 16, col // 16])
 
     def test_outside_and_nodata_photons_are_skipped(self):
         pred, optical, lc = scene()
         pts = photons_on(pred, count=10)
         outside = CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)
-        samples, skipped = build_training_set(pred, optical, lc, pts + [outside], patch=32)
-        assert len(samples) == 10
+        X, y, skipped = build_training_set(pred, optical, lc, pts + [outside], patch=32)
+        assert len(X) == len(y) == 10
         assert skipped == 1
 
     def test_nodata_under_photon_is_skipped(self):
@@ -98,26 +117,30 @@ class TestBuildTrainingSet:
         pred2 = make_height(vals, gsd=pred.header.gsd, nodata=-9999.0)
         # photons_on(count=5) also starts at x=10, so two photons share the
         # nodata pixel and both are skipped
-        samples, skipped = build_training_set(
+        X, _, skipped = build_training_set(
             pred2, optical, lc, [p] + photons_on(pred, count=5), patch=32
         )
         assert skipped == 2
-        assert len(samples) == 4
+        assert len(X) == 4
+
+    def test_nonfinite_under_photon_is_skipped(self):
+        pred, optical, lc = scene()
+        vals = pred.values.copy()
+        p = photons_on(pred, count=1)[0]
+        col, row = pred.header.pixel_of(p.x, p.y)
+        vals[row, col] = np.nan
+        X, y, skipped = build_training_set(
+            make_height(vals, gsd=pred.header.gsd), optical, lc, [p] + photons_on(pred, count=5),
+            patch=32,
+        )
+        assert skipped == 2
+        assert len(X) == 4 and np.isfinite(y).all()
 
     def test_zero_usable_raises(self):
         pred, optical, lc = scene()
         outside = [CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)]
         with pytest.raises(ValueError, match="zero usable"):
             build_training_set(pred, optical, lc, outside, patch=32)
-
-    def test_threads_do_not_change_samples(self):
-        pred, optical, lc = scene()
-        pts = photons_on(pred, count=16)
-        one, _ = build_training_set(pred, optical, lc, pts, patch=32, threads=1)
-        four, _ = build_training_set(pred, optical, lc, pts, patch=32, threads=4)
-        for a, b in zip(one, four):
-            np.testing.assert_array_equal(a.features.values, b.features.values)
-            assert a.target == b.target
 
     def test_hrf_requires_optical_and_lc(self):
         pred, optical, lc = scene()
@@ -154,20 +177,6 @@ class TestInferResidualField:
         field = infer_residual_field(pred, optical, lc, constant_forest(3.5), patch=64)
         np.testing.assert_array_equal(field.values.values, np.float32(3.5))
 
-    def test_threads_produce_identical_fields(self):
-        pred, optical, lc = scene()
-        pts = photons_on(pred, count=30)
-        samples, _ = build_training_set(pred, optical, lc, pts, patch=32)
-        from lidar_anchor.forest import train_forest
-
-        model = train_forest(
-            [(s.features, s.target) for s in samples], ForestParams(n_trees=8, seed=3)
-        )
-        f1 = infer_residual_field(pred, optical, lc, model, patch=32, threads=1)
-        f4 = infer_residual_field(pred, optical, lc, model, patch=32, threads=4)
-        np.testing.assert_array_equal(f1.values.values, f4.values.values)
-        np.testing.assert_array_equal(f1.weights, f4.weights)
-
     def test_nrf_uses_embedding_cells(self):
         pred, _, _ = scene(n=64)
         header = RasterHeader(
@@ -191,6 +200,19 @@ class TestInferResidualField:
             patch=32,
             feature_mode=SCHEMA_NRF,
             embeddings=emb,
+        )
+        np.testing.assert_array_equal(field.values.values, np.float32(4.0))
+
+    def test_nrf_center_clamps_on_raster_smaller_than_patch(self):
+        pred, _, _ = scene(n=20)
+        header = RasterHeader(
+            width=2, height=2, gsd=5.0, origin_x=0.0, origin_y=20.0,
+            crs_code=32654, bands=3, dtype="float32", nodata=None, cell_px=10,
+        )
+        emb = EmbeddingGrid(header, np.zeros((2, 2, 3), dtype=np.float32))
+        field = infer_residual_field(
+            pred, None, None, constant_forest(4.0, schema=SCHEMA_NRF, n_features=3),
+            patch=64, feature_mode=SCHEMA_NRF, embeddings=emb,
         )
         np.testing.assert_array_equal(field.values.values, np.float32(4.0))
 

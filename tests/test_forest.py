@@ -50,14 +50,14 @@ def reference_splitmix(seed, count):
     return out
 
 
-def make_samples(n=200, d=5, seed=0, schema=SCHEMA_NRF, target=None):
+def make_samples(n=200, d=5, seed=0, target=None):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 10, size=(n, d))
     if target is None:
         y = X[:, 0] * 2.0 + np.sin(X[:, 1])
     else:
         y = target(X)
-    return [(FeatureVector(X[i], schema), float(y[i])) for i in range(n)], X, y
+    return X, y
 
 
 class TestSplitMix64:
@@ -150,32 +150,32 @@ class TestForestParams:
 
 class TestTraining:
     def test_training_is_deterministic(self, tmp_path):
-        samples, _, _ = make_samples()
+        X, y = make_samples()
         params = ForestParams(n_trees=10, seed=99)
-        save_model(train_forest(samples, params), tmp_path / "a.json")
-        save_model(train_forest(samples, params), tmp_path / "b.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params), tmp_path / "a.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_thread_count_changes_nothing(self, tmp_path):
-        samples, _, _ = make_samples()
+        X, y = make_samples()
         params = ForestParams(n_trees=12, seed=5)
-        save_model(train_forest(samples, params, threads=1), tmp_path / "t1.json")
-        save_model(train_forest(samples, params, threads=4), tmp_path / "t4.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params, threads=1), tmp_path / "t1.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params, threads=4), tmp_path / "t4.json")
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t4.json").read_bytes()
 
     def test_serial_where_fork_is_unavailable(self, tmp_path, monkeypatch):
         import lidar_anchor.forest as forest_module
 
-        samples, _, _ = make_samples(n=60)
+        X, y = make_samples(n=60)
         params = ForestParams(n_trees=3, seed=5)
-        save_model(train_forest(samples, params, threads=1), tmp_path / "t1.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params, threads=1), tmp_path / "t1.json")
 
         def no_pool(method):
             raise AssertionError(f"no {method} pool expected")
 
         monkeypatch.setattr(forest_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(forest_module.multiprocessing, "get_context", no_pool)
-        save_model(train_forest(samples, params, threads=2), tmp_path / "t2.json")
+        save_model(train_forest(X, y, SCHEMA_NRF, params, threads=2), tmp_path / "t2.json")
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
 
     def test_workers_capped_by_trees_and_cpus(self, monkeypatch):
@@ -188,8 +188,8 @@ class TestTraining:
             return [build(t) for t in range(n_trees)]
 
         monkeypatch.setattr(forest_module, "_build_forked", record)
-        samples, _, _ = make_samples(n=30)
-        train_forest(samples, ForestParams(n_trees=3, seed=1), threads=5)
+        X, y = make_samples(n=30)
+        train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=3, seed=1), threads=5)
         assert calls in ([], [(3, min(3, os.cpu_count() or 1))])
 
     @pytest.mark.skipif(
@@ -216,7 +216,7 @@ class TestTraining:
         np.testing.assert_array_equal(wide[0], np.arange(70000)[::-1])
 
     def test_wide_ranks_grow_the_same_tree(self):
-        _, X, y = make_samples(n=300, d=6, seed=3)
+        X, y = make_samples(n=300, d=6, seed=3)
         X = np.round(X)  # ties
         ranks = _feature_ranks(X)
         params = ForestParams(n_trees=1, min_samples_leaf=1, seed=4)
@@ -229,12 +229,12 @@ class TestTraining:
             np.testing.assert_array_equal(getattr(trees[0], name), getattr(trees[1], name))
 
     def test_fully_grown_tree_zero_error_on_its_bootstrap(self):
-        samples, X, y = make_samples(n=120, d=4, seed=1)
+        X, y = make_samples(n=120, d=4, seed=1)
         params = ForestParams(n_trees=1, min_samples_leaf=1, max_features=4, seed=31)
-        forest = train_forest(samples, params)
+        forest = train_forest(X, y, SCHEMA_NRF, params)
         # the tree's training set is its bootstrap draw; rebuild it from the
         # documented per-tree stream (seed XOR tree index, bootstrap first)
-        boot = SplitMix64(31 ^ 0).index_block(len(samples), len(samples))
+        boot = SplitMix64(31 ^ 0).index_block(len(y), len(y))
         preds = predict_batch(forest, X[boot])
         np.testing.assert_array_equal(preds, y[boot])
 
@@ -242,9 +242,9 @@ class TestTraining:
         def target(X):
             return X[:, 0].copy()
 
-        samples, X, y = make_samples(n=1200, d=5, seed=2, target=target)
+        X, y = make_samples(n=1200, d=5, seed=2, target=target)
         params = ForestParams(n_trees=40, min_samples_leaf=1, max_features=5, seed=8)
-        forest = train_forest(samples, params)
+        forest = train_forest(X, y, SCHEMA_NRF, params)
 
         rng = np.random.default_rng(3)
         X_test = rng.uniform(0, 10, size=(300, 5))
@@ -257,15 +257,16 @@ class TestTraining:
         assert importance.sum() == pytest.approx(1.0)
 
     def test_min_samples_leaf_is_respected(self):
-        samples, _, _ = make_samples(n=150)
-        forest = train_forest(samples, ForestParams(n_trees=5, min_samples_leaf=7, seed=1))
+        X, y = make_samples(n=150)
+        params = ForestParams(n_trees=5, min_samples_leaf=7, seed=1)
+        forest = train_forest(X, y, SCHEMA_NRF, params)
         for tree in forest.trees:
             leaves = tree.feature == -1
             assert (tree.n[leaves] >= 7).all()
 
     def test_max_depth_one_gives_stumps(self):
-        samples, _, _ = make_samples(n=150)
-        forest = train_forest(samples, ForestParams(n_trees=5, max_depth=1, seed=1))
+        X, y = make_samples(n=150)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=5, max_depth=1, seed=1))
         for tree in forest.trees:
             assert tree.n_nodes() <= 3
             if tree.n_nodes() == 3:
@@ -273,26 +274,26 @@ class TestTraining:
                 assert (tree.feature[1:] == -1).all()
 
     def test_constant_target_gives_single_leaves(self):
-        samples, _, _ = make_samples(target=lambda X: np.full(len(X), 3.25))
-        forest = train_forest(samples, ForestParams(n_trees=4, seed=0))
+        X, y = make_samples(target=lambda X: np.full(len(X), 3.25))
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=4, seed=0))
         assert all(t.n_nodes() == 1 for t in forest.trees)
         fv = FeatureVector(np.zeros(5), SCHEMA_NRF)
         assert predict(forest, fv) == 3.25
 
     def test_uniform_importance_when_no_splits(self, caplog):
-        samples, _, _ = make_samples(d=4, target=lambda X: np.zeros(len(X)))
-        forest = train_forest(samples, ForestParams(n_trees=3, seed=0))
+        X, y = make_samples(d=4, target=lambda X: np.zeros(len(X)))
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=3, seed=0))
         with caplog.at_level(logging.WARNING):
             importance = feature_importance(forest)
         np.testing.assert_allclose(importance, 0.25)
         assert any("importance" in r.message for r in caplog.records)
 
     def test_oob_mae_matches_reconstruction(self):
-        samples, X, y = make_samples(n=80, d=3, seed=4)
+        X, y = make_samples(n=80, d=3, seed=4)
         params = ForestParams(n_trees=6, seed=17)
-        forest = train_forest(samples, params)
+        forest = train_forest(X, y, SCHEMA_NRF, params)
 
-        n = len(samples)
+        n = len(y)
         sums = np.zeros(n)
         hits = np.zeros(n, dtype=int)
         for t, tree in enumerate(forest.trees):
@@ -306,15 +307,15 @@ class TestTraining:
         assert forest.oob_mae == want
 
     def test_predict_agrees_with_batch(self):
-        samples, X, _ = make_samples(n=60)
-        forest = train_forest(samples, ForestParams(n_trees=7, seed=2))
+        X, y = make_samples(n=60)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=7, seed=2))
         batch = predict_batch(forest, X[:5])
         for i in range(5):
             assert predict(forest, FeatureVector(X[i], SCHEMA_NRF)) == batch[i]
 
     def test_schema_and_shape_are_enforced(self):
-        samples, X, _ = make_samples(n=40, d=27)
-        forest = train_forest(samples, ForestParams(n_trees=2, seed=2))
+        X, y = make_samples(n=40, d=27)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=2))
         with pytest.raises(ValueError, match="schema"):
             predict(forest, FeatureVector(X[0], SCHEMA_HRF))
         with pytest.raises(ValueError):
@@ -322,18 +323,9 @@ class TestTraining:
         with pytest.raises(ValueError):
             predict_batch(forest, np.full((2, 27), np.nan))
 
-    def test_training_rejects_mixed_schemas(self):
-        bad = [
-            (FeatureVector(np.zeros(27), SCHEMA_NRF), 0.0),
-            (FeatureVector(np.zeros(27), SCHEMA_HRF), 1.0),
-        ]
-        with pytest.raises(ValueError, match="schema"):
-            train_forest(bad, ForestParams(n_trees=1, min_samples_leaf=1))
-
     def test_training_rejects_nonfinite_targets(self):
-        samples = [(FeatureVector(np.zeros(3), SCHEMA_NRF), math.nan)]
         with pytest.raises(ValueError):
-            train_forest(samples, ForestParams(n_trees=1))
+            train_forest(np.zeros((1, 3)), [math.nan], SCHEMA_NRF, ForestParams(n_trees=1))
 
 
 class TestRouting:
@@ -362,8 +354,8 @@ class TestRouting:
 
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
-        samples, X, _ = make_samples(n=100)
-        forest = train_forest(samples, ForestParams(n_trees=8, seed=6))
+        X, y = make_samples(n=100)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=8, seed=6))
         save_model(forest, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         save_model(loaded, tmp_path / "m2.json")
@@ -373,8 +365,9 @@ class TestSerialization:
         assert loaded.oob_mae == forest.oob_mae
 
     def _doc(self, tmp_path):
-        samples, _, _ = make_samples(n=40)
-        save_model(train_forest(samples, ForestParams(n_trees=2, seed=1)), tmp_path / "m.json")
+        X, y = make_samples(n=40)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=1))
+        save_model(forest, tmp_path / "m.json")
         return json.loads((tmp_path / "m.json").read_text())
 
     def _expect_error(self, tmp_path, doc, pattern):
@@ -422,8 +415,8 @@ class TestImportance:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_importance_is_a_distribution(self, seed):
-        samples, _, _ = make_samples(n=80, d=4, seed=seed)
-        forest = train_forest(samples, ForestParams(n_trees=3, seed=seed & 0xFFFF))
+        X, y = make_samples(n=80, d=4, seed=seed)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=3, seed=seed & 0xFFFF))
         importance = feature_importance(forest)
         assert importance.shape == (4,)
         assert (importance >= 0).all()
@@ -465,8 +458,7 @@ class TestGrowerOracle:
     def test_model_bytes_and_importance_match_loop_grower(self, tmp_path_factory, problem, threads):
         X, y, params = problem
         tmp = tmp_path_factory.mktemp("oracle")
-        samples = [(FeatureVector(X[i], SCHEMA_NRF), float(y[i])) for i in range(len(y))]
-        forest = train_forest(samples, params, threads=threads)
+        forest = train_forest(X, y, SCHEMA_NRF, params, threads=threads)
         reference = train_forest_direct(X, y, SCHEMA_NRF, params)
         save_model(forest, tmp / "fast.json")
         save_model_direct(reference, tmp / "loop.json")

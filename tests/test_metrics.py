@@ -185,6 +185,18 @@ class TestEvaluate:
         assert report.params["eta"] == 1.25
         assert report.flags == ()
 
+    def test_nonfinite_pixel_counts_as_nodata(self):
+        rng = np.random.default_rng(9)
+        vals_r = np.abs(rng.normal(4, 3, (24, 24)))
+        vals_p = vals_r + rng.normal(0, 0.5, (24, 24))
+        vals_p[12, 13] = np.nan
+        pred, ref = pair(vals_p, vals_r)
+        vals_p[12, 13] = -9999.0
+        pred_nodata, _ = pair(vals_p, vals_r, pred_nodata=-9999.0)
+        report = evaluate(pred, ref)
+        assert report.n_valid == 24 * 24 - 1
+        assert report == evaluate(pred_nodata, ref)
+
     def test_recall_undefined_flag(self):
         pred, ref = pair(np.zeros((16, 16)), np.zeros((16, 16)))
         report = evaluate(pred, ref)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,3 +431,49 @@ class TestPreprocess:
             small_scene["photons"], small_scene["dtm"], small_scene["lc"]
         )
         assert strict["clean"] <= loose["clean"]
+
+    def test_extent_is_that_of_both_rasters(self, small_scene):
+        tracks, dtm, lc = small_scene["photons"], small_scene["dtm"], small_scene["lc"]
+        half = dtm.header.height // 2
+        top = lambda r: type(r)(replace(r.header, height=half), r.values[:half])
+        clean, counts = preprocess_photons(tracks, dtm, top(lc))
+        assert 0 < counts["in_extent"] < counts["confidence"]
+        assert (clean, counts) == preprocess_photons(tracks, top(dtm), top(lc))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # side of the extent the photon lies past
+                st.floats(1e-3, 500.0),  # distance past that edge, m
+                st.floats(-500.0, 500.0),  # offset along the edge, m
+                st.floats(-100.0, 300.0),  # elevation
+                st.sampled_from([CLASS_GROUND, CLASS_TOP_OF_CANOPY]),
+                st.integers(0, 5),  # beam
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_out_of_extent_photons_are_dropped(self, small_scene, extra):
+        tracks, dtm, lc = small_scene["photons"], small_scene["dtm"], small_scene["lc"]
+        h = dtm.header
+        west, north = h.origin_x, h.origin_y
+        east, south = west + h.width * h.gsd, north - h.height * h.gsd
+        next_id = max(p.id for p in tracks) + 1
+        outside = []
+        for i, (side, past, along, elev, klass, beam) in enumerate(extra):
+            x, y = [
+                (west - past, north + along),
+                (east + past, north + along),
+                (west + along, north + past),
+                (west + along, south - past),
+            ][side]
+            outside.append(photon(next_id + i, x, y, elev, 4, klass, beam))
+        base, base_counts = preprocess_photons(tracks, dtm, lc)
+        clean, counts = preprocess_photons(tracks + outside, dtm, lc)
+        assert clean == base
+        assert counts["loaded"] == base_counts["loaded"] + len(outside)
+        assert counts["in_extent"] == base_counts["in_extent"] <= counts["confidence"]
+        stages = list(counts.values())
+        assert all(a >= b for a, b in zip(stages, stages[1:]))

@@ -13,7 +13,6 @@ from lidar_anchor.raster import (
     OpticalRaster,
     RasterFormatError,
     RasterHeader,
-    extract_window,
     footprint_mean,
     height_like,
     load_raster,
@@ -21,6 +20,7 @@ from lidar_anchor.raster import (
     sample_bilinear,
     save_raster,
     sobel_magnitude,
+    window,
 )
 
 from conftest import make_height, make_landcover, make_optical
@@ -268,13 +268,13 @@ class TestExtractWindow:
     def test_interior_is_plain_slice(self):
         vals = np.arange(100, dtype=np.float32).reshape(10, 10)
         r = make_height(vals)
-        win = extract_window(r, 5, 5, 4)
-        np.testing.assert_array_equal(win, vals[3:7, 3:7])
+        win = window(r, 2, 5, 4)
+        np.testing.assert_array_equal(win, vals[2:6, 5:9])
 
     def test_edge_replicates(self):
         vals = np.arange(16, dtype=np.float32).reshape(4, 4)
         r = make_height(vals)
-        win = extract_window(r, 0, 0, 3)
+        win = window(r, -1, -1, 3)
         expected = np.array(
             [[0, 0, 1], [0, 0, 1], [4, 4, 5]],
             dtype=np.float32,
@@ -284,18 +284,20 @@ class TestExtractWindow:
     def test_window_larger_than_raster(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         r = make_height(vals)
-        win = extract_window(r, 0, 0, 6)
+        win = window(r, -3, -3, 6)
         assert win.shape == (6, 6)
         assert win[0, 0] == 1.0 and win[-1, -1] == 4.0
 
     def test_center_outside_raises(self):
         r = make_height(np.zeros((4, 4)))
-        with pytest.raises(GeometryError):
-            extract_window(r, 4, 0, 3)
+        for row0, col0 in [(-1, 4), (4, 0), (-3, 0), (0, -3)]:
+            with pytest.raises(GeometryError):
+                window(r, row0, col0, 3)
+        window(r, -2, 3, 3)  # one corner pixel is enough
 
     def test_returns_copy(self):
         r = make_height(np.zeros((4, 4)))
-        win = extract_window(r, 1, 1, 2)
+        win = window(r, 0, 0, 2)
         win[0, 0] = 99.0
         assert r.values[0, 0] == 0.0
 
@@ -357,6 +359,19 @@ class TestFootprint:
         vals = np.full((8, 8), -9999.0, dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 8.0), nodata=-9999.0)
         assert footprint_mean(r, 4.0, 4.0, 5.0) is None
+
+    def test_nonfinite_pixels_are_left_out(self):
+        rng = np.random.default_rng(12)
+        vals = rng.normal(10, 4, size=(16, 16)).astype(np.float32)
+        vals[8, 8] = np.nan
+        r = make_height(vals, gsd=1.0, origin=(0.0, 16.0))
+        hits = footprint_pixels(16, 16, 1.0, 0.0, 16.0, 8.5, 7.5, 5.0)
+        assert (8, 8) in hits
+        rows, cols = zip(*[hit for hit in hits if hit != (8, 8)])
+        expected = float(np.mean(vals[list(rows), list(cols)].astype(np.float64)))
+        assert footprint_mean(r, 8.5, 7.5, 5.0) == expected
+        # a disk too small to hold a pixel center falls back to the NaN pixel
+        assert footprint_mean(r, 8.9, 7.1, 0.2) is None
 
     def test_disjoint_disk_raises(self):
         r = make_height(np.zeros((8, 8)), gsd=1.0, origin=(0.0, 8.0))
