@@ -96,23 +96,7 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         cfg = pipeline.load_config(args.config)
     else:
         cfg = pipeline.PipelineConfig()
-    overrides = {
-        "mode": args.mode,
-        "features": args.features,
-        "pred": args.pred,
-        "optical": args.optical,
-        "landcover": args.landcover,
-        "dtm": args.dtm,
-        "photons": args.photons,
-        "reference": args.reference,
-        "embeddings": args.embeddings,
-        "out": args.out,
-        "patch": args.patch,
-        "stride": args.stride,
-        "trees": args.trees,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     return pipeline.merge_overrides(cfg, overrides)
 
 

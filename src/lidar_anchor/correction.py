@@ -22,19 +22,20 @@ from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features, nrf_features
 from .forest import RandomForest, predict_batch
 from .photons import CleanPhoton
 from .raster import (
+    DEFAULT_FOOTPRINT,
     EmbeddingGrid,
     HeightRaster,
     LandCoverRaster,
     OpticalRaster,
     footprint_mean,
     height_like,
+    valid_mask,
     window,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PATCH = 64
-DEFAULT_FOOTPRINT = 17.0
 
 
 @dataclass
@@ -183,9 +184,10 @@ def infer_residual_field(
     """Predict a dense residual raster from the trained forest.
 
     Windows of ``patch`` pixels tile the raster at ``stride`` (default
-    patch // 2); each contributes one scalar and each pixel averages the
-    windows covering it.  Scalars are accumulated in row-major window
-    order.
+    patch // 2); each window that covers a valid prediction pixel
+    contributes one scalar and each pixel averages the windows covering
+    it.  Scalars are accumulated in row-major window order.  Pixels under
+    no contributing window are invalid and get residual 0.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -204,7 +206,11 @@ def infer_residual_field(
     h = pred.header
     rows0 = _window_origins(h.height, patch, stride)
     cols0 = _window_origins(h.width, patch, stride)
-    windows = [(r0, c0) for r0 in rows0 for c0 in cols0]
+    valid = valid_mask(pred)
+    windows = [(r0, c0) for r0 in rows0 for c0 in cols0
+               if valid[r0 : r0 + patch, c0 : c0 + patch].any()]
+    if not windows:
+        raise ValueError("no window covers a valid prediction pixel")
 
     matrix = _feature_matrix(windows, pred, optical, lc, embeddings, feature_mode, patch)
     scalars = predict_batch(forest, matrix)
@@ -217,23 +223,20 @@ def infer_residual_field(
         acc[r0:r1, c0:c1] += scalars[i]
         cover[r0:r1, c0:c1] += 1
 
-    if (cover == 0).any():
-        raise AssertionError("window tiling left pixels uncovered")
-    values = (acc / cover).astype(np.float32)
+    if (valid & (cover == 0)).any():
+        raise AssertionError("window tiling left valid pixels uncovered")
+    values = np.divide(acc, cover, out=np.zeros_like(acc), where=cover > 0).astype(np.float32)
     return ResidualField(values=height_like(h, values), weights=cover)
 
 
 def apply_correction(pred: HeightRaster, field: ResidualField) -> HeightRaster:
     """Subtract the residual field from the prediction, clamped at >= 0 m.
 
-    Nodata pixels pass through untouched.
+    Invalid pixels (nodata or non-finite) pass through unchanged.
     """
     if not pred.header.same_grid(field.values.header):
         raise ValueError("residual field is on a different grid than the prediction")
-    corrected = pred.values.astype(np.float64) - field.values.values.astype(np.float64)
-    np.maximum(corrected, 0.0, out=corrected)
-    nodata = pred.header.nodata
-    if nodata is not None:
-        mask = pred.values == nodata
-        corrected[mask] = nodata
-    return height_like(pred.header, corrected.astype(np.float32), nodata=nodata)
+    values = pred.values.astype(np.float64)
+    corrected = np.maximum(values - field.values.values.astype(np.float64), 0.0)
+    corrected = np.where(valid_mask(pred), corrected, values)
+    return height_like(pred.header, corrected.astype(np.float32), nodata=pred.header.nodata)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .raster import HeightRaster, LC_CLASSES, LandCoverRaster
+from .raster import HeightRaster, LC_CLASSES, LandCoverRaster, valid_mask
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +55,7 @@ def _check_pair(pred: HeightRaster, ref: HeightRaster) -> None:
 
 def _joint_valid(pred: HeightRaster, ref: HeightRaster) -> np.ndarray:
     """Pixels that are finite and not nodata in both rasters."""
-    valid = np.isfinite(pred.values) & np.isfinite(ref.values)
-    if pred.header.nodata is not None:
-        valid &= pred.values != pred.header.nodata
-    if ref.header.nodata is not None:
-        valid &= ref.values != ref.header.nodata
-    return valid
+    return valid_mask(pred) & valid_mask(ref)
 
 
 def mae(pred: HeightRaster, ref: HeightRaster) -> float:
@@ -91,12 +86,7 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def ssim(
-    pred: HeightRaster,
-    ref: HeightRaster,
-    window: int = SSIM_WINDOW,
-    sigma: float = SSIM_SIGMA,
-) -> float:
+def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
     """Mean structural similarity over all fully interior window positions.
 
     Windows containing any invalid pixel in either raster are excluded.
@@ -104,9 +94,10 @@ def ssim(
     """
     _check_pair(pred, ref)
     h = pred.header
-    if h.width < window or h.height < window:
+    if h.width < SSIM_WINDOW or h.height < SSIM_WINDOW:
         raise ValueError(
-            f"rasters ({h.width}x{h.height}) are smaller than the {window}x{window} SSIM window"
+            f"rasters ({h.width}x{h.height}) are smaller than the "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
 
     valid = _joint_valid(pred, ref)
@@ -120,8 +111,8 @@ def ssim(
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
-    kernel = _gaussian_kernel(window, sigma)
-    half = window // 2
+    kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+    half = SSIM_WINDOW // 2
     interior = np.s_[half:-half, half:-half]
 
     def local(arr: np.ndarray) -> np.ndarray:
@@ -141,7 +132,7 @@ def ssim(
     )
 
     bad = (~valid).astype(np.float64)
-    touched = ndimage.correlate(bad, np.ones((window, window)), mode="constant", cval=1.0)
+    touched = ndimage.correlate(bad, np.ones((SSIM_WINDOW, SSIM_WINDOW)), mode="constant", cval=1.0)
     usable = touched[interior] == 0.0
     if not usable.any():
         raise ValueError("every SSIM window touches a nodata pixel")
@@ -188,12 +179,7 @@ def f1_he(
     return precision, recall, f1
 
 
-def evaluate(
-    pred: HeightRaster,
-    ref: HeightRaster,
-    threshold: float = DEFAULT_HEIGHT_THRESHOLD,
-    eta: float = DEFAULT_RATIO_LIMIT,
-) -> MetricsReport:
+def evaluate(pred: HeightRaster, ref: HeightRaster) -> MetricsReport:
     """All metrics for one raster pair in a single report."""
     _check_pair(pred, ref)
     valid = _joint_valid(pred, ref)
@@ -202,11 +188,11 @@ def evaluate(
         raise ValueError("no jointly valid pixels to compare")
 
     flags: list[str] = []
-    ref_above = ref.values.astype(np.float64)[valid] > threshold
+    ref_above = ref.values.astype(np.float64)[valid] > DEFAULT_HEIGHT_THRESHOLD
     if not ref_above.any():
         flags.append("recall_undefined")
 
-    precision, recall, f1 = f1_he(pred, ref, threshold=threshold, eta=eta)
+    precision, recall, f1 = f1_he(pred, ref)
     return MetricsReport(
         mae=mae(pred, ref),
         rmse=rmse(pred, ref),
@@ -216,8 +202,8 @@ def evaluate(
         f1_he=f1,
         n_valid=n_valid,
         params={
-            "threshold": threshold,
-            "eta": eta,
+            "threshold": DEFAULT_HEIGHT_THRESHOLD,
+            "eta": DEFAULT_RATIO_LIMIT,
             "ssim_window": SSIM_WINDOW,
             "ssim_sigma": SSIM_SIGMA,
             "ratio_floor": RATIO_FLOOR,
@@ -239,9 +225,7 @@ def per_class_breakdown(
     _check_pair(pred, ref)
     if not pred.header.same_grid(lc.header):
         raise ValueError("land-cover raster is on a different grid")
-    valid = _joint_valid(pred, ref)
-    if lc.header.nodata is not None:
-        valid &= lc.values != lc.header.nodata
+    valid = _joint_valid(pred, ref) & valid_mask(lc)
 
     rows: list[dict] = []
     diff = pred.values.astype(np.float64) - ref.values.astype(np.float64)

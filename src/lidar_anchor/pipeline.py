@@ -21,12 +21,10 @@ import numpy as np
 
 from . import correction, forest, metrics, photons, scaling, synth
 from .features import SCHEMA_HRF, SCHEMA_NRF, feature_groups, feature_names
-from .photons import ClusterParams, PreprocessParams
 from .raster import (
+    DEFAULT_FOOTPRINT,
     EmbeddingGrid,
     HeightRaster,
-    LC_BUILDING,
-    LC_TREE,
     LandCoverRaster,
     OpticalRaster,
     Raster,
@@ -53,10 +51,13 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the correction pipeline, with documented defaults.
+    """What a run reads, where it writes, and the few settings a caller
+    chooses: window geometry, forest size and the supervision footprint.
 
     Resolution order for values: command-line flags beat the config file,
-    which beats these defaults.
+    which beats these defaults.  Photon cleaning, the forest's other
+    hyperparameters and the scoring thresholds are fixed library defaults
+    (``PreprocessParams``, ``ForestParams`` and the ``metrics`` constants).
     """
 
     mode: str = MODE_METRIC
@@ -71,26 +72,10 @@ class PipelineConfig:
     out: str = "out"
     seed: int = 42
     threads: int = 1
-    patch: int = 64
+    patch: int = correction.DEFAULT_PATCH
     stride: Optional[int] = None
-    trees: int = 100
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 2
-    max_features: Optional[int] = None
-    footprint: float = 17.0
-    idw_power: float = 2.0
-    idw_radius: float = 100.0
-    idw_k_max: int = 16
-    dtm_tau: float = 10.0
-    tree_bounds: tuple[float, float] = (1.0, 90.0)
-    building_bounds: tuple[float, float] = (1.0, 300.0)
-    cluster_eps: float = 3.0
-    cluster_min_pts: int = 3
-    cluster_height_weight: float = 1.0
-    cell: float = 10.0
-    f1_threshold: float = 1.0
-    f1_eta: float = 1.25
-    huber: bool = False
+    trees: int = forest.ForestParams.n_trees
+    footprint: float = DEFAULT_FOOTPRINT
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_ALIASES:
@@ -105,37 +90,6 @@ class PipelineConfig:
             raise ValueError("a seed is required; every randomized stage records it")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if isinstance(self.tree_bounds, list):
-            self.tree_bounds = tuple(self.tree_bounds)
-        if isinstance(self.building_bounds, list):
-            self.building_bounds = tuple(self.building_bounds)
-
-    def preprocess_params(self) -> PreprocessParams:
-        return PreprocessParams(
-            idw_power=self.idw_power,
-            idw_radius=self.idw_radius,
-            idw_k_max=self.idw_k_max,
-            dtm_tau=self.dtm_tau,
-            class_bounds={
-                LC_TREE: tuple(self.tree_bounds),
-                LC_BUILDING: tuple(self.building_bounds),
-            },
-            cluster=ClusterParams(
-                eps=self.cluster_eps,
-                min_pts=self.cluster_min_pts,
-                height_weight=self.cluster_height_weight,
-            ),
-            cell=self.cell,
-        )
-
-    def forest_params(self) -> forest.ForestParams:
-        return forest.ForestParams(
-            n_trees=self.trees,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            seed=self.seed,
-        )
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -216,7 +170,7 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict:
     raw = photons.load_photons(cfg.photons)
     dtm = _load(cfg.dtm, HeightRaster, "dtm")
     lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
-    clean, counts = photons.preprocess_photons(raw, dtm, lc, cfg.preprocess_params())
+    clean, counts = photons.preprocess_photons(raw, dtm, lc)
     if not clean:
         raise ValueError("preprocessing removed every photon")
     photons.write_clean_csv(clean, out_dir / "clean_photons.csv")
@@ -232,7 +186,7 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     """
     depth = _load(cfg.pred, HeightRaster, "pred")
     clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
-    fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint, huber=cfg.huber)
+    fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint)
     _write_json(
         {"a": fit.a, "b": fit.b, "n_points": fit.n_points, "rmse": fit.rmse, "seed": cfg.seed},
         out_dir / "affine.json",
@@ -258,7 +212,8 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
         feature_mode=cfg.features,
         embeddings=embeddings,
     )
-    model = forest.train_forest(X, y, cfg.features, cfg.forest_params(), threads=cfg.threads)
+    params = forest.ForestParams(n_trees=cfg.trees, seed=cfg.seed)
+    model = forest.train_forest(X, y, cfg.features, params, threads=cfg.threads)
     forest.save_model(model, out_dir / "model.json")
 
     importance = forest.feature_importance(model)
@@ -310,7 +265,7 @@ def stage_evaluate(
     """Compare a height raster against the reference; writes <name>.json."""
     pred = _load(eval_path, HeightRaster, "raster under evaluation")
     ref = _load(cfg.reference, HeightRaster, "reference")
-    report = metrics.evaluate(pred, ref, threshold=cfg.f1_threshold, eta=cfg.f1_eta)
+    report = metrics.evaluate(pred, ref)
     _write_json(_metrics_doc(report, cfg.seed), out_dir / f"{name}.json")
 
     if cfg.landcover is not None:

@@ -406,6 +406,18 @@ def sobel_magnitude(patch: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
+# Supervision footprint diameter in meters, the nominal ICESat-2 footprint.
+DEFAULT_FOOTPRINT = 17.0
+
+
+def valid_mask(raster: Raster) -> np.ndarray:
+    """Pixels that are finite and not nodata."""
+    valid = np.isfinite(raster.values)
+    if raster.header.nodata is not None:
+        valid &= raster.values != raster.header.nodata
+    return valid
+
+
 def footprint_mean(raster: Raster, x: float, y: float, diameter: float) -> Optional[float]:
     """Mean of valid pixels whose centers lie within a disk around (x, y).
 

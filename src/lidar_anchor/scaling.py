@@ -14,11 +14,20 @@ from typing import Sequence
 import numpy as np
 
 from .photons import CleanPhoton
-from .raster import GeometryError, HeightRaster, footprint_mean, height_like
+from .raster import (
+    DEFAULT_FOOTPRINT,
+    GeometryError,
+    HeightRaster,
+    footprint_mean,
+    height_like,
+    valid_mask,
+)
 
 logger = logging.getLogger(__name__)
 
 MIN_FIT_POINTS = 10
+HUBER_DELTA = 1.0  # meters of residual that keep unit weight
+HUBER_ITERS = 10
 
 
 @dataclass(frozen=True)
@@ -34,10 +43,8 @@ class AffineFit:
 def fit_affine(
     depth: HeightRaster,
     photons: Sequence[CleanPhoton],
-    footprint: float = 17.0,
+    footprint: float = DEFAULT_FOOTPRINT,
     huber: bool = False,
-    huber_delta: float = 1.0,
-    huber_iters: int = 10,
 ) -> AffineFit:
     """Fit height = a * depth + b over the clean photons.
 
@@ -45,7 +52,7 @@ def fit_affine(
     footprint has no valid depth are skipped.  Requires at least 10 usable
     points with non-constant depth.  With ``huber=True`` the ordinary fit
     is refined by iteratively reweighted least squares using Huber weights
-    (unit weight inside ``huber_delta`` meters of residual, downweighted
+    (unit weight inside ``HUBER_DELTA`` meters of residual, downweighted
     outside), which blunts the influence of outlier photons.
 
     The fit is independent of photon input order.
@@ -79,10 +86,10 @@ def fit_affine(
 
     a, b = _weighted_line(d, h, np.ones_like(d))
     if huber:
-        for _ in range(huber_iters):
+        for _ in range(HUBER_ITERS):
             resid = h - (a * d + b)
             absr = np.abs(resid)
-            w = np.where(absr <= huber_delta, 1.0, huber_delta / np.maximum(absr, 1e-300))
+            w = np.where(absr <= HUBER_DELTA, 1.0, HUBER_DELTA / np.maximum(absr, 1e-300))
             a, b = _weighted_line(d, h, w)
 
     resid = h - (a * d + b)
@@ -106,12 +113,8 @@ def _weighted_line(d: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[float, 
 def apply_affine(depth: HeightRaster, fit: AffineFit) -> HeightRaster:
     """Map a relative depth raster to meters: a * depth + b, elementwise.
 
-    Nodata pixels are preserved unchanged.
+    Invalid pixels (nodata or non-finite) pass through unchanged.
     """
     values = depth.values.astype(np.float64)
-    out = fit.a * values + fit.b
-    nodata = depth.header.nodata
-    if nodata is not None:
-        mask = depth.values == nodata
-        out[mask] = nodata
-    return height_like(depth.header, out.astype(np.float32), nodata=nodata)
+    out = np.where(valid_mask(depth), fit.a * values + fit.b, values)
+    return height_like(depth.header, out.astype(np.float32), nodata=depth.header.nodata)

@@ -94,7 +94,6 @@ class TrackConfig:
     track_azimuth: float = 2.0  # degrees clockwise from map north
     along_spacing: float = 0.7
     cross_spacing: float = 40.0
-    footprint: float = 17.0
     noise_sigma: float = 0.1
     dropout: float = 0.0
     conf_profile: tuple[float, ...] = (0.02, 0.03, 0.05, 0.30, 0.60)

@@ -4,14 +4,16 @@ Everything here calls cli.main() in process so exit codes and streams are
 observable without spawning an interpreter.
 """
 
+import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lidar_anchor import cli
+from lidar_anchor import cli, pipeline
 from lidar_anchor.raster import height_like, load_raster, save_raster
 
 
@@ -162,13 +164,16 @@ class TestPipelineCommand:
         assert not (tmp_path / "never").exists()
 
     def test_unknown_config_key_rejected(self, ws, tmp_path, capsys):
-        cfg = json.loads(ws["pipe_cfg"].read_text())
-        cfg["tree_count"] = 9
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(cfg))
-        rc = cli.main(["pipeline", "--config", str(p)])
-        assert rc == 1
-        assert "tree_count" in capsys.readouterr().err
+        # idw_radius was once a pipeline key; cleaning uses its library default
+        for key in ("tree_count", "idw_radius"):
+            cfg = json.loads(ws["pipe_cfg"].read_text())
+            cfg[key] = 9
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(cfg))
+            rc = cli.main(["pipeline", "--config", str(p)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "unknown config keys" in err and key in err
 
 
 class TestStagewiseEquivalence:
@@ -243,3 +248,10 @@ class TestLogging:
                 "--out", str(tmp_path / "lg")]
         assert cli.main(argv) == 0
         assert "LIDAR_ANCHOR_LOG" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Pipeline configuration keys", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(pipeline.PipelineConfig))

@@ -8,7 +8,7 @@ from lidar_anchor.correction import (
     infer_residual_field,
 )
 from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM, hrf_features
-from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree
+from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree, train_forest
 from lidar_anchor.photons import CleanPhoton
 from lidar_anchor.raster import (
     EmbeddingGrid,
@@ -216,6 +216,29 @@ class TestInferResidualField:
         )
         np.testing.assert_array_equal(field.values.values, np.float32(4.0))
 
+    def test_windows_without_valid_pixels_drop_out(self):
+        pred, optical, lc = scene(n=128)
+        values = pred.values.copy()
+        values[:, :70] = -9999.0
+        pred = make_height(values, nodata=-9999.0)
+        rng = np.random.default_rng(3)
+        X = rng.normal(10.0, 1.0, (40, HRF_DIM))
+        forest = train_forest(X, X[:, 0] - 10.0, SCHEMA_HRF, ForestParams(n_trees=1, seed=5))
+        field = infer_residual_field(pred, optical, lc, forest, patch=32, stride=16)
+        residual = field.values.values
+        assert np.isfinite(residual).all()
+        assert (field.weights[:, 70:] >= 1).all()
+        out = apply_correction(pred, field).values
+        assert (out[:, :70] == -9999.0).all()
+        want = np.maximum(pred.values[:, 70:].astype(np.float64) - residual[:, 70:], 0.0)
+        np.testing.assert_array_equal(out[:, 70:], want.astype(np.float32))
+
+    def test_all_nodata_raster_raises(self):
+        _, optical, lc = scene(n=64)
+        pred = make_height(np.full((64, 64), -9999.0), nodata=-9999.0)
+        with pytest.raises(ValueError, match="no window"):
+            infer_residual_field(pred, optical, lc, constant_forest(1.0), patch=32)
+
     def test_schema_mismatch_raises(self):
         pred, optical, lc = scene()
         with pytest.raises(ValueError, match="schema|feature"):
@@ -235,14 +258,16 @@ class TestApplyCorrection:
         np.testing.assert_allclose(out.values, [[3.0, 0.0], [0.0, 8.0]])
 
     def test_nodata_preserved(self):
-        pred = make_height([[-9999.0, 4.0]], nodata=-9999.0)
+        pred = make_height([[-9999.0, 4.0, np.nan, -np.inf]], nodata=-9999.0)
         field = ResidualField(
-            values=height_like(pred.header, np.full((1, 2), 1.0)),
-            weights=np.ones((1, 2), dtype=np.int32),
+            values=height_like(pred.header, np.full((1, 4), 1.0)),
+            weights=np.ones((1, 4), dtype=np.int32),
         )
         out = apply_correction(pred, field)
         assert out.values[0, 0] == -9999.0
         assert out.values[0, 1] == 3.0
+        assert np.isnan(out.values[0, 2])
+        assert out.values[0, 3] == -np.inf
         assert out.header.nodata == -9999.0
 
     def test_grid_mismatch_raises(self):

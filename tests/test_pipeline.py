@@ -4,10 +4,27 @@ from lidar_anchor import pipeline
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
 
 
+def _pinned_run(tmp_path, corruption, mode, names):
+    """SHA-256 of the named artifacts of a small hrf run on a 256 px scene."""
+    scene = tmp_path / "scene"
+    pipeline.run_synth(SceneConfig(size=256, seed=42), TrackConfig(seed=42), corruption, scene)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(pipeline.PipelineConfig(
+        mode=mode, features="hrf",
+        pred=str(scene / "pred"), optical=str(scene / "optical"),
+        landcover=str(scene / "landcover"), dtm=str(scene / "dtm"),
+        photons=str(scene / "photons.csv"), reference=str(scene / "truth"),
+        out=str(run), trees=10, stride=16, seed=42,
+    ))
+    return {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_run_artifacts_are_pinned(tmp_path):
-    # SHA-256 of a small metric-mode hrf run's artifacts, as the residual
-    # learning path has always made them
-    want = {
+    # SHA-256 of small hrf runs' artifacts, as the pipeline has always made
+    # them: a metric-mode run, and the same scene as relative depth
+    # (0.05 * height + 2), where photon cleaning, the affine fit and its
+    # calibrated raster feed the rest of the run
+    metric = {
         "model.json":
             "6cb07191fee582cea8d9ad199771b4b882da49de59efc1ba1e96881a9057f814",
         "importance.csv":
@@ -23,20 +40,23 @@ def test_run_artifacts_are_pinned(tmp_path):
         "metrics.json":
             "7c078ecbee6632f21d8b89163215ba127eac24472d03a5031d5c69578d627836",
     }
-    scene = tmp_path / "scene"
-    pipeline.run_synth(
-        SceneConfig(size=256, seed=42),
-        TrackConfig(seed=42),
-        CorruptionConfig(class_bias={4: 5.0, 7: -4.0}, noise_sigma=1.0, seed=42),
-        scene,
-    )
-    run = tmp_path / "run"
-    pipeline.run_pipeline(pipeline.PipelineConfig(
-        mode="metric", features="hrf",
-        pred=str(scene / "pred"), optical=str(scene / "optical"),
-        landcover=str(scene / "landcover"), dtm=str(scene / "dtm"),
-        photons=str(scene / "photons.csv"), reference=str(scene / "truth"),
-        out=str(run), trees=10, stride=16, seed=42,
-    ))
-    got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in want}
-    assert got == want
+    relative = {
+        "affine.json":
+            "ae1bfc66d720c67c0de29de56c49edb0a1616dade4a23ea5e32c2cc16814b453",
+        "pred_abs.bin":
+            "a2d4fd713f431ef49c3a02a8789bdc8018709cbd614556761c206f709e522347",
+        "clean_photons.csv":
+            "fb0a7e4b70d93b06b2f7b8d5e4cbe679b41e0a95542365008a2243e096a5f2cb",
+        "corrected.bin":
+            "df7dd445b52a5d214bda96bf374bba858a55e385260a397431846a8d37cbed95",
+        "metrics.json":
+            "563494531e993bedf961b9f822667c9f4432a2d6a794772c627ea55ab34a3b38",
+    }
+    runs = [
+        ("metric", CorruptionConfig(class_bias={4: 5.0, 7: -4.0}, noise_sigma=1.0, seed=42),
+         metric),
+        ("relative", CorruptionConfig(alpha=0.05, beta=2.0, noise_sigma=0.02, seed=42),
+         relative),
+    ]
+    for mode, corruption, want in runs:
+        assert _pinned_run(tmp_path / mode, corruption, mode, want) == want

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lidar_anchor.photons import CleanPhoton
-from lidar_anchor.scaling import MIN_FIT_POINTS, apply_affine, fit_affine
+from lidar_anchor.scaling import MIN_FIT_POINTS, AffineFit, apply_affine, fit_affine
 
 from conftest import make_height
 
@@ -99,8 +99,15 @@ class TestApplyAffine:
         vals = np.full((96, 96), 0.25, dtype=np.float32)
         vals[:, 48:] = 0.75
         vals[0, 0] = -9999.0
+        vals[0, 1] = np.nan
+        vals[0, 2] = -np.inf
         depth = make_height(vals, gsd=1.0, origin=(0.0, 96.0), nodata=-9999.0)
         fit = fit_affine(depth, plateau_photons(40.0, -10.0), footprint=17.0)
-        out = apply_affine(depth, fit)
-        assert out.values[0, 0] == -9999.0
-        assert out.header.nodata == -9999.0
+        flipped = AffineFit(a=-2.0, b=1.0, n_points=fit.n_points, rmse=fit.rmse)
+        for f in (fit, flipped):
+            out = apply_affine(depth, f)
+            assert out.values[0, 0] == -9999.0
+            assert np.isnan(out.values[0, 1])
+            assert out.values[0, 2] == -np.inf
+            assert out.values[1, 0] == np.float32(f.a * 0.25 + f.b)
+            assert out.header.nodata == -9999.0
