@@ -131,9 +131,8 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
 
-    bad = (~valid).astype(np.float64)
-    touched = ndimage.correlate(bad, np.ones((SSIM_WINDOW, SSIM_WINDOW)), mode="constant", cval=1.0)
-    usable = touched[interior] == 0.0
+    # a window is usable when every pixel under it is valid
+    usable = ndimage.minimum_filter(valid, size=SSIM_WINDOW)[interior]
     if not usable.any():
         raise ValueError("every SSIM window touches a nodata pixel")
     return float(np.mean(score[usable]))

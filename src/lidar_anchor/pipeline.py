@@ -167,14 +167,14 @@ def _metrics_doc(report: metrics.MetricsReport, seed: int) -> dict:
 
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Photon cleaning: raw CSV -> clean_photons.csv + preprocess_report.json."""
-    raw = photons.load_photons(cfg.photons)
+    raw = photons.read_photon_table(cfg.photons)
     dtm = _load(cfg.dtm, HeightRaster, "dtm")
     lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
-    clean, counts = photons.preprocess_photons(raw, dtm, lc)
-    if not clean:
+    clean, report = photons.clean_photon_table(raw, dtm, lc)
+    if len(clean) == 0:
         raise ValueError("preprocessing removed every photon")
-    photons.write_clean_csv(clean, out_dir / "clean_photons.csv")
-    report = {"counts": counts, "seed": cfg.seed}
+    photons.write_clean_table(clean, out_dir / "clean_photons.csv")
+    report["seed"] = cfg.seed
     _write_json(report, out_dir / "preprocess_report.json")
     return report
 

@@ -143,10 +143,18 @@ class RasterHeader:
         row = min(int(math.floor((self.origin_y - y) / self.gsd)), self.height - 1)
         return col, row
 
-    def contains_point(self, x: float, y: float) -> bool:
+    def pixels_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """pixel_of for arrays of points, all inside the raster bounds."""
+        col = np.minimum(np.floor((x - self.origin_x) / self.gsd).astype(np.int64), self.width - 1)
+        row = np.minimum(np.floor((self.origin_y - y) / self.gsd).astype(np.int64), self.height - 1)
+        return col, row
+
+    def contains_point(self, x: float | np.ndarray, y: float | np.ndarray) -> bool | np.ndarray:
+        """Whether (x, y) lies inside the raster bounds, edges included;
+        elementwise for arrays of points."""
         return (
-            self.origin_x <= x <= self.origin_x + self.width * self.gsd
-            and self.origin_y - self.height * self.gsd <= y <= self.origin_y
+            (self.origin_x <= x) & (x <= self.origin_x + self.width * self.gsd)
+            & (self.origin_y - self.height * self.gsd <= y) & (y <= self.origin_y)
         )
 
     def same_grid(self, other: "RasterHeader") -> bool:
@@ -329,7 +337,9 @@ def sample_bilinear(raster: Raster, x: float, y: float) -> Optional[float]:
     """Bilinear sample of a single-band raster at map point (x, y).
 
     Neighbors flagged nodata are dropped and the remaining weights are
-    renormalized; returns None when all four neighbors are nodata.
+    renormalized; returns None when all four neighbors are nodata.  This is
+    the per-point form for callers that sample one point at a time;
+    ``sample_bilinear_many`` samples arrays of points.
     """
     h = raster.header
     if h.bands != 1:
@@ -366,6 +376,47 @@ def sample_bilinear(raster: Raster, x: float, y: float) -> Optional[float]:
     if wsum == 0.0:
         return None
     return acc / wsum
+
+
+def sample_bilinear_many(
+    raster: Raster, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_bilinear at arrays of map points, with the same arithmetic.
+
+    Returns the samples and a mask of the points that had a sample; where
+    the mask is False (all four neighbors nodata) the sample reads 0.
+    """
+    h = raster.header
+    if h.bands != 1:
+        raise ValueError("sample_bilinear expects a single-band raster")
+    outside = ~h.contains_point(x, y)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise GeometryError(f"point ({float(x[i])}, {float(y[i])}) outside raster bounds")
+
+    fcol, frow = h.world_to_pixel(x, y)
+    c0 = np.clip(np.floor(fcol).astype(np.int64), 0, max(h.width - 2, 0))
+    r0 = np.clip(np.floor(frow).astype(np.int64), 0, max(h.height - 2, 0))
+    c1 = np.minimum(c0 + 1, h.width - 1)
+    r1 = np.minimum(r0 + 1, h.height - 1)
+    fx = np.minimum(np.maximum(fcol - c0, 0.0), 1.0)
+    fy = np.minimum(np.maximum(frow - r0, 0.0), 1.0)
+
+    acc = np.zeros(len(fcol))
+    wsum = np.zeros(len(fcol))
+    for r, c, w in (
+        (r0, c0, (1.0 - fx) * (1.0 - fy)),
+        (r0, c1, fx * (1.0 - fy)),
+        (r1, c0, (1.0 - fx) * fy),
+        (r1, c1, fx * fy),
+    ):
+        v = raster.values[r, c].astype(np.float64)
+        keep = np.ones(len(v), dtype=bool) if h.nodata is None else v != h.nodata
+        # adding 0.0 for a skipped corner leaves the running sums unchanged
+        acc += np.where(keep, w * v, 0.0)
+        wsum += np.where(keep, w, 0.0)
+    found = wsum != 0.0
+    return np.divide(acc, wsum, out=np.zeros_like(acc), where=found), found
 
 
 def window(raster: Raster, row0: int, col0: int, size: int) -> np.ndarray:

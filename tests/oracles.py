@@ -46,6 +46,33 @@ def idw_direct(points, qx, qy, power=2.0, radius=100.0, k_max=16):
     return num / den
 
 
+def idw_scan(points, qx, qy, power=2.0, radius=100.0, k_max=16):
+    """IDW by a full numpy scan over (id, x, y, elev) tuples of one beam,
+    with the arithmetic of the library's IDW (np.hypot distances, np.sum
+    reductions), so that the two agree bit for bit.
+
+    The coincident short-circuit takes the lowest id within 1e-6; otherwise
+    the k_max nearest within the radius, ties broken by id, contribute
+    weights 1/d^power.  Returns None when none lies within the radius.
+    """
+    members = sorted(points, key=lambda p: p[0])
+    ids = np.array([p[0] for p in members], dtype=np.int64)
+    xs = np.array([p[1] for p in members], dtype=np.float64)
+    ys = np.array([p[2] for p in members], dtype=np.float64)
+    zs = np.array([p[3] for p in members], dtype=np.float64)
+    d = np.hypot(xs - qx, ys - qy)
+    near = np.nonzero(d < 1e-6)[0]
+    if near.size:
+        return float(zs[near[0]])
+    in_radius = np.nonzero(d <= radius)[0]
+    if in_radius.size == 0:
+        return None
+    order = np.lexsort((ids[in_radius], d[in_radius]))
+    chosen = in_radius[order[:k_max]]
+    w = 1.0 / d[chosen] ** power
+    return float(np.sum(w * zs[chosen]) / np.sum(w))
+
+
 # ----- DBSCAN reachability -----
 
 
@@ -104,6 +131,43 @@ def dbscan_brute(points, eps, min_pts):
         clusters.setdefault(root, set()).add(i)
     ordered = sorted(clusters.values(), key=min)
     return [frozenset(c) for c in ordered], frozenset(noise)
+
+
+# ----- cluster centroids and cell thinning -----
+
+
+def aggregate_direct(clusters, cell):
+    """Centroids of clusters of (id, x, y, h, lc_class) tuples, thinned to
+    one per cell, one cluster at a time.
+
+    Means are np.mean over the members in the given order; the class is the
+    most frequent code (ties to the lower code, 0 when no member has one);
+    within a cell the larger cluster wins, then the lower mean height, then
+    the lower member id.  Returns (x, y, h, size, lc_class) tuples in the
+    order of their lowest member id.
+    """
+    best = {}
+    for members in clusters:
+        if not members:
+            continue
+        tally = {}
+        for m in members:
+            if m[4] is not None:
+                tally[m[4]] = tally.get(m[4], 0) + 1
+        lc_class = min(tally, key=lambda c: (-tally[c], c)) if tally else 0
+        rec = (
+            float(np.mean(np.array([m[1] for m in members], dtype=np.float64))),
+            float(np.mean(np.array([m[2] for m in members], dtype=np.float64))),
+            float(np.mean(np.array([m[3] for m in members], dtype=np.float64))),
+            len(members),
+            lc_class,
+            min(m[0] for m in members),
+        )
+        key = (math.floor(rec[0] / cell), math.floor(rec[1] / cell))
+        held = best.get(key)
+        if held is None or (-rec[3], rec[2], rec[5]) < (-held[3], held[2], held[5]):
+            best[key] = rec
+    return [rec[:5] for rec in sorted(best.values(), key=lambda rec: rec[5])]
 
 
 # ----- Sobel magnitude -----

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from lidar_anchor.photons import (
     CleanPhoton,
     ClusterParams,
     GroundEstimate,
+    GroundInterpolator,
     NormalizedPhoton,
     Photon,
     PreprocessParams,
@@ -33,7 +35,7 @@ from lidar_anchor.photons import (
 from lidar_anchor.raster import GeometryError, LC_BUILDING, LC_ROAD, LC_TREE
 
 from conftest import make_height, make_landcover
-from oracles import dbscan_brute, idw_direct
+from oracles import aggregate_direct, dbscan_brute, idw_direct, idw_scan
 
 
 def photon(pid, x, y, elev, conf=4, klass=CLASS_GROUND, beam=0, t=0.0):
@@ -79,6 +81,46 @@ class TestCsv:
         msg = str(err.value)
         for row in ("row 3", "row 4", "row 5", "row 6"):
             assert row in msg
+
+    def test_non_finite_values_rejected_with_row_numbers(self, tmp_path):
+        lines = [
+            "id,x,y,elev,signal_conf,atl08_class,beam,t",
+            "0,1.0,2.0,3.0,4,1,0,0.0",
+            "1,1.0,2.0,nan,4,1,0,0.0",
+            "2,inf,2.0,3.0,4,1,0,0.0",
+            "3,1.0,-inf,3.0,4,1,0,0.0",
+            "4,1.0,2.0,3.0,4,1,0,nan",
+            "5,1.0,2.0,3.0,9,1,0,nan",  # reported for its first problem only
+        ]
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_photons(tmp_path / "p.csv")
+        msg = str(err.value)
+        assert "5 malformed rows" in msg
+        for want in ("row 3: elev=nan", "row 4: x=inf", "row 5: y=-inf", "row 6: t=nan",
+                     "row 7: t=nan"):
+            assert want in msg
+        assert "row 2" not in msg
+
+    def test_nan_ground_photon_cannot_erase_objects(self, tmp_path):
+        # 100 m tile: 20 ground photons on flat 50 m terrain and 6 returns
+        # from a 10 m building; one NaN ground elevation used to turn its
+        # neighbours' IDW ground into NaN, and every building return then
+        # fell out at the land-cover filter without a count saying why
+        dtm = make_height(np.full((10, 10), 50.0), gsd=10.0)
+        codes = np.zeros((10, 10), dtype=np.uint8)
+        codes[4:6, :] = LC_BUILDING
+        lc = make_landcover(codes, gsd=10.0)
+        ground = [photon(i, 5.0 * i, 50.0, 50.0) for i in range(20)]
+        roofs = [photon(100 + i, 1.0 * i + 7.5, 50.0, 60.0, klass=CLASS_TOP_OF_CANOPY)
+                 for i in range(6)]
+        clean, _ = preprocess_photons(ground + roofs, dtm, lc)
+        assert [p.cluster_size for p in clean if p.kind == "object"] == [6]
+
+        ground[2] = photon(2, 10.0, 50.0, float("nan"))
+        write_photons_csv(ground + roofs, tmp_path / "p.csv")
+        with pytest.raises(ValueError, match="row 4: elev=nan is not finite"):
+            load_photons(tmp_path / "p.csv")
 
     def test_clean_round_trip(self, tmp_path):
         src = [
@@ -168,6 +210,68 @@ class TestIdw:
                 assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+def _scrambled_ids(n):
+    # unique ids whose order differs from list order
+    return [(i * 7919) % 10007 for i in range(n)]
+
+
+class TestIdwOracle:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-500, 500)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=12),
+        st.integers(1, 20),
+        st.sampled_from([1.0, 2.5, 100.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ties_duplicates_and_coincidence_match_oracles(self, grid, queries, k_max, radius):
+        # half-metre lattice: points mirrored around a query tie exactly,
+        # repeated coordinates stand for duplicate photons under other ids,
+        # and queries on lattice points hit the coincident rule
+        ids = _scrambled_ids(len(grid))
+        pts = [(pid, gx * 0.5, gy * 0.5, z / 8.0) for pid, (gx, gy, z) in zip(ids, grid)]
+        interp = GroundInterpolator([photon(*p) for p in pts], radius=radius, k_max=k_max)
+        qx = np.array([q[0] * 0.25 for q in queries])
+        qy = np.array([q[1] * 0.25 for q in queries])
+        values, found = interp.query_many(qx, qy, np.zeros(len(queries), dtype=np.int64))
+        for i, (x, y) in enumerate(zip(qx.tolist(), qy.tolist())):
+            want = idw_scan(pts, x, y, radius=radius, k_max=k_max)
+            got = interp.query(x, y, 0)
+            assert got == want  # bit for bit, or both None
+            assert (float(values[i]) if found[i] else None) == want
+            direct = idw_direct(sorted(pts), x, y, radius=radius, k_max=k_max)
+            assert (got is None) == (direct is None)
+            if got is not None:
+                assert got == pytest.approx(direct, abs=1e-9)
+
+    def test_tie_at_the_k_max_boundary_goes_to_the_lower_id(self):
+        # 20 photons exactly 25 m from the query (Pythagorean lattice
+        # points), far more than the 2 * k_max nearest a kd-tree first
+        # returns: whichever of them holds the lowest id must be the pick
+        ring = [(sx * a, sy * b) for a, b in [(7, 24), (24, 7), (15, 20), (20, 15)]
+                for sx in (1, -1) for sy in (1, -1)]
+        ring += [(25, 0), (-25, 0), (0, 25), (0, -25)]
+        for r in range(len(ring)):
+            pts = [photon((i - r) % len(ring), float(x), float(y), 100.0 + i)
+                   for i, (x, y) in enumerate(ring)]
+            got = interpolate_ground_idw(pts, 0.0, 0.0, beam=0, k_max=1)
+            assert got == pytest.approx(100.0 + r, abs=1e-9)
+            rows = [(p.id, p.x, p.y, p.elev) for p in pts]
+            assert interpolate_ground_idw(pts, 0.0, 0.0, beam=0, k_max=3) == idw_scan(
+                rows, 0.0, 0.0, k_max=3
+            )
+
+    def test_coincident_duplicates_take_the_lowest_id(self):
+        # more coincident photons than the kd-tree's first candidates
+        for r in range(0, 40, 7):
+            pts = [photon((i - r) % 40, 3.0, 4.0 + 1e-8 * (i % 3), 50.0 + i) for i in range(40)]
+            pts.append(photon(99, 3.5, 4.0, -10.0))
+            assert interpolate_ground_idw(pts, 3.0, 4.0, beam=0, k_max=2) == 50.0 + r
 
 
 class TestDtmConsistency:
@@ -306,6 +410,68 @@ class TestDbscan:
         assert noise == []
         assert 50 in [p.id for p in clusters[0]]
 
+    def test_border_equidistant_from_two_cores_joins_lower_id(self):
+        # two clusters whose cores sit 0.9 m either side of a border point
+        left = [norm(10 + i, x=-0.9 - 0.25 * i, y=0.0, h=0.0) for i in range(5)]
+        right = [norm(i, x=0.9 + 0.25 * i, y=0.0, h=0.0) for i in range(5)]
+        border = norm(50, x=0.0, y=0.0, h=0.0)
+        params = ClusterParams(eps=1.0, min_pts=4)
+        clusters, noise = dbscan_cluster(left + [border] + right, params)
+        assert noise == [] and len(clusters) == 2
+        assert [p.id for p in clusters[0]] == [0, 1, 2, 3, 4, 50]
+        # with the ids swapped between the sides, the border follows the ids
+        left = [replace(p, id=p.id - 10) for p in left]
+        right = [replace(p, id=p.id + 10) for p in right]
+        clusters, _ = dbscan_cluster(right + [border] + left, params)
+        assert [p.x for p in clusters[0]][-1] == 0.0 and clusters[0][0].x < 0.0
+
+    def test_border_distance_is_the_norm_of_the_difference(self):
+        # a border point whose two candidate cores lie at the same exact
+        # distance along permuted difference vectors; rounding decides which
+        # is nearer, and it must be decided as np.linalg.norm decides it
+        rng = np.random.default_rng(23)
+        params = ClusterParams(eps=3.0, min_pts=4)
+        for trial in range(200):
+            a, b, c = 2.3 + rng.uniform(-0.05, 0.05), 1.7 + rng.uniform(-0.05, 0.05), 0.1
+            scale = 2.9 / math.sqrt(a * a + b * b + c * c)
+            d1 = np.array([a, b, c]) * scale
+            d2 = np.array([c, b, a]) * scale
+            p = np.array([50.0, 50.0, 10.0])
+            pts = [norm(50, x=p[0], y=p[1], h=p[2])]
+            for first, d in ((0, d1), (10, d2)):
+                core = p - d
+                away = d / np.linalg.norm(d)
+                pts += [norm(first + k, x=core[0] - 0.3 * k * away[0],
+                             y=core[1] - 0.3 * k * away[1], h=core[2] - 0.3 * k * away[2])
+                        for k in range(4)]
+            clusters, noise = dbscan_cluster(pts, params)
+            assert noise == [] and len(clusters) == 2
+            coords = {q.id: np.array([q.x, q.y, q.h_ag]) for q in pts}
+            near = min((float(np.linalg.norm(coords[50] - coords[j])), j) for j in (0, 10))[1]
+            assert 50 in [q.id for q in clusters[0 if near == 0 else 1]]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3)),
+            min_size=1,
+            max_size=50,
+        ),
+        st.sampled_from([1.0, 1.5, 2.0]),
+        st.integers(2, 5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_ties_match_brute_force(self, cells, eps, min_pts, rnd):
+        # integer coordinates: many points are exactly equidistant from two
+        # or more cores, so border assignment rests on the id tie-break
+        pts = [norm(i, x=float(a), y=float(b), h=float(c)) for i, (a, b, c) in enumerate(cells)]
+        shuffled = list(pts)
+        rnd.shuffle(shuffled)
+        clusters, noise = dbscan_cluster(shuffled, ClusterParams(eps=eps, min_pts=min_pts))
+        want, want_noise = dbscan_brute([(p.x, p.y, p.h_ag) for p in pts], eps, min_pts)
+        assert [frozenset(p.id for p in c) for c in clusters] == want
+        assert frozenset(p.id for p in noise) == want_noise
+
     def test_height_axis_separates_stacked_points(self):
         low = [norm(i, x=0.1 * i, y=0.0, h=0.0) for i in range(3)]
         high = [norm(10 + i, x=0.1 * i, y=0.0, h=10.0) for i in range(3)]
@@ -411,6 +577,36 @@ class TestAggregate:
         assert len(out) == 2  # cells (-1, 0) and (0, 0)
 
 
+class TestAggregateOracle:
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(-60.0, 60.0, allow_nan=False),
+                    st.floats(-60.0, 60.0, allow_nan=False),
+                    st.sampled_from([1.5, 2.0, 7.25, 30.0]),
+                    st.sampled_from([None, LC_TREE, LC_BUILDING, LC_ROAD]),
+                ),
+                min_size=1,
+                max_size=30,
+            ),
+            max_size=25,
+        ),
+        st.sampled_from([5.0, 10.0, 40.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_cluster_loop(self, clusters, cell):
+        # few distinct heights and sizes give ties on size and height
+        ids = iter(_scrambled_ids(sum(len(c) for c in clusters)))
+        members = [[norm(next(ids), x=x, y=y, h=h, lc=lc) for x, y, h, lc in c] for c in clusters]
+        got = aggregate_cells(members, [], cell=cell)
+        want = aggregate_direct(
+            [[(m.id, m.x, m.y, m.h_ag, m.lc_class) for m in c] for c in members], cell
+        )
+        assert [(p.x, p.y, p.h_ag, p.cluster_size, p.lc_class) for p in got] == want
+        assert all(p.kind == "object" for p in got)
+
+
 class TestPreprocess:
     def test_counts_monotone_and_end_to_end(self, small_scene):
         clean, counts = preprocess_photons(
@@ -477,3 +673,13 @@ class TestPreprocess:
         assert counts["in_extent"] == base_counts["in_extent"] <= counts["confidence"]
         stages = list(counts.values())
         assert all(a >= b for a, b in zip(stages, stages[1:]))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_photon_order_does_not_matter(self, small_scene, seed):
+        tracks, dtm, lc = small_scene["photons"], small_scene["dtm"], small_scene["lc"]
+        shuffled = [tracks[i] for i in np.random.default_rng(seed).permutation(len(tracks))]
+        base, base_counts = preprocess_photons(tracks, dtm, lc)
+        clean, counts = preprocess_photons(shuffled, dtm, lc)
+        assert Counter(clean) == Counter(base)
+        assert counts == base_counts

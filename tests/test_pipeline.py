@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 from lidar_anchor import pipeline
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
@@ -60,3 +61,27 @@ def test_run_artifacts_are_pinned(tmp_path):
     ]
     for mode, corruption, want in runs:
         assert _pinned_run(tmp_path / mode, corruption, mode, want) == want
+
+
+def test_dense_clean_photons_are_pinned(tmp_path):
+    # SHA-256 of clean_photons.csv from noise-free tracks at 0.2 m spacing:
+    # dense enough that IDW ground truncates at k_max neighbours and object
+    # photons form multi-member clusters
+    scene = tmp_path / "scene"
+    pipeline.run_synth(SceneConfig(size=512, seed=42),
+                       TrackConfig(along_spacing=0.2, noise_sigma=0.0), None, scene)
+    run = tmp_path / "run"
+    report = pipeline.stage_preprocess(pipeline.PipelineConfig(
+        landcover=str(scene / "landcover"), dtm=str(scene / "dtm"),
+        photons=str(scene / "photons.csv"), out=str(run)), run)
+    counts, clustering = report["counts"], report["clustering"]
+    assert counts["clean"] < counts["landcover"]
+    # every object photon has one ground source; the clustering splits the
+    # object photons that passed the land-cover filter, and clusters thin
+    # to at most one clean photon each
+    assert set(report["ground_sources"]) == {"idw", "dtm_fallback", "dtm_override"}
+    assert sum(report["ground_sources"].values()) >= clustering["clustered"] + clustering["noise"]
+    assert clustering["clustered"] > clustering["clusters"] > 0
+    assert json.loads((run / "preprocess_report.json").read_text()) == report
+    digest = hashlib.sha256((run / "clean_photons.csv").read_bytes()).hexdigest()
+    assert digest == "a20ec07a1e9c38c97641ea5fe09f980ba51edac3ee6371481254ddc1ba9669c1"

@@ -18,6 +18,7 @@ from lidar_anchor.raster import (
     load_raster,
     percentile,
     sample_bilinear,
+    sample_bilinear_many,
     save_raster,
     sobel_magnitude,
     window,
@@ -74,6 +75,18 @@ class TestHeader:
         assert h.contains_point(100.0, 200.0)
         assert h.contains_point(108.0, 194.0)
         assert not h.contains_point(108.0001, 199.0)
+
+    def test_array_forms_match_per_point(self):
+        h = header()
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(99.0, 109.0, 200), [100.0, 108.0, 108.0001, np.nan]])
+        y = np.concatenate([rng.uniform(193.0, 201.0, 200), [200.0, 194.0, 199.0, 199.0]])
+        inside = h.contains_point(x, y)
+        assert inside.tolist() == [h.contains_point(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        col, row = h.pixels_of(x[inside], y[inside])
+        assert list(zip(col.tolist(), row.tolist())) == [
+            h.pixel_of(a, b) for a, b in zip(x[inside].tolist(), y[inside].tolist())
+        ]
 
     def test_same_grid(self):
         a = header()
@@ -262,6 +275,24 @@ class TestBilinear:
             + vals[2, 2] * fx * fy
         )
         assert sample_bilinear(r, x, y) == pytest.approx(float(v), abs=1e-6)
+
+
+    def test_batched_equals_per_point(self):
+        rng = np.random.default_rng(11)
+        for shape, nodata in [((5, 6), None), ((5, 6), -9999.0), ((1, 4), -9999.0), ((1, 1), None)]:
+            vals = rng.normal(100.0, 10.0, size=shape).astype(np.float32)
+            if nodata is not None:
+                vals[rng.random(shape) < 0.3] = nodata
+            r = make_height(vals, gsd=2.0, origin=(10.0, 20.0), nodata=nodata)
+            h, w = shape
+            x = np.concatenate([rng.uniform(10.0, 10.0 + 2 * w, 300), [10.0, 10.0 + 2 * w]])
+            y = np.concatenate([rng.uniform(20.0 - 2 * h, 20.0, 300), [20.0, 20.0 - 2 * h]])
+            got, found = sample_bilinear_many(r, x, y)
+            for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+                want = sample_bilinear(r, a, b)
+                assert (float(got[i]) if found[i] else None) == want  # bit for bit
+        with pytest.raises(GeometryError):
+            sample_bilinear_many(r, np.array([10.5, 9.0]), np.array([19.5, 19.5]))
 
 
 class TestExtractWindow:
