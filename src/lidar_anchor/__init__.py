@@ -45,6 +45,7 @@ from .photons import (
     load_photons,
     preprocess_photons,
     read_clean_csv,
+    read_clean_table,
     write_clean_csv,
 )
 from .pipeline import PipelineConfig, load_config, run_pipeline
@@ -130,6 +131,7 @@ __all__ = [
     "predict_batch",
     "preprocess_photons",
     "read_clean_csv",
+    "read_clean_table",
     "rmse",
     "run_pipeline",
     "sample_bilinear",

@@ -148,9 +148,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     summary = pipeline.run_pipeline(cfg)
     corrected = summary.get("corrected_metrics")
     if corrected is not None:
+        ssim = "null" if corrected["ssim"] is None else f"{corrected['ssim']:.4f}"
         print(
-            "corrected: mae={mae:.4f} rmse={rmse:.4f} ssim={ssim:.4f} f1={f1_he:.4f}".format(
-                **corrected
+            "corrected: mae={mae:.4f} rmse={rmse:.4f} ssim={ssim} f1={f1_he:.4f}".format(
+                **{**corrected, "ssim": ssim}
             )
         )
     else:

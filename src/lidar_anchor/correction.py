@@ -12,7 +12,6 @@ prediction and clamping at zero yields the corrected raster.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +19,6 @@ import numpy as np
 
 from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features, nrf_features
 from .forest import RandomForest, predict_batch
-from .photons import CleanPhoton
 from .raster import (
     DEFAULT_FOOTPRINT,
     EmbeddingGrid,
@@ -114,41 +112,38 @@ def build_training_set(
     pred: HeightRaster,
     optical: Optional[OpticalRaster],
     lc: Optional[LandCoverRaster],
-    photons: Sequence[CleanPhoton],
+    clean: np.ndarray,
     patch: int = DEFAULT_PATCH,
     footprint: float = DEFAULT_FOOTPRINT,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Feature matrix X, targets y and a skip count from the clean photons.
+    """Feature matrix X, targets y and a skip count from a clean-photon
+    table (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and ``h_ag`` are read).
 
-    Each photon on a valid pixel gives one row: the features of the window
-    centered on its pixel, and the footprint-mean prediction minus the
-    photon height as target.  Photons outside the raster or over invalid
-    pixels are skipped and counted.  Raises when no photon is usable.
+    Each photon on a valid pixel gives one row, in table order: the
+    features of the window centered on its pixel, and the footprint-mean
+    prediction minus the photon height as target.  Photons outside the
+    raster or over invalid pixels are skipped and counted.  Raises when no
+    photon is usable.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
 
     h = pred.header
-    origins: list[tuple[int, int]] = []
-    targets: list[float] = []
-    skipped = 0
-    for p in photons:
-        if not h.contains_point(p.x, p.y):
-            skipped += 1
-            continue
-        col, row = h.pixel_of(p.x, p.y)
-        v = float(pred.values[row, col])
-        if not math.isfinite(v) or v == h.nodata:
-            skipped += 1
-            continue
-        sampled = footprint_mean(pred, p.x, p.y, footprint)
-        if sampled is None:
-            skipped += 1
-            continue
-        origins.append((row - patch // 2, col - patch // 2))
-        targets.append(sampled - p.h_ag)
+    x, y = clean["x"], clean["y"]
+    on_pixel = np.nonzero(h.contains_point(x, y))[0]
+    col, row = h.pixels_of(x[on_pixel], y[on_pixel])
+    value = pred.values[row, col]
+    valid = np.isfinite(value)
+    if h.nodata is not None:
+        valid &= value.astype(np.float64) != h.nodata
+    on_pixel, col, row = on_pixel[valid], col[valid], row[valid]
+    sampled = footprint_mean(pred, x[on_pixel], y[on_pixel], footprint)
+    keep = ~np.isnan(sampled)
+    origins = list(zip((row[keep] - patch // 2).tolist(), (col[keep] - patch // 2).tolist()))
+    targets = sampled[keep] - clean["h_ag"][on_pixel[keep]]
+    skipped = len(clean) - len(origins)
 
     if not origins:
         raise ValueError(
@@ -159,7 +154,7 @@ def build_training_set(
         logger.info("training set: %d photons skipped (outside raster or nodata)", skipped)
 
     X = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
-    return X, np.array(targets), skipped
+    return X, targets, skipped
 
 
 def _window_origins(extent: int, patch: int, stride: int) -> list[int]:

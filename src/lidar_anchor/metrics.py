@@ -4,9 +4,11 @@ All pixel metrics ignore pixels that are nodata or non-finite in either
 raster.  SSIM follows the standard Gaussian-window formulation (11x11
 window, sigma 1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range
 L taken from the reference raster's valid values and clamped below at 1 m so
-near-flat references do not blow up the stabilizers.  The height-error F1
-counts a pixel as a true positive when both heights exceed a threshold and
-their ratio (after flooring both at 0.1 m) stays below eta.
+near-flat references do not blow up the stabilizers.  Its Gaussian moments
+are taken as two 1-D passes (the window is separable) over strips of rows,
+so that the moment arrays grow with the strip, not the raster.  The
+height-error F1 counts a pixel as a true positive when both heights exceed
+a threshold and their ratio (after flooring both at 0.1 m) stays below eta.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ logger = logging.getLogger(__name__)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+SSIM_STRIP = 64  # output rows per strip of SSIM moments
 RATIO_FLOOR = 0.1
 DEFAULT_HEIGHT_THRESHOLD = 1.0
 DEFAULT_RATIO_LIMIT = 1.25
@@ -35,13 +38,18 @@ class MetricsReport:
 
     mae: float
     rmse: float
-    ssim: float
+    ssim: Optional[float]  # None where SSIM is undefined (flag ssim_undefined)
     precision: float
     recall: float
     f1_he: float
     n_valid: int
     params: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+
+
+class UndefinedSSIM(ValueError):
+    """SSIM has no usable window: the rasters are smaller than the window,
+    or every window touches an invalid pixel."""
 
 
 def _check_pair(pred: HeightRaster, ref: HeightRaster) -> None:
@@ -79,32 +87,30 @@ def rmse(pred: HeightRaster, ref: HeightRaster) -> float:
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """One axis of the separable Gaussian window, summing to 1."""
     half = (size - 1) / 2.0
     ax = np.arange(size, dtype=np.float64) - half
     g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
     """Mean structural similarity over all fully interior window positions.
 
     Windows containing any invalid pixel in either raster are excluded.
-    Identical rasters score exactly 1.
+    Identical rasters score exactly 1.  Raises ``UndefinedSSIM`` when no
+    window is usable.
     """
     _check_pair(pred, ref)
     h = pred.header
     if h.width < SSIM_WINDOW or h.height < SSIM_WINDOW:
-        raise ValueError(
+        raise UndefinedSSIM(
             f"rasters ({h.width}x{h.height}) are smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
 
     valid = _joint_valid(pred, ref)
-    x = pred.values.astype(np.float64)
-    y = ref.values.astype(np.float64)
-
-    ref_valid = y[valid]
+    ref_valid = ref.values[valid].astype(np.float64)
     if ref_valid.size == 0:
         raise ValueError("no jointly valid pixels to compare")
     dynamic_range = max(float(ref_valid.max() - ref_valid.min()), 1.0)
@@ -113,29 +119,34 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
 
     kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
     half = SSIM_WINDOW // 2
-    interior = np.s_[half:-half, half:-half]
 
     def local(arr: np.ndarray) -> np.ndarray:
-        return ndimage.correlate(arr, kernel, mode="constant", cval=0.0)[interior]
-
-    mu_x = local(x)
-    mu_y = local(y)
-    e_xx = local(x * x)
-    e_yy = local(y * y)
-    e_xy = local(x * y)
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
-
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
+        # window means at the positions whose window lies inside ``arr``
+        cols = ndimage.correlate1d(arr, kernel, axis=1)[:, half:-half]
+        return ndimage.correlate1d(cols, kernel, axis=0)[half:-half]
 
     # a window is usable when every pixel under it is valid
-    usable = ndimage.minimum_filter(valid, size=SSIM_WINDOW)[interior]
+    usable = ndimage.minimum_filter(valid, size=SSIM_WINDOW)[half:-half, half:-half]
     if not usable.any():
-        raise ValueError("every SSIM window touches a nodata pixel")
-    return float(np.mean(score[usable]))
+        raise UndefinedSSIM("every SSIM window touches a nodata pixel")
+
+    scores = []
+    for r0 in range(0, h.height - 2 * half, SSIM_STRIP):
+        r1 = min(r0 + SSIM_STRIP, h.height - 2 * half)
+        x = pred.values[r0 : r1 + 2 * half].astype(np.float64)
+        y = ref.values[r0 : r1 + 2 * half].astype(np.float64)
+        # windows over a non-finite pixel give NaN here; none of them is usable
+        with np.errstate(invalid="ignore"):
+            mu_x = local(x)
+            mu_y = local(y)
+            var_x = local(x * x) - mu_x * mu_x
+            var_y = local(y * y) - mu_y * mu_y
+            cov = local(x * y) - mu_x * mu_y
+            score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+                (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+            )
+        scores.append(score[usable[r0:r1]])
+    return float(np.mean(np.concatenate(scores)))
 
 
 def f1_he(
@@ -191,11 +202,18 @@ def evaluate(pred: HeightRaster, ref: HeightRaster) -> MetricsReport:
     if not ref_above.any():
         flags.append("recall_undefined")
 
+    try:
+        ssim_value = ssim(pred, ref)
+    except UndefinedSSIM as exc:
+        logger.warning("SSIM undefined, reporting null: %s", exc)
+        ssim_value = None
+        flags.append("ssim_undefined")
+
     precision, recall, f1 = f1_he(pred, ref)
     return MetricsReport(
         mae=mae(pred, ref),
         rmse=rmse(pred, ref),
-        ssim=ssim(pred, ref),
+        ssim=ssim_value,
         precision=precision,
         recall=recall,
         f1_he=f1,

@@ -17,6 +17,7 @@ below are thin adapters over the same array code.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,7 @@ from .raster import (
     LandCoverRaster,
     Raster,
     sample_bilinear_many,
+    segment_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -175,20 +177,6 @@ def _column(items: Sequence, name: str, dtype=np.float64) -> np.ndarray:
     return np.array([getattr(item, name) for item in items], dtype=dtype)
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum of ``values[start:start + size]`` per segment.
-
-    Segments of one size are summed as the rows of one matrix, which numpy
-    adds in the same (pairwise) order as ``np.sum`` of each segment alone,
-    so the sums equal per-segment calls bit for bit.  Empty segments sum to 0.
-    """
-    out = np.zeros(len(sizes))
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        rows = np.nonzero(sizes == size)[0]
-        out[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
-    return out
-
-
 # ===== CSV I/O =====
 
 
@@ -323,34 +311,58 @@ def write_clean_csv(photons: Sequence[CleanPhoton], path: Path | str) -> None:
     write_clean_table(clean, path)
 
 
-def read_clean_csv(path: Path | str) -> list[CleanPhoton]:
+def read_clean_table(path: Path | str) -> np.ndarray:
+    """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table, rejecting a bad
+    header or a malformed row with its row number."""
     path = Path(path)
-    out: list[CleanPhoton] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CLEAN_CSV_HEADER:
-            raise ValueError(f"{path}: bad header, expected {','.join(CLEAN_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                kind = row[3]
-                if kind not in (KIND_GROUND, KIND_OBJECT):
-                    raise ValueError(kind)
-                out.append(
-                    CleanPhoton(
-                        x=float(row[0]),
-                        y=float(row[1]),
-                        h_ag=float(row[2]),
-                        kind=kind,
-                        lc_class=int(row[4]),
-                        cluster_size=int(row[5]),
-                    )
-                )
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
-    return out
+        text = f.read()
+    header = next(csv.reader(io.StringIO(text, newline="")), None)
+    if header is None or tuple(h.strip() for h in header) != CLEAN_CSV_HEADER:
+        raise ValueError(f"{path}: bad header, expected {','.join(CLEAN_CSV_HEADER)}")
+    rows = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+            if line]
+    if not rows:
+        return np.empty(0, dtype=CLEAN_DTYPE)
+    try:
+        table = np.loadtxt(rows, delimiter=",", dtype=_CLEAN_PARSE_DTYPE, comments=None,
+                           quotechar='"', ndmin=1)
+        if np.isin(table["kind"], (KIND_GROUND, KIND_OBJECT)).all():
+            return table.astype(CLEAN_DTYPE)
+    except ValueError:
+        pass
+    return _parse_clean_rows(path, text)
+
+
+# The kind field is one character wider than CLEAN_DTYPE's, so that a longer
+# kind cannot parse as a valid one cut short.
+_CLEAN_PARSE_DTYPE = np.dtype([
+    (name, "<U7" if name == "kind" else CLEAN_DTYPE[name]) for name in CLEAN_DTYPE.names
+])
+
+
+def _parse_clean_rows(path: Path, text: str) -> np.ndarray:
+    """Clean-photon rows parsed one at a time with the ``csv`` module, only
+    after the whole-file parse failed: the table, or the first malformed row."""
+    out = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            kind = row[3]
+            if kind not in (KIND_GROUND, KIND_OBJECT):
+                raise ValueError(kind)
+            out.append((float(row[0]), float(row[1]), float(row[2]), kind,
+                        int(row[4]), int(row[5])))
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
+    return np.array(out, dtype=CLEAN_DTYPE)
+
+
+def read_clean_csv(path: Path | str) -> list[CleanPhoton]:
+    return [CleanPhoton(*row) for row in read_clean_table(path).tolist()]
 
 
 # ===== Filtering and ground estimation =====
@@ -468,8 +480,8 @@ class GroundInterpolator:
 
             w = 1.0 / dist**self.power
             starts = np.arange(len(m)) * dist.shape[1]
-            num = _segment_sums((w * zs[chosen]).ravel(), starts, m)
-            den = _segment_sums(w.ravel(), starts, m)
+            num = segment_sums((w * zs[chosen]).ravel(), starts, m)
+            den = segment_sums(w.ravel(), starts, m)
             idw = np.divide(num, den, out=np.zeros(len(m)), where=m > 0)
             rows = todo[settled]
             value[rows] = np.where(coincident, zs[cand[np.arange(len(m)), lowest]], idw)[settled]
@@ -738,7 +750,7 @@ def _centroids(
     if n == 0:
         return tuple(np.empty(0, dtype=dt) for dt in (np.float64,) * 3 + (np.int64,) * 2)
     starts = np.cumsum(sizes) - sizes
-    cx, cy, ch = (_segment_sums(v, starts, sizes) / sizes for v in (x, y, h))
+    cx, cy, ch = (segment_sums(v, starts, sizes) / sizes for v in (x, y, h))
     min_id = np.minimum.reduceat(ids, starts)
 
     # majority class: the most frequent code, ties to the lower code

@@ -185,7 +185,7 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     Writes affine.json and the calibrated raster pred_abs.bin/.json.
     """
     depth = _load(cfg.pred, HeightRaster, "pred")
-    clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
+    clean = photons.read_clean_table(out_dir / "clean_photons.csv")
     fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint)
     _write_json(
         {"a": fit.a, "b": fit.b, "n_points": fit.n_points, "rmse": fit.rmse, "seed": cfg.seed},
@@ -200,7 +200,7 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
     """Residual training: clean photons + rasters -> model.json + report."""
     pred = _load(pred_path, HeightRaster, "pred")
     optical, lc, embeddings = _feature_inputs(cfg)
-    clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
+    clean = photons.read_clean_table(out_dir / "clean_photons.csv")
 
     X, y, skipped = correction.build_training_set(
         pred,

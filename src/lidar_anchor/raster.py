@@ -469,7 +469,9 @@ def valid_mask(raster: Raster) -> np.ndarray:
     return valid
 
 
-def footprint_mean(raster: Raster, x: float, y: float, diameter: float) -> Optional[float]:
+def footprint_mean(
+    raster: Raster, x: float | np.ndarray, y: float | np.ndarray, diameter: float
+) -> Optional[float] | np.ndarray:
     """Mean of valid pixels whose centers lie within a disk around (x, y).
 
     The disk has the given diameter in meters.  When the disk is so small
@@ -477,65 +479,119 @@ def footprint_mean(raster: Raster, x: float, y: float, diameter: float) -> Optio
     (x, y) is used instead.  Returns None when every captured pixel is
     invalid (nodata or non-finite).  Raises GeometryError when the disk
     misses the raster entirely.
+
+    ``x`` and ``y`` may also be arrays of points.  The means then come back
+    as a float64 array, NaN wherever the scalar form would return None or
+    raise; each mean equals the scalar form's bit for bit.
     """
     h = raster.header
     if h.bands != 1:
         raise ValueError("footprint_mean expects a single-band raster")
     if not (diameter > 0):
         raise ValueError(f"diameter must be > 0, got {diameter}")
-    radius = diameter / 2.0
-
-    if (
-        x + radius < h.origin_x
-        or x - radius > h.origin_x + h.width * h.gsd
-        or y + radius < h.origin_y - h.height * h.gsd
-        or y - radius > h.origin_y
-    ):
+    if np.ndim(x) or np.ndim(y):
+        means, _ = _footprint_means(raster, np.asarray(x, dtype=np.float64),
+                                    np.asarray(y, dtype=np.float64), diameter / 2.0)
+        return means
+    means, missed = _footprint_means(raster, np.array([x], dtype=np.float64),
+                                     np.array([y], dtype=np.float64), diameter / 2.0)
+    if missed[0]:
         raise GeometryError(f"footprint at ({x}, {y}) does not intersect the raster")
+    return None if np.isnan(means[0]) else float(means[0])
 
+
+# Pixels of candidate boxes held at once by footprint_mean, to bound memory.
+_FOOTPRINT_BOX_CELLS = 1 << 20
+
+
+def _footprint_means(
+    raster: Raster, x: np.ndarray, y: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Footprint means of points, NaN where there is none, and the mask of
+    points whose disk misses the raster (or that are not finite).
+
+    Each point's candidates are the pixels of its disk's bounding square,
+    cut to the raster, laid out in one fixed-size box per point.  The
+    selected pixels are summed in row-major order of that square, per
+    segment as ``np.mean`` sums them, so means equal the per-point form.
+    """
+    h = raster.header
+    with np.errstate(invalid="ignore"):
+        missed = ~(np.isfinite(x) & np.isfinite(y)) | (
+            (x + radius < h.origin_x)
+            | (x - radius > h.origin_x + h.width * h.gsd)
+            | (y + radius < h.origin_y - h.height * h.gsd)
+            | (y - radius > h.origin_y)
+        )
+    means = np.full(x.shape, np.nan)
+    hit = np.nonzero(~missed)[0]
+    if hit.size == 0:
+        return means, missed
+    x, y = x[hit], y[hit]
     fcol, frow = h.world_to_pixel(x, y)
     reach = radius / h.gsd
-    c_lo = max(int(math.floor(fcol - reach)), 0)
-    c_hi = min(int(math.ceil(fcol + reach)), h.width - 1)
-    r_lo = max(int(math.floor(frow - reach)), 0)
-    r_hi = min(int(math.ceil(frow + reach)), h.height - 1)
-    if c_lo > c_hi or r_lo > r_hi:
-        return _containing_pixel_value(raster, x, y)
+    c_lo = np.floor(fcol - reach).astype(np.int64)
+    c_hi = np.minimum(np.ceil(fcol + reach).astype(np.int64), h.width - 1)
+    r_lo = np.floor(frow - reach).astype(np.int64)
+    r_hi = np.minimum(np.ceil(frow + reach).astype(np.int64), h.height - 1)
+    offsets = np.arange(max(int((c_hi - c_lo).max()), int((r_hi - r_lo).max()), 0) + 1)
+    chunk = max(_FOOTPRINT_BOX_CELLS // offsets.size**2, 1)
 
-    cols = np.arange(c_lo, c_hi + 1)
-    rows = np.arange(r_lo, r_hi + 1)
-    cx = h.origin_x + (cols + 0.5) * h.gsd
-    cy = h.origin_y - (rows + 0.5) * h.gsd
-    d2 = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2
-    in_disk = d2 <= radius * radius
-    if not in_disk.any():
-        return _containing_pixel_value(raster, x, y)
+    out = np.full(hit.size, np.nan)
+    for s in range(0, hit.size, chunk):
+        part = slice(s, s + chunk)
+        cols = c_lo[part, None] + offsets
+        rows = r_lo[part, None] + offsets
+        cx = h.origin_x + (cols + 0.5) * h.gsd
+        cy = h.origin_y - (rows + 0.5) * h.gsd
+        dx2 = (cx[:, None, :] - x[part, None, None]) ** 2
+        dy2 = (cy[:, :, None] - y[part, None, None]) ** 2
+        in_disk = (
+            (dx2 + dy2 <= radius * radius)
+            & ((rows >= 0) & (rows <= r_hi[part, None]))[:, :, None]
+            & ((cols >= 0) & (cols <= c_hi[part, None]))[:, None, :]
+        )
+        block = raster.values[np.clip(rows, 0, h.height - 1)[:, :, None],
+                              np.clip(cols, 0, h.width - 1)[:, None, :]]
+        usable = in_disk & np.isfinite(block)
+        if h.nodata is not None:
+            usable &= block != h.nodata
+        sizes = usable.sum(axis=(1, 2))
+        sums = segment_sums(block[usable].astype(np.float64), np.cumsum(sizes) - sizes, sizes)
+        with np.errstate(invalid="ignore"):
+            out[part] = sums / sizes
+        # a disk that captures no pixel center takes the containing pixel
+        empty = np.nonzero(~in_disk.any(axis=(1, 2)))[0] + s
+        out[empty] = _containing_pixel_values(raster, x[empty], y[empty])
+    means[hit] = out
+    return means, missed
 
-    block = raster.values[r_lo : r_hi + 1, c_lo : c_hi + 1]
-    usable = in_disk
-    if h.nodata is not None:
-        usable = in_disk & (block != h.nodata)
-        if not usable.any():
-            return None
 
-    vals = block[usable].astype(np.float64)
-    mean = float(np.mean(vals))
-    if math.isfinite(mean):
-        return mean
-    # Non-finite pixels are invalid too; mask them only once one shows up.
-    vals = vals[np.isfinite(vals)]
-    return float(np.mean(vals)) if vals.size else None
-
-
-def _containing_pixel_value(raster: Raster, x: float, y: float) -> Optional[float]:
+def _containing_pixel_values(raster: Raster, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h = raster.header
-    if not h.contains_point(x, y):
-        return None
-    col, row = h.pixel_of(x, y)
-    v = float(raster.values[row, col])
-    if not math.isfinite(v) or v == h.nodata:
-        return None
-    return v
+    inside = h.contains_point(x, y)
+    col, row = h.pixels_of(x[inside], y[inside])
+    v = raster.values[row, col].astype(np.float64)
+    valid = np.isfinite(v)
+    if h.nodata is not None:
+        valid &= v != h.nodata
+    out = np.full(x.shape, np.nan)
+    out[np.nonzero(inside)[0][valid]] = v[valid]
+    return out
+
+
+def segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of ``values[start:start + size]`` per segment.
+
+    Segments of one size are summed as the rows of one matrix, which numpy
+    adds in the same (pairwise) order as ``np.sum`` of each segment alone,
+    so the sums equal per-segment calls bit for bit.  Empty segments sum to 0.
+    """
+    out = np.zeros(len(sizes))
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.nonzero(sizes == size)[0]
+        out[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return out
 
 
 def percentile(values: np.ndarray, q: float) -> float:

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .photons import CleanPhoton
 from .raster import (
     DEFAULT_FOOTPRINT,
-    GeometryError,
     HeightRaster,
     footprint_mean,
     height_like,
@@ -42,11 +39,12 @@ class AffineFit:
 
 def fit_affine(
     depth: HeightRaster,
-    photons: Sequence[CleanPhoton],
+    clean: np.ndarray,
     footprint: float = DEFAULT_FOOTPRINT,
     huber: bool = False,
 ) -> AffineFit:
-    """Fit height = a * depth + b over the clean photons.
+    """Fit height = a * depth + b over a clean-photon table
+    (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and ``h_ag`` are read).
 
     Depth is sampled as a footprint mean around each photon; photons whose
     footprint has no valid depth are skipped.  Requires at least 10 usable
@@ -57,25 +55,15 @@ def fit_affine(
 
     The fit is independent of photon input order.
     """
-    ds: list[float] = []
-    hs: list[float] = []
-    for p in photons:
-        try:
-            value = footprint_mean(depth, p.x, p.y, footprint)
-        except GeometryError:
-            continue
-        if value is None:
-            continue
-        ds.append(value)
-        hs.append(p.h_ag)
-
-    if len(ds) < MIN_FIT_POINTS:
+    means = footprint_mean(depth, clean["x"], clean["y"], footprint)
+    usable = ~np.isnan(means)
+    d = means[usable]
+    h = clean["h_ag"][usable]
+    if d.size < MIN_FIT_POINTS:
         raise ValueError(
-            f"affine fit needs at least {MIN_FIT_POINTS} usable photons, got {len(ds)}"
+            f"affine fit needs at least {MIN_FIT_POINTS} usable photons, got {d.size}"
         )
 
-    d = np.array(ds, dtype=np.float64)
-    h = np.array(hs, dtype=np.float64)
     # Canonical summation order so the result ignores photon ordering.
     order = np.lexsort((h, d))
     d = d[order]

@@ -35,7 +35,7 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     RasterHeader,
-    sample_bilinear,
+    sample_bilinear_many,
 )
 
 logger = logging.getLogger(__name__)
@@ -327,29 +327,22 @@ def simulate_tracks(
         confs = rng.choice(5, size=m, p=np.asarray(cfg.conf_profile, dtype=np.float64))
         keep = rng.random(m) >= cfg.dropout
 
-        for i in range(m):
-            if not keep[i]:
-                continue
-            col, row = h.pixel_of(float(xs[i]), float(ys[i]))
-            t_val = float(truth.values[row, col])
-            ground = sample_bilinear(dtm, float(xs[i]), float(ys[i]))
-            if ground is None:
-                continue
-            elev = ground + t_val + float(noise[i])
-            klass = CLASS_GROUND if t_val < GROUND_SPLIT else CLASS_TOP_OF_CANOPY
-            photons.append(
-                Photon(
-                    id=next_id,
-                    x=float(xs[i]),
-                    y=float(ys[i]),
-                    elev=float(elev),
-                    signal_conf=int(confs[i]),
-                    atl08_class=klass,
-                    beam=track,
-                    t=track * 10.0 + float(ss[i] - ss[0]) / _TRACK_SPEED,
-                )
-            )
-            next_id += 1
+        kept = np.nonzero(keep)[0]
+        col, row = h.pixels_of(xs[kept], ys[kept])
+        t_val = truth.values[row, col].astype(np.float64)
+        ground, found = sample_bilinear_many(dtm, xs[kept], ys[kept])
+        kept, t_val, ground = kept[found], t_val[found], ground[found]
+        elev = ground + t_val + noise[kept]
+        klass = np.where(t_val < GROUND_SPLIT, CLASS_GROUND, CLASS_TOP_OF_CANOPY)
+        t = track * 10.0 + (ss[kept] - ss[0]) / _TRACK_SPEED
+        photons += [
+            Photon(id=next_id + k, x=x, y=y, elev=z, signal_conf=conf, atl08_class=c,
+                   beam=track, t=tt)
+            for k, (x, y, z, conf, c, tt) in enumerate(zip(
+                xs[kept].tolist(), ys[kept].tolist(), elev.tolist(), confs[kept].tolist(),
+                klass.tolist(), t.tolist()))
+        ]
+        next_id += kept.size
 
     if not photons:
         raise ValueError("no track intersects the scene; check cross_spacing and azimuth")

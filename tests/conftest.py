@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lidar_anchor.photons import CLEAN_DTYPE
 from lidar_anchor.raster import (
     HeightRaster,
     LandCoverRaster,
@@ -27,6 +28,14 @@ def make_height(values, gsd=1.0, origin=None, nodata=None, crs=32654):
         nodata=nodata,
     )
     return HeightRaster(header, arr)
+
+
+def clean_table(points):
+    """``CLEAN_DTYPE`` table of a list of ``CleanPhoton``, in list order."""
+    return np.array(
+        [(p.x, p.y, p.h_ag, p.kind, p.lc_class, p.cluster_size) for p in points],
+        dtype=CLEAN_DTYPE,
+    )
 
 
 def make_landcover(values, gsd=1.0, origin=None, crs=32654):

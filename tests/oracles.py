@@ -9,6 +9,7 @@ comparison is well defined.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from types import SimpleNamespace
@@ -218,6 +219,67 @@ def footprint_pixels(width, height, gsd, origin_x, origin_y, x, y, diameter):
     return hits
 
 
+def footprint_mean_direct(raster, x, y, diameter):
+    """The footprint mean one point at a time, as the package first computed
+    it: the disk's bounding square cut to the raster, its pixels taken in
+    row-major order and averaged with ``np.mean``.
+
+    Returns None where no captured pixel is valid, and raises ValueError
+    where the disk misses the raster.  A disk that captures no pixel center
+    takes the value of the pixel containing (x, y).
+    """
+    h = raster.header
+    radius = diameter / 2.0
+    if (
+        x + radius < h.origin_x
+        or x - radius > h.origin_x + h.width * h.gsd
+        or y + radius < h.origin_y - h.height * h.gsd
+        or y - radius > h.origin_y
+    ):
+        raise ValueError(f"footprint at ({x}, {y}) does not intersect the raster")
+
+    def containing_pixel():
+        if not (h.origin_x <= x <= h.origin_x + h.width * h.gsd
+                and h.origin_y - h.height * h.gsd <= y <= h.origin_y):
+            return None
+        col = min(int(math.floor((x - h.origin_x) / h.gsd)), h.width - 1)
+        row = min(int(math.floor((h.origin_y - y) / h.gsd)), h.height - 1)
+        v = float(raster.values[row, col])
+        return None if not math.isfinite(v) or v == h.nodata else v
+
+    fcol = (x - h.origin_x) / h.gsd - 0.5
+    frow = (h.origin_y - y) / h.gsd - 0.5
+    reach = radius / h.gsd
+    c_lo = max(int(math.floor(fcol - reach)), 0)
+    c_hi = min(int(math.ceil(fcol + reach)), h.width - 1)
+    r_lo = max(int(math.floor(frow - reach)), 0)
+    r_hi = min(int(math.ceil(frow + reach)), h.height - 1)
+    if c_lo > c_hi or r_lo > r_hi:
+        return containing_pixel()
+
+    cols = np.arange(c_lo, c_hi + 1)
+    rows = np.arange(r_lo, r_hi + 1)
+    cx = h.origin_x + (cols + 0.5) * h.gsd
+    cy = h.origin_y - (rows + 0.5) * h.gsd
+    in_disk = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2 <= radius * radius
+    if not in_disk.any():
+        return containing_pixel()
+
+    block = raster.values[r_lo : r_hi + 1, c_lo : c_hi + 1]
+    usable = in_disk
+    if h.nodata is not None:
+        usable = in_disk & (block != h.nodata)
+        if not usable.any():
+            return None
+    vals = block[usable].astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        mean = float(np.mean(vals))
+    if math.isfinite(mean):
+        return mean
+    vals = vals[np.isfinite(vals)]
+    return float(np.mean(vals)) if vals.size else None
+
+
 def percentile_direct(values, q):
     """Linear-interpolation percentile from first principles."""
     v = sorted(float(x) for x in values)
@@ -359,6 +421,68 @@ def ssim_direct(
     if not scores:
         raise ValueError("every window touches nodata")
     return sum(scores) / len(scores)
+
+
+def ssim_2d(pred, ref, valid, window=11, sigma=1.5):
+    """SSIM from full-raster 2-D Gaussian correlations, as the package first
+    computed it: five moment passes over float64 copies of the whole pair,
+    the interior kept, windows with an invalid pixel left out."""
+    from scipy import ndimage
+
+    x = np.asarray(pred, dtype=np.float64)
+    y = np.asarray(ref, dtype=np.float64)
+    ref_valid = y[valid]
+    dynamic_range = max(float(ref_valid.max() - ref_valid.min()), 1.0)
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
+    kernel = np.outer(g, g)
+    kernel /= kernel.sum()
+    half = window // 2
+    interior = np.s_[half:-half, half:-half]
+
+    def local(arr):
+        return ndimage.correlate(arr, kernel, mode="constant", cval=0.0)[interior]
+
+    with np.errstate(invalid="ignore"):
+        mu_x, mu_y = local(x), local(y)
+        var_x = local(x * x) - mu_x * mu_x
+        var_y = local(y * y) - mu_y * mu_y
+        cov = local(x * y) - mu_x * mu_y
+        score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        )
+    usable = ndimage.minimum_filter(valid, size=window)[interior]
+    return float(np.mean(score[usable]))
+
+
+# ----- clean-photon CSV -----
+
+
+def read_clean_direct(path):
+    """Clean-photon CSV rows as (x, y, h_ag, kind, lc_class, cluster_size)
+    tuples, parsed a row at a time with the csv module; raises ValueError
+    naming the bad header or the first malformed row."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != [
+            "x", "y", "h_ag", "kind", "lc_class", "cluster_size"
+        ]:
+            raise ValueError(f"{path}: bad header")
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if row[3] not in ("ground", "object"):
+                    raise ValueError(row[3])
+                out.append((float(row[0]), float(row[1]), float(row[2]), row[3],
+                            int(row[4]), int(row[5])))
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
+    return out
 
 
 # ----- random forest: the loop-based grower -----

@@ -56,7 +56,7 @@ from lidar_anchor.synth import (
 )
 from lidar_anchor.photons import Photon, write_photons_csv
 
-from conftest import make_height
+from conftest import clean_table, make_height
 from oracles import (
     dbscan_brute,
     f1_direct,
@@ -187,7 +187,7 @@ def _plateau(lo_h=0.0, hi_h=20.0, n=96):
 
 def test_criterion_4_affine_recovery(announce):
     depth, pts = _plateau()
-    fit = fit_affine(depth, pts)
+    fit = fit_affine(depth, clean_table(pts))
     err_a = abs(fit.a - 40.0) / 40.0
     err_b = abs(fit.b - (-10.0)) / 10.0
     exact_ok = err_a < 1e-6 and err_b < 1e-6
@@ -198,7 +198,7 @@ def test_criterion_4_affine_recovery(announce):
                     p.lc_class, p.cluster_size)
         for p in pts
     ]
-    fit_n = fit_affine(depth, noisy)
+    fit_n = fit_affine(depth, clean_table(noisy))
     noisy_ok = abs(fit_n.a - 40.0) / 40.0 < 0.02
     ok = exact_ok and noisy_ok
     announce(4, ok, f"noise-free a={fit.a:.8f} b={fit.b:.8f} "

@@ -18,7 +18,7 @@ from lidar_anchor.raster import (
     window,
 )
 
-from conftest import make_height, make_landcover, make_optical
+from conftest import clean_table, make_height, make_landcover, make_optical
 
 
 def leaf_tree(value):
@@ -61,7 +61,7 @@ class TestBuildTrainingSet:
     def test_targets_are_footprint_mean_minus_height(self):
         pred, optical, lc = scene()
         pts = photons_on(pred, count=12, h=2.5)
-        X, y, skipped = build_training_set(pred, optical, lc, pts, patch=32)
+        X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=32)
         assert skipped == 0
         assert X.shape == (12, HRF_DIM)
         for target, p in zip(y, pts):
@@ -71,7 +71,7 @@ class TestBuildTrainingSet:
     def test_features_match_photon_centered_window(self):
         pred, optical, lc = scene()
         p = photons_on(pred, count=1)[0]
-        X, _, _ = build_training_set(pred, optical, lc, [p], patch=32)
+        X, _, _ = build_training_set(pred, optical, lc, clean_table([p]), patch=32)
         col, row = pred.header.pixel_of(p.x, p.y)
         want = hrf_features(
             window(pred, row - 16, col - 16, 32),
@@ -94,7 +94,8 @@ class TestBuildTrainingSet:
             for x, y in [(1.0, 40.0), (62.5, 63.5), (40.0, 0.5), (30.0, 20.0)]
         ]
         X, _, _ = build_training_set(
-            pred, None, None, pts, patch=32, feature_mode=SCHEMA_NRF, embeddings=emb
+            pred, None, None, clean_table(pts), patch=32, feature_mode=SCHEMA_NRF,
+            embeddings=emb,
         )
         for row, p in zip(X, pts):
             col, r = pred.header.pixel_of(p.x, p.y)
@@ -104,7 +105,8 @@ class TestBuildTrainingSet:
         pred, optical, lc = scene()
         pts = photons_on(pred, count=10)
         outside = CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)
-        X, y, skipped = build_training_set(pred, optical, lc, pts + [outside], patch=32)
+        X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts + [outside]),
+                                           patch=32)
         assert len(X) == len(y) == 10
         assert skipped == 1
 
@@ -118,7 +120,7 @@ class TestBuildTrainingSet:
         # photons_on(count=5) also starts at x=10, so two photons share the
         # nodata pixel and both are skipped
         X, _, skipped = build_training_set(
-            pred2, optical, lc, [p] + photons_on(pred, count=5), patch=32
+            pred2, optical, lc, clean_table([p] + photons_on(pred, count=5)), patch=32
         )
         assert skipped == 2
         assert len(X) == 4
@@ -130,8 +132,8 @@ class TestBuildTrainingSet:
         col, row = pred.header.pixel_of(p.x, p.y)
         vals[row, col] = np.nan
         X, y, skipped = build_training_set(
-            make_height(vals, gsd=pred.header.gsd), optical, lc, [p] + photons_on(pred, count=5),
-            patch=32,
+            make_height(vals, gsd=pred.header.gsd), optical, lc,
+            clean_table([p] + photons_on(pred, count=5)), patch=32,
         )
         assert skipped == 2
         assert len(X) == 4 and np.isfinite(y).all()
@@ -140,20 +142,21 @@ class TestBuildTrainingSet:
         pred, optical, lc = scene()
         outside = [CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)]
         with pytest.raises(ValueError, match="zero usable"):
-            build_training_set(pred, optical, lc, outside, patch=32)
+            build_training_set(pred, optical, lc, clean_table(outside), patch=32)
 
     def test_hrf_requires_optical_and_lc(self):
         pred, optical, lc = scene()
         pts = photons_on(pred, count=12)
         with pytest.raises(ValueError, match="optical"):
-            build_training_set(pred, None, lc, pts, patch=32)
+            build_training_set(pred, None, lc, clean_table(pts), patch=32)
 
     def test_nrf_requires_embeddings(self):
         pred, _, _ = scene()
         pts = photons_on(pred, count=12)
         with pytest.raises(ValueError, match="embedding"):
             build_training_set(
-                pred, None, None, pts, patch=32, feature_mode=SCHEMA_NRF, embeddings=None
+                pred, None, None, clean_table(pts), patch=32, feature_mode=SCHEMA_NRF,
+                embeddings=None,
             )
 
 

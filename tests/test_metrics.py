@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidar_anchor.metrics import (
+    SSIM_STRIP,
+    SSIM_WINDOW,
     MetricsReport,
     evaluate,
     f1_he,
@@ -13,10 +18,10 @@ from lidar_anchor.metrics import (
     rmse,
     ssim,
 )
-from lidar_anchor.raster import LC_BUILDING, LC_TREE
+from lidar_anchor.raster import LC_BUILDING, LC_TREE, valid_mask
 
 from conftest import make_height, make_landcover
-from oracles import f1_direct, mae_direct, rmse_direct, ssim_direct
+from oracles import f1_direct, mae_direct, rmse_direct, ssim_2d, ssim_direct
 
 
 def pair(pred_vals, ref_vals, pred_nodata=None, ref_nodata=None, gsd=1.0):
@@ -168,6 +173,63 @@ class TestSsim:
         assert ssim(mild, ref) > ssim(harsh, ref)
 
 
+# raster heights whose interiors hold one row, two rows, and one strip of
+# output rows less, exactly and more
+_STRIP_HEIGHTS = [SSIM_WINDOW, SSIM_WINDOW + 1] + [
+    SSIM_STRIP + SSIM_WINDOW - 1 + k for k in (-1, 0, 1)
+]
+
+
+def _assert_ssim_matches_2d(pred, ref):
+    want = ssim_2d(pred.values, ref.values, valid_mask(pred) & valid_mask(ref))
+    assert abs(ssim(pred, ref) - want) <= 1e-12 * abs(want)
+
+
+class TestStripSsim:
+    @given(
+        st.sampled_from(_STRIP_HEIGHTS),
+        st.integers(SSIM_WINDOW, 24),
+        st.sampled_from([0.0, 0.01, 0.2]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_2d_oracle(self, height, width, invalid_share, seed):
+        rng = np.random.default_rng(seed)
+        vals_r = rng.normal(10, 5, (height, width))
+        vals_p = vals_r + rng.normal(0, 1, (height, width))
+        vals_p[rng.random((height, width)) < invalid_share] = -9999.0
+        vals_r[rng.random((height, width)) < invalid_share / 2] = np.nan
+        pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
+        usable = ndimage.minimum_filter(valid_mask(pred) & valid_mask(ref), size=SSIM_WINDOW)
+        if not usable[5:-5, 5:-5].any():
+            # a small or nodata-heavy pair may have no window left
+            with pytest.raises(ValueError, match="nodata"):
+                ssim(pred, ref)
+            return
+        _assert_ssim_matches_2d(pred, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -9999.0])
+    def test_invalid_pixels_on_strip_seam(self, bad):
+        rng = np.random.default_rng(10)
+        height = 2 * SSIM_STRIP + SSIM_WINDOW - 1
+        vals_r = rng.normal(10, 5, (height, 30))
+        vals_p = vals_r + rng.normal(0, 1, (height, 30))
+        # the last input row of the first strip, the first output row of
+        # the second, and the rows that both strips read
+        for row in (SSIM_STRIP + SSIM_WINDOW - 2, SSIM_STRIP + SSIM_WINDOW // 2, SSIM_STRIP):
+            vals_p[row, 3 + row % 20] = bad
+        pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
+        _assert_ssim_matches_2d(pred, ref)
+
+    def test_large_pair_matches_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        vals_r = rng.normal(10, 5, (SSIM_STRIP + 20, 14))
+        vals_p = vals_r + rng.normal(0, 1, vals_r.shape)
+        pred, ref = pair(vals_p, vals_r)
+        want = ssim_direct(pred.values, ref.values)
+        assert ssim(pred, ref) == pytest.approx(want, abs=1e-9)
+
+
 class TestEvaluate:
     def test_report_is_complete(self):
         rng = np.random.default_rng(8)
@@ -201,6 +263,29 @@ class TestEvaluate:
         pred, ref = pair(np.zeros((16, 16)), np.zeros((16, 16)))
         report = evaluate(pred, ref)
         assert "recall_undefined" in report.flags
+
+    def test_raster_smaller_than_ssim_window(self):
+        rng = np.random.default_rng(12)
+        vals_r = np.abs(rng.normal(4, 3, (8, 8)))
+        pred, ref = pair(vals_r + 0.5, vals_r)
+        report = evaluate(pred, ref)
+        assert report.ssim is None
+        assert report.flags == ("ssim_undefined",)
+        assert report.mae == pytest.approx(0.5)
+        assert report.rmse == rmse(pred, ref) and report.n_valid == 64
+        assert report.f1_he == f1_he(pred, ref)[2]
+
+    def test_every_ssim_window_touches_nodata(self):
+        rng = np.random.default_rng(13)
+        vals_r = np.abs(rng.normal(4, 3, (64, 64)))
+        vals_p = vals_r + 0.5
+        vals_p[::8, :] = -9999.0  # a nodata row every 8 rows
+        pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
+        report = evaluate(pred, ref)
+        assert report.ssim is None
+        assert report.flags == ("ssim_undefined",)
+        assert report.mae == mae(pred, ref) == pytest.approx(0.5)
+        assert report.n_valid == 64 * 56
 
 
 class TestPerClass:

@@ -29,13 +29,15 @@ from lidar_anchor.photons import (
     landcover_plausibility_filter,
     preprocess_photons,
     read_clean_csv,
+    read_clean_table,
     write_clean_csv,
+    write_clean_table,
     write_photons_csv,
 )
 from lidar_anchor.raster import GeometryError, LC_BUILDING, LC_ROAD, LC_TREE
 
-from conftest import make_height, make_landcover
-from oracles import aggregate_direct, dbscan_brute, idw_direct, idw_scan
+from conftest import clean_table, make_height, make_landcover
+from oracles import aggregate_direct, dbscan_brute, idw_direct, idw_scan, read_clean_direct
 
 
 def photon(pid, x, y, elev, conf=4, klass=CLASS_GROUND, beam=0, t=0.0):
@@ -129,6 +131,69 @@ class TestCsv:
         ]
         write_clean_csv(src, tmp_path / "c.csv")
         assert read_clean_csv(tmp_path / "c.csv") == src
+
+
+_CLEAN_HEADER = "x,y,h_ag,kind,lc_class,cluster_size\r\n"
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCleanTable:
+    @given(st.lists(st.tuples(_finite, _finite, _finite, st.sampled_from(["ground", "object"]),
+                              st.integers(0, 7), st.integers(1, 10**6)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_matches_row_parser(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("clean") / "c.csv"
+        src = [CleanPhoton(*row) for row in rows]
+        write_clean_table(clean_table(src), path)
+        table = read_clean_table(path)
+        assert table.dtype == clean_table(src).dtype
+        assert table.tolist() == read_clean_direct(path) == [tuple(row) for row in rows]
+        assert read_clean_csv(path) == src
+
+    @pytest.mark.parametrize("body", [
+        # blank lines, LF line ends, spaces around numbers, quoted fields and
+        # a trailing empty field: the whole-file parse declines some of these,
+        # and the row parser reads them as the csv module does
+        "1.5,2.5,0.0,ground,1,1\r\n\r\n3.5,4.5,12.25,object,4,7\r\n",
+        "1.5,2.5,0.0,ground,1,1\n3.5, 4.5 ,12.25,object,4,7\n",
+        '"1.5",2.5,0.0,"ground",1,1\r\n',
+        "1.5,2.5,0.0,ground,1,1,\r\n",
+        "",
+    ])
+    def test_accepts_what_the_row_parser_accepts(self, tmp_path, body):
+        path = tmp_path / "c.csv"
+        path.write_bytes((_CLEAN_HEADER + body).encode())
+        assert read_clean_table(path).tolist() == read_clean_direct(path)
+
+    @pytest.mark.parametrize("body, lineno", [
+        ("1.5,2.5,0.0,ground,1,1\r\n3.5,4.5,12.25,objects,4,7\r\n", 3),
+        ("1.5,2.5,0.0, ground,1,1\r\n", 2),
+        ("1.5,2.5,0.0,ground,1,1\r\n\r\n3.5,4.5,12.25,object,4\r\n", 4),
+        ("1.5,2.5,0.0,ground,1.0,1\r\n", 2),
+        ("1.5,abc,0.0,ground,1,1\r\n", 2),
+        ("   \r\n", 2),
+    ])
+    def test_malformed_row_is_named(self, tmp_path, body, lineno):
+        path = tmp_path / "c.csv"
+        path.write_bytes((_CLEAN_HEADER + body).encode())
+        with pytest.raises(ValueError) as want:
+            read_clean_direct(path)
+        assert f"malformed row {lineno}:" in str(want.value)
+        for read in (read_clean_table, read_clean_csv):
+            with pytest.raises(ValueError) as got:
+                read(path)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text", ["", "x,y,h_ag,kind,lc_class\r\n", "\r\nx,y,h_ag,kind,lc_class,cluster_size\r\n"])
+    def test_bad_header(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        for read in (read_clean_table, read_clean_csv, read_clean_direct):
+            with pytest.raises(ValueError, match="bad header"):
+                read(path)
+        with pytest.raises(ValueError) as got:
+            read_clean_table(path)
+        assert str(got.value) == f"{path}: bad header, expected x,y,h_ag,kind,lc_class,cluster_size"
 
 
 class TestConfidenceFilter:

@@ -1,8 +1,13 @@
 import hashlib
 import json
 
+import numpy as np
+
 from lidar_anchor import pipeline
+from lidar_anchor.raster import save_raster
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
+
+from conftest import make_height
 
 
 def _pinned_run(tmp_path, corruption, mode, names):
@@ -24,7 +29,8 @@ def test_run_artifacts_are_pinned(tmp_path):
     # SHA-256 of small hrf runs' artifacts, as the pipeline has always made
     # them: a metric-mode run, and the same scene as relative depth
     # (0.05 * height + 2), where photon cleaning, the affine fit and its
-    # calibrated raster feed the rest of the run
+    # calibrated raster feed the rest of the run; metrics.json moved at the
+    # last bits of ssim when SSIM became separable
     metric = {
         "model.json":
             "6cb07191fee582cea8d9ad199771b4b882da49de59efc1ba1e96881a9057f814",
@@ -39,7 +45,7 @@ def test_run_artifacts_are_pinned(tmp_path):
         "clean_photons.csv":
             "fb0a7e4b70d93b06b2f7b8d5e4cbe679b41e0a95542365008a2243e096a5f2cb",
         "metrics.json":
-            "7c078ecbee6632f21d8b89163215ba127eac24472d03a5031d5c69578d627836",
+            "d3fd75fe25a3231e8b988b64f949703c160bf2954b009c40be63404453a3f969",
     }
     relative = {
         "affine.json":
@@ -51,7 +57,7 @@ def test_run_artifacts_are_pinned(tmp_path):
         "corrected.bin":
             "df7dd445b52a5d214bda96bf374bba858a55e385260a397431846a8d37cbed95",
         "metrics.json":
-            "563494531e993bedf961b9f822667c9f4432a2d6a794772c627ea55ab34a3b38",
+            "d943b6d5dd146a839076e840be82636ef27798737da36d25637e95d1b66c3d3f",
     }
     runs = [
         ("metric", CorruptionConfig(class_bias={4: 5.0, 7: -4.0}, noise_sigma=1.0, seed=42),
@@ -85,3 +91,17 @@ def test_dense_clean_photons_are_pinned(tmp_path):
     assert json.loads((run / "preprocess_report.json").read_text()) == report
     digest = hashlib.sha256((run / "clean_photons.csv").read_bytes()).hexdigest()
     assert digest == "a20ec07a1e9c38c97641ea5fe09f980ba51edac3ee6371481254ddc1ba9669c1"
+
+
+def test_evaluate_writes_null_ssim_when_undefined(tmp_path):
+    # an 8 px pair is smaller than the SSIM window: the stage still scores
+    # it and reports ssim as null
+    rng = np.random.default_rng(14)
+    truth = np.abs(rng.normal(4.0, 3.0, (8, 8)))
+    save_raster(make_height(truth), tmp_path / "truth")
+    save_raster(make_height(truth + 0.5), tmp_path / "pred")
+    cfg = pipeline.PipelineConfig(reference=str(tmp_path / "truth"), out=str(tmp_path))
+    pipeline.stage_evaluate(cfg, tmp_path / "pred", tmp_path, "metrics")
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert doc["ssim"] is None and doc["flags"] == ["ssim_undefined"]
+    assert doc["n_valid"] == 64 and abs(doc["mae"] - 0.5) < 1e-6

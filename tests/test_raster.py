@@ -25,7 +25,7 @@ from lidar_anchor.raster import (
 )
 
 from conftest import make_height, make_landcover, make_optical
-from oracles import footprint_pixels, percentile_direct, sobel_direct
+from oracles import footprint_mean_direct, footprint_pixels, percentile_direct, sobel_direct
 
 
 def header(w=4, h=3, gsd=2.0, nodata=None, bands=1, dtype="float32", cell_px=None):
@@ -408,6 +408,103 @@ class TestFootprint:
         r = make_height(np.zeros((8, 8)), gsd=1.0, origin=(0.0, 8.0))
         with pytest.raises(GeometryError):
             footprint_mean(r, 100.0, 100.0, 17.0)
+
+
+def _assert_footprint_matches_oracle(raster, xs, ys, diameter):
+    """The array form equals the loop oracle bit for bit, NaN standing for
+    None and for a disk that misses the raster; the scalar form returns the
+    oracle's value or None, or raises GeometryError."""
+    got = footprint_mean(raster, xs, ys, diameter)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        try:
+            want = footprint_mean_direct(raster, x, y, diameter)
+        except ValueError:
+            assert np.isnan(got[i])
+            with pytest.raises(GeometryError):
+                footprint_mean(raster, x, y, diameter)
+            continue
+        if want is None:
+            assert np.isnan(got[i])
+        else:
+            assert got[i] == want
+        assert footprint_mean(raster, x, y, diameter) == want
+
+
+def _footprint_raster(height, width, gsd, seed, nodata):
+    """Random raster with nodata (when declared), NaN, +inf and -inf pixels."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(10.0, 4.0, (height, width))
+    kind = rng.random((height, width))
+    vals[kind < 0.05] = np.nan
+    vals[(kind >= 0.05) & (kind < 0.08)] = np.inf
+    vals[(kind >= 0.08) & (kind < 0.1)] = -np.inf
+    if nodata is not None:
+        vals[(kind >= 0.1) & (kind < 0.25)] = nodata
+    return make_height(vals, gsd=gsd, origin=(100.0, 50.0 + height * gsd), nodata=nodata)
+
+
+def _points_around(raster, diameter, n, seed):
+    """Points over the raster and up to one diameter past each edge, some
+    of them on pixel edges and centers."""
+    h = raster.header
+    rng = np.random.default_rng(seed)
+    xs = h.origin_x + rng.uniform(-diameter, h.width * h.gsd + diameter, n)
+    ys = h.origin_y + rng.uniform(-h.height * h.gsd - diameter, diameter, n)
+    half_pixels = rng.integers(-2, 2 * max(h.width, h.height) + 2, (2, n // 4))
+    xs[: n // 4] = h.origin_x + half_pixels[0] * h.gsd / 2.0
+    ys[: n // 4] = h.origin_y - half_pixels[1] * h.gsd / 2.0
+    return xs, ys
+
+
+class TestFootprintArrays:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+        st.sampled_from([None, -9999.0]),
+        st.one_of(st.sampled_from([0.2, 1.0, 3.0, 17.0]), st.floats(0.05, 30.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle(self, height, width, gsd, nodata, diameter, seed):
+        raster = _footprint_raster(height, width, gsd, seed, nodata)
+        xs, ys = _points_around(raster, diameter, 40, seed)
+        _assert_footprint_matches_oracle(raster, xs, ys, diameter)
+
+    @pytest.mark.parametrize("diameter", [1.0, 17.0])
+    def test_granule_footprints_match_loop_oracle(self, diameter):
+        # at 17 m on a 1 m grid a disk holds about 227 pixels, so numpy's
+        # pairwise sum recurses past its 128-element block
+        raster = _footprint_raster(48, 40, 1.0, 3, -9999.0)
+        xs, ys = _points_around(raster, diameter, 400, 4)
+        assert len(footprint_pixels(48, 40, 1.0, 100.0, 98.0, 120.0, 74.0, 17.0)) > 128
+        _assert_footprint_matches_oracle(raster, xs, ys, diameter)
+
+    def test_one_pixel_rasters(self):
+        for value, nodata in ((3.5, None), (-9999.0, -9999.0), (np.nan, None), (np.inf, None)):
+            raster = make_height([[value]], gsd=2.0, origin=(0.0, 2.0), nodata=nodata)
+            for diameter in (0.2, 1.0, 17.0):
+                xs, ys = _points_around(raster, diameter, 40, 5)
+                _assert_footprint_matches_oracle(raster, xs, ys, diameter)
+
+    def test_disk_without_pixel_center_and_missed_raster(self):
+        vals = np.arange(16, dtype=np.float32).reshape(4, 4)
+        raster = make_height(vals, gsd=10.0, origin=(0.0, 40.0))
+        # 0.2 m disks at a pixel corner and wholly off the raster; from a
+        # point outside it, an 11 m disk that reaches the raster but no pixel
+        # center, and a 19 m disk that reaches one center
+        got = footprint_mean(raster, np.array([12.0, 100.0, -5.0]), np.array([22.0, 100.0, 5.0]),
+                             0.2)
+        assert got[0] == float(vals[1, 1])
+        assert np.isnan(got[1:]).all()
+        assert np.isnan(footprint_mean(raster, np.array([-5.0]), np.array([5.0]), 11.0))
+        assert footprint_mean(raster, np.array([-4.0]), np.array([5.0]), 19.0)[0] == vals[3, 0]
+
+    def test_empty_array(self):
+        raster = make_height(np.zeros((4, 4)))
+        got = footprint_mean(raster, np.empty(0), np.empty(0), 17.0)
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestPercentile:

@@ -4,7 +4,7 @@ import pytest
 from lidar_anchor.photons import CleanPhoton
 from lidar_anchor.scaling import MIN_FIT_POINTS, AffineFit, apply_affine, fit_affine
 
-from conftest import make_height
+from conftest import clean_table, make_height
 
 
 def plateau_depth(lo=0.25, hi=0.75, n=96, gsd=1.0):
@@ -28,7 +28,7 @@ class TestFitAffine:
     def test_exact_recovery(self):
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0)
-        fit = fit_affine(depth, pts, footprint=17.0)
+        fit = fit_affine(depth, clean_table(pts), footprint=17.0)
         assert fit.a == pytest.approx(40.0, rel=1e-9)
         assert fit.b == pytest.approx(-10.0, rel=1e-9)
         assert fit.n_points == len(pts)
@@ -37,7 +37,7 @@ class TestFitAffine:
     def test_negative_slope_recovery(self):
         depth = plateau_depth()
         pts = plateau_photons(-40.0, 30.0)
-        fit = fit_affine(depth, pts, footprint=17.0)
+        fit = fit_affine(depth, clean_table(pts), footprint=17.0)
         assert fit.a == pytest.approx(-40.0, rel=1e-9)
         assert fit.b == pytest.approx(30.0, rel=1e-9)
 
@@ -49,29 +49,29 @@ class TestFitAffine:
             CleanPhoton(p.x, p.y, p.h_ag + float(rng.normal(0, 0.5)), p.kind, p.lc_class, p.cluster_size)
             for p in pts
         ]
-        fit1 = fit_affine(depth, noisy, footprint=17.0)
+        fit1 = fit_affine(depth, clean_table(noisy), footprint=17.0)
         shuffled = list(noisy)
         rng.shuffle(shuffled)
-        fit2 = fit_affine(depth, shuffled, footprint=17.0)
+        fit2 = fit_affine(depth, clean_table(shuffled), footprint=17.0)
         assert (fit1.a, fit1.b) == (fit2.a, fit2.b)
 
     def test_too_few_points_raises(self):
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0)[: MIN_FIT_POINTS - 1]
         with pytest.raises(ValueError, match="at least"):
-            fit_affine(depth, pts, footprint=17.0)
+            fit_affine(depth, clean_table(pts), footprint=17.0)
 
     def test_constant_depth_is_degenerate(self):
         depth = plateau_depth(lo=0.5, hi=0.5)
         pts = plateau_photons(40.0, -10.0, lo=0.5, hi=0.5)
         with pytest.raises(ValueError, match="degenerate|constant"):
-            fit_affine(depth, pts, footprint=17.0)
+            fit_affine(depth, clean_table(pts), footprint=17.0)
 
     def test_photons_outside_raster_are_skipped(self):
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0)
         outside = [CleanPhoton(-500.0, -500.0, 1.0, "object", 4, 3)]
-        fit = fit_affine(depth, pts + outside, footprint=17.0)
+        fit = fit_affine(depth, clean_table(pts + outside), footprint=17.0)
         assert fit.n_points == len(pts)
         assert fit.a == pytest.approx(40.0, rel=1e-9)
 
@@ -79,8 +79,8 @@ class TestFitAffine:
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0, per_side=10)
         spoiled = pts + [CleanPhoton(20.0, 80.0, 500.0, "object", 4, 3)]
-        plain = fit_affine(depth, spoiled, footprint=17.0)
-        robust = fit_affine(depth, spoiled, footprint=17.0, huber=True)
+        plain = fit_affine(depth, clean_table(spoiled), footprint=17.0)
+        robust = fit_affine(depth, clean_table(spoiled), footprint=17.0, huber=True)
         assert abs(robust.a - 40.0) < abs(plain.a - 40.0)
         assert abs(robust.b + 10.0) < abs(plain.b + 10.0)
 
@@ -88,7 +88,7 @@ class TestFitAffine:
 class TestApplyAffine:
     def test_transforms_values(self):
         depth = plateau_depth()
-        fit = fit_affine(depth, plateau_photons(40.0, -10.0), footprint=17.0)
+        fit = fit_affine(depth, clean_table(plateau_photons(40.0, -10.0)), footprint=17.0)
         out = apply_affine(depth, fit)
         assert out.values.dtype == np.float32
         np.testing.assert_allclose(
@@ -102,7 +102,7 @@ class TestApplyAffine:
         vals[0, 1] = np.nan
         vals[0, 2] = -np.inf
         depth = make_height(vals, gsd=1.0, origin=(0.0, 96.0), nodata=-9999.0)
-        fit = fit_affine(depth, plateau_photons(40.0, -10.0), footprint=17.0)
+        fit = fit_affine(depth, clean_table(plateau_photons(40.0, -10.0)), footprint=17.0)
         flipped = AffineFit(a=-2.0, b=1.0, n_points=fit.n_points, rmse=fit.rmse)
         for f in (fit, flipped):
             out = apply_affine(depth, f)

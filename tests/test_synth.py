@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from lidar_anchor.photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY
-from lidar_anchor.raster import LC_BUILDING, LC_TREE
+from lidar_anchor.photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, write_photons_csv
+from lidar_anchor.raster import LC_BUILDING, LC_TREE, HeightRaster
 from lidar_anchor.synth import (
     PALETTE,
     CorruptionConfig,
@@ -142,6 +143,30 @@ class TestSimulateTracks:
         cfg = TrackConfig(n_tracks=2, cross_spacing=1e6, seed=13)
         with pytest.raises(ValueError, match="intersect"):
             simulate_tracks(truth, dtm, lc, cfg)
+
+    def test_photons_csv_is_pinned(self, tmp_path):
+        # SHA-256 of photons.csv as simulate_tracks has always written it:
+        # the pinned run's 256 px scene, the same scene over a DTM whose
+        # left 40 columns are nodata (samples there are dropped), and
+        # noise-free tracks at 0.2 m spacing over a 512 px scene
+        truth, _, lc, dtm = generate_scene(SceneConfig(size=256, seed=42))
+        holed = dtm.values.copy()
+        holed[:, :40] = -9999.0
+        holed = HeightRaster(dataclasses.replace(dtm.header, nodata=-9999.0), holed)
+        dense = generate_scene(SceneConfig(size=512, seed=42))
+        cases = [
+            ((truth, dtm, lc, TrackConfig(seed=42)), 732,
+             "9088c9c2492a73b1405bd66da09bbd3bb98e4e2d1ad9dcadabd45fe16d2c7611"),
+            ((truth, holed, lc, TrackConfig(seed=42)), 549,
+             "4b45bd5eb608e9d4fb7cc129d81b0333d522b1059dfe03f00a38ddce89e62a1a"),
+            ((dense[0], dense[3], dense[2], TrackConfig(along_spacing=0.2, noise_sigma=0.0)), 7682,
+             "7851071d9d78d16367d5611ac500bc2840e77efe0113c0d3711bf1392fb46d4c"),
+        ]
+        for args, count, digest in cases:
+            photons = simulate_tracks(*args)
+            assert [p.id for p in photons] == list(range(count))
+            write_photons_csv(photons, tmp_path / "photons.csv")
+            assert hashlib.sha256((tmp_path / "photons.csv").read_bytes()).hexdigest() == digest
 
     def test_grid_mismatch_raises(self):
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=14))

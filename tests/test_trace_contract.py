@@ -1,0 +1,87 @@
+"""The benchmark's tracer finds every function it times.
+
+``perfbench/tracing.py`` wraps each traced function in the module its caller
+looks it up in, and skips a function it cannot find there, so a function
+that is renamed, moved or imported under another name silently drops its
+layer, and the benchmark's traced result then lacks metrics that
+BENCHMARK.json declares.  These tests resolve every trace point the way
+``Tracer.install`` does.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402
+import tracing  # noqa: E402
+from lidar_anchor import correction, scaling  # noqa: E402
+
+from conftest import make_height, make_landcover, make_optical  # noqa: E402
+
+# per-layer metrics that run.py reports itself rather than from trace points
+RUN_METRICS = {f"pipeline.{stage}" for stage in run.STAGES} | {
+    "forest.model_bytes",
+    "trace.overhead_s",
+}
+
+
+def _installed(points) -> set[str]:
+    tracer = tracing.Tracer(points)
+    tracer.install()
+    try:
+        return set(tracer.installed)
+    finally:
+        tracer.uninstall()
+
+
+@pytest.mark.parametrize("points", ["SETUP_POINTS", "RUN_POINTS"])
+def test_every_trace_point_resolves(points):
+    missing = []
+    for layer, module, path, _, _ in getattr(tracing, points):
+        *outer, attr = path.split(".")
+        owner = module
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(f"{layer}: {module.__name__}.{path}")
+    assert missing == []
+
+
+def test_installed_layers_cover_benchmark_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_layer = {m["name"] for m in spec["per_layer"]}
+    produced = set()
+    for points in (tracing.SETUP_POINTS, tracing.RUN_POINTS):
+        produced |= set(tracing.layer_metrics([], _installed(points), points))
+    assert sorted(per_layer - RUN_METRICS - produced) == []
+    assert produced <= per_layer
+
+
+def test_footprint_mean_is_one_call_per_stage_call():
+    n = 64
+    rng = np.random.default_rng(3)
+    pred = make_height(rng.uniform(0.0, 1.0, (n, n)))
+    optical = make_optical(rng.integers(0, 256, (n, n, 3), dtype=np.uint8))
+    lc = make_landcover(rng.integers(0, 8, (n, n), dtype=np.uint8))
+    clean = np.zeros(20, dtype=[("x", "<f8"), ("y", "<f8"), ("h_ag", "<f8")])
+    clean["x"] = np.linspace(5.0, 59.0, 20)
+    clean["y"] = np.linspace(8.0, 56.0, 20)
+    clean["h_ag"] = rng.uniform(0.0, 10.0, 20)
+
+    tracer = tracing.Tracer(tracing.RUN_POINTS)
+    tracer.install()
+    try:
+        scaling.fit_affine(pred, clean, footprint=3.0)
+        correction.build_training_set(pred, optical, lc, clean, patch=16, footprint=3.0)
+    finally:
+        tracer.uninstall()
+    counts = tracing.layer_metrics(tracer.take(), tracer.installed, tracing.RUN_POINTS)
+    assert counts["raster.footprint_mean_calls"] == 2
+    assert counts["scaling.fit_points"] == 20
+    assert counts["correction.training_samples"] == 20
