@@ -35,17 +35,12 @@ from .forest import (
 )
 from .metrics import MetricsReport, evaluate, f1_he, mae, per_class_breakdown, rmse, ssim
 from .photons import (
-    CleanPhoton,
     ClusterParams,
-    GroundEstimate,
-    NormalizedPhoton,
-    Photon,
     PreprocessParams,
+    clean_photon_table,
     dbscan_cluster,
     load_photons,
-    preprocess_photons,
     read_clean_csv,
-    read_clean_table,
     write_clean_csv,
 )
 from .pipeline import PipelineConfig, load_config, run_pipeline
@@ -78,23 +73,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineFit",
-    "CleanPhoton",
     "ClusterParams",
     "CorruptionConfig",
     "EmbeddingGrid",
     "FeatureVector",
     "ForestParams",
     "GeometryError",
-    "GroundEstimate",
     "HRF_DIM",
     "HRF_FEATURE_NAMES",
     "HeightRaster",
     "LC_CLASSES",
     "LandCoverRaster",
     "MetricsReport",
-    "NormalizedPhoton",
     "OpticalRaster",
-    "Photon",
     "PipelineConfig",
     "PreprocessParams",
     "RandomForest",
@@ -110,6 +101,7 @@ __all__ = [
     "apply_affine",
     "apply_correction",
     "build_training_set",
+    "clean_photon_table",
     "corrupt_prediction",
     "dbscan_cluster",
     "evaluate",
@@ -129,9 +121,7 @@ __all__ = [
     "per_class_breakdown",
     "predict",
     "predict_batch",
-    "preprocess_photons",
     "read_clean_csv",
-    "read_clean_table",
     "rmse",
     "run_pipeline",
     "sample_bilinear",

@@ -8,21 +8,21 @@ photons that contradict the land-cover map, and condenses object returns into
 density-cluster centroids.  Clean photons leave as CSV with header
 ``x,y,h_ag,kind,lc_class,cluster_size``.
 
-Cleaning runs on one photon table, a numpy structured array with one field
-per CSV column (``PHOTON_DTYPE``), so that each stage is a mask or a batched
-call over it.  The per-stage functions that take and return the dataclasses
-below are thin adapters over the same array code.
+Photons travel as tables: numpy structured arrays with one field per CSV
+column (``PHOTON_DTYPE`` for raw photons, ``CLEAN_DTYPE`` for clean ones).
+Each cleaning step is a function over a photon table and per-photon arrays
+that returns masks or arrays in the table's row order, and
+``clean_photon_table`` runs the steps in turn.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,7 +33,6 @@ from .raster import (
     LC_BUILDING,
     LC_TREE,
     LandCoverRaster,
-    Raster,
     sample_bilinear_many,
     segment_sums,
 )
@@ -43,7 +42,7 @@ logger = logging.getLogger(__name__)
 PHOTON_CSV_HEADER = ("id", "x", "y", "elev", "signal_conf", "atl08_class", "beam", "t")
 CLEAN_CSV_HEADER = ("x", "y", "h_ag", "kind", "lc_class", "cluster_size")
 
-# Photon and clean-photon tables: one field per CSV column.
+# Raw and clean photon tables: one field per CSV column.
 PHOTON_DTYPE = np.dtype([
     ("id", "<i8"), ("x", "<f8"), ("y", "<f8"), ("elev", "<f8"),
     ("signal_conf", "<i8"), ("atl08_class", "<i8"), ("beam", "<i8"), ("t", "<f8"),
@@ -53,7 +52,7 @@ CLEAN_DTYPE = np.dtype([
     ("lc_class", "<i8"), ("cluster_size", "<i8"),
 ])
 
-# Photon classification codes carried in the atl08_class column.
+# Classification codes carried in the atl08_class column.
 CLASS_NOISE = 0
 CLASS_GROUND = 1
 CLASS_CANOPY = 2
@@ -87,55 +86,7 @@ DEFAULT_CLASS_BOUNDS: dict[int, tuple[float, float]] = {
 }
 
 
-# ===== Types =====
-
-
-@dataclass(frozen=True)
-class Photon:
-    """One raw photon return in projected map coordinates."""
-
-    id: int
-    x: float
-    y: float
-    elev: float
-    signal_conf: int
-    atl08_class: int
-    beam: int
-    t: float
-
-
-@dataclass(frozen=True)
-class GroundEstimate:
-    """Ground elevation assigned to one photon, with its provenance."""
-
-    photon_id: int
-    ground_elev: float
-    source: str  # "idw" | "dtm_fallback" | "dtm_override"
-
-
-@dataclass(frozen=True)
-class NormalizedPhoton:
-    """Photon reduced to height above ground, before clustering."""
-
-    id: int
-    x: float
-    y: float
-    h_ag: float
-    kind: str
-    beam: int
-    lc_class: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CleanPhoton:
-    """Pipeline output: either a ground return or an object-cluster centroid."""
-
-    x: float
-    y: float
-    h_ag: float
-    kind: str
-    lc_class: int
-    cluster_size: int
+# ===== Parameters =====
 
 
 @dataclass(frozen=True)
@@ -162,25 +113,10 @@ class PreprocessParams:
     cell: float = 10.0
 
 
-# ===== Photon tables =====
-
-
-def _table(photons: Sequence[Photon]) -> np.ndarray:
-    """Photon table of a sequence of photons, in their order."""
-    return np.array(
-        [(p.id, p.x, p.y, p.elev, p.signal_conf, p.atl08_class, p.beam, p.t) for p in photons],
-        dtype=PHOTON_DTYPE,
-    )
-
-
-def _column(items: Sequence, name: str, dtype=np.float64) -> np.ndarray:
-    return np.array([getattr(item, name) for item in items], dtype=dtype)
-
-
 # ===== CSV I/O =====
 
 
-def read_photon_table(path: Path | str) -> np.ndarray:
+def load_photons(path: Path | str) -> np.ndarray:
     """Read a photon CSV into a ``PHOTON_DTYPE`` table, rejecting malformed
     rows with their row numbers."""
     path = Path(path)
@@ -271,25 +207,21 @@ def _invalid_rows(table: np.ndarray, linenos: np.ndarray) -> list[tuple[int, str
     return problems
 
 
-def load_photons(path: Path | str) -> list[Photon]:
-    """Read a photon CSV, rejecting malformed rows with their row numbers."""
-    return [Photon(*row) for row in read_photon_table(path).tolist()]
-
-
-def write_photons_csv(photons: Sequence[Photon], path: Path | str) -> None:
-    """Write raw photons in the interchange CSV layout."""
+def write_photons_csv(table: np.ndarray, path: Path | str) -> None:
+    """Write a ``PHOTON_DTYPE`` table in the interchange CSV layout: floats
+    as their ``repr``, CRLF line ends, as the ``csv`` module writes them."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = [
+        f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
+        for pid, x, y, elev, conf, klass, beam, t in table.tolist()
+    ]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PHOTON_CSV_HEADER)
-        for p in photons:
-            writer.writerow(
-                [p.id, repr(p.x), repr(p.y), repr(p.elev), p.signal_conf, p.atl08_class, p.beam, repr(p.t)]
-            )
+        f.write(",".join(PHOTON_CSV_HEADER) + "\r\n")
+        f.write("".join(rows))
 
 
-def write_clean_table(clean: np.ndarray, path: Path | str) -> None:
+def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
     """Write a ``CLEAN_DTYPE`` table as clean-photon CSV: floats as their
     ``repr``, CRLF line ends, as the ``csv`` module writes them."""
     path = Path(path)
@@ -303,15 +235,7 @@ def write_clean_table(clean: np.ndarray, path: Path | str) -> None:
         f.write("".join(rows))
 
 
-def write_clean_csv(photons: Sequence[CleanPhoton], path: Path | str) -> None:
-    clean = np.array(
-        [(p.x, p.y, p.h_ag, p.kind, p.lc_class, p.cluster_size) for p in photons],
-        dtype=CLEAN_DTYPE,
-    )
-    write_clean_table(clean, path)
-
-
-def read_clean_table(path: Path | str) -> np.ndarray:
+def read_clean_csv(path: Path | str) -> np.ndarray:
     """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table, rejecting a bad
     header or a malformed row with its row number."""
     path = Path(path)
@@ -361,22 +285,7 @@ def _parse_clean_rows(path: Path, text: str) -> np.ndarray:
     return np.array(out, dtype=CLEAN_DTYPE)
 
 
-def read_clean_csv(path: Path | str) -> list[CleanPhoton]:
-    return [CleanPhoton(*row) for row in read_clean_table(path).tolist()]
-
-
 # ===== Filtering and ground estimation =====
-
-
-def _confident(table: np.ndarray) -> np.ndarray:
-    return np.isin(table["signal_conf"], KEPT_CONFIDENCE) & np.isin(
-        table["atl08_class"], KEPT_CLASSES
-    )
-
-
-def filter_confidence(photons: Sequence[Photon]) -> list[Photon]:
-    """Keep high-confidence ground and top-of-canopy returns only."""
-    return [p for p, keep in zip(photons, _confident(_table(photons)).tolist()) if keep]
 
 
 class GroundInterpolator:
@@ -386,13 +295,13 @@ class GroundInterpolator:
     beam within ``radius`` meters, weighted by 1/dist**power; distances are
     ``np.hypot`` of the coordinate differences and ties go to the lower
     photon id.  A ground photon closer than 1e-6 m short-circuits to the
-    elevation of the lowest-id such photon.  ``photons`` is a sequence of
-    ``Photon`` or a photon table; only its ground photons are used.
+    elevation of the lowest-id such photon.  ``table`` is a photon table;
+    only its ground photons are used.
     """
 
     def __init__(
         self,
-        photons: Sequence[Photon] | np.ndarray,
+        table: np.ndarray,
         power: float = 2.0,
         radius: float = 100.0,
         k_max: int = 16,
@@ -404,7 +313,6 @@ class GroundInterpolator:
         self.power = power
         self.radius = radius
         self.k_max = k_max
-        table = photons if isinstance(photons, np.ndarray) else _table(photons)
         ground = table[table["atl08_class"] == CLASS_GROUND]
         ground = ground[np.lexsort((ground["id"], ground["beam"]))]
         beams, starts = np.unique(ground["beam"], return_index=True)
@@ -420,19 +328,12 @@ class GroundInterpolator:
                 np.ascontiguousarray(members["id"]),
             )
 
-    def query(self, x: float, y: float, beam: int) -> Optional[float]:
-        """IDW ground elevation at (x, y) for one beam, or None when no
-        ground photon lies within the search radius."""
-        value, found = self.query_many(
-            np.array([x], dtype=np.float64), np.array([y], dtype=np.float64), np.array([beam])
-        )
-        return float(value[0]) if found[0] else None
-
-    def query_many(
+    def query(
         self, x: np.ndarray, y: np.ndarray, beam: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``query`` at arrays of points: the elevations and a mask of the
-        points that had one (elevation 0 where not)."""
+        """IDW ground elevation at each point (x, y) for its beam, and the
+        mask of the points that have one: a point with no ground photon of
+        its beam within the search radius has none (elevation 0 there)."""
         value = np.zeros(len(x))
         found = np.zeros(len(x), dtype=bool)
         for b in np.unique(beam).tolist():
@@ -491,151 +392,82 @@ class GroundInterpolator:
         return value, found
 
 
-def interpolate_ground_idw(
-    photons: Sequence[Photon],
-    x: float,
-    y: float,
-    beam: int,
-    power: float = 2.0,
-    radius: float = 100.0,
-    k_max: int = 16,
-) -> Optional[float]:
-    """One-shot IDW ground query; see GroundInterpolator for the rules."""
-    return GroundInterpolator(photons, power=power, radius=radius, k_max=k_max).query(x, y, beam)
-
-
-def _ground_estimates(
-    ids: np.ndarray,
+def enforce_dtm_consistency(
+    table: np.ndarray,
     idw: np.ndarray,
     found: np.ndarray,
     dtm: HeightRaster,
-    x: np.ndarray,
-    y: np.ndarray,
-    tau: float,
+    tau: float = 10.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ground elevation and source code (an index into ``GROUND_SOURCES``)
-    per photon; see enforce_dtm_consistency for the rules."""
+    """Reconcile IDW ground values with the reference terrain model.
+
+    ``idw`` and ``found`` are ``GroundInterpolator.query``'s answer for the
+    photons of ``table``.  The DTM replaces the IDW value when the two
+    disagree by more than ``tau`` meters (source "dtm_override") and fills
+    in whenever IDW had no answer (source "dtm_fallback"); otherwise the IDW
+    value stands.  Returns the ground elevation and the source code (an
+    index into ``GROUND_SOURCES``) per photon; a photon with neither an IDW
+    value nor a DTM value under it raises ``ValueError``.
+    """
+    x, y = table["x"], table["y"]
     dtm_value, on_dtm = sample_bilinear_many(dtm, x, y)
     lost = ~found & ~on_dtm
     if lost.any():
         i = int(np.argmax(lost))
         raise ValueError(
-            f"photon {int(ids[i])}: no ground source at ({float(x[i])}, {float(y[i])}); "
+            f"photon {int(table['id'][i])}: no ground source at ({float(x[i])}, {float(y[i])}); "
             "IDW found no neighbors and the DTM is nodata there"
         )
     source = np.where(~found, 1, np.where(on_dtm & (np.abs(idw - dtm_value) > tau), 2, 0))
     return np.where(source == 0, idw, dtm_value), source
 
 
-def enforce_dtm_consistency(
-    photon_id: int,
-    idw_value: Optional[float],
-    dtm: HeightRaster,
-    x: float,
-    y: float,
-    tau: float = 10.0,
-) -> GroundEstimate:
-    """Reconcile an IDW ground value with the reference terrain model.
-
-    The DTM replaces the IDW value when the two disagree by more than
-    ``tau`` meters (source "dtm_override") and fills in whenever IDW had
-    no answer (source "dtm_fallback"); otherwise the IDW value stands.
-    """
-    ground, source = _ground_estimates(
-        np.array([photon_id]),
-        np.array([0.0 if idw_value is None else idw_value], dtype=np.float64),
-        np.array([idw_value is not None]),
-        dtm,
-        np.array([x], dtype=np.float64),
-        np.array([y], dtype=np.float64),
-        tau,
-    )
-    return GroundEstimate(photon_id, float(ground[0]), GROUND_SOURCES[int(source[0])])
-
-
-def _heights(elev: np.ndarray, ground_elev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Object heights above ground, clamped to 0 from -2 m up, and the mask
-    of photons kept (not below -2 m)."""
-    h = elev - ground_elev
-    return ~(h < NEGATIVE_CLAMP_FLOOR), np.where(h < 0.0, 0.0, h)
-
-
 def normalize_heights(
-    photons: Sequence[Photon],
-    estimates: dict[int, GroundEstimate],
-) -> list[NormalizedPhoton]:
-    """Convert photon elevations to heights above ground.
-
-    Ground-class photons are fixed at exactly 0 m.  Object photons between
-    -2 m and 0 m are clamped to 0; anything below -2 m is discarded.
-    """
-    is_ground = [p.atl08_class == CLASS_GROUND for p in photons]
-    ground_elev = np.zeros(len(photons))
-    for i, p in enumerate(photons):
-        if not is_ground[i]:
-            try:
-                ground_elev[i] = estimates[p.id].ground_elev
-            except KeyError:
-                raise KeyError(f"photon {p.id} has no ground estimate") from None
-    keep, h = _heights(_column(photons, "elev"), ground_elev)
-    return [
-        NormalizedPhoton(p.id, p.x, p.y, 0.0, KIND_GROUND, p.beam)
-        if g
-        else NormalizedPhoton(p.id, p.x, p.y, h_ag, KIND_OBJECT, p.beam)
-        for p, g, k, h_ag in zip(photons, is_ground, keep.tolist(), h.tolist())
-        if g or k
-    ]
-
-
-def _plausible(
-    ids: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    h: np.ndarray,
-    is_ground: np.ndarray,
-    lc: LandCoverRaster,
-    bounds: dict[int, tuple[float, float]],
+    table: np.ndarray, ground_elev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep mask and land-cover code per photon; see
-    landcover_plausibility_filter for the rules."""
+    """Convert photon elevations to heights above the ground elevation
+    given per photon.
+
+    Ground-class photons are fixed at exactly 0 m (their ``ground_elev`` is
+    not read).  Object photons between -2 m and 0 m are clamped to 0;
+    anything below -2 m is discarded.  Returns the mask of the photons kept
+    and the height of every photon.
+    """
+    is_ground = table["atl08_class"] == CLASS_GROUND
+    h = np.where(is_ground, 0.0, table["elev"] - ground_elev)
+    return is_ground | ~(h < NEGATIVE_CLAMP_FLOOR), np.where(h < 0.0, 0.0, h)
+
+
+def landcover_plausibility_filter(
+    table: np.ndarray,
+    h: np.ndarray,
+    lc: LandCoverRaster,
+    class_bounds: Optional[dict[int, tuple[float, float]]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop object photons that contradict the land-cover map.
+
+    An object photon survives only when its pixel's class has height bounds
+    configured (tree and building by default) and its height ``h`` sits
+    inside them (exclusive low, inclusive high).  Ground photons always
+    pass.  Returns the mask of the photons kept and the class code under
+    every photon; a photon outside the land-cover raster raises
+    ``GeometryError``.
+    """
+    x, y = table["x"], table["y"]
     outside = ~lc.header.contains_point(x, y)
     if outside.any():
         i = int(np.argmax(outside))
         raise GeometryError(
-            f"photon {int(ids[i])} at ({float(x[i])}, {float(y[i])}) outside the land-cover raster"
+            f"photon {int(table['id'][i])} at ({float(x[i])}, {float(y[i])}) "
+            "outside the land-cover raster"
         )
     col, row = lc.header.pixels_of(x, y)
     code = lc.values[row, col].astype(np.int64)
-    keep = is_ground.copy()
+    keep = table["atl08_class"] == CLASS_GROUND
+    bounds = DEFAULT_CLASS_BOUNDS if class_bounds is None else class_bounds
     for klass, (lo, hi) in bounds.items():
         keep |= (code == klass) & (lo < h) & (h <= hi)
     return keep, code
-
-
-def landcover_plausibility_filter(
-    photons: Sequence[NormalizedPhoton],
-    lc: LandCoverRaster,
-    class_bounds: Optional[dict[int, tuple[float, float]]] = None,
-) -> list[NormalizedPhoton]:
-    """Drop object photons that contradict the land-cover map.
-
-    An object photon survives only when its pixel's class has height bounds
-    configured (tree and building by default) and its height sits inside
-    them (exclusive low, inclusive high).  Ground photons always pass.
-    Every kept photon is annotated with the class code under it.
-    """
-    keep, code = _plausible(
-        _column(photons, "id", np.int64),
-        _column(photons, "x"),
-        _column(photons, "y"),
-        _column(photons, "h_ag"),
-        np.array([p.kind == KIND_GROUND for p in photons], dtype=bool),
-        lc,
-        DEFAULT_CLASS_BOUNDS if class_bounds is None else class_bounds,
-    )
-    return [
-        replace(p, lc_class=c) for p, k, c in zip(photons, keep.tolist(), code.tolist()) if k
-    ]
 
 
 # ===== Clustering =====
@@ -659,29 +491,40 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             parent = up
 
 
-def _dbscan(
-    ids: np.ndarray, x: np.ndarray, y: np.ndarray, h: np.ndarray, params: ClusterParams
-) -> np.ndarray:
-    """Cluster number per point, -1 for noise; clusters are numbered in the
-    order of their lowest member id.  See dbscan_cluster for the rules."""
+def dbscan_cluster(
+    table: np.ndarray, h: np.ndarray, params: ClusterParams = ClusterParams()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Density-cluster the photons of ``table`` in (x, y, height_weight * h)
+    space.
+
+    Core points have at least ``min_pts`` neighbors (self included) within
+    ``eps``; clusters are the connected components of core points under
+    eps-adjacency; a non-core point within eps of a core joins the cluster
+    of its nearest core (ties to the lowest photon id), everything else is
+    noise.  The partition therefore depends only on geometry and photon
+    ids, never on row order.  Clusters are numbered in the order of their
+    lowest member id.  Returns the member count of each cluster and the
+    cluster number of each photon, -1 for noise.
+    """
     if params.eps <= 0 or params.min_pts < 1:
         raise ValueError(f"bad cluster parameters eps={params.eps} min_pts={params.min_pts}")
-    n = len(ids)
+    n = len(table)
     label = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return label
+        return np.zeros(0, dtype=np.int64), label
 
     # work in id order: index order is then id order
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    coords = np.column_stack((x[order], y[order], params.height_weight * h[order]))
-    neighborhoods = cKDTree(coords).query_ball_point(coords, r=params.eps)
-    count = np.fromiter(map(len, neighborhoods), dtype=np.intp, count=n)
-    src = np.repeat(np.arange(n), count)
-    dst = np.fromiter(
-        itertools.chain.from_iterable(neighborhoods), dtype=np.intp, count=int(count.sum())
+    order = np.argsort(table["id"], kind="stable")
+    sorted_ids = table["id"][order]
+    coords = np.column_stack(
+        (table["x"][order], table["y"][order], params.height_weight * h[order])
     )
-    is_core = count >= params.min_pts
+    # neighbour edges as arrays, not one Python list per point: every point
+    # is its own neighbour, and each pair within eps links both ways
+    pairs = cKDTree(coords).query_pairs(params.eps, output_type="ndarray")
+    src = np.concatenate((np.arange(n), pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((np.arange(n), pairs[:, 1], pairs[:, 0]))
+    is_core = np.bincount(src, minlength=n) >= params.min_pts
 
     # clusters are the connected components of the core points, each
     # labelled by its lowest index
@@ -704,59 +547,49 @@ def _dbscan(
     number = np.empty(n, dtype=np.int64)
     number[roots[np.argsort(first)]] = np.arange(len(roots))
     label[order[member]] = number[root[member]]
-    return label
+    return np.bincount(number[root[member]]), label
 
 
-def dbscan_cluster(
-    photons: Sequence[NormalizedPhoton],
-    params: ClusterParams = ClusterParams(),
-) -> tuple[list[list[NormalizedPhoton]], list[NormalizedPhoton]]:
-    """Density-cluster object photons in (x, y, height_weight * h_ag) space.
-
-    Core points have at least ``min_pts`` neighbors (self included) within
-    ``eps``; clusters are the connected components of core points under
-    eps-adjacency; a non-core point within eps of a core joins the cluster
-    of its nearest core (ties to the lowest photon id), everything else is
-    noise.  The partition therefore depends only on geometry and photon
-    ids, never on input order.  Clusters are returned ordered by their
-    lowest member id, members in id order.
-    """
-    pts = sorted(photons, key=lambda p: p.id)
-    label = _dbscan(
-        _column(pts, "id", np.int64), _column(pts, "x"), _column(pts, "y"), _column(pts, "h_ag"),
-        params,
-    )
-    clusters: list[list[NormalizedPhoton]] = [[] for _ in range(int(label.max(initial=-1)) + 1)]
-    noise: list[NormalizedPhoton] = []
-    for p, k in zip(pts, label.tolist()):
-        (clusters[k] if k >= 0 else noise).append(p)
-    return clusters, noise
-
-
-def _centroids(
-    sizes: np.ndarray,
-    ids: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+def aggregate_cells(
+    table: np.ndarray,
     h: np.ndarray,
     lc_class: np.ndarray,
-    cell: float,
-) -> tuple[np.ndarray, ...]:
-    """Centroid x, y, mean height, size and majority class of the clusters
-    that win their cell, in the order of their lowest member id.  Members
-    come cluster by cluster, ``sizes[k]`` rows for cluster k; a class code
-    below 0 stands for no class.  See aggregate_cells for the rules."""
+    label: np.ndarray,
+    cell: float = 10.0,
+) -> np.ndarray:
+    """Collapse clusters to centroids and thin them to one per grid cell.
+
+    ``h`` and ``lc_class`` hold each photon's height and land-cover code;
+    ``label`` holds the cluster number (-1 for noise) of each object photon
+    of ``table``, in row order, as ``dbscan_cluster`` returns it.  Each
+    cluster becomes a single photon at its centroid carrying the mean
+    height, member count, and majority land-cover class (ties to the lower
+    code; a code below 0 stands for no class).  When several centroids land
+    in the same ``cell`` x ``cell`` meter tile, the largest cluster wins;
+    equal sizes fall back to the lower mean height, then the lower member
+    id.  Ground photons pass through unchanged.  Returns a ``CLEAN_DTYPE``
+    table: the ground photons in row order, then the surviving centroids in
+    the order of their lowest member id.
+    """
+    if not cell > 0:
+        raise ValueError(f"cell size must be > 0, got {cell}")
+    is_ground = table["atl08_class"] == CLASS_GROUND
+    ids, x, y, h_obj, code = (
+        v[~is_ground] for v in (table["id"], table["x"], table["y"], h, lc_class)
+    )
+    # members cluster by cluster, each in id order
+    member = np.nonzero(label >= 0)[0]
+    member = member[np.lexsort((ids[member], label[member]))]
+    label, ids, x, y, h_obj, code = (v[member] for v in (label, ids, x, y, h_obj, code))
+    sizes = np.bincount(label)
     n = len(sizes)
-    if n == 0:
-        return tuple(np.empty(0, dtype=dt) for dt in (np.float64,) * 3 + (np.int64,) * 2)
     starts = np.cumsum(sizes) - sizes
-    cx, cy, ch = (segment_sums(v, starts, sizes) / sizes for v in (x, y, h))
+    cx, cy, ch = (segment_sums(v, starts, sizes) / sizes for v in (x, y, h_obj))
     min_id = np.minimum.reduceat(ids, starts)
 
     # majority class: the most frequent code, ties to the lower code
-    label = np.repeat(np.arange(n), sizes)
-    has = lc_class >= 0
-    label, code = label[has], lc_class[has]
+    has = code >= 0
+    label, code = label[has], code[has]
     majority = np.zeros(n, dtype=np.int64)
     if label.size:
         o = np.lexsort((code, label))
@@ -774,46 +607,24 @@ def _centroids(
     ky = np.floor(cy / cell).astype(np.int64)
     o = np.lexsort((min_id, ch, -sizes, ky, kx))
     kx, ky = kx[o], ky[o]
-    win = o[np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])]]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+    win = o[first]
     win = win[np.argsort(min_id[win], kind="stable")]
-    return cx[win], cy[win], ch[win], sizes[win], majority[win]
 
-
-def aggregate_cells(
-    clusters: Sequence[Sequence[NormalizedPhoton]],
-    ground_photons: Sequence[NormalizedPhoton],
-    cell: float = 10.0,
-) -> list[CleanPhoton]:
-    """Collapse clusters to centroids and thin them to one per grid cell.
-
-    Each cluster becomes a single photon at its centroid carrying the mean
-    height, member count, and majority land-cover class (ties to the lower
-    code).  When several centroids land in the same ``cell`` x ``cell``
-    meter tile, the largest cluster wins; equal sizes fall back to the
-    lower mean height.  Ground photons pass through unchanged.
-    """
-    if cell <= 0:
-        raise ValueError(f"cell size must be > 0, got {cell}")
-    members = [m for c in clusters for m in c]
-    lc_class = [-1 if m.lc_class is None else int(m.lc_class) for m in members]
-    centroids = _centroids(
-        np.array([len(c) for c in clusters if c], dtype=np.int64),
-        _column(members, "id", np.int64),
-        _column(members, "x"),
-        _column(members, "y"),
-        _column(members, "h_ag"),
-        np.array(lc_class, dtype=np.int64),
-        cell,
-    )
-    out = [
-        CleanPhoton(p.x, p.y, 0.0, KIND_GROUND, 0 if p.lc_class is None else int(p.lc_class), 1)
-        for p in ground_photons
-    ]
-    out += [
-        CleanPhoton(cx, cy, h, KIND_OBJECT, lc, size)
-        for cx, cy, h, size, lc in zip(*(v.tolist() for v in centroids))
-    ]
-    return out
+    g = int(np.count_nonzero(is_ground))
+    clean = np.empty(g + len(win), dtype=CLEAN_DTYPE)
+    for name, ground_values, object_values in (
+        ("x", table["x"][is_ground], cx[win]),
+        ("y", table["y"][is_ground], cy[win]),
+        ("h_ag", 0.0, ch[win]),
+        ("kind", KIND_GROUND, KIND_OBJECT),
+        ("lc_class", lc_class[is_ground], majority[win]),
+        ("cluster_size", 1, sizes[win]),
+    ):
+        clean[name][:g] = ground_values
+        clean[name][g:] = object_values
+    return clean
 
 
 # ===== Orchestration =====
@@ -827,94 +638,59 @@ def clean_photon_table(
 ) -> tuple[np.ndarray, dict]:
     """Run the full photon cleaning pipeline on a photon table.
 
-    Photons outside the DTM or land-cover extent are dropped, as a track
-    clipped to a tile runs past its edges.  Returns the clean photons as a
-    ``CLEAN_DTYPE`` table (ground photons in input order, then the object
-    centroids) and a report: per-stage retention counts, monotonically
-    non-increasing (``counts``); the ground-estimate source of each object
-    photon (``ground_sources``); and the object photons that DBSCAN put in
-    clusters or left as noise (``clustering``).
+    Keeps the high-confidence (``signal_conf`` 3 or 4) ground and
+    top-of-canopy returns, then runs ``GroundInterpolator``,
+    ``enforce_dtm_consistency``, ``normalize_heights``,
+    ``landcover_plausibility_filter``, ``dbscan_cluster`` and
+    ``aggregate_cells`` in turn.  Photons outside the DTM or land-cover
+    extent are dropped, as a track clipped to a tile runs past its edges.  Returns the clean photons as a ``CLEAN_DTYPE`` table
+    (ground photons in input order, then the object centroids) and a
+    report: per-stage retention counts, monotonically non-increasing
+    (``counts``); the ground-estimate source of each object photon
+    (``ground_sources``); and the object photons that DBSCAN put in clusters
+    or left as noise (``clustering``).
     """
     counts = {"loaded": len(table)}
 
-    t = table[_confident(table)]
+    t = table[np.isin(table["signal_conf"], KEPT_CONFIDENCE)
+              & np.isin(table["atl08_class"], KEPT_CLASSES)]
     counts["confidence"] = len(t)
 
     t = t[dtm.header.contains_point(t["x"], t["y"]) & lc.header.contains_point(t["x"], t["y"])]
     counts["in_extent"] = len(t)
 
-    is_ground = t["atl08_class"] == CLASS_GROUND
-    obj = t[~is_ground]
+    obj = t["atl08_class"] != CLASS_GROUND
+    objects = t[obj]
     interp = GroundInterpolator(
-        t[is_ground], power=params.idw_power, radius=params.idw_radius, k_max=params.idw_k_max
+        t, power=params.idw_power, radius=params.idw_radius, k_max=params.idw_k_max
     )
-    idw, found = interp.query_many(obj["x"], obj["y"], obj["beam"])
-    ground_elev, source = _ground_estimates(
-        obj["id"], idw, found, dtm, obj["x"], obj["y"], params.dtm_tau
-    )
+    idw, found = interp.query(objects["x"], objects["y"], objects["beam"])
+    ground_elev = np.zeros(len(t))
+    ground_elev[obj], source = enforce_dtm_consistency(objects, idw, found, dtm, params.dtm_tau)
     sources = {name: int(np.count_nonzero(source == i)) for i, name in enumerate(GROUND_SOURCES)}
     logger.info("ground estimates: %s", sources)
 
-    keep, h_obj = _heights(obj["elev"], ground_elev)
-    h = np.zeros(len(t))
-    h[~is_ground] = h_obj
-    kept = is_ground.copy()
-    kept[~is_ground] = keep
-    t, h, is_ground = t[kept], h[kept], is_ground[kept]
+    keep, h = normalize_heights(t, ground_elev)
+    t, h = t[keep], h[keep]
     counts["normalized"] = len(t)
 
-    keep, code = _plausible(t["id"], t["x"], t["y"], h, is_ground, lc, params.class_bounds)
-    t, h, is_ground, code = t[keep], h[keep], is_ground[keep], code[keep]
+    keep, code = landcover_plausibility_filter(t, h, lc, params.class_bounds)
+    t, h, code = t[keep], h[keep], code[keep]
     counts["landcover"] = len(t)
 
-    obj = ~is_ground
-    label = _dbscan(t["id"][obj], t["x"][obj], t["y"][obj], h[obj], params.cluster)
-    noise = int(np.count_nonzero(label < 0))
-    n_clusters = int(label.max(initial=-1)) + 1
+    obj = t["atl08_class"] != CLASS_GROUND
+    sizes, label = dbscan_cluster(t[obj], h[obj], params.cluster)
+    clustered = int(sizes.sum())
+    noise = len(label) - clustered
     logger.info(
-        "clustering: %d object photons -> %d clusters, %d noise", len(label), n_clusters, noise
+        "clustering: %d object photons -> %d clusters, %d noise", len(label), len(sizes), noise
     )
-    member = np.nonzero(label >= 0)[0]
-    member = member[np.lexsort((t["id"][obj][member], label[member]))]
-    cx, cy, ch, size, majority = _centroids(
-        np.bincount(label[member], minlength=n_clusters),
-        *(v[obj][member] for v in (t["id"], t["x"], t["y"], h, code)),
-        params.cell,
-    )
-
-    # ground photons pass through, then one row per surviving cluster
-    g = int(np.count_nonzero(is_ground))
-    clean = np.empty(g + len(cx), dtype=CLEAN_DTYPE)
-    for name, ground_values, object_values in (
-        ("x", t["x"][is_ground], cx),
-        ("y", t["y"][is_ground], cy),
-        ("h_ag", 0.0, ch),
-        ("kind", KIND_GROUND, KIND_OBJECT),
-        ("lc_class", code[is_ground], majority),
-        ("cluster_size", 1, size),
-    ):
-        clean[name][:g] = ground_values
-        clean[name][g:] = object_values
+    clean = aggregate_cells(t, h, code, label, params.cell)
     counts["clean"] = len(clean)
 
     report = {
         "counts": counts,
         "ground_sources": sources,
-        "clustering": {"clusters": n_clusters, "clustered": len(label) - noise, "noise": noise},
+        "clustering": {"clusters": len(sizes), "clustered": clustered, "noise": noise},
     }
     return clean, report
-
-
-def preprocess_photons(
-    photons: Sequence[Photon],
-    dtm: HeightRaster,
-    lc: LandCoverRaster,
-    params: PreprocessParams = PreprocessParams(),
-) -> tuple[list[CleanPhoton], dict[str, int]]:
-    """Run the full photon cleaning pipeline (see clean_photon_table).
-
-    Returns the clean photons plus per-stage retention counts
-    (monotonically non-increasing).
-    """
-    clean, report = clean_photon_table(_table(photons), dtm, lc, params)
-    return [CleanPhoton(*row) for row in clean.tolist()], report["counts"]

@@ -55,8 +55,8 @@ class PipelineConfig:
     chooses: window geometry, forest size and the supervision footprint.
 
     Resolution order for values: command-line flags beat the config file,
-    which beats these defaults.  Photon cleaning, the forest's other
-    hyperparameters and the scoring thresholds are fixed library defaults
+    which beats these defaults.  The photon cleaning settings, the forest's
+    other hyperparameters and the scoring thresholds are fixed library defaults
     (``PreprocessParams``, ``ForestParams`` and the ``metrics`` constants).
     """
 
@@ -166,14 +166,14 @@ def _metrics_doc(report: metrics.MetricsReport, seed: int) -> dict:
 
 
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict:
-    """Photon cleaning: raw CSV -> clean_photons.csv + preprocess_report.json."""
-    raw = photons.read_photon_table(cfg.photons)
+    """Clean the photons: raw CSV -> clean_photons.csv + preprocess_report.json."""
+    raw = photons.load_photons(cfg.photons)
     dtm = _load(cfg.dtm, HeightRaster, "dtm")
     lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
     clean, report = photons.clean_photon_table(raw, dtm, lc)
     if len(clean) == 0:
         raise ValueError("preprocessing removed every photon")
-    photons.write_clean_table(clean, out_dir / "clean_photons.csv")
+    photons.write_clean_csv(clean, out_dir / "clean_photons.csv")
     report["seed"] = cfg.seed
     _write_json(report, out_dir / "preprocess_report.json")
     return report
@@ -185,7 +185,7 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     Writes affine.json and the calibrated raster pred_abs.bin/.json.
     """
     depth = _load(cfg.pred, HeightRaster, "pred")
-    clean = photons.read_clean_table(out_dir / "clean_photons.csv")
+    clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
     fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint)
     _write_json(
         {"a": fit.a, "b": fit.b, "n_points": fit.n_points, "rmse": fit.rmse, "seed": cfg.seed},
@@ -200,7 +200,7 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
     """Residual training: clean photons + rasters -> model.json + report."""
     pred = _load(pred_path, HeightRaster, "pred")
     optical, lc, embeddings = _feature_inputs(cfg)
-    clean = photons.read_clean_table(out_dir / "clean_photons.csv")
+    clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
 
     X, y, skipped = correction.build_training_set(
         pred,

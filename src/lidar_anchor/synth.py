@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, Photon
+from .photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, PHOTON_DTYPE
 from .raster import (
     HeightRaster,
     LC_AGRICULTURE,
@@ -88,7 +88,7 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class TrackConfig:
-    """Photon track simulation knobs."""
+    """Knobs of the photon track simulation."""
 
     n_tracks: int = 6
     track_azimuth: float = 2.0  # degrees clockwise from map north
@@ -278,13 +278,15 @@ def simulate_tracks(
     dtm: HeightRaster,
     lc: LandCoverRaster,
     cfg: TrackConfig = TrackConfig(),
-) -> list[Photon]:
+) -> np.ndarray:
     """Sample photon returns along parallel tracks across the scene.
 
-    Photon elevation is terrain (bilinear) plus truth at the containing
+    A photon's elevation is terrain (bilinear) plus truth at the containing
     pixel plus Gaussian noise.  Samples whose truth is below 0.5 m read as
     ground class, the rest as top of canopy.  Beam number is the track
-    index; ids are sequential over the emitted photons.
+    index; ids are sequential over the emitted photons.  Returns a
+    ``PHOTON_DTYPE`` table as a record array, whose rows read their fields
+    as attributes (``p.x``).
     """
     h = truth.header
     if not h.same_grid(dtm.header) or not h.same_grid(lc.header):
@@ -302,7 +304,7 @@ def simulate_tracks(
     reach = math.hypot(extent_x, extent_y) / 2.0 + cfg.along_spacing
     s_values = np.arange(-reach, reach + cfg.along_spacing, cfg.along_spacing)
 
-    photons: list[Photon] = []
+    parts = []
     next_id = 0
     for track in range(cfg.n_tracks):
         offset = (track - (cfg.n_tracks - 1) / 2.0) * cfg.cross_spacing
@@ -335,17 +337,17 @@ def simulate_tracks(
         elev = ground + t_val + noise[kept]
         klass = np.where(t_val < GROUND_SPLIT, CLASS_GROUND, CLASS_TOP_OF_CANOPY)
         t = track * 10.0 + (ss[kept] - ss[0]) / _TRACK_SPEED
-        photons += [
-            Photon(id=next_id + k, x=x, y=y, elev=z, signal_conf=conf, atl08_class=c,
-                   beam=track, t=tt)
-            for k, (x, y, z, conf, c, tt) in enumerate(zip(
-                xs[kept].tolist(), ys[kept].tolist(), elev.tolist(), confs[kept].tolist(),
-                klass.tolist(), t.tolist()))
-        ]
+        part = np.empty(kept.size, dtype=PHOTON_DTYPE)
+        for name, values in (("id", next_id + np.arange(kept.size)), ("x", xs[kept]),
+                             ("y", ys[kept]), ("elev", elev), ("signal_conf", confs[kept]),
+                             ("atl08_class", klass), ("beam", track), ("t", t)):
+            part[name] = values
+        parts.append(part)
         next_id += kept.size
 
-    if not photons:
+    if next_id == 0:
         raise ValueError("no track intersects the scene; check cross_spacing and azimuth")
+    photons = np.concatenate(parts).view(np.recarray)
     logger.info("simulated %d photons over %d tracks", len(photons), cfg.n_tracks)
     return photons
 

@@ -1,7 +1,9 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from lidar_anchor.photons import CLEAN_DTYPE
+from lidar_anchor.photons import CLEAN_DTYPE, PHOTON_DTYPE
 from lidar_anchor.raster import (
     HeightRaster,
     LandCoverRaster,
@@ -30,12 +32,20 @@ def make_height(values, gsd=1.0, origin=None, nodata=None, crs=32654):
     return HeightRaster(header, arr)
 
 
-def clean_table(points):
-    """``CLEAN_DTYPE`` table of a list of ``CleanPhoton``, in list order."""
-    return np.array(
-        [(p.x, p.y, p.h_ag, p.kind, p.lc_class, p.cluster_size) for p in points],
-        dtype=CLEAN_DTYPE,
-    )
+def photon_table(rows):
+    """``PHOTON_DTYPE`` table of (id, x, y, elev, signal_conf, atl08_class,
+    beam, t) tuples, in list order."""
+    return np.array([tuple(row) for row in rows], dtype=PHOTON_DTYPE)
+
+
+# one clean photon, in CLEAN_DTYPE's field order
+CleanRow = namedtuple("CleanRow", CLEAN_DTYPE.names)
+
+
+def clean_table(rows):
+    """``CLEAN_DTYPE`` table of (x, y, h_ag, kind, lc_class, cluster_size)
+    tuples, in list order."""
+    return np.array([tuple(row) for row in rows], dtype=CLEAN_DTYPE)
 
 
 def make_landcover(values, gsd=1.0, origin=None, crs=32654):

@@ -30,12 +30,14 @@ from lidar_anchor.forest import (
 )
 from lidar_anchor.metrics import f1_he, mae, rmse, ssim
 from lidar_anchor.photons import (
-    CleanPhoton,
+    CLASS_GROUND,
+    CLASS_TOP_OF_CANOPY,
     ClusterParams,
+    GroundInterpolator,
     PreprocessParams,
+    clean_photon_table,
     dbscan_cluster,
-    interpolate_ground_idw,
-    preprocess_photons,
+    write_photons_csv,
 )
 from lidar_anchor.raster import (
     LC_BUILDING,
@@ -54,9 +56,8 @@ from lidar_anchor.synth import (
     generate_scene,
     simulate_tracks,
 )
-from lidar_anchor.photons import Photon, write_photons_csv
 
-from conftest import clean_table, make_height
+from conftest import CleanRow, clean_table, make_height, photon_table
 from oracles import (
     dbscan_brute,
     f1_direct,
@@ -180,8 +181,8 @@ def _plateau(lo_h=0.0, hi_h=20.0, n=96):
     pts = []
     for i in range(10):
         y = 18.0 + i * 6.0
-        pts.append(CleanPhoton(18.0, y, lo_h, "object", 4, 3))
-        pts.append(CleanPhoton(float(n) - 18.0, y, hi_h, "object", 4, 3))
+        pts.append(CleanRow(18.0, y, lo_h, "object", 4, 3))
+        pts.append(CleanRow(float(n) - 18.0, y, hi_h, "object", 4, 3))
     return depth, pts
 
 
@@ -193,11 +194,7 @@ def test_criterion_4_affine_recovery(announce):
     exact_ok = err_a < 1e-6 and err_b < 1e-6
 
     rng = np.random.default_rng(4)
-    noisy = [
-        CleanPhoton(p.x, p.y, p.h_ag + float(rng.normal(0.0, 0.1)), p.kind,
-                    p.lc_class, p.cluster_size)
-        for p in pts
-    ]
+    noisy = [p._replace(h_ag=p.h_ag + float(rng.normal(0.0, 0.1))) for p in pts]
     fit_n = fit_affine(depth, clean_table(noisy))
     noisy_ok = abs(fit_n.a - 40.0) / 40.0 < 0.02
     ok = exact_ok and noisy_ok
@@ -213,32 +210,34 @@ def test_criterion_5_oracle_equivalence(announce):
     for trial in range(20):
         n = int(rng.integers(1, 50))
         pts = [
-            Photon(i, float(rng.uniform(0, 60)), float(rng.uniform(0, 60)),
-                   float(rng.normal(100, 5)), 4, 1, 0, 0.0)
+            (i, float(rng.uniform(0, 60)), float(rng.uniform(0, 60)), float(rng.normal(100, 5)))
             for i in range(n)
         ]
         qx, qy = float(rng.uniform(0, 60)), float(rng.uniform(0, 60))
-        got = interpolate_ground_idw(pts, qx, qy, beam=0, radius=40.0, k_max=16)
-        want = idw_direct([(p.id, p.x, p.y, p.elev) for p in pts], qx, qy,
-                          power=2.0, radius=40.0, k_max=16)
+        interp = GroundInterpolator(photon_table((*p, 4, CLASS_GROUND, 0, 0.0) for p in pts),
+                                    radius=40.0, k_max=16)
+        value, found = interp.query(np.array([qx]), np.array([qy]), np.array([0]))
+        got = float(value[0]) if found[0] else None
+        want = idw_direct(pts, qx, qy, power=2.0, radius=40.0, k_max=16)
         if (got is None) != (want is None):
             problems.append(f"idw trial {trial}: None mismatch")
         elif got is not None and abs(got - want) > 1e-9:
             problems.append(f"idw trial {trial}: {abs(got - want):.2e}")
 
-    from lidar_anchor.photons import NormalizedPhoton
     for trial in range(50):
         n = int(rng.integers(5, 201))
         pts = [
-            NormalizedPhoton(i, float(rng.uniform(0, 40)), float(rng.uniform(0, 40)),
-                             float(rng.uniform(0, 8)), "object", 0)
-            for i in range(n)
+            (float(rng.uniform(0, 40)), float(rng.uniform(0, 40)), float(rng.uniform(0, 8)))
+            for _ in range(n)
         ]
-        clusters, noise = dbscan_cluster(pts, ClusterParams(eps=3.0, min_pts=3))
-        got = [frozenset(p.id for p in c) for c in clusters]
-        want, want_noise = dbscan_brute([(p.x, p.y, p.h_ag) for p in pts],
-                                        eps=3.0, min_pts=3)
-        if got != want or frozenset(p.id for p in noise) != want_noise:
+        table = photon_table((i, x, y, 0.0, 4, CLASS_TOP_OF_CANOPY, 0, 0.0)
+                             for i, (x, y, _) in enumerate(pts))
+        sizes, label = dbscan_cluster(table, np.array([h for _, _, h in pts]),
+                                      ClusterParams(eps=3.0, min_pts=3))
+        got = [frozenset(np.flatnonzero(label == k).tolist()) for k in range(len(sizes))]
+        noise = frozenset(np.flatnonzero(label < 0).tolist())
+        want, want_noise = dbscan_brute(pts, eps=3.0, min_pts=3)
+        if got != want or noise != want_noise:
             problems.append(f"dbscan trial {trial}: partition differs")
 
     r = make_height(rng.uniform(0, 30, (40, 40)), gsd=2.0, origin=(0.0, 80.0))
@@ -332,11 +331,12 @@ def test_criterion_8_preprocessing_fidelity(announce):
     scene = SceneConfig(size=512, seed=7)
     truth, _, lc, dtm = generate_scene(scene)
     tracks = simulate_tracks(truth, dtm, lc, TrackConfig(noise_sigma=0.0, seed=7))
-    clean, counts = preprocess_photons(tracks, dtm, lc, PreprocessParams())
+    clean, report = clean_photon_table(tracks, dtm, lc, PreprocessParams())
+    counts = report["counts"]
     errs = []
-    for p in clean:
-        col, row = truth.header.pixel_of(p.x, p.y)
-        errs.append(abs(p.h_ag - float(truth.values[row, col])))
+    for x, y, h_ag in zip(*(clean[name].tolist() for name in ("x", "y", "h_ag"))):
+        col, row = truth.header.pixel_of(x, y)
+        errs.append(abs(h_ag - float(truth.values[row, col])))
     err = float(np.mean(errs))
     stages = list(counts.values())
     monotone = all(a >= b for a, b in zip(stages, stages[1:]))

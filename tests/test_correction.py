@@ -9,7 +9,6 @@ from lidar_anchor.correction import (
 )
 from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM, hrf_features
 from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree, train_forest
-from lidar_anchor.photons import CleanPhoton
 from lidar_anchor.raster import (
     EmbeddingGrid,
     RasterHeader,
@@ -18,7 +17,7 @@ from lidar_anchor.raster import (
     window,
 )
 
-from conftest import clean_table, make_height, make_landcover, make_optical
+from conftest import CleanRow, clean_table, make_height, make_landcover, make_optical
 
 
 def leaf_tree(value):
@@ -54,7 +53,7 @@ def scene(n=96, gsd=1.0, pred_fill=10.0):
 def photons_on(pred, count=20, h=2.0):
     h_hdr = pred.header
     xs = np.linspace(10.0, h_hdr.width * h_hdr.gsd - 10.0, count)
-    return [CleanPhoton(float(x), float(h_hdr.origin_y - 20.0), h, "object", 4, 3) for x in xs]
+    return [CleanRow(float(x), float(h_hdr.origin_y - 20.0), h, "object", 4, 3) for x in xs]
 
 
 class TestBuildTrainingSet:
@@ -90,7 +89,7 @@ class TestBuildTrainingSet:
         emb = EmbeddingGrid(header, cells)
         # off-diagonal cells, and photons within patch // 2 of the edges
         pts = [
-            CleanPhoton(x, y, 1.0, "object", 4, 1)
+            CleanRow(x, y, 1.0, "object", 4, 1)
             for x, y in [(1.0, 40.0), (62.5, 63.5), (40.0, 0.5), (30.0, 20.0)]
         ]
         X, _, _ = build_training_set(
@@ -104,7 +103,7 @@ class TestBuildTrainingSet:
     def test_outside_and_nodata_photons_are_skipped(self):
         pred, optical, lc = scene()
         pts = photons_on(pred, count=10)
-        outside = CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)
+        outside = CleanRow(-999.0, -999.0, 1.0, "object", 4, 1)
         X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts + [outside]),
                                            patch=32)
         assert len(X) == len(y) == 10
@@ -140,7 +139,7 @@ class TestBuildTrainingSet:
 
     def test_zero_usable_raises(self):
         pred, optical, lc = scene()
-        outside = [CleanPhoton(-999.0, -999.0, 1.0, "object", 4, 1)]
+        outside = [CleanRow(-999.0, -999.0, 1.0, "object", 4, 1)]
         with pytest.raises(ValueError, match="zero usable"):
             build_training_set(pred, optical, lc, clean_table(outside), patch=32)
 

@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -12,40 +12,59 @@ from lidar_anchor.photons import (
     CLASS_GROUND,
     CLASS_NOISE,
     CLASS_TOP_OF_CANOPY,
-    CleanPhoton,
+    GROUND_SOURCES,
     ClusterParams,
-    GroundEstimate,
     GroundInterpolator,
-    NormalizedPhoton,
-    Photon,
     PreprocessParams,
     aggregate_cells,
+    clean_photon_table,
     dbscan_cluster,
     enforce_dtm_consistency,
-    filter_confidence,
-    interpolate_ground_idw,
     load_photons,
     normalize_heights,
     landcover_plausibility_filter,
-    preprocess_photons,
     read_clean_csv,
-    read_clean_table,
     write_clean_csv,
-    write_clean_table,
     write_photons_csv,
 )
 from lidar_anchor.raster import GeometryError, LC_BUILDING, LC_ROAD, LC_TREE
 
-from conftest import clean_table, make_height, make_landcover
+from conftest import CleanRow, clean_table, make_height, make_landcover, photon_table
 from oracles import aggregate_direct, dbscan_brute, idw_direct, idw_scan, read_clean_direct
 
 
 def photon(pid, x, y, elev, conf=4, klass=CLASS_GROUND, beam=0, t=0.0):
-    return Photon(pid, x, y, elev, conf, klass, beam, t)
+    return (pid, x, y, elev, conf, klass, beam, t)
 
 
-def norm(pid, x, y, h, kind="object", lc=None, beam=0):
-    return NormalizedPhoton(pid, x, y, h, kind, beam, lc)
+# a photon after height normalization: its height above ground, its kind
+# and the land-cover code under it (None for none)
+Norm = namedtuple("Norm", "id x y h_ag kind lc_class")
+
+
+def norm(pid, x, y, h, kind="object", lc=None):
+    return Norm(pid, x, y, h, kind, lc)
+
+
+def columns(points):
+    """Photon table, heights and land-cover codes (-1 for none) of
+    normalized points."""
+    table = photon_table(
+        (p.id, p.x, p.y, 0.0, 4, CLASS_GROUND if p.kind == "ground" else CLASS_TOP_OF_CANOPY,
+         0, 0.0)
+        for p in points
+    )
+    h = np.array([p.h_ag for p in points], dtype=np.float64)
+    lc = np.array([-1 if p.lc_class is None else p.lc_class for p in points], dtype=np.int64)
+    return table, h, lc
+
+
+def idw(rows, qx, qy, beam=0, **params):
+    """GroundInterpolator's elevation at one point, or None where it has none."""
+    value, found = GroundInterpolator(photon_table(rows), **params).query(
+        np.array([qx]), np.array([qy]), np.array([beam])
+    )
+    return float(value[0]) if found[0] else None
 
 
 class TestCsv:
@@ -54,14 +73,16 @@ class TestCsv:
             photon(0, 1.25, 2.5, 100.125, 4, CLASS_GROUND, 0, 0.1),
             photon(1, 3.0, 4.0, 101.0, 3, CLASS_TOP_OF_CANOPY, 2, 0.2),
         ]
-        write_photons_csv(src, tmp_path / "p.csv")
-        assert load_photons(tmp_path / "p.csv") == src
+        write_photons_csv(photon_table(src), tmp_path / "p.csv")
+        table = load_photons(tmp_path / "p.csv")
+        assert table.dtype == photon_table(src).dtype
+        assert table.tolist() == src
 
     def test_float_precision_survives(self, tmp_path):
         src = [photon(0, 0.1 + 0.2, 1 / 3, math.pi, 4, CLASS_GROUND, 0, 1e-9)]
-        write_photons_csv(src, tmp_path / "p.csv")
+        write_photons_csv(photon_table(src), tmp_path / "p.csv")
         back = load_photons(tmp_path / "p.csv")[0]
-        assert back.x == src[0].x and back.y == src[0].y and back.elev == src[0].elev
+        assert (back["x"], back["y"], back["elev"]) == src[0][1:4]
 
     def test_header_mismatch(self, tmp_path):
         (tmp_path / "p.csv").write_text("a,b,c\n1,2,3\n")
@@ -116,21 +137,21 @@ class TestCsv:
         ground = [photon(i, 5.0 * i, 50.0, 50.0) for i in range(20)]
         roofs = [photon(100 + i, 1.0 * i + 7.5, 50.0, 60.0, klass=CLASS_TOP_OF_CANOPY)
                  for i in range(6)]
-        clean, _ = preprocess_photons(ground + roofs, dtm, lc)
-        assert [p.cluster_size for p in clean if p.kind == "object"] == [6]
+        clean, _ = clean_photon_table(photon_table(ground + roofs), dtm, lc)
+        assert clean["cluster_size"][clean["kind"] == "object"].tolist() == [6]
 
         ground[2] = photon(2, 10.0, 50.0, float("nan"))
-        write_photons_csv(ground + roofs, tmp_path / "p.csv")
+        write_photons_csv(photon_table(ground + roofs), tmp_path / "p.csv")
         with pytest.raises(ValueError, match="row 4: elev=nan is not finite"):
             load_photons(tmp_path / "p.csv")
 
     def test_clean_round_trip(self, tmp_path):
         src = [
-            CleanPhoton(1.5, 2.5, 0.0, "ground", 1, 1),
-            CleanPhoton(3.5, 4.5, 12.25, "object", 4, 7),
+            (1.5, 2.5, 0.0, "ground", 1, 1),
+            (3.5, 4.5, 12.25, "object", 4, 7),
         ]
-        write_clean_csv(src, tmp_path / "c.csv")
-        assert read_clean_csv(tmp_path / "c.csv") == src
+        write_clean_csv(clean_table(src), tmp_path / "c.csv")
+        assert read_clean_csv(tmp_path / "c.csv").tolist() == src
 
 
 _CLEAN_HEADER = "x,y,h_ag,kind,lc_class,cluster_size\r\n"
@@ -143,12 +164,10 @@ class TestCleanTable:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_matches_row_parser(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("clean") / "c.csv"
-        src = [CleanPhoton(*row) for row in rows]
-        write_clean_table(clean_table(src), path)
-        table = read_clean_table(path)
-        assert table.dtype == clean_table(src).dtype
+        write_clean_csv(clean_table(rows), path)
+        table = read_clean_csv(path)
+        assert table.dtype == clean_table(rows).dtype
         assert table.tolist() == read_clean_direct(path) == [tuple(row) for row in rows]
-        assert read_clean_csv(path) == src
 
     @pytest.mark.parametrize("body", [
         # blank lines, LF line ends, spaces around numbers, quoted fields and
@@ -163,7 +182,7 @@ class TestCleanTable:
     def test_accepts_what_the_row_parser_accepts(self, tmp_path, body):
         path = tmp_path / "c.csv"
         path.write_bytes((_CLEAN_HEADER + body).encode())
-        assert read_clean_table(path).tolist() == read_clean_direct(path)
+        assert read_clean_csv(path).tolist() == read_clean_direct(path)
 
     @pytest.mark.parametrize("body, lineno", [
         ("1.5,2.5,0.0,ground,1,1\r\n3.5,4.5,12.25,objects,4,7\r\n", 3),
@@ -179,32 +198,36 @@ class TestCleanTable:
         with pytest.raises(ValueError) as want:
             read_clean_direct(path)
         assert f"malformed row {lineno}:" in str(want.value)
-        for read in (read_clean_table, read_clean_csv):
-            with pytest.raises(ValueError) as got:
-                read(path)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            read_clean_csv(path)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("text", ["", "x,y,h_ag,kind,lc_class\r\n", "\r\nx,y,h_ag,kind,lc_class,cluster_size\r\n"])
     def test_bad_header(self, tmp_path, text):
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode())
-        for read in (read_clean_table, read_clean_csv, read_clean_direct):
-            with pytest.raises(ValueError, match="bad header"):
-                read(path)
+        with pytest.raises(ValueError, match="bad header"):
+            read_clean_direct(path)
         with pytest.raises(ValueError) as got:
-            read_clean_table(path)
+            read_clean_csv(path)
         assert str(got.value) == f"{path}: bad header, expected x,y,h_ag,kind,lc_class,cluster_size"
 
 
 class TestConfidenceFilter:
     def test_keeps_conf_3_4_and_ground_top(self):
-        keep1 = photon(0, 0, 0, 0, 4, CLASS_GROUND)
-        keep2 = photon(1, 0, 0, 0, 3, CLASS_TOP_OF_CANOPY)
-        drop_conf = photon(2, 0, 0, 0, 2, CLASS_GROUND)
-        drop_class = photon(3, 0, 0, 0, 4, CLASS_CANOPY)
-        drop_noise = photon(4, 0, 0, 0, 4, CLASS_NOISE)
-        got = filter_confidence([keep1, keep2, drop_conf, drop_class, drop_noise])
-        assert got == [keep1, keep2]
+        # the kept top-of-canopy return reaches height normalization and
+        # then falls out at the land-cover filter (code 0 has no bounds)
+        keep1 = photon(0, 5.0, 5.0, 0.0, 4, CLASS_GROUND)
+        keep2 = photon(1, 15.0, 15.0, 5.0, 3, CLASS_TOP_OF_CANOPY)
+        drop_conf = photon(2, 25.0, 25.0, 0.0, 2, CLASS_GROUND)
+        drop_class = photon(3, 35.0, 35.0, 5.0, 4, CLASS_CANOPY)
+        drop_noise = photon(4, 5.0, 35.0, 5.0, 4, CLASS_NOISE)
+        dtm = make_height(np.zeros((4, 4)), gsd=10.0)
+        lc = make_landcover(np.zeros((4, 4)), gsd=10.0)
+        table = photon_table([keep1, keep2, drop_conf, drop_class, drop_noise])
+        clean, report = clean_photon_table(table, dtm, lc)
+        assert report["counts"]["confidence"] == report["counts"]["normalized"] == 2
+        assert clean.tolist() == [(5.0, 5.0, 0.0, "ground", 0, 1)]
 
 
 class TestIdw:
@@ -215,7 +238,7 @@ class TestIdw:
             photon(0, 0.0, 1.0, 10.0),
             photon(1, 0.0, 2.0, 13.0),
         ]
-        got = interpolate_ground_idw(pts, 0.0, 0.0, beam=0, power=2.0)
+        got = idw(pts, 0.0, 0.0, beam=0, power=2.0)
         assert got == pytest.approx(10.6, abs=1e-12)
 
     def test_coincident_photon_short_circuits(self):
@@ -223,19 +246,19 @@ class TestIdw:
             photon(0, 5.0, 5.0, 42.0),
             photon(1, 5.0, 6.0, 99.0),
         ]
-        assert interpolate_ground_idw(pts, 5.0, 5.0 + 1e-9, beam=0) == 42.0
+        assert idw(pts, 5.0, 5.0 + 1e-9, beam=0) == 42.0
 
     def test_beams_are_isolated(self):
         pts = [
             photon(0, 0.0, 1.0, 10.0, beam=0),
             photon(1, 0.0, 2.0, 99.0, beam=1),
         ]
-        assert interpolate_ground_idw(pts, 0.0, 0.0, beam=0) == pytest.approx(10.0)
-        assert interpolate_ground_idw(pts, 0.0, 0.0, beam=2) is None
+        assert idw(pts, 0.0, 0.0, beam=0) == pytest.approx(10.0)
+        assert idw(pts, 0.0, 0.0, beam=2) is None
 
     def test_radius_excludes_far_photons(self):
         pts = [photon(0, 0.0, 200.0, 10.0)]
-        assert interpolate_ground_idw(pts, 0.0, 0.0, beam=0, radius=100.0) is None
+        assert idw(pts, 0.0, 0.0, beam=0, radius=100.0) is None
 
     def test_k_max_caps_neighbors(self):
         # 3 photons at distance 1 plus one at distance 2; k_max=3 keeps the
@@ -246,7 +269,7 @@ class TestIdw:
             photon(2, 0.0, 1.0, 10.0),
             photon(3, 0.0, 2.0, 99.0),
         ]
-        got = interpolate_ground_idw(pts, 0.0, 0.0, beam=0, k_max=3)
+        got = idw(pts, 0.0, 0.0, beam=0, k_max=3)
         assert got == pytest.approx(10.0)
 
     def test_canopy_photons_never_contribute(self):
@@ -254,7 +277,7 @@ class TestIdw:
             photon(0, 0.0, 1.0, 10.0, klass=CLASS_GROUND),
             photon(1, 1.0, 0.0, 500.0, klass=CLASS_TOP_OF_CANOPY),
         ]
-        assert interpolate_ground_idw(pts, 0.0, 0.0, beam=0) == pytest.approx(10.0)
+        assert idw(pts, 0.0, 0.0, beam=0) == pytest.approx(10.0)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(13)
@@ -266,9 +289,9 @@ class TestIdw:
                 for i in range(n)
             ]
             qx, qy = float(rng.uniform(0, 50)), float(rng.uniform(0, 50))
-            got = interpolate_ground_idw(pts, qx, qy, beam=0, radius=30.0, k_max=8)
+            got = idw(pts, qx, qy, beam=0, radius=30.0, k_max=8)
             want = idw_direct(
-                [(p.id, p.x, p.y, p.elev) for p in pts], qx, qy,
+                [p[:4] for p in pts], qx, qy,
                 power=2.0, radius=30.0, k_max=8,
             )
             if want is None:
@@ -300,15 +323,15 @@ class TestIdwOracle:
         # and queries on lattice points hit the coincident rule
         ids = _scrambled_ids(len(grid))
         pts = [(pid, gx * 0.5, gy * 0.5, z / 8.0) for pid, (gx, gy, z) in zip(ids, grid)]
-        interp = GroundInterpolator([photon(*p) for p in pts], radius=radius, k_max=k_max)
+        interp = GroundInterpolator(photon_table(photon(*p) for p in pts), radius=radius,
+                                    k_max=k_max)
         qx = np.array([q[0] * 0.25 for q in queries])
         qy = np.array([q[1] * 0.25 for q in queries])
-        values, found = interp.query_many(qx, qy, np.zeros(len(queries), dtype=np.int64))
+        values, found = interp.query(qx, qy, np.zeros(len(queries), dtype=np.int64))
         for i, (x, y) in enumerate(zip(qx.tolist(), qy.tolist())):
             want = idw_scan(pts, x, y, radius=radius, k_max=k_max)
-            got = interp.query(x, y, 0)
+            got = float(values[i]) if found[i] else None
             assert got == want  # bit for bit, or both None
-            assert (float(values[i]) if found[i] else None) == want
             direct = idw_direct(sorted(pts), x, y, radius=radius, k_max=k_max)
             assert (got is None) == (direct is None)
             if got is not None:
@@ -324,10 +347,10 @@ class TestIdwOracle:
         for r in range(len(ring)):
             pts = [photon((i - r) % len(ring), float(x), float(y), 100.0 + i)
                    for i, (x, y) in enumerate(ring)]
-            got = interpolate_ground_idw(pts, 0.0, 0.0, beam=0, k_max=1)
+            got = idw(pts, 0.0, 0.0, beam=0, k_max=1)
             assert got == pytest.approx(100.0 + r, abs=1e-9)
-            rows = [(p.id, p.x, p.y, p.elev) for p in pts]
-            assert interpolate_ground_idw(pts, 0.0, 0.0, beam=0, k_max=3) == idw_scan(
+            rows = [p[:4] for p in pts]
+            assert idw(pts, 0.0, 0.0, beam=0, k_max=3) == idw_scan(
                 rows, 0.0, 0.0, k_max=3
             )
 
@@ -336,7 +359,21 @@ class TestIdwOracle:
         for r in range(0, 40, 7):
             pts = [photon((i - r) % 40, 3.0, 4.0 + 1e-8 * (i % 3), 50.0 + i) for i in range(40)]
             pts.append(photon(99, 3.5, 4.0, -10.0))
-            assert interpolate_ground_idw(pts, 3.0, 4.0, beam=0, k_max=2) == 50.0 + r
+            assert idw(pts, 3.0, 4.0, beam=0, k_max=2) == 50.0 + r
+
+
+def reconcile(idw_value, dtm, tau=10.0):
+    """enforce_dtm_consistency for photon 7 at (20, 20) with one IDW value
+    (None for none): its ground elevation and source name."""
+    table = photon_table([photon(7, 20.0, 20.0, 0.0, klass=CLASS_TOP_OF_CANOPY)])
+    ground, source = enforce_dtm_consistency(
+        table,
+        np.array([0.0 if idw_value is None else idw_value]),
+        np.array([idw_value is not None]),
+        dtm,
+        tau,
+    )
+    return float(ground[0]), GROUND_SOURCES[int(source[0])]
 
 
 class TestDtmConsistency:
@@ -344,57 +381,59 @@ class TestDtmConsistency:
         self.dtm = make_height(np.full((4, 4), 100.0), gsd=10.0)
 
     def test_idw_within_tau_stands(self):
-        est = enforce_dtm_consistency(7, 105.0, self.dtm, 20.0, 20.0, tau=10.0)
-        assert est == GroundEstimate(7, 105.0, "idw")
+        assert reconcile(105.0, self.dtm, tau=10.0) == (105.0, "idw")
 
     def test_idw_far_from_dtm_is_overridden(self):
-        est = enforce_dtm_consistency(7, 150.0, self.dtm, 20.0, 20.0, tau=10.0)
-        assert est.source == "dtm_override"
-        assert est.ground_elev == pytest.approx(100.0)
+        ground, source = reconcile(150.0, self.dtm, tau=10.0)
+        assert source == "dtm_override"
+        assert ground == pytest.approx(100.0)
 
     def test_missing_idw_falls_back(self):
-        est = enforce_dtm_consistency(7, None, self.dtm, 20.0, 20.0)
-        assert est.source == "dtm_fallback"
-        assert est.ground_elev == pytest.approx(100.0)
+        ground, source = reconcile(None, self.dtm)
+        assert source == "dtm_fallback"
+        assert ground == pytest.approx(100.0)
 
     def test_no_source_at_all_raises(self):
         holes = make_height(np.full((4, 4), -9999.0), gsd=10.0, nodata=-9999.0)
-        with pytest.raises(ValueError, match="no ground source"):
-            enforce_dtm_consistency(7, None, holes, 20.0, 20.0)
+        with pytest.raises(ValueError, match="photon 7: no ground source"):
+            reconcile(None, holes)
+
+
+def height(p, ground_elev):
+    """normalize_heights of one photon: its height, or None when dropped."""
+    keep, h = normalize_heights(photon_table([p]), np.array([ground_elev]))
+    return float(h[0]) if keep[0] else None
 
 
 class TestNormalize:
     def test_ground_is_exactly_zero(self):
         p = photon(0, 0, 0, 123.456, klass=CLASS_GROUND)
-        out = normalize_heights([p], {})
-        assert out[0].h_ag == 0.0 and out[0].kind == "ground"
+        assert height(p, 100.0) == 0.0
+        assert height(p, 500.0) == 0.0  # the ground elevation is not read
 
     def test_object_height_is_elev_minus_ground(self):
         p = photon(1, 0, 0, 112.5, klass=CLASS_TOP_OF_CANOPY)
-        est = {1: GroundEstimate(1, 100.0, "idw")}
-        assert normalize_heights([p], est)[0].h_ag == pytest.approx(12.5)
+        assert height(p, 100.0) == pytest.approx(12.5)
 
     def test_slightly_negative_clamps_to_zero(self):
         p = photon(1, 0, 0, 98.5, klass=CLASS_TOP_OF_CANOPY)
-        est = {1: GroundEstimate(1, 100.0, "idw")}
-        out = normalize_heights([p], est)
-        assert out[0].h_ag == 0.0
+        assert height(p, 100.0) == 0.0
 
     def test_below_minus_two_is_discarded(self):
         p = photon(1, 0, 0, 97.9, klass=CLASS_TOP_OF_CANOPY)
-        est = {1: GroundEstimate(1, 100.0, "idw")}
-        assert normalize_heights([p], est) == []
+        assert height(p, 100.0) is None
 
     def test_boundary_minus_two_is_kept(self):
         p = photon(1, 0, 0, 98.0, klass=CLASS_TOP_OF_CANOPY)
-        est = {1: GroundEstimate(1, 100.0, "idw")}
-        out = normalize_heights([p], est)
-        assert out[0].h_ag == 0.0
+        assert height(p, 100.0) == 0.0
 
-    def test_missing_estimate_raises(self):
-        p = photon(1, 0, 0, 98.0, klass=CLASS_TOP_OF_CANOPY)
-        with pytest.raises(KeyError, match="photon 1"):
-            normalize_heights([p], {})
+
+def plausible(points, lc, bounds=None):
+    """The points landcover_plausibility_filter keeps, each with the class
+    code under it."""
+    table, h, _ = columns(points)
+    keep, code = landcover_plausibility_filter(table, h, lc, bounds)
+    return [p._replace(lc_class=c) for p, k, c in zip(points, keep.tolist(), code.tolist()) if k]
 
 
 class TestPlausibility:
@@ -411,50 +450,61 @@ class TestPlausibility:
         drop_low = norm(1, h=1.0, **at_tree)
         keep_mid = norm(2, h=1.01, **at_tree)
         drop_hi = norm(3, h=90.01, **at_tree)
-        got = landcover_plausibility_filter([keep_hi, drop_low, keep_mid, drop_hi], self.lc)
+        got = plausible([keep_hi, drop_low, keep_mid, drop_hi], self.lc)
         assert [p.id for p in got] == [0, 2]
         assert all(p.lc_class == LC_TREE for p in got)
 
     def test_building_bound_is_300(self):
         at_bld = dict(x=5.0, y=25.0)
-        got = landcover_plausibility_filter(
+        got = plausible(
             [norm(0, h=299.0, **at_bld), norm(1, h=301.0, **at_bld)], self.lc
         )
         assert [p.id for p in got] == [0]
         assert got[0].lc_class == LC_BUILDING
 
     def test_object_on_unbounded_class_is_dropped(self):
-        got = landcover_plausibility_filter([norm(0, x=5.0, y=15.0, h=5.0)], self.lc)
+        got = plausible([norm(0, x=5.0, y=15.0, h=5.0)], self.lc)
         assert got == []
 
     def test_ground_always_passes_and_is_annotated(self):
-        got = landcover_plausibility_filter(
+        got = plausible(
             [norm(0, x=5.0, y=15.0, h=0.0, kind="ground")], self.lc
         )
         assert len(got) == 1 and got[0].lc_class == LC_ROAD
 
     def test_photon_outside_raster_raises(self):
         with pytest.raises(GeometryError):
-            landcover_plausibility_filter([norm(0, x=-5.0, y=15.0, h=5.0)], self.lc)
+            plausible([norm(0, x=-5.0, y=15.0, h=5.0)], self.lc)
 
     def test_custom_bounds_override_defaults(self):
-        got = landcover_plausibility_filter(
+        got = plausible(
             [norm(0, x=5.0, y=15.0, h=5.0)], self.lc, {LC_ROAD: (1.0, 10.0)}
         )
         assert [p.id for p in got] == [0]
 
 
+def cluster(points, params=ClusterParams()):
+    """dbscan_cluster of normalized points: the clusters in their numbering
+    order and the noise, each a list of points in id order."""
+    table, h, _ = columns(points)
+    sizes, label = dbscan_cluster(table, h, params)
+    by_id = sorted(zip(points, label.tolist()), key=lambda pl: pl[0].id)
+    clusters = [[p for p, k in by_id if k == n] for n in range(len(sizes))]
+    assert [len(c) for c in clusters] == sizes.tolist()
+    return clusters, [p for p, k in by_id if k < 0]
+
+
 class TestDbscan:
     def test_three_collinear_points_one_cluster(self):
         pts = [norm(i, x=float(i), y=0.0, h=0.0) for i in range(3)]
-        clusters, noise = dbscan_cluster(pts, ClusterParams(eps=3.0, min_pts=3))
+        clusters, noise = cluster(pts, ClusterParams(eps=3.0, min_pts=3))
         assert len(clusters) == 1 and noise == []
         assert [p.id for p in clusters[0]] == [0, 1, 2]
 
     def test_two_separated_groups(self):
         a = [norm(i, x=float(i) * 0.5, y=0.0, h=0.0) for i in range(3)]
         b = [norm(10 + i, x=100.0 + i * 0.5, y=0.0, h=0.0) for i in range(3)]
-        clusters, noise = dbscan_cluster(b + a)
+        clusters, noise = cluster(b + a)
         assert len(clusters) == 2 and noise == []
         # ordered by lowest member id regardless of input order
         assert [p.id for p in clusters[0]] == [0, 1, 2]
@@ -463,7 +513,7 @@ class TestDbscan:
     def test_isolated_point_is_noise(self):
         pts = [norm(i, x=float(i) * 0.5, y=0.0, h=0.0) for i in range(3)]
         pts.append(norm(99, x=500.0, y=0.0, h=0.0))
-        clusters, noise = dbscan_cluster(pts)
+        clusters, noise = cluster(pts)
         assert [p.id for p in noise] == [99]
 
     def test_border_point_joins_nearest_core(self):
@@ -471,7 +521,7 @@ class TestDbscan:
         left = [norm(i, x=0.0 + 0.1 * i, y=0.0, h=0.0) for i in range(3)]
         right = [norm(10 + i, x=8.0 + 0.1 * i, y=0.0, h=0.0) for i in range(3)]
         border = norm(50, x=2.6, y=0.0, h=0.0)
-        clusters, noise = dbscan_cluster(left + right + [border], ClusterParams(eps=3.0, min_pts=3))
+        clusters, noise = cluster(left + right + [border], ClusterParams(eps=3.0, min_pts=3))
         assert noise == []
         assert 50 in [p.id for p in clusters[0]]
 
@@ -481,13 +531,13 @@ class TestDbscan:
         right = [norm(i, x=0.9 + 0.25 * i, y=0.0, h=0.0) for i in range(5)]
         border = norm(50, x=0.0, y=0.0, h=0.0)
         params = ClusterParams(eps=1.0, min_pts=4)
-        clusters, noise = dbscan_cluster(left + [border] + right, params)
+        clusters, noise = cluster(left + [border] + right, params)
         assert noise == [] and len(clusters) == 2
         assert [p.id for p in clusters[0]] == [0, 1, 2, 3, 4, 50]
         # with the ids swapped between the sides, the border follows the ids
-        left = [replace(p, id=p.id - 10) for p in left]
-        right = [replace(p, id=p.id + 10) for p in right]
-        clusters, _ = dbscan_cluster(right + [border] + left, params)
+        left = [p._replace(id=p.id - 10) for p in left]
+        right = [p._replace(id=p.id + 10) for p in right]
+        clusters, _ = cluster(right + [border] + left, params)
         assert [p.x for p in clusters[0]][-1] == 0.0 and clusters[0][0].x < 0.0
 
     def test_border_distance_is_the_norm_of_the_difference(self):
@@ -509,7 +559,7 @@ class TestDbscan:
                 pts += [norm(first + k, x=core[0] - 0.3 * k * away[0],
                              y=core[1] - 0.3 * k * away[1], h=core[2] - 0.3 * k * away[2])
                         for k in range(4)]
-            clusters, noise = dbscan_cluster(pts, params)
+            clusters, noise = cluster(pts, params)
             assert noise == [] and len(clusters) == 2
             coords = {q.id: np.array([q.x, q.y, q.h_ag]) for q in pts}
             near = min((float(np.linalg.norm(coords[50] - coords[j])), j) for j in (0, 10))[1]
@@ -532,7 +582,7 @@ class TestDbscan:
         pts = [norm(i, x=float(a), y=float(b), h=float(c)) for i, (a, b, c) in enumerate(cells)]
         shuffled = list(pts)
         rnd.shuffle(shuffled)
-        clusters, noise = dbscan_cluster(shuffled, ClusterParams(eps=eps, min_pts=min_pts))
+        clusters, noise = cluster(shuffled, ClusterParams(eps=eps, min_pts=min_pts))
         want, want_noise = dbscan_brute([(p.x, p.y, p.h_ag) for p in pts], eps, min_pts)
         assert [frozenset(p.id for p in c) for c in clusters] == want
         assert frozenset(p.id for p in noise) == want_noise
@@ -540,10 +590,10 @@ class TestDbscan:
     def test_height_axis_separates_stacked_points(self):
         low = [norm(i, x=0.1 * i, y=0.0, h=0.0) for i in range(3)]
         high = [norm(10 + i, x=0.1 * i, y=0.0, h=10.0) for i in range(3)]
-        clusters, _ = dbscan_cluster(low + high, ClusterParams(eps=3.0, min_pts=3))
+        clusters, _ = cluster(low + high, ClusterParams(eps=3.0, min_pts=3))
         assert len(clusters) == 2
         # scaling the height axis down merges them
-        clusters, _ = dbscan_cluster(
+        clusters, _ = cluster(
             low + high, ClusterParams(eps=3.0, min_pts=3, height_weight=0.1)
         )
         assert len(clusters) == 1
@@ -557,7 +607,7 @@ class TestDbscan:
                      h=float(rng.uniform(0, 6)))
                 for i in range(n)
             ]
-            clusters, noise = dbscan_cluster(pts, ClusterParams(eps=3.0, min_pts=3))
+            clusters, noise = cluster(pts, ClusterParams(eps=3.0, min_pts=3))
             got = [frozenset(p.id for p in c) for c in clusters]
             got_noise = frozenset(p.id for p in noise)
             want, want_noise = dbscan_brute(
@@ -575,12 +625,21 @@ class TestDbscan:
                  h=float(rng.uniform(0, 5)))
             for i in range(24)
         ]
-        base_clusters, base_noise = dbscan_cluster(pts)
-        perm_clusters, perm_noise = dbscan_cluster([pts[i] for i in order])
+        base_clusters, base_noise = cluster(pts)
+        perm_clusters, perm_noise = cluster([pts[i] for i in order])
         assert [[p.id for p in c] for c in base_clusters] == [
             [p.id for p in c] for c in perm_clusters
         ]
         assert [p.id for p in base_noise] == [p.id for p in perm_noise]
+
+
+def aggregate(clusters, ground=(), cell=10.0):
+    """aggregate_cells of clusters of normalized object points and of
+    normalized ground points: the clean rows as (x, y, h_ag, kind,
+    lc_class, cluster_size) tuples."""
+    table, h, lc = columns([*ground, *(m for c in clusters for m in c)])
+    label = np.array([k for k, c in enumerate(clusters) for _ in c], dtype=np.int64)
+    return aggregate_cells(table, h, lc, label, cell).tolist()
 
 
 class TestAggregate:
@@ -590,9 +649,9 @@ class TestAggregate:
             norm(1, x=2.0, y=0.0, h=12.0, lc=LC_TREE),
             norm(2, x=1.0, y=3.0, h=14.0, lc=LC_BUILDING),
         ]
-        out = aggregate_cells([members], [])
+        out = aggregate([members])
         assert len(out) == 1
-        c = out[0]
+        c = CleanRow(*out[0])
         assert (c.x, c.y) == (1.0, 1.0)
         assert c.h_ag == pytest.approx(12.0)
         assert c.cluster_size == 3
@@ -603,42 +662,38 @@ class TestAggregate:
             norm(0, x=0.0, y=0.0, h=10.0, lc=LC_BUILDING),
             norm(1, x=1.0, y=0.0, h=10.0, lc=LC_TREE),
         ]
-        out = aggregate_cells([members], [])
-        assert out[0].lc_class == LC_TREE  # tree code 4 < building code 7
+        out = aggregate([members])
+        assert CleanRow(*out[0]).lc_class == LC_TREE  # tree code 4 < building code 7
 
     def test_one_survivor_per_cell_largest_wins(self):
         big = [norm(i, x=1.0, y=1.0, h=10.0, lc=LC_TREE) for i in range(3)]
         small = [norm(10 + i, x=8.0, y=8.0, h=5.0, lc=LC_TREE) for i in range(2)]
-        out = aggregate_cells([small, big], [], cell=10.0)
+        out = aggregate([small, big], cell=10.0)
         assert len(out) == 1
-        assert out[0].cluster_size == 3
+        assert CleanRow(*out[0]).cluster_size == 3
 
     def test_size_tie_prefers_lower_height(self):
         tall = [norm(i, x=1.0, y=1.0, h=20.0, lc=LC_TREE) for i in range(2)]
         low = [norm(10 + i, x=8.0, y=8.0, h=5.0, lc=LC_TREE) for i in range(2)]
-        out = aggregate_cells([tall, low], [], cell=10.0)
+        out = aggregate([tall, low], cell=10.0)
         assert len(out) == 1
-        assert out[0].h_ag == pytest.approx(5.0)
+        assert CleanRow(*out[0]).h_ag == pytest.approx(5.0)
 
     def test_separate_cells_both_survive(self):
         a = [norm(i, x=1.0, y=1.0, h=10.0, lc=LC_TREE) for i in range(2)]
         b = [norm(10 + i, x=15.0, y=1.0, h=5.0, lc=LC_TREE) for i in range(2)]
-        out = aggregate_cells([a, b], [], cell=10.0)
+        out = aggregate([a, b], cell=10.0)
         assert len(out) == 2
 
     def test_ground_passes_through(self):
         g = norm(0, x=3.0, y=4.0, h=0.0, kind="ground", lc=LC_ROAD)
-        out = aggregate_cells([], [g])
-        assert len(out) == 1
-        assert out[0].kind == "ground"
-        assert out[0].h_ag == 0.0
-        assert out[0].lc_class == LC_ROAD
-        assert out[0].cluster_size == 1
+        out = aggregate([], [g])
+        assert out == [(3.0, 4.0, 0.0, "ground", LC_ROAD, 1)]
 
     def test_negative_coordinates_use_floor_cells(self):
         a = [norm(i, x=-1.0, y=1.0, h=5.0, lc=LC_TREE) for i in range(2)]
         b = [norm(10 + i, x=1.0, y=1.0, h=5.0, lc=LC_TREE) for i in range(2)]
-        out = aggregate_cells([a, b], [], cell=10.0)
+        out = aggregate([a, b], cell=10.0)
         assert len(out) == 2  # cells (-1, 0) and (0, 0)
 
 
@@ -661,12 +716,13 @@ class TestAggregateOracle:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_per_cluster_loop(self, clusters, cell):
-        # few distinct heights and sizes give ties on size and height
+        # few distinct heights and sizes give ties on size and height; the
+        # means sum each cluster's members in id order
         ids = iter(_scrambled_ids(sum(len(c) for c in clusters)))
         members = [[norm(next(ids), x=x, y=y, h=h, lc=lc) for x, y, h, lc in c] for c in clusters]
-        got = aggregate_cells(members, [], cell=cell)
+        got = [CleanRow(*row) for row in aggregate(members, cell=cell)]
         want = aggregate_direct(
-            [[(m.id, m.x, m.y, m.h_ag, m.lc_class) for m in c] for c in members], cell
+            [sorted((m.id, m.x, m.y, m.h_ag, m.lc_class) for m in c) for c in members], cell
         )
         assert [(p.x, p.y, p.h_ag, p.cluster_size, p.lc_class) for p in got] == want
         assert all(p.kind == "object" for p in got)
@@ -674,32 +730,40 @@ class TestAggregateOracle:
 
 class TestPreprocess:
     def test_counts_monotone_and_end_to_end(self, small_scene):
-        clean, counts = preprocess_photons(
+        clean, report = clean_photon_table(
             small_scene["photons"], small_scene["dtm"], small_scene["lc"]
         )
+        counts = report["counts"]
         assert counts["loaded"] >= counts["confidence"] >= counts["normalized"]
         assert counts["normalized"] >= counts["landcover"] >= counts["clean"]
         assert counts["clean"] == len(clean) > 0
 
     def test_custom_params_change_outcome(self, small_scene):
-        _, strict = preprocess_photons(
+        _, strict = clean_photon_table(
             small_scene["photons"],
             small_scene["dtm"],
             small_scene["lc"],
             PreprocessParams(cell=40.0),
         )
-        _, loose = preprocess_photons(
+        _, loose = clean_photon_table(
             small_scene["photons"], small_scene["dtm"], small_scene["lc"]
         )
-        assert strict["clean"] <= loose["clean"]
+        assert strict["counts"]["clean"] <= loose["counts"]["clean"]
+
+    @pytest.mark.parametrize("cell", [-5.0, 0.0, float("nan")])
+    def test_cell_must_be_positive(self, small_scene, cell):
+        with pytest.raises(ValueError, match="cell size must be > 0"):
+            clean_photon_table(small_scene["photons"], small_scene["dtm"], small_scene["lc"],
+                               PreprocessParams(cell=cell))
 
     def test_extent_is_that_of_both_rasters(self, small_scene):
         tracks, dtm, lc = small_scene["photons"], small_scene["dtm"], small_scene["lc"]
         half = dtm.header.height // 2
         top = lambda r: type(r)(replace(r.header, height=half), r.values[:half])
-        clean, counts = preprocess_photons(tracks, dtm, top(lc))
-        assert 0 < counts["in_extent"] < counts["confidence"]
-        assert (clean, counts) == preprocess_photons(tracks, top(dtm), top(lc))
+        clean, report = clean_photon_table(tracks, dtm, top(lc))
+        assert 0 < report["counts"]["in_extent"] < report["counts"]["confidence"]
+        clean_top, report_top = clean_photon_table(tracks, top(dtm), top(lc))
+        assert (clean.tolist(), report) == (clean_top.tolist(), report_top)
 
     @given(
         st.lists(
@@ -721,7 +785,7 @@ class TestPreprocess:
         h = dtm.header
         west, north = h.origin_x, h.origin_y
         east, south = west + h.width * h.gsd, north - h.height * h.gsd
-        next_id = max(p.id for p in tracks) + 1
+        next_id = int(tracks["id"].max()) + 1
         outside = []
         for i, (side, past, along, elev, klass, beam) in enumerate(extra):
             x, y = [
@@ -731,9 +795,10 @@ class TestPreprocess:
                 (west + along, south - past),
             ][side]
             outside.append(photon(next_id + i, x, y, elev, 4, klass, beam))
-        base, base_counts = preprocess_photons(tracks, dtm, lc)
-        clean, counts = preprocess_photons(tracks + outside, dtm, lc)
-        assert clean == base
+        base, base_report = clean_photon_table(tracks, dtm, lc)
+        clean, report = clean_photon_table(np.concatenate((tracks, photon_table(outside))), dtm, lc)
+        base_counts, counts = base_report["counts"], report["counts"]
+        assert clean.tolist() == base.tolist()
         assert counts["loaded"] == base_counts["loaded"] + len(outside)
         assert counts["in_extent"] == base_counts["in_extent"] <= counts["confidence"]
         stages = list(counts.values())
@@ -743,8 +808,8 @@ class TestPreprocess:
     @settings(max_examples=10, deadline=None)
     def test_photon_order_does_not_matter(self, small_scene, seed):
         tracks, dtm, lc = small_scene["photons"], small_scene["dtm"], small_scene["lc"]
-        shuffled = [tracks[i] for i in np.random.default_rng(seed).permutation(len(tracks))]
-        base, base_counts = preprocess_photons(tracks, dtm, lc)
-        clean, counts = preprocess_photons(shuffled, dtm, lc)
-        assert Counter(clean) == Counter(base)
-        assert counts == base_counts
+        shuffled = tracks[np.random.default_rng(seed).permutation(len(tracks))]
+        base, base_report = clean_photon_table(tracks, dtm, lc)
+        clean, report = clean_photon_table(shuffled, dtm, lc)
+        assert Counter(clean.tolist()) == Counter(base.tolist())
+        assert report == base_report

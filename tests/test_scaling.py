@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from lidar_anchor.photons import CleanPhoton
 from lidar_anchor.scaling import MIN_FIT_POINTS, AffineFit, apply_affine, fit_affine
 
-from conftest import clean_table, make_height
+from conftest import CleanRow, clean_table, make_height
 
 
 def plateau_depth(lo=0.25, hi=0.75, n=96, gsd=1.0):
@@ -19,8 +18,8 @@ def plateau_photons(a, b, lo=0.25, hi=0.75, n=96, per_side=8):
     pts = []
     for i in range(per_side):
         y = 20.0 + i * 6.0
-        pts.append(CleanPhoton(20.0, y, a * lo + b, "object", 4, 3))
-        pts.append(CleanPhoton(float(n) - 20.0, y, a * hi + b, "object", 4, 3))
+        pts.append(CleanRow(20.0, y, a * lo + b, "object", 4, 3))
+        pts.append(CleanRow(float(n) - 20.0, y, a * hi + b, "object", 4, 3))
     return pts
 
 
@@ -46,7 +45,7 @@ class TestFitAffine:
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0)
         noisy = [
-            CleanPhoton(p.x, p.y, p.h_ag + float(rng.normal(0, 0.5)), p.kind, p.lc_class, p.cluster_size)
+            p._replace(h_ag=p.h_ag + float(rng.normal(0, 0.5)))
             for p in pts
         ]
         fit1 = fit_affine(depth, clean_table(noisy), footprint=17.0)
@@ -70,7 +69,7 @@ class TestFitAffine:
     def test_photons_outside_raster_are_skipped(self):
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0)
-        outside = [CleanPhoton(-500.0, -500.0, 1.0, "object", 4, 3)]
+        outside = [CleanRow(-500.0, -500.0, 1.0, "object", 4, 3)]
         fit = fit_affine(depth, clean_table(pts + outside), footprint=17.0)
         assert fit.n_points == len(pts)
         assert fit.a == pytest.approx(40.0, rel=1e-9)
@@ -78,7 +77,7 @@ class TestFitAffine:
     def test_huber_downweights_outliers(self):
         depth = plateau_depth()
         pts = plateau_photons(40.0, -10.0, per_side=10)
-        spoiled = pts + [CleanPhoton(20.0, 80.0, 500.0, "object", 4, 3)]
+        spoiled = pts + [CleanRow(20.0, 80.0, 500.0, "object", 4, 3)]
         plain = fit_affine(depth, clean_table(spoiled), footprint=17.0)
         robust = fit_affine(depth, clean_table(spoiled), footprint=17.0, huber=True)
         assert abs(robust.a - 40.0) < abs(plain.a - 40.0)

@@ -136,7 +136,7 @@ class TestSimulateTracks:
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=12))
         a = simulate_tracks(truth, dtm, lc, TrackConfig(seed=12))
         b = simulate_tracks(truth, dtm, lc, TrackConfig(seed=12))
-        assert a == b
+        assert a.tolist() == b.tolist()
 
     def test_no_intersection_raises(self):
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=13))

@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 import tracing  # noqa: E402
-from lidar_anchor import correction, scaling  # noqa: E402
+from lidar_anchor import correction, pipeline, scaling, synth  # noqa: E402
 
 from conftest import make_height, make_landcover, make_optical  # noqa: E402
 
@@ -85,3 +85,35 @@ def test_footprint_mean_is_one_call_per_stage_call():
     assert counts["raster.footprint_mean_calls"] == 2
     assert counts["scaling.fit_points"] == 20
     assert counts["correction.training_samples"] == 20
+
+
+def test_photon_layers_count_what_the_preprocess_report_counts(tmp_path):
+    scene, run_dir = tmp_path / "scene", tmp_path / "run"
+    pipeline.run_synth(synth.SceneConfig(size=128, seed=3), synth.TrackConfig(n_tracks=4, seed=3),
+                       synth.CorruptionConfig(alpha=0.05, beta=2.0), scene)
+    cfg = pipeline.PipelineConfig(
+        mode="relative", pred=str(scene / "pred"), landcover=str(scene / "landcover"),
+        dtm=str(scene / "dtm"), photons=str(scene / "photons.csv"), out=str(run_dir),
+        footprint=1.0,
+    )
+    run_dir.mkdir()
+
+    tracer = tracing.Tracer(tracing.RUN_POINTS)
+    tracer.install()
+    try:
+        pipeline.stage_preprocess(cfg, run_dir)
+        pipeline.stage_fit_scale(cfg, run_dir)
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    counts = tracing.layer_metrics(spans, tracer.installed, tracing.RUN_POINTS)
+    report = json.loads((run_dir / "preprocess_report.json").read_text(encoding="utf-8"))
+    assert counts["photons.loaded"] == report["counts"]["loaded"] > 0
+    assert counts["photons.clean"] == report["counts"]["clean"] > 0
+    clustering = report["clustering"]
+    assert counts["photons.dbscan_points"] == clustering["clustered"] + clustering["noise"]
+    assert counts["photons.dbscan_clusters"] == clustering["clusters"]
+
+    photon_layers = {layer for layer, *_ in tracing.RUN_POINTS if layer.startswith("photons.")}
+    assert "photons.read_clean_csv" in photon_layers
+    assert sorted(photon_layers - {s.layer for s in spans}) == []
