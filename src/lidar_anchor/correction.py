@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features, nrf_features
+from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features
 from .forest import RandomForest, predict_batch
 from .raster import (
     DEFAULT_FOOTPRINT,
@@ -85,27 +85,34 @@ def _feature_matrix(
 
     Windows may reach past the raster: hrf patches replicate its edge
     pixels, and nrf takes the embedding cell under the window center,
-    clamped to the last row and column.
+    clamped to the last row and column.  A center past the image the grid
+    covers raises ValueError.
     """
     h = pred.header
-    rows = []
-    for r0, c0 in origins:
-        if feature_mode == SCHEMA_NRF:
-            fv = nrf_features(
-                embeddings,
-                min(c0 + patch // 2, h.width - 1),
-                min(r0 + patch // 2, h.height - 1),
+    if feature_mode == SCHEMA_NRF:
+        g = embeddings.header
+        row0, col0 = np.array(origins, dtype=np.int64).reshape(-1, 2).T
+        rows = np.minimum(row0 + patch // 2, h.height - 1)
+        cols = np.minimum(col0 + patch // 2, h.width - 1)
+        outside = (cols >= g.width * g.cell_px) | (rows >= g.height * g.cell_px)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"pixel ({cols[i]}, {rows[i]}) outside the image covered by the grid "
+                f"({g.width * g.cell_px} x {g.height * g.cell_px} px)"
             )
-        else:
-            fv = hrf_features(
-                window(pred, r0, c0, patch),
-                window(optical, r0, c0, patch),
-                window(lc, r0, c0, patch),
-                pred_nodata=h.nodata,
-                lc_nodata=lc.header.nodata,
-            )
-        rows.append(fv.values)
-    return np.array(rows)
+        cells = embeddings.values.reshape(g.height, g.width, g.bands)
+        return cells[rows // g.cell_px, cols // g.cell_px].astype(np.float64)
+    return np.array([
+        hrf_features(
+            window(pred, r0, c0, patch),
+            window(optical, r0, c0, patch),
+            window(lc, r0, c0, patch),
+            pred_nodata=h.nodata,
+            lc_nodata=lc.header.nodata,
+        )
+        for r0, c0 in origins
+    ])
 
 
 def build_training_set(

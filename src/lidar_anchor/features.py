@@ -2,20 +2,20 @@
 
 Two schemas exist.  "hrf27" is a frozen 27-slot handcrafted vector computed
 from a prediction patch, an RGB patch, and a land-cover patch; its index
-layout is append-only and documented by HRF_FEATURE_NAMES.  "nrf" is a plain
-lookup of the embedding-grid cell covering the window center, with whatever
-dimensionality the grid carries.
+layout is append-only and documented by HRF_FEATURE_NAMES.  "nrf" is the
+embedding-grid cell covering the window center, with whatever dimensionality
+the grid carries; ``correction._feature_matrix`` gathers it for all windows
+at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .raster import EmbeddingGrid, percentile, sobel_magnitude
+from .raster import percentile, sobel_magnitude
 
 SCHEMA_HRF = "hrf27"
 SCHEMA_NRF = "nrf"
@@ -69,37 +69,21 @@ HRF_DIM = len(HRF_FEATURE_NAMES)
 _EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One feature vector tagged with the schema that produced it."""
-
-    values: np.ndarray
-    schema_id: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError(f"feature vector must be 1D and non-empty, got shape {self.values.shape}")
-        if self.schema_id == SCHEMA_HRF and self.values.size != HRF_DIM:
-            raise ValueError(
-                f"schema {SCHEMA_HRF} has {HRF_DIM} features, got {self.values.size}"
-            )
-
-
 def hrf_features(
     pred_patch: np.ndarray,
     optical_patch: np.ndarray,
     lc_patch: np.ndarray,
     pred_nodata: Optional[float] = None,
     lc_nodata: Optional[float] = None,
-) -> FeatureVector:
-    """Compute the 27-slot handcrafted feature vector for one window.
+) -> np.ndarray:
+    """The 27-slot handcrafted feature vector of one window, as float64.
 
     Prediction statistics are taken over valid (non-nodata) pixels; for the
     gradient, nodata pixels are first filled with the patch's valid mean so
     the Sobel response stays finite.  Optical channels are scaled to [0, 1].
-    Land-cover fractions cover the eight class codes in order, and the last
-    slot is their Shannon entropy (natural log).
+    Land-cover fractions cover the eight class codes in order (codes other
+    than nodata must lie in 0..7, as ``LandCoverRaster`` ensures), and the
+    last slot is their Shannon entropy (natural log).
 
     Raises ValueError when the prediction patch has no valid pixel at all.
     """
@@ -138,14 +122,13 @@ def hrf_features(
         lc_valid = lc != lc_nodata
     n_lc = int(lc_valid.sum())
     if n_lc > 0:
-        codes = np.clip(lc[lc_valid].astype(np.int64), 0, 7)
-        fractions = np.bincount(codes, minlength=8).astype(np.float64) / n_lc
+        fractions = np.bincount(lc[lc_valid].astype(np.int64), minlength=8).astype(np.float64) / n_lc
     else:
         fractions = np.zeros(8, dtype=np.float64)
     nonzero = fractions[fractions > 0]
     entropy = float(-np.sum(nonzero * np.log(nonzero))) if nonzero.size else 0.0
 
-    values = np.array(
+    return np.array(
         [
             float(np.mean(pv)),
             float(np.std(pv)),
@@ -170,26 +153,6 @@ def hrf_features(
         ],
         dtype=np.float64,
     )
-    return FeatureVector(values, SCHEMA_HRF)
-
-
-def nrf_features(grid: EmbeddingGrid, col: int, row: int) -> FeatureVector:
-    """Embedding vector of the grid cell covering image pixel (col, row)."""
-    cell_px = grid.header.cell_px
-    assert cell_px is not None
-    if col < 0 or row < 0:
-        raise ValueError(f"pixel ({col}, {row}) has negative coordinates")
-    cell_col = col // cell_px
-    cell_row = row // cell_px
-    if cell_col >= grid.header.width or cell_row >= grid.header.height:
-        raise ValueError(
-            f"pixel ({col}, {row}) outside the image covered by the grid "
-            f"({grid.header.width * cell_px} x {grid.header.height * cell_px} px)"
-        )
-    vec = np.asarray(grid.values[cell_row, cell_col], dtype=np.float64)
-    if vec.ndim == 0:
-        vec = vec.reshape(1)
-    return FeatureVector(vec.copy(), SCHEMA_NRF)
 
 
 def feature_names(schema_id: str, n_features: int) -> tuple[str, ...]:

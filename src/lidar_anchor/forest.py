@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .features import SCHEMA_HRF, SCHEMA_NRF, FeatureVector
+from .features import SCHEMA_HRF, SCHEMA_NRF
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +54,9 @@ class SplitMix64:
       integer per step (bound d, d-1, ..., d-k+1), result reported in
       ascending order.
 
-    Instances keep only the seed and a step counter, so scalar and block
-    generation produce the same stream.
+    Instances keep only the seed and a step counter, and every draw reads
+    the next outputs of that one stream, so draws of any block sizes
+    concatenate to the same values.
     """
 
     __slots__ = ("seed", "counter")
@@ -63,30 +64,6 @@ class SplitMix64:
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self.counter = 0
-
-    @staticmethod
-    def _mix(z: int) -> int:
-        z ^= z >> 30
-        z = (z * _MIX1) & _MASK64
-        z ^= z >> 27
-        z = (z * _MIX2) & _MASK64
-        z ^= z >> 31
-        return z
-
-    def next_u64(self) -> int:
-        self.counter += 1
-        return self._mix((self.seed + self.counter * _GOLDEN) & _MASK64)
-
-    def next_float(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n < 1:
-            raise ValueError(f"randint bound must be >= 1, got {n}")
-        v = int(self.next_float() * n)
-        return n - 1 if v >= n else v
 
     def u64_block(self, m: int) -> np.ndarray:
         """The next m raw outputs as a uint64 array (vectorized stream)."""
@@ -116,9 +93,9 @@ class SplitMix64:
     def subset_block(self, m: int, d: int, k: int) -> np.ndarray:
         """m successive k-of-d subsets as the rows of an (m, k) array.
 
-        Row r is what the r-th of m ``choose_k(d, k)`` calls returns: the
-        stream is read in the same order, and the Fisher-Yates swaps run on
-        all rows at once.
+        Row r is the r-th of m successive k-of-d draws as the class docstring
+        defines them: each reads k floats of the stream, and the Fisher-Yates
+        swaps run on all rows at once.
         """
         if not (1 <= k <= d):
             raise ValueError(f"cannot choose {k} of {d} features")
@@ -131,10 +108,6 @@ class SplitMix64:
             j = offsets[:, i] + i
             pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
         return np.sort(pool[:, :k], axis=1)
-
-    def choose_k(self, d: int, k: int) -> np.ndarray:
-        """k distinct integers from [0, d), ascending."""
-        return self.subset_block(1, d, k)[0]
 
 
 # ===== Model types =====
@@ -202,10 +175,10 @@ class RandomForest:
 # ===== Training =====
 
 def _subset_stream(rng: SplitMix64, d: int, k: int) -> Iterator[np.ndarray]:
-    """Endless ``rng.choose_k(d, k)`` draws, generated 256 at a time.
+    """Endless k-of-d subset draws, generated 256 at a time.
 
     Only the tree reads its stream, so drawing ahead leaves every subset
-    where ``choose_k`` would find it.
+    where drawing one at a time would find it.
     """
     while True:
         yield from rng.subset_block(256, d, k)
@@ -523,16 +496,6 @@ def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
     for tree in forest.trees:
         acc += _tree_predict(tree, X)
     return acc / len(forest.trees)
-
-
-def predict(forest: RandomForest, fv: FeatureVector) -> float:
-    """Forest prediction for one feature vector (mean of tree outputs)."""
-    if fv.schema_id != forest.schema_id:
-        raise ValueError(
-            f"feature schema {fv.schema_id!r} does not match model schema "
-            f"{forest.schema_id!r}"
-        )
-    return float(predict_batch(forest, fv.values[None, :])[0])
 
 
 def feature_importance(forest: RandomForest) -> np.ndarray:

@@ -33,7 +33,7 @@ from .raster import (
     LC_BUILDING,
     LC_TREE,
     LandCoverRaster,
-    sample_bilinear_many,
+    sample_bilinear,
     segment_sums,
 )
 
@@ -410,7 +410,7 @@ def enforce_dtm_consistency(
     value nor a DTM value under it raises ``ValueError``.
     """
     x, y = table["x"], table["y"]
-    dtm_value, on_dtm = sample_bilinear_many(dtm, x, y)
+    dtm_value, on_dtm = sample_bilinear(dtm, x, y)
     lost = ~found & ~on_dtm
     if lost.any():
         i = int(np.argmax(lost))

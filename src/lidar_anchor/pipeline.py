@@ -88,8 +88,14 @@ class PipelineConfig:
         self.features = _FEATURE_ALIASES[self.features]
         if self.seed is None:
             raise ValueError("a seed is required; every randomized stage records it")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for name in ("threads", "patch", "trees"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.stride is not None and self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not (self.footprint > 0):
+            raise ValueError(f"footprint must be > 0, got {self.footprint}")
 
 
 def load_config(path: Path | str) -> PipelineConfig:

@@ -17,7 +17,6 @@ the closest order statistics (numpy's "linear" method).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -113,13 +112,6 @@ class RasterHeader:
 
     # --- coordinate transforms ---
 
-    def pixel_center(self, col: int, row: int) -> tuple[float, float]:
-        """Map coordinates of the center of pixel (col, row)."""
-        return (
-            self.origin_x + (col + 0.5) * self.gsd,
-            self.origin_y - (row + 0.5) * self.gsd,
-        )
-
     def world_to_pixel(self, x: float, y: float) -> tuple[float, float]:
         """Continuous (col, row) with integer values at pixel centers."""
         return (
@@ -127,24 +119,9 @@ class RasterHeader:
             (self.origin_y - y) / self.gsd - 0.5,
         )
 
-    def pixel_of(self, x: float, y: float) -> tuple[int, int]:
-        """(col, row) of the pixel containing map point (x, y).
-
-        The point must be inside the raster bounds; points exactly on the
-        far edges map to the last pixel.
-        """
-        if not self.contains_point(x, y):
-            raise GeometryError(
-                f"point ({x}, {y}) outside raster bounds "
-                f"x [{self.origin_x}, {self.origin_x + self.width * self.gsd}], "
-                f"y [{self.origin_y - self.height * self.gsd}, {self.origin_y}]"
-            )
-        col = min(int(math.floor((x - self.origin_x) / self.gsd)), self.width - 1)
-        row = min(int(math.floor((self.origin_y - y) / self.gsd)), self.height - 1)
-        return col, row
-
     def pixels_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """pixel_of for arrays of points, all inside the raster bounds."""
+        """(col, row) of the pixels containing map points, all inside the
+        raster bounds; points exactly on the far edges map to the last pixel."""
         col = np.minimum(np.floor((x - self.origin_x) / self.gsd).astype(np.int64), self.width - 1)
         row = np.minimum(np.floor((self.origin_y - y) / self.gsd).astype(np.int64), self.height - 1)
         return col, row
@@ -213,12 +190,26 @@ class OpticalRaster(Raster):
 
 
 class LandCoverRaster(Raster):
-    """Single-band uint8 raster of land-cover class codes 0..7."""
+    """Single-band uint8 raster of land-cover class codes 0..7.
+
+    Every pixel that is not nodata must hold a class code; any other value
+    raises RasterFormatError naming the first one in row-major order.
+    """
 
     def __post_init__(self) -> None:
         if self.header.dtype != "uint8" or self.header.bands != 1:
             raise ValueError("LandCoverRaster requires a single uint8 band")
         super().__post_init__()
+        if self.values.max() >= len(LC_CLASSES):
+            bad = self.values >= len(LC_CLASSES)
+            if self.header.nodata is not None:
+                bad &= self.values != self.header.nodata
+            if bad.any():
+                row, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                raise RasterFormatError(
+                    f"land-cover code {int(self.values[row, col])} at pixel ({col}, {row}) "
+                    f"is not a class code 0..{len(LC_CLASSES) - 1}"
+                )
 
 
 class EmbeddingGrid(Raster):
@@ -333,58 +324,16 @@ def load_raster(path: Path | str) -> Raster:
 # ===== Sampling and windows =====
 
 
-def sample_bilinear(raster: Raster, x: float, y: float) -> Optional[float]:
-    """Bilinear sample of a single-band raster at map point (x, y).
-
-    Neighbors flagged nodata are dropped and the remaining weights are
-    renormalized; returns None when all four neighbors are nodata.  This is
-    the per-point form for callers that sample one point at a time;
-    ``sample_bilinear_many`` samples arrays of points.
-    """
-    h = raster.header
-    if h.bands != 1:
-        raise ValueError("sample_bilinear expects a single-band raster")
-    if not h.contains_point(x, y):
-        raise GeometryError(f"point ({x}, {y}) outside raster bounds")
-
-    fcol, frow = h.world_to_pixel(x, y)
-    c0 = int(math.floor(fcol))
-    r0 = int(math.floor(frow))
-    c0 = min(max(c0, 0), max(h.width - 2, 0))
-    r0 = min(max(r0, 0), max(h.height - 2, 0))
-    c1 = min(c0 + 1, h.width - 1)
-    r1 = min(r0 + 1, h.height - 1)
-    fx = min(max(fcol - c0, 0.0), 1.0)
-    fy = min(max(frow - r0, 0.0), 1.0)
-
-    corners = (
-        (r0, c0, (1.0 - fx) * (1.0 - fy)),
-        (r0, c1, fx * (1.0 - fy)),
-        (r1, c0, (1.0 - fx) * fy),
-        (r1, c1, fx * fy),
-    )
-    vals = raster.values
-    nodata = h.nodata
-    acc = 0.0
-    wsum = 0.0
-    for r, c, w in corners:
-        v = float(vals[r, c])
-        if nodata is not None and v == nodata:
-            continue
-        acc += w * v
-        wsum += w
-    if wsum == 0.0:
-        return None
-    return acc / wsum
-
-
-def sample_bilinear_many(
+def sample_bilinear(
     raster: Raster, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sample_bilinear at arrays of map points, with the same arithmetic.
+    """Bilinear samples of a single-band raster at arrays of map points.
 
-    Returns the samples and a mask of the points that had a sample; where
-    the mask is False (all four neighbors nodata) the sample reads 0.
+    Each point takes its four nearest pixel centers, clamped to the raster.
+    Neighbors flagged nodata are dropped and the remaining weights are
+    renormalized.  Returns the samples and a mask of the points that had a
+    sample; where the mask is False (all four neighbors nodata) the sample
+    reads 0.  A point outside the raster bounds raises GeometryError.
     """
     h = raster.header
     if h.bands != 1:
@@ -469,53 +418,34 @@ def valid_mask(raster: Raster) -> np.ndarray:
     return valid
 
 
-def footprint_mean(
-    raster: Raster, x: float | np.ndarray, y: float | np.ndarray, diameter: float
-) -> Optional[float] | np.ndarray:
-    """Mean of valid pixels whose centers lie within a disk around (x, y).
+# Pixels of candidate boxes held at once by footprint_mean, to bound memory.
+_FOOTPRINT_BOX_CELLS = 1 << 20
+
+
+def footprint_mean(raster: Raster, x: np.ndarray, y: np.ndarray, diameter: float) -> np.ndarray:
+    """Means of valid pixels whose centers lie within a disk around each
+    map point (x, y), as a float64 array.
 
     The disk has the given diameter in meters.  When the disk is so small
     that it captures no pixel center, the value of the pixel containing
-    (x, y) is used instead.  Returns None when every captured pixel is
-    invalid (nodata or non-finite).  Raises GeometryError when the disk
-    misses the raster entirely.
+    (x, y) is used instead.  The mean reads NaN where every captured pixel
+    is invalid (nodata or non-finite), and where the disk misses the raster
+    or the point is not finite.
 
-    ``x`` and ``y`` may also be arrays of points.  The means then come back
-    as a float64 array, NaN wherever the scalar form would return None or
-    raise; each mean equals the scalar form's bit for bit.
+    Each point's candidates are the pixels of its disk's bounding square,
+    cut to the raster, laid out in one fixed-size box per point.  The
+    selected pixels are summed in row-major order of that square, per
+    segment as ``np.mean`` sums them, so each mean equals ``np.mean`` of
+    that point's pixels alone.
     """
     h = raster.header
     if h.bands != 1:
         raise ValueError("footprint_mean expects a single-band raster")
     if not (diameter > 0):
         raise ValueError(f"diameter must be > 0, got {diameter}")
-    if np.ndim(x) or np.ndim(y):
-        means, _ = _footprint_means(raster, np.asarray(x, dtype=np.float64),
-                                    np.asarray(y, dtype=np.float64), diameter / 2.0)
-        return means
-    means, missed = _footprint_means(raster, np.array([x], dtype=np.float64),
-                                     np.array([y], dtype=np.float64), diameter / 2.0)
-    if missed[0]:
-        raise GeometryError(f"footprint at ({x}, {y}) does not intersect the raster")
-    return None if np.isnan(means[0]) else float(means[0])
-
-
-# Pixels of candidate boxes held at once by footprint_mean, to bound memory.
-_FOOTPRINT_BOX_CELLS = 1 << 20
-
-
-def _footprint_means(
-    raster: Raster, x: np.ndarray, y: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Footprint means of points, NaN where there is none, and the mask of
-    points whose disk misses the raster (or that are not finite).
-
-    Each point's candidates are the pixels of its disk's bounding square,
-    cut to the raster, laid out in one fixed-size box per point.  The
-    selected pixels are summed in row-major order of that square, per
-    segment as ``np.mean`` sums them, so means equal the per-point form.
-    """
-    h = raster.header
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    radius = diameter / 2.0
     with np.errstate(invalid="ignore"):
         missed = ~(np.isfinite(x) & np.isfinite(y)) | (
             (x + radius < h.origin_x)
@@ -526,7 +456,7 @@ def _footprint_means(
     means = np.full(x.shape, np.nan)
     hit = np.nonzero(~missed)[0]
     if hit.size == 0:
-        return means, missed
+        return means
     x, y = x[hit], y[hit]
     fcol, frow = h.world_to_pixel(x, y)
     reach = radius / h.gsd
@@ -564,7 +494,7 @@ def _footprint_means(
         empty = np.nonzero(~in_disk.any(axis=(1, 2)))[0] + s
         out[empty] = _containing_pixel_values(raster, x[empty], y[empty])
     means[hit] = out
-    return means, missed
+    return means
 
 
 def _containing_pixel_values(raster: Raster, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     RasterHeader,
-    sample_bilinear_many,
+    sample_bilinear,
 )
 
 logger = logging.getLogger(__name__)
@@ -332,7 +332,7 @@ def simulate_tracks(
         kept = np.nonzero(keep)[0]
         col, row = h.pixels_of(xs[kept], ys[kept])
         t_val = truth.values[row, col].astype(np.float64)
-        ground, found = sample_bilinear_many(dtm, xs[kept], ys[kept])
+        ground, found = sample_bilinear(dtm, xs[kept], ys[kept])
         kept, t_val, ground = kept[found], t_val[found], ground[found]
         elev = ground + t_val + noise[kept]
         klass = np.where(t_val < GROUND_SPLIT, CLASS_GROUND, CLASS_TOP_OF_CANOPY)

@@ -199,6 +199,48 @@ def sobel_direct(patch):
     return out
 
 
+# ----- bilinear sampling -----
+
+
+def sample_bilinear_direct(raster, x, y):
+    """Bilinear sample of a single-band raster at one map point, as the
+    package first computed it: the four nearest pixel centers, clamped to
+    the raster, weighted one corner at a time.
+
+    Nodata corners are dropped and the remaining weights renormalized.
+    Returns None when all four corners are nodata, and raises ValueError
+    for a point outside the raster bounds.
+    """
+    h = raster.header
+    if not (h.origin_x <= x <= h.origin_x + h.width * h.gsd
+            and h.origin_y - h.height * h.gsd <= y <= h.origin_y):
+        raise ValueError(f"point ({x}, {y}) outside raster bounds")
+    fcol = (x - h.origin_x) / h.gsd - 0.5
+    frow = (h.origin_y - y) / h.gsd - 0.5
+    c0 = min(max(int(math.floor(fcol)), 0), max(h.width - 2, 0))
+    r0 = min(max(int(math.floor(frow)), 0), max(h.height - 2, 0))
+    c1 = min(c0 + 1, h.width - 1)
+    r1 = min(r0 + 1, h.height - 1)
+    fx = min(max(fcol - c0, 0.0), 1.0)
+    fy = min(max(frow - r0, 0.0), 1.0)
+    acc = 0.0
+    wsum = 0.0
+    for r, c, w in (
+        (r0, c0, (1.0 - fx) * (1.0 - fy)),
+        (r0, c1, fx * (1.0 - fy)),
+        (r1, c0, (1.0 - fx) * fy),
+        (r1, c1, fx * fy),
+    ):
+        v = float(raster.values[r, c])
+        if h.nodata is not None and v == h.nodata:
+            continue
+        acc += w * v
+        wsum += w
+    if wsum == 0.0:
+        return None
+    return acc / wsum
+
+
 # ----- footprint and percentile -----
 
 

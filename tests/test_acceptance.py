@@ -243,7 +243,7 @@ def test_criterion_5_oracle_equivalence(announce):
     r = make_height(rng.uniform(0, 30, (40, 40)), gsd=2.0, origin=(0.0, 80.0))
     for trial in range(25):
         x, y = float(rng.uniform(2, 78)), float(rng.uniform(2, 78))
-        got = footprint_mean(r, x, y, 17.0)
+        got = float(footprint_mean(r, np.array([x]), np.array([y]), 17.0)[0])
         cells = footprint_pixels(40, 40, 2.0, 0.0, 80.0, x, y, 17.0)
         want = float(np.mean([float(r.values[row, col]) for row, col in cells])) if cells else None
         if cells and got != want:
@@ -333,11 +333,8 @@ def test_criterion_8_preprocessing_fidelity(announce):
     tracks = simulate_tracks(truth, dtm, lc, TrackConfig(noise_sigma=0.0, seed=7))
     clean, report = clean_photon_table(tracks, dtm, lc, PreprocessParams())
     counts = report["counts"]
-    errs = []
-    for x, y, h_ag in zip(*(clean[name].tolist() for name in ("x", "y", "h_ag"))):
-        col, row = truth.header.pixel_of(x, y)
-        errs.append(abs(h_ag - float(truth.values[row, col])))
-    err = float(np.mean(errs))
+    col, row = truth.header.pixels_of(clean["x"], clean["y"])
+    err = float(np.mean(np.abs(clean["h_ag"] - truth.values[row, col].astype(np.float64))))
     stages = list(counts.values())
     monotone = all(a >= b for a, b in zip(stages, stages[1:]))
     ok = err < 0.05 and monotone

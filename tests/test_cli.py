@@ -163,6 +163,15 @@ class TestPipelineCommand:
         assert "dtm" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    def test_bad_flag_value_fails_before_any_output(self, ws, tmp_path, capsys):
+        for flag in ("--patch", "--stride", "--trees"):
+            for command in ("preprocess", "pipeline"):
+                out = tmp_path / "never"
+                argv = [command, "--config", str(ws["pipe_cfg"]), "--out", str(out), flag, "0"]
+                assert cli.main(argv) == 1
+                assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
+                assert not out.exists()
+
     def test_unknown_config_key_rejected(self, ws, tmp_path, capsys):
         # idw_radius was once a pipeline key; cleaning uses its library default
         for key in ("tree_count", "idw_radius"):

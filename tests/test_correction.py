@@ -42,6 +42,12 @@ def constant_forest(value, schema=SCHEMA_HRF, n_features=HRF_DIM):
     )
 
 
+def pixel_of(header, x, y):
+    """(col, row) of the pixel containing one map point."""
+    col, row = header.pixels_of(np.array([x]), np.array([y]))
+    return int(col[0]), int(row[0])
+
+
 def scene(n=96, gsd=1.0, pred_fill=10.0):
     rng = np.random.default_rng(9)
     pred = make_height(np.full((n, n), pred_fill) + rng.normal(0, 0.1, (n, n)), gsd=gsd)
@@ -64,20 +70,20 @@ class TestBuildTrainingSet:
         assert skipped == 0
         assert X.shape == (12, HRF_DIM)
         for target, p in zip(y, pts):
-            want = footprint_mean(pred, p.x, p.y, 17.0) - p.h_ag
+            want = footprint_mean(pred, np.array([p.x]), np.array([p.y]), 17.0)[0] - p.h_ag
             assert target == pytest.approx(want, abs=1e-9)
 
     def test_features_match_photon_centered_window(self):
         pred, optical, lc = scene()
         p = photons_on(pred, count=1)[0]
         X, _, _ = build_training_set(pred, optical, lc, clean_table([p]), patch=32)
-        col, row = pred.header.pixel_of(p.x, p.y)
+        col, row = pixel_of(pred.header, p.x, p.y)
         want = hrf_features(
             window(pred, row - 16, col - 16, 32),
             window(optical, row - 16, col - 16, 32),
             window(lc, row - 16, col - 16, 32),
         )
-        np.testing.assert_array_equal(X[0], want.values)
+        np.testing.assert_array_equal(X[0], want)
 
     def test_nrf_rows_are_embedding_cells_under_photons(self):
         pred, _, _ = scene(n=64)
@@ -97,7 +103,7 @@ class TestBuildTrainingSet:
             embeddings=emb,
         )
         for row, p in zip(X, pts):
-            col, r = pred.header.pixel_of(p.x, p.y)
+            col, r = pixel_of(pred.header, p.x, p.y)
             np.testing.assert_array_equal(row, cells[r // 16, col // 16])
 
     def test_outside_and_nodata_photons_are_skipped(self):
@@ -113,7 +119,7 @@ class TestBuildTrainingSet:
         pred, optical, lc = scene()
         vals = pred.values.copy()
         p = photons_on(pred, count=1)[0]
-        col, row = pred.header.pixel_of(p.x, p.y)
+        col, row = pixel_of(pred.header, p.x, p.y)
         vals[row, col] = -9999.0
         pred2 = make_height(vals, gsd=pred.header.gsd, nodata=-9999.0)
         # photons_on(count=5) also starts at x=10, so two photons share the
@@ -128,7 +134,7 @@ class TestBuildTrainingSet:
         pred, optical, lc = scene()
         vals = pred.values.copy()
         p = photons_on(pred, count=1)[0]
-        col, row = pred.header.pixel_of(p.x, p.y)
+        col, row = pixel_of(pred.header, p.x, p.y)
         vals[row, col] = np.nan
         X, y, skipped = build_training_set(
             make_height(vals, gsd=pred.header.gsd), optical, lc,

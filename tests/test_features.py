@@ -14,18 +14,19 @@ from lidar_anchor.features import (
     HRF_FEATURE_NAMES,
     SCHEMA_HRF,
     SCHEMA_NRF,
-    FeatureVector,
     feature_groups,
     feature_names,
     hrf_features,
-    nrf_features,
 )
+from lidar_anchor.correction import _feature_matrix
 from lidar_anchor.raster import (
     EmbeddingGrid,
     LC_BUILDING,
     LC_TREE,
     RasterHeader,
 )
+
+from conftest import make_height
 
 
 def mk_patches(n=8, pred=5.0, gray=128, lc_code=LC_BUILDING):
@@ -79,15 +80,11 @@ class TestSchemaFreeze:
     def test_nrf_names_follow_dimension(self):
         assert feature_names(SCHEMA_NRF, 3) == ("embedding_0", "embedding_1", "embedding_2")
 
-    def test_vector_length_is_validated(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.zeros(26), SCHEMA_HRF)
-
 
 class TestHrfConstantInputs:
     def test_constant_everything(self):
         pred, optical, lc = mk_patches()
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         np.testing.assert_allclose(v[0:6], [5.0, 0.0, 5.0, 5.0, 5.0, 5.0], atol=1e-12)
         np.testing.assert_allclose(v[6:9], [0.0, 0.0, 0.0], atol=1e-12)
         g = 128.0 / 255.0
@@ -105,7 +102,7 @@ class TestHrfConstantInputs:
     def test_half_tree_half_building_entropy_ln2(self):
         pred, optical, lc = mk_patches()
         lc[:, : lc.shape[1] // 2] = LC_TREE
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         assert v[18 + LC_TREE] == pytest.approx(0.5)
         assert v[18 + LC_BUILDING] == pytest.approx(0.5)
         assert v[26] == pytest.approx(math.log(2), abs=1e-12)
@@ -113,7 +110,7 @@ class TestHrfConstantInputs:
     def test_uniform_mixture_entropy_ln8(self):
         pred, optical, _ = mk_patches()
         lc = np.indices((8, 8)).sum(axis=0).astype(np.uint8) % 8
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         np.testing.assert_allclose(v[18:26], 0.125)
         assert v[26] == pytest.approx(math.log(8), abs=1e-12)
 
@@ -123,7 +120,7 @@ class TestHrfStatistics:
         rng = np.random.default_rng(5)
         pred = rng.normal(10, 3, (16, 16)).astype(np.float32)
         _, optical, lc = mk_patches(16)
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         p = pred.astype(np.float64)
         assert v[0] == pytest.approx(p.mean())
         assert v[1] == pytest.approx(p.std())
@@ -137,7 +134,7 @@ class TestHrfStatistics:
         optical = np.zeros((8, 8, 3), dtype=np.uint8)
         optical[..., 0] = 50   # R
         optical[..., 1] = 150  # G
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         r, g = 50.0 / 255.0, 150.0 / 255.0
         assert v[15] == pytest.approx((g - r) / (g + r + 1e-6))
         assert v[17] == pytest.approx(r / (g + 1e-6))
@@ -146,7 +143,7 @@ class TestHrfStatistics:
         pred, optical, lc = mk_patches()
         pred = pred.astype(np.float64)
         pred[0, 0] = -9999.0
-        v = hrf_features(pred, optical, lc, pred_nodata=-9999.0).values
+        v = hrf_features(pred, optical, lc, pred_nodata=-9999.0)
         assert v[0] == pytest.approx(5.0)
         assert v[2] == 5.0
         # the fill keeps the gradient silent on an otherwise constant patch
@@ -161,7 +158,7 @@ class TestHrfStatistics:
     def test_lc_nodata_gives_zero_fractions(self):
         pred, optical, lc = mk_patches()
         lc = np.full_like(lc, 255)
-        v = hrf_features(pred, optical, lc, lc_nodata=255).values
+        v = hrf_features(pred, optical, lc, lc_nodata=255)
         np.testing.assert_array_equal(v[18:26], 0.0)
         assert v[26] == 0.0
 
@@ -172,49 +169,86 @@ class TestHrfStatistics:
         pred = rng.normal(5, 2, (8, 8))
         optical = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
         lc = rng.integers(0, 8, (8, 8), dtype=np.uint8)
-        v = hrf_features(pred, optical, lc).values
+        v = hrf_features(pred, optical, lc)
         assert v[18:26].sum() == pytest.approx(1.0, abs=1e-9)
         assert -1e-12 <= v[26] <= math.log(8) + 1e-12
         assert np.isfinite(v).all()
 
 
+def embedding_grid(width, height, bands, cell_px, values=None):
+    header = RasterHeader(width=width, height=height, gsd=8.0, origin_x=0.0,
+                          origin_y=height * 8.0, crs_code=32654, bands=bands,
+                          dtype="float32", cell_px=cell_px)
+    if values is None:
+        values = np.arange(height * width * bands, dtype=np.float32)
+    shape = (height, width, bands) if bands > 1 else (height, width)
+    return EmbeddingGrid(header, np.asarray(values, dtype=np.float32).reshape(shape))
+
+
+def nrf_rows(grid, origins, width, height, patch):
+    """nrf rows of _feature_matrix for windows at (row0, col0) origins on a
+    width x height prediction."""
+    pred = make_height(np.zeros((height, width)))
+    return _feature_matrix(origins, pred, None, None, grid, SCHEMA_NRF, patch)
+
+
 class TestNrf:
-    def grid(self, cell_px=16):
-        header = RasterHeader(
-            width=4,
-            height=3,
-            gsd=8.0,
-            origin_x=0.0,
-            origin_y=24.0,
-            crs_code=32654,
-            bands=5,
-            dtype="float32",
-            nodata=None,
-            cell_px=cell_px,
-        )
-        vals = np.arange(3 * 4 * 5, dtype=np.float32).reshape(3, 4, 5)
-        return EmbeddingGrid(header, vals)
+    def grid(self):
+        return embedding_grid(4, 3, 5, cell_px=16)
+
+    def rows_at(self, g, pixels, width=64):
+        # one-pixel windows: each (col, row) is its own window center
+        return nrf_rows(g, [(row, col) for col, row in pixels], width, 48, patch=1)
 
     def test_cell_lookup_uses_floor_division(self):
         g = self.grid()
-        v = nrf_features(g, 17, 33)  # cell (1, 2)
-        np.testing.assert_array_equal(v.values, g.values[2, 1])
-        assert v.schema_id == SCHEMA_NRF
+        v = self.rows_at(g, [(17, 33)])  # cell (1, 2)
+        np.testing.assert_array_equal(v, g.values[2, 1][None, :])
+        assert v.dtype == np.float64
 
     def test_first_and_last_pixels(self):
         g = self.grid()
-        np.testing.assert_array_equal(nrf_features(g, 0, 0).values, g.values[0, 0])
-        np.testing.assert_array_equal(nrf_features(g, 63, 47).values, g.values[2, 3])
+        np.testing.assert_array_equal(self.rows_at(g, [(0, 0)])[0], g.values[0, 0])
+        np.testing.assert_array_equal(self.rows_at(g, [(63, 47)])[0], g.values[2, 3])
 
     def test_outside_grid_raises(self):
         g = self.grid()
-        with pytest.raises(ValueError):
-            nrf_features(g, 64, 0)
-        with pytest.raises(ValueError):
-            nrf_features(g, -1, 0)
+        # the message names the first window whose center the grid misses
+        with pytest.raises(
+            ValueError,
+            match=r"pixel \(64, 0\) outside the image covered by the grid \(64 x 48 px\)",
+        ):
+            self.rows_at(g, [(0, 0), (64, 0), (70, 47)], width=71)
 
-    def test_vector_is_a_copy(self):
-        g = self.grid()
-        v = nrf_features(g, 0, 0)
-        v.values[0] = 999.0
-        assert g.values[0, 0, 0] == 0.0
+    @given(
+        st.integers(1, 9),
+        st.sampled_from([1, 2, 5]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_gather_equals_per_window_lookup(
+        self, cell_px, bands, grid_w, grid_h, patch, seed
+    ):
+        rng = np.random.default_rng(seed)
+        g = embedding_grid(grid_w, grid_h, bands, cell_px,
+                           rng.normal(0.0, 1.0, grid_w * grid_h * bands))
+        width = int(rng.integers(1, grid_w * cell_px + 1))
+        height = int(rng.integers(1, grid_h * cell_px + 1))
+        # training origins start patch // 2 before the photon's pixel, so
+        # near the top and left edges they lie past the raster
+        origins = list(zip(
+            rng.integers(-(patch // 2), height, 30).tolist(),
+            rng.integers(-(patch // 2), width, 30).tolist(),
+        ))
+        got = nrf_rows(g, origins, width, height, patch)
+        want = []
+        for r0, c0 in origins:
+            row = min(r0 + patch // 2, height - 1)
+            col = min(c0 + patch // 2, width - 1)
+            cell = g.values[row // cell_px, col // cell_px]
+            want.append(np.asarray(cell, dtype=np.float64).reshape(bands))
+        assert got.dtype == np.float64 and got.shape == (len(origins), bands)
+        assert got.tobytes() == np.array(want).tobytes()

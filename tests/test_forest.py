@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, FeatureVector
+from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF
 from lidar_anchor.forest import (
     ForestParams,
     MODEL_FORMAT_VERSION,
@@ -22,7 +22,6 @@ from lidar_anchor.forest import (
     _tree_predict,
     feature_importance,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_forest,
@@ -64,11 +63,11 @@ class TestSplitMix64:
     def test_matches_documented_recurrence(self):
         for seed in (0, 42, 2**63 + 17, (1 << 64) - 1):
             rng = SplitMix64(seed)
-            got = [rng.next_u64() for _ in range(200)]
+            got = [int(v) for v in rng.u64_block(200)]
             assert got == reference_splitmix(seed, 200)
 
     def test_block_equals_scalar_stream(self):
-        a = SplitMix64(42)
+        a = SplitMix64Direct(42)
         b = SplitMix64(42)
         scalar = [a.next_u64() for _ in range(100)]
         block = b.u64_block(100)
@@ -77,63 +76,63 @@ class TestSplitMix64:
     def test_interleaved_block_and_scalar_stay_in_step(self):
         a = SplitMix64(7)
         b = SplitMix64(7)
-        got = [a.next_u64() for _ in range(3)]
+        got = [int(v) for v in a.u64_block(3)]
         got += [int(v) for v in a.u64_block(5)]
-        got.append(a.next_u64())
-        want = [b.next_u64() for _ in range(9)]
+        got += [int(v) for v in a.u64_block(1)]
+        want = [int(v) for v in b.u64_block(9)]
         assert got == want
+        assert a.counter == b.counter == 9
 
     def test_float_range_and_precision(self):
         rng = SplitMix64(1)
-        vals = [rng.next_float() for _ in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in vals)
-        assert len(set(vals)) > 990
+        vals = rng._float_block(1000)
+        assert ((0.0 <= vals) & (vals < 1.0)).all()
+        assert len(set(vals.tolist())) > 990
 
     def test_randint_bounds(self):
         rng = SplitMix64(2)
-        vals = [rng.randint(7) for _ in range(500)]
+        vals = rng.index_block(500, 7).tolist()
         assert set(vals) <= set(range(7))
         assert len(set(vals)) == 7
 
     def test_index_block_matches_randint(self):
         a = SplitMix64(3)
-        b = SplitMix64(3)
+        b = SplitMix64Direct(3)
         block = a.index_block(64, 10)
         scalar = [b.randint(10) for _ in range(64)]
         assert [int(v) for v in block] == scalar
 
     def test_choose_k_is_sorted_distinct_subset(self):
         rng = SplitMix64(4)
-        for _ in range(100):
-            got = rng.choose_k(27, 9)
+        for got in rng.subset_block(100, 27, 9):
             assert list(got) == sorted(set(int(v) for v in got))
             assert all(0 <= v < 27 for v in got)
             assert got.size == 9
 
     def test_choose_all_returns_full_range(self):
-        assert sorted(int(v) for v in SplitMix64(5).choose_k(6, 6)) == list(range(6))
+        assert sorted(int(v) for v in SplitMix64(5).subset_block(1, 6, 6)[0]) == list(range(6))
 
     def test_choose_k_matches_loop(self):
         a = SplitMix64(11)
         b = SplitMix64Direct(11)
         for d, k in ((27, 9), (5, 5), (1, 1), (8, 3)):
-            for _ in range(20):
-                np.testing.assert_array_equal(a.choose_k(d, k), choose_k_direct(b, d, k))
+            for got in a.subset_block(20, d, k):
+                np.testing.assert_array_equal(got, choose_k_direct(b, d, k))
 
     def test_subset_block_rows_are_successive_draws(self):
         a = SplitMix64(12)
         b = SplitMix64(12)
         block = a.subset_block(40, 10, 4)
         for row in block:
-            np.testing.assert_array_equal(row, b.choose_k(10, 4))
+            np.testing.assert_array_equal(row, b.subset_block(1, 10, 4)[0])
         assert a.counter == b.counter == 160
 
     def test_validation(self):
         rng = SplitMix64(0)
         with pytest.raises(ValueError):
-            rng.randint(0)
+            rng.index_block(1, 0)
         with pytest.raises(ValueError):
-            rng.choose_k(3, 4)
+            rng.subset_block(1, 3, 4)
 
 
 class TestForestParams:
@@ -277,8 +276,7 @@ class TestTraining:
         X, y = make_samples(target=lambda X: np.full(len(X), 3.25))
         forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=4, seed=0))
         assert all(t.n_nodes() == 1 for t in forest.trees)
-        fv = FeatureVector(np.zeros(5), SCHEMA_NRF)
-        assert predict(forest, fv) == 3.25
+        assert predict_batch(forest, np.zeros((1, 5)))[0] == 3.25
 
     def test_uniform_importance_when_no_splits(self, caplog):
         X, y = make_samples(d=4, target=lambda X: np.zeros(len(X)))
@@ -310,14 +308,15 @@ class TestTraining:
         X, y = make_samples(n=60)
         forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=7, seed=2))
         batch = predict_batch(forest, X[:5])
+        # a row's prediction does not depend on the other rows of the batch
         for i in range(5):
-            assert predict(forest, FeatureVector(X[i], SCHEMA_NRF)) == batch[i]
+            assert predict_batch(forest, X[i : i + 1])[0] == batch[i]
 
     def test_schema_and_shape_are_enforced(self):
         X, y = make_samples(n=40, d=27)
         forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=2))
         with pytest.raises(ValueError, match="schema"):
-            predict(forest, FeatureVector(X[0], SCHEMA_HRF))
+            train_forest(X, y, SCHEMA_HRF + "x", ForestParams(n_trees=2, seed=2))
         with pytest.raises(ValueError):
             predict_batch(forest, X[:, :3])
         with pytest.raises(ValueError):

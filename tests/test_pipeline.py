@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from lidar_anchor import pipeline
 from lidar_anchor.raster import save_raster
@@ -105,3 +106,17 @@ def test_evaluate_writes_null_ssim_when_undefined(tmp_path):
     doc = json.loads((tmp_path / "metrics.json").read_text())
     assert doc["ssim"] is None and doc["flags"] == ["ssim_undefined"]
     assert doc["n_valid"] == 64 and abs(doc["mae"] - 0.5) < 1e-6
+
+
+def test_config_rejects_bad_window_forest_and_footprint_values(tmp_path):
+    # each would otherwise pass preprocess and fit-scale, write their
+    # artifacts, and fail only in train or correct
+    for key, value in (("patch", 0), ("stride", 0), ("stride", -8), ("trees", 0),
+                       ("footprint", 0.0), ("footprint", -17.0), ("footprint", float("nan"))):
+        with pytest.raises(ValueError, match=key):
+            pipeline.PipelineConfig(**{key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=key):
+            pipeline.load_config(path)
+    pipeline.PipelineConfig(patch=1, stride=1, trees=1, footprint=0.5)

@@ -18,14 +18,19 @@ from lidar_anchor.raster import (
     load_raster,
     percentile,
     sample_bilinear,
-    sample_bilinear_many,
     save_raster,
     sobel_magnitude,
     window,
 )
 
 from conftest import make_height, make_landcover, make_optical
-from oracles import footprint_mean_direct, footprint_pixels, percentile_direct, sobel_direct
+from oracles import (
+    footprint_mean_direct,
+    footprint_pixels,
+    percentile_direct,
+    sample_bilinear_direct,
+    sobel_direct,
+)
 
 
 def header(w=4, h=3, gsd=2.0, nodata=None, bands=1, dtype="float32", cell_px=None):
@@ -43,32 +48,31 @@ def header(w=4, h=3, gsd=2.0, nodata=None, bands=1, dtype="float32", cell_px=Non
     )
 
 
+def pixel_center(h, col, row):
+    """Map coordinates of the center of pixel (col, row), as the raster
+    format documents them."""
+    return h.origin_x + (col + 0.5) * h.gsd, h.origin_y - (row + 0.5) * h.gsd
+
+
 class TestHeader:
     def test_pixel_center_and_world_to_pixel_are_inverse(self):
         h = header()
         for col, row in [(0, 0), (3, 2), (1, 1)]:
-            x, y = h.pixel_center(col, row)
+            x, y = pixel_center(h, col, row)
             fcol, frow = h.world_to_pixel(x, y)
             assert fcol == pytest.approx(col, abs=1e-12)
             assert frow == pytest.approx(row, abs=1e-12)
 
     def test_pixel_center_formula(self):
         h = header()
-        assert h.pixel_center(0, 0) == (101.0, 199.0)
-        assert h.pixel_center(3, 2) == (107.0, 195.0)
+        assert h.world_to_pixel(101.0, 199.0) == (0.0, 0.0)
+        assert h.world_to_pixel(107.0, 195.0) == (3.0, 2.0)
 
     def test_pixel_of_clamps_far_edges(self):
         h = header()
-        assert h.pixel_of(100.0, 200.0) == (0, 0)
+        col, row = h.pixels_of(np.array([100.0, 108.0]), np.array([200.0, 194.0]))
         # the exact far edge belongs to the last pixel
-        assert h.pixel_of(108.0, 194.0) == (3, 2)
-
-    def test_pixel_of_outside_raises(self):
-        h = header()
-        with pytest.raises(GeometryError):
-            h.pixel_of(99.9, 199.0)
-        with pytest.raises(GeometryError):
-            h.pixel_of(101.0, 200.1)
+        assert col.tolist() == [0, 3] and row.tolist() == [0, 2]
 
     def test_contains_point_edges_inclusive(self):
         h = header()
@@ -85,7 +89,8 @@ class TestHeader:
         assert inside.tolist() == [h.contains_point(a, b) for a, b in zip(x.tolist(), y.tolist())]
         col, row = h.pixels_of(x[inside], y[inside])
         assert list(zip(col.tolist(), row.tolist())) == [
-            h.pixel_of(a, b) for a, b in zip(x[inside].tolist(), y[inside].tolist())
+            (min(math.floor((a - 100.0) / 2.0), 3), min(math.floor((200.0 - b) / 2.0), 2))
+            for a, b in zip(x[inside].tolist(), y[inside].tolist())
         ]
 
     def test_same_grid(self):
@@ -122,6 +127,24 @@ class TestRasterTypes:
         EmbeddingGrid(h, np.zeros((3, 4, 8), dtype=np.float32))
         with pytest.raises(ValueError):
             EmbeddingGrid(header(bands=8, dtype="float32"), np.zeros((3, 4, 8), dtype=np.float32))
+
+    def test_landcover_rejects_codes_outside_classes(self, tmp_path):
+        vals = np.zeros((3, 4), dtype=np.uint8)
+        vals[1, 2] = 8
+        vals[2, 0] = 200
+        with pytest.raises(RasterFormatError, match=r"code 8 at pixel \(2, 1\)"):
+            LandCoverRaster(header(dtype="uint8"), vals)
+        # nodata is no class code, and is not one of the bad values either
+        with pytest.raises(RasterFormatError, match=r"code 8 at pixel \(2, 1\)"):
+            LandCoverRaster(header(dtype="uint8", nodata=200), vals)
+        vals[1, 2] = 7
+        LandCoverRaster(header(dtype="uint8", nodata=200), vals)
+        # a file pair holding a bad code fails to load
+        good = LandCoverRaster(header(dtype="uint8", nodata=200), vals)
+        save_raster(good, tmp_path / "lc")
+        (tmp_path / "lc.bin").write_bytes(np.full((3, 4), 9, dtype=np.uint8).tobytes())
+        with pytest.raises(RasterFormatError, match=r"code 9 at pixel \(0, 0\)"):
+            load_raster(tmp_path / "lc")
 
     def test_height_like_keeps_grid(self):
         src = make_height(np.zeros((3, 4)), gsd=2.0)
@@ -225,40 +248,46 @@ class TestLoadErrors:
             load_raster(tmp_path / "r")
 
 
+def sample_at(raster, x, y):
+    """sample_bilinear at one point: the sample, or None where it found none."""
+    got, found = sample_bilinear(raster, np.array([x]), np.array([y]))
+    return float(got[0]) if found[0] else None
+
+
 class TestBilinear:
     def test_exact_at_pixel_centers(self):
         vals = np.arange(12, dtype=np.float32).reshape(3, 4)
         r = make_height(vals, gsd=2.0, origin=(100.0, 200.0))
         for col in range(4):
             for row in range(3):
-                x, y = r.header.pixel_center(col, row)
-                assert sample_bilinear(r, x, y) == pytest.approx(vals[row, col])
+                x, y = pixel_center(r.header, col, row)
+                assert sample_at(r, x, y) == pytest.approx(vals[row, col])
 
     def test_midpoint_interpolation(self):
         vals = np.array([[0.0, 4.0], [8.0, 12.0]], dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 2.0))
         # center of the 2x2 block: average of all four
-        assert sample_bilinear(r, 1.0, 1.0) == pytest.approx(6.0)
+        assert sample_at(r, 1.0, 1.0) == pytest.approx(6.0)
         # halfway between the top two centers
-        assert sample_bilinear(r, 1.0, 1.5) == pytest.approx(2.0)
+        assert sample_at(r, 1.0, 1.5) == pytest.approx(2.0)
 
     def test_nodata_renormalizes_weights(self):
         vals = np.array([[0.0, -9999.0], [8.0, 12.0]], dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 2.0), nodata=-9999.0)
-        got = sample_bilinear(r, 1.0, 1.0)
+        got = sample_at(r, 1.0, 1.0)
         # equal corner weights, one invalid: mean of the remaining three
         assert got == pytest.approx((0.0 + 8.0 + 12.0) / 3.0)
 
     def test_all_corners_nodata_returns_none(self):
         vals = np.full((2, 2), -9999.0, dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 2.0), nodata=-9999.0)
-        assert sample_bilinear(r, 1.0, 1.0) is None
+        assert sample_at(r, 1.0, 1.0) is None
 
     def test_clamps_outside_center_band(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 2.0))
         # above the top row of centers: clamps to the top edge values
-        assert sample_bilinear(r, 0.5, 1.99) == pytest.approx(1.0)
+        assert sample_at(r, 0.5, 1.99) == pytest.approx(1.0)
 
     def test_matches_manual_formula(self):
         rng = np.random.default_rng(3)
@@ -274,8 +303,7 @@ class TestBilinear:
             + vals[2, 1] * (1 - fx) * fy
             + vals[2, 2] * fx * fy
         )
-        assert sample_bilinear(r, x, y) == pytest.approx(float(v), abs=1e-6)
-
+        assert sample_at(r, x, y) == pytest.approx(float(v), abs=1e-6)
 
     def test_batched_equals_per_point(self):
         rng = np.random.default_rng(11)
@@ -287,12 +315,12 @@ class TestBilinear:
             h, w = shape
             x = np.concatenate([rng.uniform(10.0, 10.0 + 2 * w, 300), [10.0, 10.0 + 2 * w]])
             y = np.concatenate([rng.uniform(20.0 - 2 * h, 20.0, 300), [20.0, 20.0 - 2 * h]])
-            got, found = sample_bilinear_many(r, x, y)
+            got, found = sample_bilinear(r, x, y)
             for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
-                want = sample_bilinear(r, a, b)
+                want = sample_bilinear_direct(r, a, b)
                 assert (float(got[i]) if found[i] else None) == want  # bit for bit
         with pytest.raises(GeometryError):
-            sample_bilinear_many(r, np.array([10.5, 9.0]), np.array([19.5, 19.5]))
+            sample_bilinear(r, np.array([10.5, 9.0]), np.array([19.5, 19.5]))
 
 
 class TestExtractWindow:
@@ -351,13 +379,18 @@ class TestSobel:
             )
 
 
+def footprint_at(raster, x, y, diameter):
+    """footprint_mean at one point, NaN where it has no mean."""
+    return float(footprint_mean(raster, np.array([x]), np.array([y]), diameter)[0])
+
+
 class TestFootprint:
     def test_checkerboard_near_five(self):
         n = 64
         idx = np.indices((n, n)).sum(axis=0)
         vals = np.where(idx % 2 == 0, 0.0, 10.0).astype(np.float32)
         r = make_height(vals, gsd=0.5, origin=(0.0, 32.0))
-        got = footprint_mean(r, 16.0, 16.0, 17.0)
+        got = footprint_at(r, 16.0, 16.0, 17.0)
         assert abs(got - 5.0) <= 0.2
 
     def test_matches_enumeration_oracle(self):
@@ -370,9 +403,10 @@ class TestFootprint:
             y = 80.0 - rng.uniform(0, 28)
             d = rng.uniform(0.5, 20.0)
             hits = footprint_pixels(h.width, h.height, h.gsd, h.origin_x, h.origin_y, x, y, d)
-            got = footprint_mean(r, x, y, d)
+            got = footprint_at(r, x, y, d)
             if not hits:
-                col, row = h.pixel_of(x, y)
+                col = min(math.floor((x - h.origin_x) / h.gsd), h.width - 1)
+                row = min(math.floor((h.origin_y - y) / h.gsd), h.height - 1)
                 assert got == float(vals[row, col])
             else:
                 rows, cols = zip(*hits)
@@ -383,13 +417,13 @@ class TestFootprint:
         vals = np.arange(16, dtype=np.float32).reshape(4, 4)
         r = make_height(vals, gsd=10.0, origin=(0.0, 40.0))
         # 1 m disk at the corner of pixel (1, 1): no center within 0.5 m
-        got = footprint_mean(r, 12.0, 22.0, 1.0)
+        got = footprint_at(r, 12.0, 22.0, 1.0)
         assert got == float(vals[1, 1])
 
     def test_all_nodata_returns_none(self):
         vals = np.full((8, 8), -9999.0, dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 8.0), nodata=-9999.0)
-        assert footprint_mean(r, 4.0, 4.0, 5.0) is None
+        assert math.isnan(footprint_at(r, 4.0, 4.0, 5.0))
 
     def test_nonfinite_pixels_are_left_out(self):
         rng = np.random.default_rng(12)
@@ -400,35 +434,25 @@ class TestFootprint:
         assert (8, 8) in hits
         rows, cols = zip(*[hit for hit in hits if hit != (8, 8)])
         expected = float(np.mean(vals[list(rows), list(cols)].astype(np.float64)))
-        assert footprint_mean(r, 8.5, 7.5, 5.0) == expected
+        assert footprint_at(r, 8.5, 7.5, 5.0) == expected
         # a disk too small to hold a pixel center falls back to the NaN pixel
-        assert footprint_mean(r, 8.9, 7.1, 0.2) is None
-
-    def test_disjoint_disk_raises(self):
-        r = make_height(np.zeros((8, 8)), gsd=1.0, origin=(0.0, 8.0))
-        with pytest.raises(GeometryError):
-            footprint_mean(r, 100.0, 100.0, 17.0)
+        assert math.isnan(footprint_at(r, 8.9, 7.1, 0.2))
 
 
 def _assert_footprint_matches_oracle(raster, xs, ys, diameter):
-    """The array form equals the loop oracle bit for bit, NaN standing for
-    None and for a disk that misses the raster; the scalar form returns the
-    oracle's value or None, or raises GeometryError."""
+    """footprint_mean equals the loop oracle bit for bit, NaN standing for
+    None and for a disk that misses the raster."""
     got = footprint_mean(raster, xs, ys, diameter)
     assert got.dtype == np.float64 and got.shape == xs.shape
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         try:
             want = footprint_mean_direct(raster, x, y, diameter)
         except ValueError:
-            assert np.isnan(got[i])
-            with pytest.raises(GeometryError):
-                footprint_mean(raster, x, y, diameter)
-            continue
+            want = None
         if want is None:
             assert np.isnan(got[i])
         else:
             assert got[i] == want
-        assert footprint_mean(raster, x, y, diameter) == want
 
 
 def _footprint_raster(height, width, gsd, seed, nodata):

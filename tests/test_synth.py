@@ -100,17 +100,16 @@ class TestSimulateTracks:
         flat = make_height(np.zeros((128, 128)), gsd=truth.header.gsd,
                            origin=(truth.header.origin_x, truth.header.origin_y))
         cfg = TrackConfig(n_tracks=3, noise_sigma=0.0, seed=7)
-        for p in simulate_tracks(truth, flat, lc, cfg):
-            col, row = truth.header.pixel_of(p.x, p.y)
-            assert p.elev == float(truth.values[row, col])
+        tracks = simulate_tracks(truth, flat, lc, cfg)
+        col, row = truth.header.pixels_of(tracks["x"], tracks["y"])
+        np.testing.assert_array_equal(tracks["elev"], truth.values[row, col].astype(np.float64))
 
     def test_class_split_at_half_meter(self):
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=8))
-        for p in simulate_tracks(truth, dtm, lc, TrackConfig(n_tracks=3, seed=8)):
-            col, row = truth.header.pixel_of(p.x, p.y)
-            t = float(truth.values[row, col])
-            want = CLASS_GROUND if t < 0.5 else CLASS_TOP_OF_CANOPY
-            assert p.atl08_class == want
+        tracks = simulate_tracks(truth, dtm, lc, TrackConfig(n_tracks=3, seed=8))
+        col, row = truth.header.pixels_of(tracks["x"], tracks["y"])
+        want = np.where(truth.values[row, col] < 0.5, CLASS_GROUND, CLASS_TOP_OF_CANOPY)
+        np.testing.assert_array_equal(tracks["atl08_class"], want)
 
     def test_ids_sequential_and_beams_match_tracks(self):
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=9))

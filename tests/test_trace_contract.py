@@ -87,6 +87,29 @@ def test_footprint_mean_is_one_call_per_stage_call():
     assert counts["correction.training_samples"] == 20
 
 
+def test_hrf_calls_count_training_rows():
+    # one hrf_features call per window: the rows build_training_set returns
+    n = 48
+    rng = np.random.default_rng(4)
+    pred = make_height(rng.uniform(0.0, 1.0, (n, n)))
+    optical = make_optical(rng.integers(0, 256, (n, n, 3), dtype=np.uint8))
+    lc = make_landcover(rng.integers(0, 8, (n, n), dtype=np.uint8))
+    clean = np.zeros(12, dtype=[("x", "<f8"), ("y", "<f8"), ("h_ag", "<f8")])
+    # the last photon lies past the raster and is skipped
+    clean["x"] = np.append(np.linspace(1.0, 47.0, 11), 60.0)
+    clean["y"] = np.append(np.linspace(46.0, 2.0, 11), 20.0)
+
+    tracer = tracing.Tracer(tracing.RUN_POINTS)
+    tracer.install()
+    try:
+        X, _, skipped = correction.build_training_set(pred, optical, lc, clean, patch=16)
+    finally:
+        tracer.uninstall()
+    counts = tracing.layer_metrics(tracer.take(), tracer.installed, tracing.RUN_POINTS)
+    assert skipped == 1
+    assert counts["features.hrf_calls"] == len(X) == 11
+
+
 def test_photon_layers_count_what_the_preprocess_report_counts(tmp_path):
     scene, run_dir = tmp_path / "scene", tmp_path / "run"
     pipeline.run_synth(synth.SceneConfig(size=128, seed=3), synth.TrackConfig(n_tracks=4, seed=3),
