@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import SCHEMA_HRF, SCHEMA_NRF, hrf_features
+from .features import HRF_DIM, SCHEMA_HRF, SCHEMA_NRF, hrf_features
 from .forest import RandomForest, predict_batch
 from .raster import (
     DEFAULT_FOOTPRINT,
@@ -34,6 +34,10 @@ from .raster import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_PATCH = 64
+
+# Pixels of the windows whose hrf features are computed at once, to bound
+# memory: 8 windows at patch 64, 128 at patch 16.
+_FEATURE_CHUNK_PIXELS = 1 << 15
 
 
 @dataclass
@@ -86,12 +90,13 @@ def _feature_matrix(
     Windows may reach past the raster: hrf patches replicate its edge
     pixels, and nrf takes the embedding cell under the window center,
     clamped to the last row and column.  A center past the image the grid
-    covers raises ValueError.
+    covers raises ValueError.  hrf rows are computed a chunk of
+    ``_FEATURE_CHUNK_PIXELS`` window pixels at a time.
     """
     h = pred.header
+    row0, col0 = np.array(origins, dtype=np.int64).reshape(-1, 2).T
     if feature_mode == SCHEMA_NRF:
         g = embeddings.header
-        row0, col0 = np.array(origins, dtype=np.int64).reshape(-1, 2).T
         rows = np.minimum(row0 + patch // 2, h.height - 1)
         cols = np.minimum(col0 + patch // 2, h.width - 1)
         outside = (cols >= g.width * g.cell_px) | (rows >= g.height * g.cell_px)
@@ -103,16 +108,18 @@ def _feature_matrix(
             )
         cells = embeddings.values.reshape(g.height, g.width, g.bands)
         return cells[rows // g.cell_px, cols // g.cell_px].astype(np.float64)
-    return np.array([
-        hrf_features(
-            window(pred, r0, c0, patch),
-            window(optical, r0, c0, patch),
-            window(lc, r0, c0, patch),
+    out = np.empty((len(row0), HRF_DIM), dtype=np.float64)
+    chunk = max(_FEATURE_CHUNK_PIXELS // (patch * patch), 1)
+    for s in range(0, len(row0), chunk):
+        part = slice(s, s + chunk)
+        out[part] = hrf_features(
+            window(pred, row0[part], col0[part], patch),
+            window(optical, row0[part], col0[part], patch),
+            window(lc, row0[part], col0[part], patch),
             pred_nodata=h.nodata,
             lc_nodata=lc.header.nodata,
         )
-        for r0, c0 in origins
-    ])
+    return out
 
 
 def build_training_set(
@@ -186,10 +193,12 @@ def infer_residual_field(
     """Predict a dense residual raster from the trained forest.
 
     Windows of ``patch`` pixels tile the raster at ``stride`` (default
-    patch // 2); each window that covers a valid prediction pixel
-    contributes one scalar and each pixel averages the windows covering
-    it.  Scalars are accumulated in row-major window order.  Pixels under
-    no contributing window are invalid and get residual 0.
+    patch // 2; a stride above the patch would leave pixels between the
+    windows and raises ValueError); each window that covers a valid
+    prediction pixel contributes one scalar and each pixel averages the
+    windows covering it.  Scalars are accumulated in row-major window
+    order.  Pixels under no contributing window are invalid and get
+    residual 0.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -204,13 +213,22 @@ def infer_residual_field(
         stride = max(patch // 2, 1)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if stride > patch:
+        raise ValueError(f"stride must be <= patch ({patch}), got {stride}")
 
     h = pred.header
-    rows0 = _window_origins(h.height, patch, stride)
-    cols0 = _window_origins(h.width, patch, stride)
+    rows0 = np.array(_window_origins(h.height, patch, stride))
+    cols0 = np.array(_window_origins(h.width, patch, stride))
     valid = valid_mask(pred)
-    windows = [(r0, c0) for r0 in rows0 for c0 in cols0
-               if valid[r0 : r0 + patch, c0 : c0 + patch].any()]
+    # valid pixels per window, from a summed-area table of the mask
+    sat = np.zeros((h.height + 1, h.width + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(valid, axis=0), axis=1, out=sat[1:, 1:])
+    top, left = rows0[:, None], cols0[None, :]
+    bottom = np.minimum(top + patch, h.height)
+    right = np.minimum(left + patch, h.width)
+    counts = sat[bottom, right] - sat[top, right] - sat[bottom, left] + sat[top, left]
+    hit_r, hit_c = np.nonzero(counts)
+    windows = list(zip(rows0[hit_r].tolist(), cols0[hit_c].tolist()))
     if not windows:
         raise ValueError("no window covers a valid prediction pixel")
 

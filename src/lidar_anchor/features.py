@@ -2,10 +2,12 @@
 
 Two schemas exist.  "hrf27" is a frozen 27-slot handcrafted vector computed
 from a prediction patch, an RGB patch, and a land-cover patch; its index
-layout is append-only and documented by HRF_FEATURE_NAMES.  "nrf" is the
-embedding-grid cell covering the window center, with whatever dimensionality
-the grid carries; ``correction._feature_matrix`` gathers it for all windows
-at once.
+layout is append-only and documented by HRF_FEATURE_NAMES.  ``hrf_features``
+computes it for a stack of windows at once, each row bit-identical to the
+vector of its window computed alone; ``correction._feature_matrix`` feeds it
+fixed-size chunks of windows.  "nrf" is the embedding-grid cell covering the
+window center, with whatever dimensionality the grid carries;
+``correction._feature_matrix`` gathers it for all windows at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import percentile, sobel_magnitude
+from .raster import percentile, segment_sums, sobel_magnitude
 
 SCHEMA_HRF = "hrf27"
 SCHEMA_NRF = "nrf"
@@ -67,92 +69,107 @@ HRF_GROUPS = (
 HRF_DIM = len(HRF_FEATURE_NAMES)
 
 _EPS = 1e-6
+# each 8-bit level scaled to [0, 1], as level / 255.0 computes it
+_UNIT_LEVELS = np.arange(256) / 255.0
 
 
 def hrf_features(
-    pred_patch: np.ndarray,
-    optical_patch: np.ndarray,
-    lc_patch: np.ndarray,
+    pred: np.ndarray,
+    optical: np.ndarray,
+    lc: np.ndarray,
     pred_nodata: Optional[float] = None,
     lc_nodata: Optional[float] = None,
 ) -> np.ndarray:
-    """The 27-slot handcrafted feature vector of one window, as float64.
+    """The 27-slot handcrafted feature vectors of a stack of k windows, as
+    a (k, 27) float64 matrix.
 
-    Prediction statistics are taken over valid (non-nodata) pixels; for the
-    gradient, nodata pixels are first filled with the patch's valid mean so
-    the Sobel response stays finite.  Optical channels are scaled to [0, 1].
-    Land-cover fractions cover the eight class codes in order (codes other
-    than nodata must lie in 0..7, as ``LandCoverRaster`` ensures), and the
-    last slot is their Shannon entropy (natural log).
+    Inputs are the windows' prediction (k, p, p), uint8 RGB (k, p, p, 3)
+    and land-cover (k, p, p) patches.  Prediction statistics are taken over
+    valid (non-nodata) pixels; for the gradient, nodata pixels are first
+    filled with the window's valid mean so the Sobel response stays finite.
+    Optical channels are scaled to [0, 1].  Land-cover fractions cover the
+    eight class codes in order (codes other than nodata must lie in 0..7,
+    as ``LandCoverRaster`` ensures), and the last slot is their Shannon
+    entropy (natural log).
 
-    Raises ValueError when the prediction patch has no valid pixel at all.
+    Every row equals the vector of its window computed alone, bit for bit:
+    each statistic reduces one C-contiguous row per window (numpy sums such
+    a row pairwise, as it sums a window alone), and ragged sets (valid
+    pixels, nonzero fractions) are reduced in groups of one length.
+
+    Raises ValueError when a window has no valid prediction pixel at all.
     """
-    pred = np.asarray(pred_patch, dtype=np.float64)
-    optical = np.asarray(optical_patch, dtype=np.float64)
-    lc = np.asarray(lc_patch)
-    if pred.ndim != 2:
-        raise ValueError(f"prediction patch must be 2D, got shape {pred.shape}")
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
+    optical = np.asarray(optical)
+    lc = np.asarray(lc)
+    if pred.ndim != 3:
+        raise ValueError(f"prediction patches must be a (k, p, p) stack, got shape {pred.shape}")
     if optical.shape != pred.shape + (3,):
         raise ValueError(
             f"optical patch shape {optical.shape} does not match prediction {pred.shape}"
         )
     if lc.shape != pred.shape:
         raise ValueError(f"land-cover patch shape {lc.shape} does not match prediction {pred.shape}")
+    k = pred.shape[0]
+    n_pix = pred.shape[1] * pred.shape[2]
+    out = np.empty((k, HRF_DIM), dtype=np.float64)
 
-    valid = np.isfinite(pred)
+    pv = pred.reshape(k, n_pix)
+    valid = np.isfinite(pv)
     if pred_nodata is not None:
-        valid &= pred != pred_nodata
-    if not valid.any():
-        raise ValueError("prediction patch contains no valid pixel")
-    pv = pred[valid]
+        valid &= pv != pred_nodata
+    n_valid = valid.sum(axis=1)
+    if not n_valid.all():
+        i = int(np.argmin(n_valid))
+        raise ValueError(f"prediction patch of window {i} contains no valid pixel")
+    _ragged_stats(pv, valid, n_valid, out)
+    filled = np.where(valid, pv, out[:, :1]) if (n_valid < n_pix).any() else pv
 
-    filled = pred.copy()
-    filled[~valid] = float(np.mean(pv))
-    grad = sobel_magnitude(filled)
+    grad = sobel_magnitude(filled.reshape(pred.shape)).reshape(k, n_pix)
+    out[:, 6] = np.mean(grad, axis=1)
+    out[:, 7] = np.std(grad, axis=1)
+    out[:, 8] = percentile(grad, 95.0)
 
-    rgb = optical / 255.0
-    r = rgb[:, :, 0]
-    g = rgb[:, :, 1]
-    b = rgb[:, :, 2]
+    # one contiguous row per window and channel: (k, 3, p * p)
+    rgb = _UNIT_LEVELS[np.ascontiguousarray(np.moveaxis(optical, -1, 1)).reshape(k, 3, n_pix)]
+    r, g = rgb[:, 0], rgb[:, 1]
     gr_index = (g - r) / (g + r + _EPS)
-    red_green_ratio = float(np.mean(r)) / (float(np.mean(g)) + _EPS)
+    means = np.mean(rgb, axis=2)
+    out[:, 9:15:2] = means
+    out[:, 10:15:2] = np.std(rgb, axis=2)
+    out[:, 15] = np.mean(gr_index, axis=1)
+    out[:, 16] = np.std(gr_index, axis=1)
+    out[:, 17] = means[:, 0] / (means[:, 1] + _EPS)
 
-    lc_valid = np.ones(lc.shape, dtype=bool)
-    if lc_nodata is not None:
-        lc_valid = lc != lc_nodata
-    n_lc = int(lc_valid.sum())
-    if n_lc > 0:
-        fractions = np.bincount(lc[lc_valid].astype(np.int64), minlength=8).astype(np.float64) / n_lc
-    else:
-        fractions = np.zeros(8, dtype=np.float64)
-    nonzero = fractions[fractions > 0]
-    entropy = float(-np.sum(nonzero * np.log(nonzero))) if nonzero.size else 0.0
+    codes = lc.reshape(k, n_pix).astype(np.int64)
+    lc_valid = np.ones(codes.shape, dtype=bool) if lc_nodata is None else codes != lc_nodata
+    counts = np.bincount((codes + 8 * np.arange(k)[:, None])[lc_valid], minlength=8 * k)
+    counts = counts.reshape(k, 8)
+    n_lc = counts.sum(axis=1, keepdims=True)
+    fractions = np.divide(counts, n_lc, out=np.zeros((k, 8)), where=n_lc > 0)
+    out[:, 18:26] = fractions
+    # the entropy sums each window's nonzero terms alone, in class order
+    present = fractions > 0
+    sizes = present.sum(axis=1)
+    terms = fractions[present] * np.log(fractions[present])
+    sums = segment_sums(terms, np.cumsum(sizes) - sizes, sizes)
+    out[:, 26] = np.where(sizes > 0, -sums, 0.0)
+    return out
 
-    return np.array(
-        [
-            float(np.mean(pv)),
-            float(np.std(pv)),
-            float(np.min(pv)),
-            float(np.max(pv)),
-            percentile(pv, 90.0),
-            percentile(pv, 10.0),
-            float(np.mean(grad)),
-            float(np.std(grad)),
-            percentile(grad, 95.0),
-            float(np.mean(r)),
-            float(np.std(r)),
-            float(np.mean(g)),
-            float(np.std(g)),
-            float(np.mean(b)),
-            float(np.std(b)),
-            float(np.mean(gr_index)),
-            float(np.std(gr_index)),
-            red_green_ratio,
-            *fractions.tolist(),
-            entropy,
-        ],
-        dtype=np.float64,
-    )
+
+def _ragged_stats(pv: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, out: np.ndarray) -> None:
+    """Slots 0..5 of each row of ``pv`` over its valid pixels, one pass per
+    distinct valid count: the valid pixels of those windows, in row-major
+    order, are the rows of one matrix."""
+    n_pix = pv.shape[1]
+    for m in np.unique(n_valid).tolist():
+        rows = np.nonzero(n_valid == m)[0]
+        vals = pv[rows] if m == n_pix else pv[rows][valid[rows]].reshape(rows.size, m)
+        out[rows, 0] = np.mean(vals, axis=1)
+        out[rows, 1] = np.std(vals, axis=1)
+        out[rows, 2] = np.min(vals, axis=1)
+        out[rows, 3] = np.max(vals, axis=1)
+        out[rows, 4:6] = percentile(vals, (90.0, 10.0))
 
 
 def feature_names(schema_id: str, n_features: int) -> tuple[str, ...]:

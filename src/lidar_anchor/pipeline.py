@@ -94,6 +94,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.stride is not None and self.stride > self.patch:
+            # windows that far apart would leave pixels between them uncovered
+            raise ValueError(f"stride must be <= patch ({self.patch}), got {self.stride}")
         if not (self.footprint > 0):
             raise ValueError(f"footprint must be > 0, got {self.footprint}")
 

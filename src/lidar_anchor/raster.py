@@ -17,11 +17,13 @@ the closest order statistics (numpy's "linear" method).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Land-cover class codes shared by every raster consumer in this package.
 LC_CLASSES = (
@@ -368,42 +370,65 @@ def sample_bilinear(
     return np.divide(acc, wsum, out=np.zeros_like(acc), where=found), found
 
 
-def window(raster: Raster, row0: int, col0: int, size: int) -> np.ndarray:
-    """Square window of ``size`` pixels whose top-left pixel is (row0, col0).
+def window(raster: Raster, row0: np.ndarray, col0: np.ndarray, size: int) -> np.ndarray:
+    """Square windows of ``size`` pixels whose top-left pixels are
+    (row0[i], col0[i]), stacked as (k, size, size), or (k, size, size, bands)
+    for a multiband raster.
 
     Rows and columns that fall outside the raster are clamped to the edge
-    (edge replication), so the window may start or end past the raster and
-    always has the full requested size.  A window that covers no raster pixel
-    raises GeometryError.  Returns a copy.
+    (edge replication), so a window may start or end past the raster and
+    always has the full requested size.  A window that covers no raster
+    pixel raises GeometryError naming the first such window.  Returns a
+    copy.
+
+    The windows are cut from one box of the raster, the bounding box of
+    them all, edge-padded only where a window passes the raster, so the
+    memory taken beyond the stack is at most that of the padded raster.
     """
     if size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
     h = raster.header
-    if not (-size < row0 < h.height and -size < col0 < h.width):
-        raise GeometryError(f"window at ({row0}, {col0}) of size {size} misses the raster")
-    rows = np.clip(np.arange(row0, row0 + size), 0, h.height - 1)
-    cols = np.clip(np.arange(col0, col0 + size), 0, h.width - 1)
-    return raster.values[np.ix_(rows, cols)]
+    row0 = np.asarray(row0, dtype=np.int64).reshape(-1)
+    col0 = np.asarray(col0, dtype=np.int64).reshape(-1)
+    misses = ~((-size < row0) & (row0 < h.height) & (-size < col0) & (col0 < h.width))
+    if misses.any():
+        i = int(np.argmax(misses))
+        raise GeometryError(f"window at ({row0[i]}, {col0[i]}) of size {size} misses the raster")
+    r_lo, r_hi = int(row0.min()), int(row0.max()) + size
+    c_lo, c_hi = int(col0.min()), int(col0.max()) + size
+    box = raster.values[max(r_lo, 0) : min(r_hi, h.height), max(c_lo, 0) : min(c_hi, h.width)]
+    pad = ((max(-r_lo, 0), max(r_hi - h.height, 0)), (max(-c_lo, 0), max(c_hi - h.width, 0)))
+    if any(pad[0] + pad[1]):
+        box = np.pad(box, pad + ((0, 0),) * (box.ndim - 2), mode="edge")
+    # the view puts a multiband raster's bands before the window axes
+    stack = sliding_window_view(box, (size, size), axis=(0, 1))[row0 - r_lo, col0 - c_lo]
+    return np.moveaxis(stack, 1, -1) if stack.ndim == 4 else stack
 
 
-def sobel_magnitude(patch: np.ndarray) -> np.ndarray:
-    """Gradient magnitude of a 2D patch under the 3x3 Sobel operator.
+def sobel_magnitude(patches: np.ndarray) -> np.ndarray:
+    """Gradient magnitude under the 3x3 Sobel operator over the last two
+    axes of a patch or a stack of patches.
 
     Edges are handled by replication, as in ``window``.  A unit
     horizontal slope responds with magnitude 8 before any normalization.
+    Each patch of a stack gets exactly the values it gets alone.
     """
-    if patch.ndim != 2 or patch.shape[0] < 1 or patch.shape[1] < 1:
-        raise ValueError(f"expected a 2D patch, got shape {patch.shape}")
-    p = np.pad(patch.astype(np.float64), 1, mode="edge")
-    gx = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    )
-    gy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    )
-    return np.hypot(gx, gy)
+    if patches.ndim < 2 or patches.shape[-2] < 1 or patches.shape[-1] < 1:
+        raise ValueError(f"expected 2D patches, got shape {patches.shape}")
+    pad = ((0, 0),) * (patches.ndim - 2) + ((1, 1), (1, 1))
+    p = np.pad(patches.astype(np.float64), pad, mode="edge")
+    # the [1, 2, 1] smoothing across each axis, each shared by two taps:
+    # gx[r, c] = (p[r, c+2] + 2 p[r+1, c+2] + p[r+2, c+2]) - (same at c),
+    # summed in that order (2 p[r+1] + p[r] equals p[r] + 2 p[r+1] exactly)
+    across_rows = 2.0 * p[..., 1:-1, :]
+    across_rows += p[..., :-2, :]
+    across_rows += p[..., 2:, :]
+    across_cols = 2.0 * p[..., :, 1:-1]
+    across_cols += p[..., :, :-2]
+    across_cols += p[..., :, 2:]
+    gx = across_rows[..., 2:] - across_rows[..., :-2]
+    gy = across_cols[..., 2:, :] - across_cols[..., :-2, :]
+    return np.hypot(gx, gy, out=gx)
 
 
 # Supervision footprint diameter in meters, the nominal ICESat-2 footprint.
@@ -524,9 +549,36 @@ def segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
     return out
 
 
-def percentile(values: np.ndarray, q: float) -> float:
-    """Percentile with linear interpolation between closest order statistics."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q, method="linear"))
+def percentile(values: np.ndarray, q):
+    """Percentile(s) ``q`` of each row (the last axis) of ``values``, with
+    linear interpolation between the closest order statistics.
+
+    ``q`` is a number or a sequence; a sequence adds a last axis with one
+    entry per percentile.  Each value equals ``np.percentile`` of its row
+    alone, bit for bit: the rows are sorted once and interpolated in
+    numpy's "linear" arithmetic.  Sorting may order 0.0 and -0.0 unlike
+    numpy's partition (or turn -0.0 into 0.0), so the rare rows that hold
+    -0.0 and interpolate at a zero take ``np.percentile`` itself.  A row
+    holding NaN reads NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.sort(values, axis=-1)
+    n = rows.shape[-1]
+    nan_rows = np.isnan(rows[..., -1])  # NaN sorts last
+    out = []
+    for pct in np.atleast_1d(q).tolist():
+        pos = (n - 1) * (pct / 100)
+        # at or past the last order statistic numpy takes index -1
+        lo, hi = (-1, -1) if pos >= n - 1 else (math.floor(pos), math.floor(pos) + 1)
+        a, b, t = rows[..., lo], rows[..., hi], pos - lo
+        value = np.asarray(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+        redo = np.asarray((a == 0) | (b == 0))
+        if redo.any():
+            held = values[redo]
+            redo[redo] = ((held == 0) & np.signbit(held)).any(axis=-1)
+            value[redo] = np.percentile(values[redo], pct, axis=-1, method="linear")
+        out.append(np.where(nan_rows, np.nan, value))
+    return (np.stack(out, axis=-1) if np.ndim(q) else out[0])[()]
 
 
 def height_like(header: RasterHeader, values: np.ndarray, nodata: Optional[float] = None) -> HeightRaster:

@@ -48,7 +48,7 @@ def clean_table(rows):
     return np.array([tuple(row) for row in rows], dtype=CLEAN_DTYPE)
 
 
-def make_landcover(values, gsd=1.0, origin=None, crs=32654):
+def make_landcover(values, gsd=1.0, origin=None, crs=32654, nodata=None):
     arr = np.asarray(values, dtype=np.uint8)
     h, w = arr.shape
     if origin is None:
@@ -62,6 +62,7 @@ def make_landcover(values, gsd=1.0, origin=None, crs=32654):
         crs_code=crs,
         bands=1,
         dtype="uint8",
+        nodata=nodata,
     )
     return LandCoverRaster(header, arr)
 

@@ -199,6 +199,92 @@ def sobel_direct(patch):
     return out
 
 
+# ----- windows and handcrafted features -----
+
+
+def window_direct(raster, row0, col0, size):
+    """One square window of ``size`` pixels at top-left pixel (row0, col0),
+    edge-replicated where it passes the raster, as the package first cut
+    it: clamped index vectors, one gather.  Raises ValueError for a window
+    that covers no raster pixel."""
+    h = raster.header
+    if not (-size < row0 < h.height and -size < col0 < h.width):
+        raise ValueError(f"window at ({row0}, {col0}) of size {size} misses the raster")
+    rows = np.clip(np.arange(row0, row0 + size), 0, h.height - 1)
+    cols = np.clip(np.arange(col0, col0 + size), 0, h.width - 1)
+    return raster.values[np.ix_(rows, cols)]
+
+
+def sobel_stencil_direct(patch):
+    """3x3 Sobel gradient magnitude of one 2D patch with replicated edges,
+    as the package first computed it: each of the six taps of gx and of gy
+    summed in stencil order, so that results agree bit for bit."""
+    p = np.pad(patch.astype(np.float64), 1, mode="edge")
+    gx = (
+        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
+        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
+    )
+    gy = (
+        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
+        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
+    )
+    return np.hypot(gx, gy)
+
+
+def hrf_features_direct(pred_patch, optical_patch, lc_patch, pred_nodata=None, lc_nodata=None):
+    """The 27-slot hrf27 vector of one window, computed on its own, as the
+    package first defined it: statistics over the valid prediction pixels,
+    the Sobel gradient of the patch with invalid pixels filled by their
+    mean, RGB statistics on [0, 1], land-cover fractions and their entropy.
+    Raises ValueError when no prediction pixel is valid."""
+    pred = np.asarray(pred_patch, dtype=np.float64)
+    optical = np.asarray(optical_patch, dtype=np.float64)
+    lc = np.asarray(lc_patch)
+    valid = np.isfinite(pred)
+    if pred_nodata is not None:
+        valid &= pred != pred_nodata
+    if not valid.any():
+        raise ValueError("prediction patch contains no valid pixel")
+    pv = pred[valid]
+
+    filled = pred.copy()
+    filled[~valid] = float(np.mean(pv))
+    grad = sobel_stencil_direct(filled)
+
+    def pct(values, q):
+        return float(np.percentile(values, q, method="linear"))
+
+    rgb = optical / 255.0
+    r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+    gr_index = (g - r) / (g + r + 1e-6)
+    red_green_ratio = float(np.mean(r)) / (float(np.mean(g)) + 1e-6)
+
+    lc_valid = np.ones(lc.shape, dtype=bool) if lc_nodata is None else lc != lc_nodata
+    n_lc = int(lc_valid.sum())
+    if n_lc > 0:
+        fractions = np.bincount(lc[lc_valid].astype(np.int64), minlength=8).astype(np.float64) / n_lc
+    else:
+        fractions = np.zeros(8, dtype=np.float64)
+    nonzero = fractions[fractions > 0]
+    entropy = float(-np.sum(nonzero * np.log(nonzero))) if nonzero.size else 0.0
+
+    return np.array(
+        [
+            float(np.mean(pv)), float(np.std(pv)), float(np.min(pv)), float(np.max(pv)),
+            pct(pv, 90.0), pct(pv, 10.0),
+            float(np.mean(grad)), float(np.std(grad)), pct(grad, 95.0),
+            float(np.mean(r)), float(np.std(r)),
+            float(np.mean(g)), float(np.std(g)),
+            float(np.mean(b)), float(np.std(b)),
+            float(np.mean(gr_index)), float(np.std(gr_index)),
+            red_green_ratio,
+            *fractions.tolist(),
+            entropy,
+        ],
+        dtype=np.float64,
+    )
+
+
 # ----- bilinear sampling -----
 
 

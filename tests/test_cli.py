@@ -172,6 +172,14 @@ class TestPipelineCommand:
                 assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
                 assert not out.exists()
 
+    def test_stride_above_patch_fails_before_any_output(self, ws, tmp_path, capsys):
+        out = tmp_path / "never"
+        argv = ["pipeline", "--config", str(ws["pipe_cfg"]), "--out", str(out),
+                "--patch", "8", "--stride", "20"]
+        assert cli.main(argv) == 1
+        assert "stride must be <= patch (8), got 20" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, ws, tmp_path, capsys):
         # idw_radius was once a pipeline key; cleaning uses its library default
         for key in ("tree_count", "idw_radius"):

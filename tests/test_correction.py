@@ -7,17 +7,17 @@ from lidar_anchor.correction import (
     build_training_set,
     infer_residual_field,
 )
-from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM, hrf_features
+from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM
 from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree, train_forest
 from lidar_anchor.raster import (
     EmbeddingGrid,
     RasterHeader,
     footprint_mean,
     height_like,
-    window,
 )
 
 from conftest import CleanRow, clean_table, make_height, make_landcover, make_optical
+from oracles import hrf_features_direct, window_direct
 
 
 def leaf_tree(value):
@@ -78,10 +78,10 @@ class TestBuildTrainingSet:
         p = photons_on(pred, count=1)[0]
         X, _, _ = build_training_set(pred, optical, lc, clean_table([p]), patch=32)
         col, row = pixel_of(pred.header, p.x, p.y)
-        want = hrf_features(
-            window(pred, row - 16, col - 16, 32),
-            window(optical, row - 16, col - 16, 32),
-            window(lc, row - 16, col - 16, 32),
+        want = hrf_features_direct(
+            window_direct(pred, row - 16, col - 16, 32),
+            window_direct(optical, row - 16, col - 16, 32),
+            window_direct(lc, row - 16, col - 16, 32),
         )
         np.testing.assert_array_equal(X[0], want)
 
@@ -240,6 +240,16 @@ class TestInferResidualField:
         assert (out[:, :70] == -9999.0).all()
         want = np.maximum(pred.values[:, 70:].astype(np.float64) - residual[:, 70:], 0.0)
         np.testing.assert_array_equal(out[:, 70:], want.astype(np.float32))
+
+    def test_stride_above_patch_raises(self):
+        pred, optical, lc = scene(n=64)
+        rng = np.random.default_rng(3)
+        X = rng.normal(10.0, 1.0, (40, HRF_DIM))
+        forest = train_forest(X, X[:, 0] - 10.0, SCHEMA_HRF, ForestParams(n_trees=1, seed=5))
+        with pytest.raises(ValueError, match=r"stride must be <= patch \(8\), got 20"):
+            infer_residual_field(pred, optical, lc, forest, patch=8, stride=20)
+        field = infer_residual_field(pred, optical, lc, forest, patch=8, stride=8)
+        assert (field.weights >= 1).all()
 
     def test_all_nodata_raster_raises(self):
         _, optical, lc = scene(n=64)

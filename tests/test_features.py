@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from lidar_anchor.features import (
     feature_names,
     hrf_features,
 )
+from lidar_anchor import correction
 from lidar_anchor.correction import _feature_matrix
 from lidar_anchor.raster import (
     EmbeddingGrid,
@@ -26,7 +29,8 @@ from lidar_anchor.raster import (
     RasterHeader,
 )
 
-from conftest import make_height
+from conftest import make_height, make_landcover, make_optical
+from oracles import hrf_features_direct, window_direct
 
 
 def mk_patches(n=8, pred=5.0, gray=128, lc_code=LC_BUILDING):
@@ -34,6 +38,11 @@ def mk_patches(n=8, pred=5.0, gray=128, lc_code=LC_BUILDING):
     optical = np.full((n, n, 3), gray, dtype=np.uint8)
     lc = np.full((n, n), lc_code, dtype=np.uint8)
     return pred_patch, optical, lc
+
+
+def hrf_row(pred, optical, lc, **nodata):
+    """hrf_features of one window, as a stack of one."""
+    return hrf_features(pred[None], optical[None], lc[None], **nodata)[0]
 
 
 class TestSchemaFreeze:
@@ -84,7 +93,7 @@ class TestSchemaFreeze:
 class TestHrfConstantInputs:
     def test_constant_everything(self):
         pred, optical, lc = mk_patches()
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         np.testing.assert_allclose(v[0:6], [5.0, 0.0, 5.0, 5.0, 5.0, 5.0], atol=1e-12)
         np.testing.assert_allclose(v[6:9], [0.0, 0.0, 0.0], atol=1e-12)
         g = 128.0 / 255.0
@@ -102,7 +111,7 @@ class TestHrfConstantInputs:
     def test_half_tree_half_building_entropy_ln2(self):
         pred, optical, lc = mk_patches()
         lc[:, : lc.shape[1] // 2] = LC_TREE
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         assert v[18 + LC_TREE] == pytest.approx(0.5)
         assert v[18 + LC_BUILDING] == pytest.approx(0.5)
         assert v[26] == pytest.approx(math.log(2), abs=1e-12)
@@ -110,7 +119,7 @@ class TestHrfConstantInputs:
     def test_uniform_mixture_entropy_ln8(self):
         pred, optical, _ = mk_patches()
         lc = np.indices((8, 8)).sum(axis=0).astype(np.uint8) % 8
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         np.testing.assert_allclose(v[18:26], 0.125)
         assert v[26] == pytest.approx(math.log(8), abs=1e-12)
 
@@ -120,7 +129,7 @@ class TestHrfStatistics:
         rng = np.random.default_rng(5)
         pred = rng.normal(10, 3, (16, 16)).astype(np.float32)
         _, optical, lc = mk_patches(16)
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         p = pred.astype(np.float64)
         assert v[0] == pytest.approx(p.mean())
         assert v[1] == pytest.approx(p.std())
@@ -134,7 +143,7 @@ class TestHrfStatistics:
         optical = np.zeros((8, 8, 3), dtype=np.uint8)
         optical[..., 0] = 50   # R
         optical[..., 1] = 150  # G
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         r, g = 50.0 / 255.0, 150.0 / 255.0
         assert v[15] == pytest.approx((g - r) / (g + r + 1e-6))
         assert v[17] == pytest.approx(r / (g + 1e-6))
@@ -143,7 +152,7 @@ class TestHrfStatistics:
         pred, optical, lc = mk_patches()
         pred = pred.astype(np.float64)
         pred[0, 0] = -9999.0
-        v = hrf_features(pred, optical, lc, pred_nodata=-9999.0)
+        v = hrf_row(pred, optical, lc, pred_nodata=-9999.0)
         assert v[0] == pytest.approx(5.0)
         assert v[2] == 5.0
         # the fill keeps the gradient silent on an otherwise constant patch
@@ -153,12 +162,12 @@ class TestHrfStatistics:
         pred, optical, lc = mk_patches()
         pred = np.full_like(pred, -9999.0, dtype=np.float64)
         with pytest.raises(ValueError, match="valid"):
-            hrf_features(pred, optical, lc, pred_nodata=-9999.0)
+            hrf_row(pred, optical, lc, pred_nodata=-9999.0)
 
     def test_lc_nodata_gives_zero_fractions(self):
         pred, optical, lc = mk_patches()
         lc = np.full_like(lc, 255)
-        v = hrf_features(pred, optical, lc, lc_nodata=255)
+        v = hrf_row(pred, optical, lc, lc_nodata=255)
         np.testing.assert_array_equal(v[18:26], 0.0)
         assert v[26] == 0.0
 
@@ -169,10 +178,146 @@ class TestHrfStatistics:
         pred = rng.normal(5, 2, (8, 8))
         optical = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
         lc = rng.integers(0, 8, (8, 8), dtype=np.uint8)
-        v = hrf_features(pred, optical, lc)
+        v = hrf_row(pred, optical, lc)
         assert v[18:26].sum() == pytest.approx(1.0, abs=1e-9)
         assert -1e-12 <= v[26] <= math.log(8) + 1e-12
         assert np.isfinite(v).all()
+
+
+def hrf_scene(rng, height, width, pred_nodata_share, lc_nodata_share):
+    """Prediction, RGB and land-cover rasters with nodata pixels: -9999 and
+    NaN predictions, and land-cover code 255 (a whole band of rows when
+    the share is 1/2, so that some windows hold no land-cover pixel)."""
+    pred = rng.normal(5.0, 3.0, (height, width)).astype(np.float32)
+    pred[rng.random((height, width)) < pred_nodata_share] = -9999.0
+    pred[rng.random((height, width)) < pred_nodata_share / 4] = np.nan
+    codes = rng.integers(0, 8, (height, width), dtype=np.uint8)
+    if lc_nodata_share == 0.5:
+        codes[: height // 2] = 255
+    else:
+        codes[rng.random((height, width)) < lc_nodata_share] = 255
+    return (
+        make_height(pred, nodata=-9999.0),
+        make_optical(rng.integers(0, 256, (height, width, 3), dtype=np.uint8)),
+        make_landcover(codes, nodata=255),
+    )
+
+
+def oracle_rows(origins, pred, optical, lc, patch):
+    """Per-window oracle rows, and the origins whose window has no valid
+    prediction pixel."""
+    rows, empty = [], []
+    for r0, c0 in origins:
+        try:
+            rows.append(hrf_features_direct(
+                window_direct(pred, r0, c0, patch),
+                window_direct(optical, r0, c0, patch),
+                window_direct(lc, r0, c0, patch),
+                pred_nodata=-9999.0, lc_nodata=255,
+            ))
+        except ValueError:
+            empty.append((r0, c0))
+    return np.array(rows).reshape(-1, HRF_DIM), empty
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestHrfBatched:
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0]),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_feature_matrix_equals_per_window_oracle(
+        self, patch, n_windows, chunk_windows, pred_nodata_share, lc_nodata_share, seed
+    ):
+        # chunks of a few windows, so that the window counts straddle them
+        rng = np.random.default_rng(seed)
+        height, width = (int(v) for v in rng.integers(1, 2 * patch + 6, 2))
+        pred, optical, lc = hrf_scene(rng, height, width, pred_nodata_share, lc_nodata_share)
+        # windows past all four edges, as long as they cover a raster pixel
+        origins = list(zip(rng.integers(-patch + 1, height, n_windows).tolist(),
+                           rng.integers(-patch + 1, width, n_windows).tolist()))
+        want, empty = oracle_rows(origins, pred, optical, lc, patch)
+        usable = [o for o in origins if o not in empty]
+        with mock.patch.object(correction, "_FEATURE_CHUNK_PIXELS", chunk_windows * patch**2):
+            if empty:
+                with pytest.raises(ValueError, match="no valid pixel"):
+                    _feature_matrix(origins, pred, optical, lc, None, SCHEMA_HRF, patch)
+            if usable:
+                got = _feature_matrix(usable, pred, optical, lc, None, SCHEMA_HRF, patch)
+                assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 82])
+    def test_window_counts_around_the_chunk_size(self, extra):
+        patch = 20
+        chunk = correction._FEATURE_CHUNK_PIXELS // patch**2
+        rng = np.random.default_rng(extra + 100)
+        pred, optical, lc = hrf_scene(rng, 70, 50, 0.1, 0.3)
+        n = chunk + extra
+        origins = list(zip(rng.integers(-patch + 1, 70, n).tolist(),
+                           rng.integers(-patch + 1, 50, n).tolist()))
+        want, empty = oracle_rows(origins, pred, optical, lc, patch)
+        assert empty == []
+        got = _feature_matrix(origins, pred, optical, lc, None, SCHEMA_HRF, patch)
+        assert_bitwise_equal(got, want)
+
+    def test_stack_of_patches_equals_each_alone(self):
+        rng = np.random.default_rng(11)
+        pred = rng.normal(5.0, 2.0, (6, 9, 9))
+        pred[2, :4] = -9999.0
+        pred[4] = -9999.0
+        pred[4, 8, 8] = 1.0  # one valid pixel
+        optical = rng.integers(0, 256, (6, 9, 9, 3), dtype=np.uint8)
+        lc = rng.integers(0, 8, (6, 9, 9), dtype=np.uint8)
+        lc[3] = 255
+        got = hrf_features(pred, optical, lc, pred_nodata=-9999.0, lc_nodata=255)
+        want = np.array([hrf_features_direct(pred[i], optical[i], lc[i], -9999.0, 255)
+                         for i in range(6)])
+        assert_bitwise_equal(got, want)
+        # the inputs are read, not written
+        assert (pred[4, :8] == -9999.0).all()
+
+    def test_window_without_valid_pixel_is_named(self):
+        pred = np.full((3, 4, 4), 2.0)
+        pred[1] = np.nan
+        optical = np.zeros((3, 4, 4, 3), dtype=np.uint8)
+        lc = np.zeros((3, 4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="window 1 contains no valid pixel"):
+            hrf_features(pred, optical, lc)
+
+    def test_mismatched_stacks_raise(self):
+        pred, optical, lc = mk_patches()
+        with pytest.raises(ValueError, match="stack"):
+            hrf_features(pred, optical, lc)
+        with pytest.raises(ValueError, match="optical"):
+            hrf_features(pred[None], optical[None, :4], lc[None])
+        with pytest.raises(ValueError, match="land-cover"):
+            hrf_features(pred[None], optical[None], lc[None, :4])
+
+    def test_feature_matrix_memory_is_bounded(self):
+        # 1,000 windows at patch 64: the chunks, not the window count, set
+        # the peak of what the features allocate (about 3 MB at 8 windows
+        # a chunk, 11 MB at 32)
+        rng = np.random.default_rng(9)
+        pred, optical, lc = hrf_scene(rng, 192, 192, 0.02, 0.1)
+        origins = list(zip(rng.integers(-63, 192, 1000).tolist(),
+                           rng.integers(-63, 192, 1000).tolist()))
+        tracemalloc.start()
+        try:
+            X = _feature_matrix(origins, pred, optical, lc, None, SCHEMA_HRF, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (1000, HRF_DIM)
+        assert peak < 8 * 2**20, f"feature pass peaked at {peak / 2**20:.1f} MB"
 
 
 def embedding_grid(width, height, bands, cell_px, values=None):

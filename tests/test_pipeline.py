@@ -120,3 +120,15 @@ def test_config_rejects_bad_window_forest_and_footprint_values(tmp_path):
         with pytest.raises(ValueError, match=key):
             pipeline.load_config(path)
     pipeline.PipelineConfig(patch=1, stride=1, trees=1, footprint=0.5)
+
+
+def test_config_rejects_stride_above_patch(tmp_path):
+    # such windows leave pixels between them uncovered, which the correct
+    # stage would find only after training
+    with pytest.raises(ValueError, match=r"stride must be <= patch \(8\), got 20"):
+        pipeline.PipelineConfig(patch=8, stride=20)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"patch": 8, "stride": 20}))
+    with pytest.raises(ValueError, match="stride"):
+        pipeline.load_config(path)
+    pipeline.PipelineConfig(patch=8, stride=8)

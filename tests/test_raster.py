@@ -30,6 +30,8 @@ from oracles import (
     percentile_direct,
     sample_bilinear_direct,
     sobel_direct,
+    sobel_stencil_direct,
+    window_direct,
 )
 
 
@@ -323,17 +325,22 @@ class TestBilinear:
             sample_bilinear(r, np.array([10.5, 9.0]), np.array([19.5, 19.5]))
 
 
+def window_at(raster, row0, col0, size):
+    """The one window of ``window`` at (row0, col0)."""
+    return window(raster, np.array([row0]), np.array([col0]), size)[0]
+
+
 class TestExtractWindow:
     def test_interior_is_plain_slice(self):
         vals = np.arange(100, dtype=np.float32).reshape(10, 10)
         r = make_height(vals)
-        win = window(r, 2, 5, 4)
+        win = window_at(r, 2, 5, 4)
         np.testing.assert_array_equal(win, vals[2:6, 5:9])
 
     def test_edge_replicates(self):
         vals = np.arange(16, dtype=np.float32).reshape(4, 4)
         r = make_height(vals)
-        win = window(r, -1, -1, 3)
+        win = window_at(r, -1, -1, 3)
         expected = np.array(
             [[0, 0, 1], [0, 0, 1], [4, 4, 5]],
             dtype=np.float32,
@@ -343,7 +350,7 @@ class TestExtractWindow:
     def test_window_larger_than_raster(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         r = make_height(vals)
-        win = window(r, -3, -3, 6)
+        win = window_at(r, -3, -3, 6)
         assert win.shape == (6, 6)
         assert win[0, 0] == 1.0 and win[-1, -1] == 4.0
 
@@ -351,14 +358,39 @@ class TestExtractWindow:
         r = make_height(np.zeros((4, 4)))
         for row0, col0 in [(-1, 4), (4, 0), (-3, 0), (0, -3)]:
             with pytest.raises(GeometryError):
-                window(r, row0, col0, 3)
-        window(r, -2, 3, 3)  # one corner pixel is enough
+                window_at(r, row0, col0, 3)
+        window_at(r, -2, 3, 3)  # one corner pixel is enough
+        # the message names the first window that misses
+        with pytest.raises(GeometryError, match=r"\(4, 0\)"):
+            window(r, np.array([0, 4, -3]), np.array([0, 0, 0]), 3)
 
     def test_returns_copy(self):
         r = make_height(np.zeros((4, 4)))
-        win = window(r, 0, 0, 2)
+        win = window_at(r, 0, 0, 2)
         win[0, 0] = 99.0
         assert r.values[0, 0] == 0.0
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 20),
+        st.sampled_from([None, 3]), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_window_gather(self, height, width, size, bands, seed):
+        # origins anywhere a window still covers a raster pixel, past all
+        # four edges included
+        rng = np.random.default_rng(seed)
+        if bands:
+            r = make_optical(rng.integers(0, 256, (height, width, bands), dtype=np.uint8))
+        else:
+            r = make_height(rng.normal(0.0, 1.0, (height, width)))
+        row0 = rng.integers(-size + 1, height, 25)
+        col0 = rng.integers(-size + 1, width, 25)
+        got = window(r, row0, col0, size)
+        assert got.shape == (25, size, size) + ((bands,) if bands else ())
+        assert got.dtype == r.values.dtype
+        for i in range(25):
+            want = window_direct(r, int(row0[i]), int(col0[i]), size)
+            assert got[i].tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestSobel:
@@ -377,6 +409,21 @@ class TestSobel:
             np.testing.assert_allclose(
                 sobel_magnitude(patch), sobel_direct(patch), rtol=0, atol=1e-9
             )
+
+    @given(st.integers(1, 5), st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_each_patch_alone(self, k, height, width, seed):
+        patches = np.random.default_rng(seed).normal(0.0, 10.0, (k, height, width))
+        got = sobel_magnitude(patches)
+        assert got.shape == patches.shape
+        for i in range(k):
+            alone = sobel_magnitude(patches[i])
+            assert got[i].tobytes() == alone.tobytes()
+            assert alone.tobytes() == sobel_stencil_direct(patches[i]).tobytes()
+
+    def test_rejects_fewer_than_two_axes(self):
+        with pytest.raises(ValueError, match="2D"):
+            sobel_magnitude(np.zeros(4))
 
 
 def footprint_at(raster, x, y, diameter):
@@ -541,6 +588,23 @@ class TestPercentile:
         got = percentile(np.asarray(values), q)
         expected = percentile_direct(values, q)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_rows_equal_numpy_bit_for_bit(self, rounded):
+        # rounding to whole numbers leaves many 0.0 and -0.0 in a row,
+        # which sorting and numpy's partition may order differently
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            values = rng.normal(0.0, 0.7, (3, int(rng.integers(1, 300))))
+            if rounded:
+                values = np.round(values)
+            for q in (0.0, 10.0, 50.0, 90.0, 95.0, 100.0):
+                want = np.percentile(values, q, axis=1, method="linear")
+                assert percentile(values, q).tobytes() == want.tobytes()
+                both = percentile(values, (q, 10.0))
+                assert both.shape == (3, 2) and both[:, 0].tobytes() == want.tobytes()
+                alone = np.percentile(values[0], q, method="linear")
+                assert np.float64(percentile(values[0], q)).tobytes() == alone.tobytes()
 
     def test_known_values(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])

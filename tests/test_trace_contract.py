@@ -88,7 +88,9 @@ def test_footprint_mean_is_one_call_per_stage_call():
 
 
 def test_hrf_calls_count_training_rows():
-    # one hrf_features call per window: the rows build_training_set returns
+    # one hrf_features call per chunk of windows: the rows build_training_set
+    # returns, in chunks of _FEATURE_CHUNK_PIXELS; 11 rows are one chunk at
+    # patch 16 (128 windows a chunk) and two at patch 64 (8 windows a chunk)
     n = 48
     rng = np.random.default_rng(4)
     pred = make_height(rng.uniform(0.0, 1.0, (n, n)))
@@ -99,15 +101,18 @@ def test_hrf_calls_count_training_rows():
     clean["x"] = np.append(np.linspace(1.0, 47.0, 11), 60.0)
     clean["y"] = np.append(np.linspace(46.0, 2.0, 11), 20.0)
 
-    tracer = tracing.Tracer(tracing.RUN_POINTS)
-    tracer.install()
-    try:
-        X, _, skipped = correction.build_training_set(pred, optical, lc, clean, patch=16)
-    finally:
-        tracer.uninstall()
-    counts = tracing.layer_metrics(tracer.take(), tracer.installed, tracing.RUN_POINTS)
-    assert skipped == 1
-    assert counts["features.hrf_calls"] == len(X) == 11
+    for patch, chunks in ((16, 1), (64, 2)):
+        tracer = tracing.Tracer(tracing.RUN_POINTS)
+        tracer.install()
+        try:
+            X, _, skipped = correction.build_training_set(pred, optical, lc, clean, patch=patch)
+        finally:
+            tracer.uninstall()
+        counts = tracing.layer_metrics(tracer.take(), tracer.installed, tracing.RUN_POINTS)
+        assert skipped == 1
+        assert len(X) == 11
+        per_chunk = correction._FEATURE_CHUNK_PIXELS // patch**2
+        assert counts["features.hrf_calls"] == -(-len(X) // per_chunk) == chunks
 
 
 def test_photon_layers_count_what_the_preprocess_report_counts(tmp_path):
