@@ -137,7 +137,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
-    report = pipeline.stage_evaluate(cfg, cfg.pred, _out_dir(cfg))
+    report, _ = pipeline.stage_evaluate(cfg, cfg.pred, _out_dir(cfg))
     doc = pipeline._metrics_doc(report, cfg.seed)
     print(json.dumps(doc, sort_keys=True))
     return 0

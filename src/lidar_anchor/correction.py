@@ -27,6 +27,7 @@ from .raster import (
     OpticalRaster,
     footprint_mean,
     height_like,
+    row_strips,
     valid_mask,
     window,
 )
@@ -256,7 +257,9 @@ def apply_correction(pred: HeightRaster, field: ResidualField) -> HeightRaster:
     """
     if not pred.header.same_grid(field.values.header):
         raise ValueError("residual field is on a different grid than the prediction")
-    values = pred.values.astype(np.float64)
-    corrected = np.maximum(values - field.values.values.astype(np.float64), 0.0)
-    corrected = np.where(valid_mask(pred), corrected, values)
-    return height_like(pred.header, corrected.astype(np.float32), nodata=pred.header.nodata)
+    out = np.empty_like(pred.values)
+    for rows in row_strips(pred.header.height):
+        values = pred.values[rows].astype(np.float64)
+        corrected = np.maximum(values - field.values.values[rows].astype(np.float64), 0.0)
+        out[rows] = np.where(valid_mask(pred, rows), corrected, values)
+    return height_like(pred.header, out, nodata=pred.header.nodata)

@@ -1,32 +1,47 @@
 """Raster comparison metrics for height fields.
 
 All pixel metrics ignore pixels that are nodata or non-finite in either
-raster.  SSIM follows the standard Gaussian-window formulation (11x11
-window, sigma 1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range
-L taken from the reference raster's valid values and clamped below at 1 m so
-near-flat references do not blow up the stabilizers.  Its Gaussian moments
-are taken as two 1-D passes (the window is separable) over strips of rows,
-so that the moment arrays grow with the strip, not the raster.  The
-height-error F1 counts a pixel as a true positive when both heights exceed
-a threshold and their ratio (after flooring both at 0.1 m) stays below eta.
+raster.  A pair is scored in strips of ``SSIM_STRIP`` rows, top to bottom,
+so the float64 temporaries of every metric grow with the raster's width,
+not its area: ``evaluate`` takes each strip's jointly valid pixels once and
+adds them to the absolute and squared error sums and the F1 counts,
+``ssim`` computes each strip's moments and adds up its window scores, and
+``per_class_breakdown`` bins each strip's errors by land-cover class.  The
+strip order is fixed, so the sums, and every result, are deterministic.
+
+SSIM follows the standard Gaussian-window formulation (11x11 window, sigma
+1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range L taken from
+the reference raster's valid values and clamped below at 1 m so near-flat
+references do not blow up the stabilizers.  Its Gaussian moments are taken
+as two 1-D passes (the window is separable).  The height-error F1 counts a
+pixel as a true positive when both heights exceed a threshold and their
+ratio (after flooring both at 0.1 m) stays below eta.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import ndimage
 
-from .raster import HeightRaster, LC_CLASSES, LandCoverRaster, valid_mask
+from .raster import (
+    LC_CLASSES,
+    STRIP_ROWS,
+    HeightRaster,
+    LandCoverRaster,
+    row_strips,
+    valid_mask,
+)
 
 logger = logging.getLogger(__name__)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
-SSIM_STRIP = 64  # output rows per strip of SSIM moments
+SSIM_STRIP = STRIP_ROWS  # rows per strip of the scoring passes
 RATIO_FLOOR = 0.1
 DEFAULT_HEIGHT_THRESHOLD = 1.0
 DEFAULT_RATIO_LIMIT = 1.25
@@ -61,29 +76,9 @@ def _check_pair(pred: HeightRaster, ref: HeightRaster) -> None:
         )
 
 
-def _joint_valid(pred: HeightRaster, ref: HeightRaster) -> np.ndarray:
-    """Pixels that are finite and not nodata in both rasters."""
-    return valid_mask(pred) & valid_mask(ref)
-
-
-def mae(pred: HeightRaster, ref: HeightRaster) -> float:
-    """Mean absolute error over jointly valid pixels."""
-    _check_pair(pred, ref)
-    valid = _joint_valid(pred, ref)
-    if not valid.any():
-        raise ValueError("no jointly valid pixels to compare")
-    diff = pred.values.astype(np.float64)[valid] - ref.values.astype(np.float64)[valid]
-    return float(np.mean(np.abs(diff)))
-
-
-def rmse(pred: HeightRaster, ref: HeightRaster) -> float:
-    """Root mean square error over jointly valid pixels."""
-    _check_pair(pred, ref)
-    valid = _joint_valid(pred, ref)
-    if not valid.any():
-        raise ValueError("no jointly valid pixels to compare")
-    diff = pred.values.astype(np.float64)[valid] - ref.values.astype(np.float64)[valid]
-    return float(np.sqrt(np.mean(diff * diff)))
+def _joint_valid(pred: HeightRaster, ref: HeightRaster, rows: slice) -> np.ndarray:
+    """Pixels of a strip of rows that are finite and not nodata in both rasters."""
+    return valid_mask(pred, rows) & valid_mask(ref, rows)
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -109,11 +104,16 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
             f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
 
-    valid = _joint_valid(pred, ref)
-    ref_valid = ref.values[valid].astype(np.float64)
-    if ref_valid.size == 0:
+    # the dynamic range of the reference's jointly valid values
+    low, high = np.inf, -np.inf
+    for rows in row_strips(h.height, SSIM_STRIP):
+        ref_valid = ref.values[rows][_joint_valid(pred, ref, rows)]
+        if ref_valid.size:
+            low = min(low, float(ref_valid.min()))
+            high = max(high, float(ref_valid.max()))
+    if low > high:
         raise ValueError("no jointly valid pixels to compare")
-    dynamic_range = max(float(ref_valid.max() - ref_valid.min()), 1.0)
+    dynamic_range = max(high - low, 1.0)
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
@@ -125,16 +125,18 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
         cols = ndimage.correlate1d(arr, kernel, axis=1)[:, half:-half]
         return ndimage.correlate1d(cols, kernel, axis=0)[half:-half]
 
-    # a window is usable when every pixel under it is valid
-    usable = ndimage.minimum_filter(valid, size=SSIM_WINDOW)[half:-half, half:-half]
-    if not usable.any():
-        raise UndefinedSSIM("every SSIM window touches a nodata pixel")
-
-    scores = []
-    for r0 in range(0, h.height - 2 * half, SSIM_STRIP):
-        r1 = min(r0 + SSIM_STRIP, h.height - 2 * half)
-        x = pred.values[r0 : r1 + 2 * half].astype(np.float64)
-        y = ref.values[r0 : r1 + 2 * half].astype(np.float64)
+    total = 0.0
+    count = 0
+    # strips of output rows; each reads its rows plus ``half`` on either side
+    for out_rows in row_strips(h.height - 2 * half, SSIM_STRIP):
+        rows = slice(out_rows.start, out_rows.stop + 2 * half)
+        # a window is usable when every pixel under it is valid
+        usable = ndimage.minimum_filter(_joint_valid(pred, ref, rows), size=SSIM_WINDOW)
+        usable = usable[half:-half, half:-half]
+        if not usable.any():
+            continue
+        x = pred.values[rows].astype(np.float64)
+        y = ref.values[rows].astype(np.float64)
         # windows over a non-finite pixel give NaN here; none of them is usable
         with np.errstate(invalid="ignore"):
             mu_x = local(x)
@@ -145,61 +147,61 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
             score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
                 (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
             )
-        scores.append(score[usable[r0:r1]])
-    return float(np.mean(np.concatenate(scores)))
+        total += float(np.sum(score[usable]))
+        count += int(np.count_nonzero(usable))
+    if count == 0:
+        raise UndefinedSSIM("every SSIM window touches a nodata pixel")
+    return total / count
 
 
-def f1_he(
-    pred: HeightRaster,
-    ref: HeightRaster,
-    threshold: float = DEFAULT_HEIGHT_THRESHOLD,
-    eta: float = DEFAULT_RATIO_LIMIT,
-) -> tuple[float, float, float]:
-    """Height-error precision, recall, and F1 over jointly valid pixels.
+def _error_sums(pred: HeightRaster, ref: HeightRaster) -> tuple[int, float, float, int, int, int]:
+    """Over the jointly valid pixels, strip by strip: their number, the sums
+    of |pred - ref| and (pred - ref)^2, the F1's true and false positives,
+    and the reference pixels above the height threshold."""
+    n_valid = tp = fp = ref_above = 0
+    abs_sum = sq_sum = 0.0
+    for rows in row_strips(pred.header.height, SSIM_STRIP):
+        valid = _joint_valid(pred, ref, rows)
+        p = pred.values[rows][valid].astype(np.float64)
+        r = ref.values[rows][valid].astype(np.float64)
+        d = p - r
+        n_valid += d.size
+        abs_sum += float(np.sum(np.abs(d)))
+        sq_sum += float(np.sum(d * d))
 
-    With both heights floored at 0.1 m, delta = max(pred/ref, ref/pred).
-    TP: both above ``threshold`` and delta < eta.  FP: prediction above,
-    reference below.  FN: reference above, prediction below or delta too
-    large.  When the reference has no pixel above the threshold, recall is
-    undefined and reported as 0 (the caller gets a warning).
-    """
-    _check_pair(pred, ref)
-    valid = _joint_valid(pred, ref)
-    if not valid.any():
-        raise ValueError("no jointly valid pixels to compare")
-    p = pred.values.astype(np.float64)[valid]
-    r = ref.values.astype(np.float64)[valid]
-
-    pf = np.maximum(p, RATIO_FLOOR)
-    rf = np.maximum(r, RATIO_FLOOR)
-    delta = np.maximum(pf / rf, rf / pf)
-
-    p_above = p > threshold
-    r_above = r > threshold
-    tp = int(np.count_nonzero(p_above & r_above & (delta < eta)))
-    fp = int(np.count_nonzero(p_above & ~r_above))
-    fn = int(np.count_nonzero(r_above)) - tp
-
-    if not r_above.any():
-        logger.warning("reference has no pixel above %.3g m; recall undefined, reporting 0", threshold)
-
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return precision, recall, f1
+        pf = np.maximum(p, RATIO_FLOOR)
+        rf = np.maximum(r, RATIO_FLOOR)
+        delta = np.maximum(pf / rf, rf / pf)
+        p_above = p > DEFAULT_HEIGHT_THRESHOLD
+        r_above = r > DEFAULT_HEIGHT_THRESHOLD
+        tp += int(np.count_nonzero(p_above & r_above & (delta < DEFAULT_RATIO_LIMIT)))
+        fp += int(np.count_nonzero(p_above & ~r_above))
+        ref_above += int(np.count_nonzero(r_above))
+    return n_valid, abs_sum, sq_sum, tp, fp, ref_above
 
 
 def evaluate(pred: HeightRaster, ref: HeightRaster) -> MetricsReport:
-    """All metrics for one raster pair in a single report."""
+    """All metrics for one raster pair in a single report.
+
+    MAE and RMSE are over jointly valid pixels.  For the height-error F1,
+    with both heights floored at 0.1 m, delta = max(pred/ref, ref/pred);
+    TP: both above the threshold and delta < eta; FP: prediction above,
+    reference not; FN: reference above, prediction not or delta too large.
+    When the reference has no pixel above the threshold, recall is
+    undefined: it reads 0, with a warning and the flag ``recall_undefined``.
+    SSIM is None, with the flag ``ssim_undefined``, where no window is usable.
+    """
     _check_pair(pred, ref)
-    valid = _joint_valid(pred, ref)
-    n_valid = int(valid.sum())
+    n_valid, abs_sum, sq_sum, tp, fp, ref_above = _error_sums(pred, ref)
     if n_valid == 0:
         raise ValueError("no jointly valid pixels to compare")
 
     flags: list[str] = []
-    ref_above = ref.values.astype(np.float64)[valid] > DEFAULT_HEIGHT_THRESHOLD
-    if not ref_above.any():
+    if ref_above == 0:
+        logger.warning(
+            "reference has no pixel above %.3g m; recall undefined, reporting 0",
+            DEFAULT_HEIGHT_THRESHOLD,
+        )
         flags.append("recall_undefined")
 
     try:
@@ -209,10 +211,13 @@ def evaluate(pred: HeightRaster, ref: HeightRaster) -> MetricsReport:
         ssim_value = None
         flags.append("ssim_undefined")
 
-    precision, recall, f1 = f1_he(pred, ref)
+    fn = ref_above - tp
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
     return MetricsReport(
-        mae=mae(pred, ref),
-        rmse=rmse(pred, ref),
+        mae=abs_sum / n_valid,
+        rmse=math.sqrt(sq_sum / n_valid),
         ssim=ssim_value,
         precision=precision,
         recall=recall,
@@ -242,24 +247,29 @@ def per_class_breakdown(
     _check_pair(pred, ref)
     if not pred.header.same_grid(lc.header):
         raise ValueError("land-cover raster is on a different grid")
-    valid = _joint_valid(pred, ref) & valid_mask(lc)
 
-    rows: list[dict] = []
-    diff = pred.values.astype(np.float64) - ref.values.astype(np.float64)
-    for code in range(len(LC_CLASSES)):
-        mask = valid & (lc.values == code)
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        d = diff[mask]
-        rows.append(
-            {
-                "class_code": code,
-                "class_name": LC_CLASSES[code],
-                "n_pixels": n,
-                "mae": float(np.mean(np.abs(d))),
-                "rmse": float(np.sqrt(np.mean(d * d))),
-                "bias": float(np.mean(d)),
-            }
-        )
-    return rows
+    n_classes = len(LC_CLASSES)
+    count = np.zeros(n_classes, dtype=np.int64)
+    abs_sum = np.zeros(n_classes)
+    sq_sum = np.zeros(n_classes)
+    diff_sum = np.zeros(n_classes)
+    for rows in row_strips(pred.header.height, SSIM_STRIP):
+        valid = _joint_valid(pred, ref, rows) & valid_mask(lc, rows)
+        codes = lc.values[rows][valid]
+        d = pred.values[rows][valid].astype(np.float64) - ref.values[rows][valid]
+        # codes outside the class table bin past it and are left out
+        count += np.bincount(codes, minlength=n_classes)[:n_classes]
+        for sums, weights in ((abs_sum, np.abs(d)), (sq_sum, d * d), (diff_sum, d)):
+            sums += np.bincount(codes, weights=weights, minlength=n_classes)[:n_classes]
+
+    return [
+        {
+            "class_code": code,
+            "class_name": LC_CLASSES[code],
+            "n_pixels": int(count[code]),
+            "mae": float(abs_sum[code] / count[code]),
+            "rmse": math.sqrt(sq_sum[code] / count[code]),
+            "bias": float(diff_sum[code] / count[code]),
+        }
+        for code in np.flatnonzero(count).tolist()
+    ]

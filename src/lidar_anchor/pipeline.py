@@ -270,16 +270,22 @@ def stage_evaluate(
     eval_path: Path | str,
     out_dir: Path,
     name: str = "metrics",
-) -> metrics.MetricsReport:
-    """Compare a height raster against the reference; writes <name>.json."""
+) -> tuple[metrics.MetricsReport, Optional[list[dict]]]:
+    """Compare a height raster against the reference; writes <name>.json
+    and, when a land-cover raster is configured, <name>_per_class.csv.
+
+    Every input is loaded and scored before either file is written, so a
+    stage that fails leaves neither.  Returns the report and the per-class
+    rows (None without a land-cover raster).
+    """
     pred = _load(eval_path, HeightRaster, "raster under evaluation")
     ref = _load(cfg.reference, HeightRaster, "reference")
+    lc = None if cfg.landcover is None else _load(cfg.landcover, LandCoverRaster, "land-cover")
     report = metrics.evaluate(pred, ref)
-    _write_json(_metrics_doc(report, cfg.seed), out_dir / f"{name}.json")
+    rows = None if lc is None else metrics.per_class_breakdown(pred, ref, lc)
 
-    if cfg.landcover is not None:
-        lc = _load(cfg.landcover, LandCoverRaster, "land-cover")
-        rows = metrics.per_class_breakdown(pred, ref, lc)
+    _write_json(_metrics_doc(report, cfg.seed), out_dir / f"{name}.json")
+    if rows is not None:
         with open(out_dir / f"{name}_per_class.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["class_code", "class_name", "n_pixels", "mae", "rmse", "bias"])
@@ -294,7 +300,7 @@ def stage_evaluate(
                         repr(row["bias"]),
                     ]
                 )
-    return report
+    return report, rows
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -338,18 +344,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     summary["train"] = run_stage("train", stage_train, cfg, pred_path, out_dir)
     run_stage("correct", stage_correct, cfg, pred_path, out_dir)
 
-    if cfg.reference is not None:
-        baseline = run_stage(
-            "evaluate", stage_evaluate, cfg, pred_path, out_dir, "metrics_baseline"
-        )
-        corrected = run_stage(
-            "evaluate", stage_evaluate, cfg, out_dir / "corrected", out_dir, "metrics"
-        )
-        summary["baseline_metrics"] = _metrics_doc(baseline, cfg.seed)
-        summary["corrected_metrics"] = _metrics_doc(corrected, cfg.seed)
-    else:
-        summary["baseline_metrics"] = None
-        summary["corrected_metrics"] = None
+    for key, path, name in (
+        ("baseline", pred_path, "metrics_baseline"),
+        ("corrected", out_dir / "corrected", "metrics"),
+    ):
+        if cfg.reference is None:
+            summary[f"{key}_metrics"] = summary[f"{key}_per_class"] = None
+            continue
+        report, rows = run_stage("evaluate", stage_evaluate, cfg, path, out_dir, name)
+        summary[f"{key}_metrics"] = _metrics_doc(report, cfg.seed)
+        # land cover is a required input of a pipeline run, so rows are present
+        summary[f"{key}_per_class"] = {
+            row["class_name"]: {"mae": row["mae"], "bias": row["bias"]} for row in rows
+        }
 
     _write_json(summary, out_dir / "summary.json")
     return summary

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -435,12 +435,25 @@ def sobel_magnitude(patches: np.ndarray) -> np.ndarray:
 DEFAULT_FOOTPRINT = 17.0
 
 
-def valid_mask(raster: Raster) -> np.ndarray:
-    """Pixels that are finite and not nodata."""
-    valid = np.isfinite(raster.values)
+def valid_mask(raster: Raster, rows: slice = slice(None)) -> np.ndarray:
+    """Pixels that are finite and not nodata, in all rows or in ``rows``."""
+    values = raster.values[rows]
+    valid = np.isfinite(values)
     if raster.header.nodata is not None:
-        valid &= raster.values != raster.header.nodata
+        valid &= values != raster.header.nodata
     return valid
+
+
+# Rows per strip of the passes that visit a whole raster a strip at a time,
+# so that their float64 temporaries grow with the width, not the area.
+STRIP_ROWS = 64
+
+
+def row_strips(height: int, rows: int = STRIP_ROWS) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows (the last one shorter) covering
+    ``height`` rows, top to bottom."""
+    for r0 in range(0, height, rows):
+        yield slice(r0, min(r0 + rows, height))
 
 
 # Pixels of candidate boxes held at once by footprint_mean, to bound memory.
@@ -582,6 +595,7 @@ def percentile(values: np.ndarray, q):
 
 
 def height_like(header: RasterHeader, values: np.ndarray, nodata: Optional[float] = None) -> HeightRaster:
-    """Build a HeightRaster on the same grid as ``header``."""
+    """Build a HeightRaster on the same grid as ``header``; float32 values
+    are taken as they are, not copied."""
     new_header = replace(header, bands=1, dtype="float32", nodata=nodata, cell_px=None)
-    return HeightRaster(new_header, values.astype(np.float32))
+    return HeightRaster(new_header, np.asarray(values, dtype=np.float32))

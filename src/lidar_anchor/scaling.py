@@ -17,6 +17,7 @@ from .raster import (
     HeightRaster,
     footprint_mean,
     height_like,
+    row_strips,
     valid_mask,
 )
 
@@ -101,8 +102,11 @@ def _weighted_line(d: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[float, 
 def apply_affine(depth: HeightRaster, fit: AffineFit) -> HeightRaster:
     """Map a relative depth raster to meters: a * depth + b, elementwise.
 
-    Invalid pixels (nodata or non-finite) pass through unchanged.
+    Invalid pixels (nodata or non-finite) pass through unchanged.  Each
+    strip of rows is mapped in float64 and rounded into the float32 result.
     """
-    values = depth.values.astype(np.float64)
-    out = np.where(valid_mask(depth), fit.a * values + fit.b, values)
-    return height_like(depth.header, out.astype(np.float32), nodata=depth.header.nodata)
+    out = np.empty_like(depth.values)
+    for rows in row_strips(depth.header.height):
+        values = depth.values[rows].astype(np.float64)
+        out[rows] = np.where(valid_mask(depth, rows), fit.a * values + fit.b, values)
+    return height_like(depth.header, out, nodata=depth.header.nodata)

@@ -585,6 +585,108 @@ def ssim_2d(pred, ref, valid, window=11, sigma=1.5):
     return float(np.mean(score[usable]))
 
 
+def _valid_pairs(pred, ref, valid):
+    return np.asarray(pred, np.float64)[valid], np.asarray(ref, np.float64)[valid]
+
+
+def mae_whole(pred, ref, valid):
+    """MAE over the ``valid`` pixels, as the package first computed it:
+    float64 copies of every valid pixel of the pair at once."""
+    p, r = _valid_pairs(pred, ref, valid)
+    return float(np.mean(np.abs(p - r)))
+
+
+def rmse_whole(pred, ref, valid):
+    """RMSE over the ``valid`` pixels, from whole-raster float64 copies."""
+    p, r = _valid_pairs(pred, ref, valid)
+    d = p - r
+    return float(np.sqrt(np.mean(d * d)))
+
+
+def f1_counts_whole(pred, ref, valid, threshold=1.0, eta=1.25, floor=0.1):
+    """(TP, FP, FN) of the height-error F1 over the ``valid`` pixels, from
+    whole-raster float64 copies."""
+    p, r = _valid_pairs(pred, ref, valid)
+    pf = np.maximum(p, floor)
+    rf = np.maximum(r, floor)
+    delta = np.maximum(pf / rf, rf / pf)
+    p_above = p > threshold
+    r_above = r > threshold
+    tp = int(np.count_nonzero(p_above & r_above & (delta < eta)))
+    fp = int(np.count_nonzero(p_above & ~r_above))
+    return tp, fp, int(np.count_nonzero(r_above)) - tp
+
+
+def f1_whole(pred, ref, valid, threshold=1.0, eta=1.25, floor=0.1):
+    """(precision, recall, F1) from ``f1_counts_whole``; 0 where undefined."""
+    tp, fp, fn = f1_counts_whole(pred, ref, valid, threshold, eta, floor)
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
+    return precision, recall, f1
+
+
+def ssim_separable(pred, ref, valid, window=11, sigma=1.5, strip=64):
+    """SSIM from separable Gaussian moments over strips of ``strip`` output
+    rows, as the package computed it before scoring went strip-wise: the
+    dynamic range from a float64 copy of every valid reference pixel, the
+    usable windows from one whole-raster minimum filter, and the mean over
+    the concatenated scores of all strips.  None where no window is usable."""
+    from scipy import ndimage
+
+    pred = np.asarray(pred)
+    ref = np.asarray(ref)
+    ref_valid = ref[valid].astype(np.float64)
+    dynamic_range = max(float(ref_valid.max() - ref_valid.min()), 1.0)
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
+    kernel = g / g.sum()
+    half = window // 2
+
+    def local(arr):
+        cols = ndimage.correlate1d(arr, kernel, axis=1)[:, half:-half]
+        return ndimage.correlate1d(cols, kernel, axis=0)[half:-half]
+
+    usable = ndimage.minimum_filter(valid, size=window)[half:-half, half:-half]
+    if not usable.any():
+        return None
+    scores = []
+    n_out = ref.shape[0] - 2 * half
+    for r0 in range(0, n_out, strip):
+        r1 = min(r0 + strip, n_out)
+        x = pred[r0 : r1 + 2 * half].astype(np.float64)
+        y = ref[r0 : r1 + 2 * half].astype(np.float64)
+        with np.errstate(invalid="ignore"):
+            mu_x = local(x)
+            mu_y = local(y)
+            var_x = local(x * x) - mu_x * mu_x
+            var_y = local(y * y) - mu_y * mu_y
+            cov = local(x * y) - mu_x * mu_y
+            score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+                (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+            )
+        scores.append(score[usable[r0:r1]])
+    return float(np.mean(np.concatenate(scores)))
+
+
+def per_class_whole(pred, ref, codes, valid, n_classes=8):
+    """Per-class (code, n_pixels, mae, rmse, bias) over the ``valid`` pixels,
+    one whole-raster mask per class code below ``n_classes``."""
+    diff = np.asarray(pred, np.float64) - np.asarray(ref, np.float64)
+    rows = []
+    for code in range(n_classes):
+        mask = valid & (codes == code)
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        d = diff[mask]
+        rows.append((code, n, float(np.mean(np.abs(d))), float(np.sqrt(np.mean(d * d))),
+                     float(np.mean(d))))
+    return rows
+
+
 # ----- clean-photon CSV -----
 
 

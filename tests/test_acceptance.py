@@ -28,7 +28,7 @@ from lidar_anchor.forest import (
     predict_batch,
     train_forest,
 )
-from lidar_anchor.metrics import f1_he, mae, rmse, ssim
+from lidar_anchor.metrics import evaluate, ssim
 from lidar_anchor.photons import (
     CLASS_GROUND,
     CLASS_TOP_OF_CANOPY,
@@ -270,12 +270,13 @@ def test_criterion_6_metric_fidelity(announce):
         pred = make_height(base + rng.normal(0, rng.uniform(0.2, 3.0), (64, 64)))
         pv = pred.values.astype(np.float64)
         rv = ref.values.astype(np.float64)
+        report = evaluate(pred, ref)
         checks = [
-            ("mae", mae(pred, ref), mae_direct(pv, rv)),
-            ("rmse", rmse(pred, ref), rmse_direct(pv, rv)),
-            ("ssim", ssim(pred, ref), ssim_direct(pv, rv)),
+            ("mae", report.mae, mae_direct(pv, rv)),
+            ("rmse", report.rmse, rmse_direct(pv, rv)),
+            ("ssim", report.ssim, ssim_direct(pv, rv)),
         ]
-        got_f1 = f1_he(pred, ref)
+        got_f1 = (report.precision, report.recall, report.f1_he)
         want_f1 = f1_direct(pv, rv)
         for name, got, want in zip(("precision", "recall", "f1"), got_f1, want_f1):
             checks.append((name, got, want))
@@ -289,7 +290,8 @@ def test_criterion_6_metric_fidelity(announce):
 
     pred = make_height([[5.0, 5.0], [4.2, 0.0]])
     ref = make_height([[0.0, 5.0], [5.0, 0.0]])
-    precision, recall, f1 = f1_he(pred, ref, threshold=1.0, eta=1.25)
+    report = evaluate(pred, ref)  # threshold 1.0, eta 1.25
+    precision, recall, f1 = report.precision, report.recall, report.f1_he
     if not (precision == pytest.approx(2 / 3, abs=1e-12)
             and recall == 1.0
             and f1 == pytest.approx(0.8, abs=1e-12)):

@@ -4,6 +4,7 @@ Everything here calls cli.main() in process so exit codes and streams are
 observable without spawning an interpreter.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -123,6 +124,16 @@ class TestPipelineCommand:
         assert doc["mode"] == "metric_height"
         assert doc["affine"] is None
         assert doc["corrected_metrics"]["mae"] < doc["baseline_metrics"]["mae"]
+
+    def test_summary_holds_per_class_mae_and_bias(self, ws):
+        doc = json.loads((ws["run"] / "summary.json").read_text())
+        for key, name in (("baseline", "metrics_baseline"), ("corrected", "metrics")):
+            with open(ws["run"] / f"{name}_per_class.csv", encoding="utf-8") as f:
+                rows = list(csv.DictReader(f))
+            assert doc[f"{key}_per_class"] == {
+                row["class_name"]: {"mae": float(row["mae"]), "bias": float(row["bias"])}
+                for row in rows
+            }
 
     def test_prints_corrected_line(self, ws, capsys, tmp_path):
         out = tmp_path / "run2"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lidar_anchor.correction import (
 from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM
 from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree, train_forest
 from lidar_anchor.raster import (
+    STRIP_ROWS,
     EmbeddingGrid,
     RasterHeader,
     footprint_mean,
@@ -287,6 +290,35 @@ class TestApplyCorrection:
         assert np.isnan(out.values[0, 2])
         assert out.values[0, 3] == -np.inf
         assert out.header.nodata == -9999.0
+
+    def test_strips_equal_the_whole_raster_form(self):
+        # invalid pixels on and next to the strip seams, and a last strip
+        # shorter than the others
+        rng = np.random.default_rng(23)
+        shape = (2 * STRIP_ROWS + 5, 9)
+        vals = rng.uniform(0.0, 20.0, shape).astype(np.float32)
+        for row, bad in ((STRIP_ROWS - 1, -9999.0), (STRIP_ROWS, np.nan), (2 * STRIP_ROWS, np.inf)):
+            vals[row, row % 9] = bad
+        pred = make_height(vals, nodata=-9999.0)
+        residual = height_like(pred.header, rng.normal(0.0, 5.0, shape))
+        out = apply_correction(pred, ResidualField(residual, np.ones(shape, dtype=np.int32)))
+        wide = vals.astype(np.float64)
+        want = np.maximum(wide - residual.values.astype(np.float64), 0.0)
+        want = np.where(np.isfinite(wide) & (wide != -9999.0), want, wide)
+        assert out.values.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_memory_is_the_output_and_a_strip(self):
+        rng = np.random.default_rng(24)
+        pred = make_height(rng.uniform(0.0, 20.0, (1024, 1024)))
+        field = ResidualField(height_like(pred.header, rng.normal(0.0, 5.0, (1024, 1024))),
+                              np.ones((1024, 1024), dtype=np.int32))
+        tracemalloc.start()
+        try:
+            apply_correction(pred, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pred.values.nbytes, f"peak {peak / 1e6:.1f} MB"
 
     def test_grid_mismatch_raises(self):
         pred = make_height(np.zeros((4, 4)), gsd=1.0)

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,22 +13,49 @@ from lidar_anchor.metrics import (
     SSIM_WINDOW,
     MetricsReport,
     evaluate,
-    f1_he,
-    mae,
     per_class_breakdown,
-    rmse,
     ssim,
 )
 from lidar_anchor.raster import LC_BUILDING, LC_TREE, valid_mask
 
 from conftest import make_height, make_landcover
-from oracles import f1_direct, mae_direct, rmse_direct, ssim_2d, ssim_direct
+from oracles import (
+    f1_counts_whole,
+    f1_direct,
+    f1_whole,
+    mae_direct,
+    mae_whole,
+    per_class_whole,
+    rmse_direct,
+    rmse_whole,
+    ssim_2d,
+    ssim_direct,
+    ssim_separable,
+)
 
 
 def pair(pred_vals, ref_vals, pred_nodata=None, ref_nodata=None, gsd=1.0):
     pred = make_height(pred_vals, gsd=gsd, nodata=pred_nodata)
     ref = make_height(ref_vals, gsd=gsd, nodata=ref_nodata)
     return pred, ref
+
+
+def mae(pred, ref):
+    return evaluate(pred, ref).mae
+
+
+def rmse(pred, ref):
+    return evaluate(pred, ref).rmse
+
+
+def f1_he(pred, ref):
+    report = evaluate(pred, ref)  # threshold 1.0, eta 1.25
+    return report.precision, report.recall, report.f1_he
+
+
+def whole(metric, pred, ref):
+    """A whole-raster oracle over the pair's jointly valid pixels."""
+    return metric(pred.values, ref.values, valid_mask(pred) & valid_mask(ref))
 
 
 class TestMaeRmse:
@@ -88,7 +116,7 @@ class TestF1:
         ref_vals = [[0.0, 5.0], [5.0, 0.0]]
         pred_vals = [[5.0, 5.0], [4.2, 0.0]]
         pred, ref = pair(pred_vals, ref_vals)
-        precision, recall, f1 = f1_he(pred, ref, threshold=1.0, eta=1.25)
+        precision, recall, f1 = f1_he(pred, ref)
         assert precision == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert recall == 1.0
         assert f1 == pytest.approx(0.8, abs=1e-15)
@@ -103,7 +131,7 @@ class TestF1:
     def test_delta_eta_boundary_excluded(self):
         # ratio exactly eta must not count as a true positive
         pred, ref = pair([[12.5]], [[10.0]])
-        precision, recall, f1 = f1_he(pred, ref, eta=1.25)
+        precision, recall, f1 = f1_he(pred, ref)
         assert (precision, recall) == (0.0, 0.0)
 
     def test_recall_undefined_reports_zero_and_warns(self, caplog):
@@ -238,10 +266,11 @@ class TestEvaluate:
         pred, ref = pair(vals_p, vals_r)
         report = evaluate(pred, ref)
         assert isinstance(report, MetricsReport)
-        assert report.mae == mae(pred, ref)
-        assert report.rmse == rmse(pred, ref)
+        # one strip: the sums are the whole-raster sums, bit for bit
+        assert report.mae == whole(mae_whole, pred, ref)
+        assert report.rmse == whole(rmse_whole, pred, ref)
         assert report.ssim == ssim(pred, ref)
-        assert (report.precision, report.recall, report.f1_he) == f1_he(pred, ref)
+        assert (report.precision, report.recall, report.f1_he) == whole(f1_whole, pred, ref)
         assert report.n_valid == 24 * 24
         assert report.params["threshold"] == 1.0
         assert report.params["eta"] == 1.25
@@ -272,8 +301,8 @@ class TestEvaluate:
         assert report.ssim is None
         assert report.flags == ("ssim_undefined",)
         assert report.mae == pytest.approx(0.5)
-        assert report.rmse == rmse(pred, ref) and report.n_valid == 64
-        assert report.f1_he == f1_he(pred, ref)[2]
+        assert report.rmse == whole(rmse_whole, pred, ref) and report.n_valid == 64
+        assert report.f1_he == whole(f1_whole, pred, ref)[2]
 
     def test_every_ssim_window_touches_nodata(self):
         rng = np.random.default_rng(13)
@@ -284,7 +313,7 @@ class TestEvaluate:
         report = evaluate(pred, ref)
         assert report.ssim is None
         assert report.flags == ("ssim_undefined",)
-        assert report.mae == mae(pred, ref) == pytest.approx(0.5)
+        assert report.mae == whole(mae_whole, pred, ref) == pytest.approx(0.5)
         assert report.n_valid == 64 * 56
 
 
@@ -306,3 +335,102 @@ class TestPerClass:
         assert bld["mae"] == pytest.approx(1.0)
         assert bld["bias"] == pytest.approx(0.0)
         assert bld["rmse"] == pytest.approx(1.0)
+
+
+def _strip_pair(height, width, bad_rows, blank_strip, seed):
+    """A correlated pair with an all-invalid second strip when asked, whole
+    rows of prediction nodata or reference NaN at ``bad_rows``, a few
+    scattered invalid pixels, and a land-cover raster with nodata."""
+    rng = np.random.default_rng(seed)
+    vals_r = rng.normal(3.0, 4.0, (height, width))
+    vals_p = vals_r + rng.normal(0.0, 1.0, (height, width))
+    vals_p[rng.random((height, width)) < 0.02] = -9999.0
+    vals_r[rng.random((height, width)) < 0.01] = np.nan
+    for i, row in enumerate(r for r in bad_rows if r < height):
+        if i % 2:
+            vals_r[row] = np.nan
+        else:
+            vals_p[row] = -9999.0
+    if blank_strip:
+        vals_p[SSIM_STRIP : 2 * SSIM_STRIP] = -9999.0
+    codes = rng.integers(0, 8, (height, width))
+    codes[rng.random((height, width)) < 0.05] = 255
+    pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
+    return pred, ref, make_landcover(codes, nodata=255)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+# rows at and next to each strip seam
+_SEAM_ROWS = sorted({k * SSIM_STRIP + d for k in (1, 2, 3) for d in (-1, 0)})
+
+
+class TestStripPass:
+    """``evaluate`` and ``per_class_breakdown`` visit a pair a strip of
+    SSIM_STRIP rows at a time; they agree with the whole-raster forms in
+    ``oracles``: counts exactly, sums to 1e-12 relative."""
+
+    @given(
+        st.one_of(
+            st.integers(1, 3 * SSIM_STRIP + 13),
+            st.sampled_from([SSIM_WINDOW - 1, SSIM_STRIP, SSIM_STRIP + 1, 3 * SSIM_STRIP]),
+        ),
+        st.integers(1, 24),
+        st.lists(st.one_of(st.sampled_from(_SEAM_ROWS), st.integers(0, 3 * SSIM_STRIP + 12)),
+                 max_size=4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_raster_oracles(self, height, width, bad_rows, blank_strip, seed):
+        pred, ref, lc = _strip_pair(height, width, bad_rows, blank_strip, seed)
+        valid = valid_mask(pred) & valid_mask(ref)
+        if not valid.any():
+            with pytest.raises(ValueError, match="valid"):
+                evaluate(pred, ref)
+            assert per_class_breakdown(pred, ref, lc) == []
+            return
+
+        report = evaluate(pred, ref)
+        assert report.n_valid == int(valid.sum())
+        tp, fp, fn = f1_counts_whole(pred.values, ref.values, valid)
+        # the ratios of equal counts are equal floats
+        assert (report.precision, report.recall, report.f1_he) == whole(f1_whole, pred, ref)
+        assert report.precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert report.recall == (tp / (tp + fn) if tp + fn else 0.0)
+        assert _close(report.mae, whole(mae_whole, pred, ref))
+        assert _close(report.rmse, whole(rmse_whole, pred, ref))
+        want_ssim = (
+            None if min(height, width) < SSIM_WINDOW
+            else ssim_separable(pred.values, ref.values, valid, strip=SSIM_STRIP)
+        )
+        if want_ssim is None:
+            assert report.ssim is None and "ssim_undefined" in report.flags
+        else:
+            assert _close(report.ssim, want_ssim)
+
+        got = per_class_breakdown(pred, ref, lc)
+        want = per_class_whole(pred.values, ref.values, lc.values, valid & valid_mask(lc))
+        assert [(r["class_code"], r["n_pixels"]) for r in got] == [w[:2] for w in want]
+        for row, (_, _, mae_w, rmse_w, bias_w) in zip(got, want):
+            assert _close(row["mae"], mae_w) and _close(row["rmse"], rmse_w)
+            # a bias is a sum of signed errors that may cancel; its rounding
+            # scales with the mean absolute error, not with the bias
+            assert abs(row["bias"] - bias_w) <= 1e-12 * max(abs(bias_w), mae_w)
+
+    def test_memory_is_bounded_by_a_strip(self):
+        # evaluate and the per-class pass together hold less than three
+        # float32 rasters of temporaries at 1024 x 1024; whole-raster float64
+        # copies of the valid pixels alone would take four
+        n = 1024
+        pred, ref, lc = _strip_pair(n, n, [SSIM_STRIP], False, 3)
+        tracemalloc.start()
+        try:
+            evaluate(pred, ref)
+            per_class_breakdown(pred, ref, lc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pred.values.nbytes, f"peak {peak / 1e6:.1f} MB"

@@ -8,7 +8,7 @@ from lidar_anchor import pipeline
 from lidar_anchor.raster import save_raster
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
 
-from conftest import make_height
+from conftest import make_height, make_landcover
 
 
 def _pinned_run(tmp_path, corruption, mode, names):
@@ -31,7 +31,8 @@ def test_run_artifacts_are_pinned(tmp_path):
     # them: a metric-mode run, and the same scene as relative depth
     # (0.05 * height + 2), where photon cleaning, the affine fit and its
     # calibrated raster feed the rest of the run; metrics.json moved at the
-    # last bits of ssim when SSIM became separable
+    # last bits of ssim when SSIM became separable, and the relative run's
+    # at the last bit of rmse when scoring went strip by strip
     metric = {
         "model.json":
             "6cb07191fee582cea8d9ad199771b4b882da49de59efc1ba1e96881a9057f814",
@@ -58,7 +59,7 @@ def test_run_artifacts_are_pinned(tmp_path):
         "corrected.bin":
             "df7dd445b52a5d214bda96bf374bba858a55e385260a397431846a8d37cbed95",
         "metrics.json":
-            "d943b6d5dd146a839076e840be82636ef27798737da36d25637e95d1b66c3d3f",
+            "bb34c43c09858277f630023209043584ef15b3a05a915ce46c7ef0d477fc91e6",
     }
     runs = [
         ("metric", CorruptionConfig(class_bias={4: 5.0, 7: -4.0}, noise_sigma=1.0, seed=42),
@@ -106,6 +107,23 @@ def test_evaluate_writes_null_ssim_when_undefined(tmp_path):
     doc = json.loads((tmp_path / "metrics.json").read_text())
     assert doc["ssim"] is None and doc["flags"] == ["ssim_undefined"]
     assert doc["n_valid"] == 64 and abs(doc["mae"] - 0.5) < 1e-6
+
+
+def test_evaluate_writes_nothing_when_landcover_is_off_grid(tmp_path):
+    # the land-cover raster is checked before metrics.json is written, so
+    # a failing stage leaves neither metrics.json nor metrics_per_class.csv
+    rng = np.random.default_rng(15)
+    truth = np.abs(rng.normal(4.0, 3.0, (16, 16)))
+    save_raster(make_height(truth), tmp_path / "truth")
+    save_raster(make_height(truth + 0.5), tmp_path / "pred")
+    save_raster(make_landcover(np.zeros((8, 8))), tmp_path / "landcover")
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = pipeline.PipelineConfig(reference=str(tmp_path / "truth"),
+                                  landcover=str(tmp_path / "landcover"), out=str(out))
+    with pytest.raises(ValueError, match="land-cover raster is on a different grid"):
+        pipeline.stage_evaluate(cfg, tmp_path / "pred", out, "metrics")
+    assert sorted(out.iterdir()) == []
 
 
 def test_config_rejects_bad_window_forest_and_footprint_values(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidar_anchor.raster import (
+    STRIP_ROWS,
     EmbeddingGrid,
     GeometryError,
     HeightRaster,
@@ -17,6 +18,7 @@ from lidar_anchor.raster import (
     height_like,
     load_raster,
     percentile,
+    row_strips,
     sample_bilinear,
     save_raster,
     sobel_magnitude,
@@ -154,6 +156,19 @@ class TestRasterTypes:
         assert out.header.same_grid(src.header)
         assert out.header.nodata == -9999.0
         assert out.values.dtype == np.float32
+
+    def test_height_like_takes_float32_without_copy(self):
+        src = make_height(np.zeros((3, 4)))
+        values = np.ones((3, 4), dtype=np.float32)
+        assert height_like(src.header, values).values is values
+        wide = np.ones((3, 4))
+        assert height_like(src.header, wide).values.base is not wide
+
+    def test_row_strips_cover_every_row_once(self):
+        for height in (1, STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1, 3 * STRIP_ROWS + 7):
+            strips = list(row_strips(height))
+            assert [s.start for s in strips] == list(range(0, height, STRIP_ROWS))
+            assert np.concatenate([np.arange(height)[s] for s in strips]).tolist() == list(range(height))
 
 
 class TestRoundTrip:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lidar_anchor.raster import STRIP_ROWS
 from lidar_anchor.scaling import MIN_FIT_POINTS, AffineFit, apply_affine, fit_affine
 
 from conftest import CleanRow, clean_table, make_height
@@ -110,3 +113,26 @@ class TestApplyAffine:
             assert out.values[0, 2] == -np.inf
             assert out.values[1, 0] == np.float32(f.a * 0.25 + f.b)
             assert out.header.nodata == -9999.0
+
+    def test_strips_equal_the_whole_raster_form(self):
+        # invalid pixels on and next to the strip seams, and a last strip
+        # shorter than the others
+        rng = np.random.default_rng(21)
+        vals = rng.uniform(0.0, 1.0, (2 * STRIP_ROWS + 5, 9)).astype(np.float32)
+        for row, bad in ((STRIP_ROWS - 1, -9999.0), (STRIP_ROWS, np.nan), (2 * STRIP_ROWS, np.inf)):
+            vals[row, row % 9] = bad
+        depth = make_height(vals, nodata=-9999.0)
+        fit = AffineFit(a=37.3, b=-11.9, n_points=10, rmse=0.1)
+        wide = vals.astype(np.float64)
+        want = np.where(np.isfinite(wide) & (wide != -9999.0), fit.a * wide + fit.b, wide)
+        assert apply_affine(depth, fit).values.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_memory_is_the_output_and_a_strip(self):
+        depth = make_height(np.random.default_rng(22).uniform(0.0, 1.0, (1024, 1024)))
+        tracemalloc.start()
+        try:
+            apply_affine(depth, AffineFit(a=2.0, b=1.0, n_points=10, rmse=0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * depth.values.nbytes, f"peak {peak / 1e6:.1f} MB"
