@@ -531,6 +531,18 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
 # ===== Serialization =====
 
 
+# The node arrays of a tree, with the dtypes load_model gives them.
+_TREE_ARRAYS = (
+    ("feature", np.int32),
+    ("threshold", np.float64),
+    ("left", np.int32),
+    ("right", np.int32),
+    ("value", np.float64),
+    ("n", np.int64),
+    ("impurity", np.float64),
+)
+
+
 def save_model(forest: RandomForest, path: Path | str) -> None:
     """Serialize a forest to JSON; reloading reproduces predictions bitwise.
 
@@ -558,27 +570,60 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
         for t, tree in enumerate(forest.trees):
             if t:
                 f.write(", ")
-            doc = {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-                "n": tree.n.tolist(),
-                "impurity": tree.impurity.tolist(),
-            }
+            doc = {name: getattr(tree, name).tolist() for name, _ in _TREE_ARRAYS}
             f.write(json.dumps(doc, sort_keys=True))
         f.write("]}\n")
 
 
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _tree_arrays(item: dict) -> RegressionTree:
+    """The typed node arrays of one parsed tree object; raises one of
+    ``_MALFORMED`` when an array is missing, not a flat list, or holds
+    values its dtype cannot take."""
+    arrays = {}
+    for name, dtype in _TREE_ARRAYS:
+        arr = np.asarray(item[name], dtype=dtype)
+        if arr.ndim != 1:
+            raise ValueError(f"{name!r} is not a flat list")
+        arrays[name] = arr
+    return RegressionTree(**arrays)
+
+
+def _tree_hook(obj: dict) -> dict | RegressionTree:
+    """``json`` object hook: a tree object becomes its arrays as soon as the
+    parser closes it, so one tree's lists are alive at a time.  Any other
+    object, or a tree that fails conversion, is returned as parsed for
+    ``load_model``'s checks to judge."""
+    if "feature" not in obj:
+        return obj
+    try:
+        return _tree_arrays(obj)
+    except _MALFORMED:
+        return obj
+
+
 def load_model(path: Path | str) -> RandomForest:
-    """Load a serialized forest, validating structure before use."""
+    """Load a serialized forest, validating structure before use.
+
+    Each tree is converted to its node arrays while the document is parsed,
+    so the loader holds one tree's parsed lists at a time.  It checks the
+    format version, the feature schema, ``n_features``, that the document
+    holds ``params.n_trees`` trees, that each tree's seven arrays are flat
+    and of one size, that every split feature is below ``n_features``, and
+    that every internal node's children lie after it in the tree (as
+    ``save_model``'s preorder writes them), so prediction always reaches a
+    leaf.  Any failure raises ``ValueError`` naming the file.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            doc = json.load(f, object_hook=_tree_hook)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed model document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: malformed model document: not a JSON object")
 
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
@@ -600,40 +645,33 @@ def load_model(path: Path | str) -> RandomForest:
         params = ForestParams(**doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad params block: {exc}") from exc
+    if len(raw_trees) != params.n_trees:
+        raise ValueError(
+            f"{path}: model holds {len(raw_trees)} trees but params.n_trees is {params.n_trees}"
+        )
 
     trees: list[RegressionTree] = []
-    for t, item in enumerate(raw_trees):
-        try:
-            tree = RegressionTree(
-                feature=np.asarray(item["feature"], dtype=np.int32),
-                threshold=np.asarray(item["threshold"], dtype=np.float64),
-                left=np.asarray(item["left"], dtype=np.int32),
-                right=np.asarray(item["right"], dtype=np.int32),
-                value=np.asarray(item["value"], dtype=np.float64),
-                n=np.asarray(item["n"], dtype=np.int64),
-                impurity=np.asarray(item["impurity"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: tree {t} is malformed: {exc}") from exc
-        sizes = {
-            tree.feature.size,
-            tree.threshold.size,
-            tree.left.size,
-            tree.right.size,
-            tree.value.size,
-            tree.n.size,
-            tree.impurity.size,
-        }
+    for t, tree in enumerate(raw_trees):
+        if not isinstance(tree, RegressionTree):
+            try:
+                tree = _tree_arrays(tree)
+            except _MALFORMED as exc:
+                raise ValueError(f"{path}: tree {t} is malformed: {exc}") from exc
+        sizes = {getattr(tree, name).size for name, _ in _TREE_ARRAYS}
         if len(sizes) != 1 or tree.feature.size == 0:
             raise ValueError(f"{path}: tree {t} node arrays are inconsistent")
         n_nodes = tree.feature.size
         internal = tree.feature >= 0
         if (tree.feature >= n_features).any():
             raise ValueError(f"{path}: tree {t} references feature out of range")
+        node = np.arange(n_nodes)
         for name, arr in (("left", tree.left), ("right", tree.right)):
-            bad = internal & ((arr < 0) | (arr >= n_nodes))
+            bad = internal & ((arr <= node) | (arr >= n_nodes))
             if bad.any():
-                raise ValueError(f"{path}: tree {t} has dangling {name} child links")
+                raise ValueError(
+                    f"{path}: tree {t} has {name} child links that are dangling "
+                    f"or do not point forward"
+                )
         trees.append(tree)
 
     oob = doc.get("oob_mae")

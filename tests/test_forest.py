@@ -3,6 +3,7 @@ import logging
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,14 +352,47 @@ class TestRouting:
         np.testing.assert_array_equal(predict_batch(forest, X), [10.0, 20.0, 10.0, 20.0])
 
 
+@st.composite
+def forest_problems(draw):
+    """Small training sets with tied columns, duplicated rows, tied targets
+    (-0.0 among them) at scales up to 1e6, and depth limits."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    for c in range(d):
+        if draw(st.booleans()):
+            X[:, c] = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    y = draw(st.sampled_from([rng.normal, rng.standard_cauchy, rng.random]))(size=n)
+    y = np.round(y * draw(st.sampled_from([1.0, 2.0, 1e6])))
+    if draw(st.booleans()):
+        y = y / 3.0
+    dup = draw(st.integers(0, n // 2))
+    if dup:
+        X[:dup] = X[n - dup :]
+        y[:dup] = y[n - dup :]
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.sampled_from([None, 1, 4])),
+        min_samples_leaf=draw(st.sampled_from([1, 2, 5])),
+        max_features=draw(st.integers(1, d)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return X, y, params
+
+
 class TestSerialization:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        X, y = make_samples(n=100)
-        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=8, seed=6))
-        save_model(forest, tmp_path / "m.json")
-        loaded = load_model(tmp_path / "m.json")
-        save_model(loaded, tmp_path / "m2.json")
-        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+    @given(forest_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, problem):
+        X, y, params = problem
+        tmp = tmp_path_factory.mktemp("round_trip")
+        forest = train_forest(X, y, SCHEMA_NRF, params)
+        save_model(forest, tmp / "m.json")
+        loaded = load_model(tmp / "m.json")
+        save_model(loaded, tmp / "m2.json")
+        assert (tmp / "m.json").read_bytes() == (tmp / "m2.json").read_bytes()
         np.testing.assert_array_equal(predict_batch(loaded, X), predict_batch(forest, X))
         assert loaded.params == forest.params
         assert loaded.oob_mae == forest.oob_mae
@@ -388,6 +422,60 @@ class TestSerialization:
         doc = self._doc(tmp_path)
         doc["trees"][0]["left"][0] = 9999
         self._expect_error(tmp_path, doc, "dangling|child")
+
+    @pytest.mark.parametrize(
+        "side, node, target", [("left", 0, 0), ("right", 0, 0), ("left", 1, 0), ("right", 1, 1)]
+    )
+    def test_rejects_child_links_that_do_not_point_forward(self, tmp_path, side, node, target):
+        doc = self._doc(tmp_path)
+        tree = doc["trees"][1]
+        assert tree["feature"][node] >= 0  # an internal node
+        tree[side][node] = target
+        self._expect_error(tmp_path, doc, f"tree 1 has {side} child links")
+
+    def test_rejects_tree_count_other_than_params(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["params"]["n_trees"] = 3
+        self._expect_error(tmp_path, doc, "2 trees but params.n_trees is 3")
+        doc["trees"] = doc["trees"][:1]
+        doc["params"]["n_trees"] = 2
+        self._expect_error(tmp_path, doc, "1 trees but params.n_trees is 2")
+
+    @pytest.mark.parametrize("bad", ["seven", [1, 2], 2**40])
+    def test_rejects_malformed_tree_arrays(self, tmp_path, bad):
+        doc = self._doc(tmp_path)
+        doc["trees"][1]["feature"][0] = bad
+        self._expect_error(tmp_path, doc, "tree 1 is malformed")
+
+    def test_rejects_nested_tree_arrays(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["trees"][1]["threshold"] = [[v] for v in doc["trees"][1]["threshold"]]
+        self._expect_error(tmp_path, doc, "tree 1 is malformed")
+
+    def test_rejects_a_document_that_is_not_an_object(self, tmp_path):
+        (tmp_path / "bad.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="malformed"):
+            load_model(tmp_path / "bad.json")
+
+    def test_load_peak_memory_is_near_the_file_size(self, tmp_path):
+        # Trees become arrays while the document is parsed, so the loader
+        # holds the text, the arrays and one tree's lists: about twice the
+        # file, against about 3.5 times when every tree's lists are built
+        # before any array.
+        X, y = make_samples(n=600, d=4, seed=3)
+        forest = train_forest(
+            X, y, SCHEMA_NRF, ForestParams(n_trees=11, min_samples_leaf=1, seed=2)
+        )
+        save_model(forest, tmp_path / "m.json")
+        size = (tmp_path / "m.json").stat().st_size
+        assert 400_000 < size < 600_000
+        tracemalloc.start()
+        try:
+            load_model(tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size, f"load_model peaked at {peak / size:.2f}x the file size"
 
     def test_rejects_inconsistent_arrays(self, tmp_path):
         doc = self._doc(tmp_path)
@@ -420,35 +508,6 @@ class TestImportance:
         assert importance.shape == (4,)
         assert (importance >= 0).all()
         assert importance.sum() == pytest.approx(1.0)
-
-
-@st.composite
-def forest_problems(draw):
-    """Small training sets with tied columns, duplicated rows and tied targets."""
-    n = draw(st.integers(1, 40))
-    d = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    for c in range(d):
-        if draw(st.booleans()):
-            X[:, c] = rng.integers(0, draw(st.integers(1, 4)), size=n)
-    y = draw(st.sampled_from([rng.normal, rng.standard_cauchy, rng.random]))(size=n)
-    y = np.round(y * draw(st.sampled_from([1.0, 2.0, 1e6])))
-    if draw(st.booleans()):
-        y = y / 3.0
-    dup = draw(st.integers(0, n // 2))
-    if dup:
-        X[:dup] = X[n - dup :]
-        y[:dup] = y[n - dup :]
-    params = ForestParams(
-        n_trees=draw(st.integers(1, 4)),
-        max_depth=draw(st.sampled_from([None, 1, 4])),
-        min_samples_leaf=draw(st.sampled_from([1, 2, 5])),
-        max_features=draw(st.integers(1, d)),
-        seed=draw(st.integers(0, 2**64 - 1)),
-    )
-    return X, y, params
 
 
 class TestGrowerOracle:
