@@ -611,8 +611,9 @@ def load_model(path: Path | str) -> RandomForest:
     so the loader holds one tree's parsed lists at a time.  It checks the
     format version, the feature schema, ``n_features``, that the document
     holds ``params.n_trees`` trees, that each tree's seven arrays are flat
-    and of one size, that every split feature is below ``n_features``, and
-    that every internal node's children lie after it in the tree (as
+    and of one size, that thresholds, values and impurities are finite,
+    that every split feature is below ``n_features``, and that every
+    internal node's children lie after it in the tree (as
     ``save_model``'s preorder writes them), so prediction always reaches a
     leaf.  Any failure raises ``ValueError`` naming the file.
     """
@@ -660,6 +661,9 @@ def load_model(path: Path | str) -> RandomForest:
         sizes = {getattr(tree, name).size for name, _ in _TREE_ARRAYS}
         if len(sizes) != 1 or tree.feature.size == 0:
             raise ValueError(f"{path}: tree {t} node arrays are inconsistent")
+        for name in ("threshold", "value", "impurity"):
+            if not np.isfinite(getattr(tree, name)).all():
+                raise ValueError(f"{path}: tree {t} has non-finite {name} entries")
         n_nodes = tree.feature.size
         internal = tree.feature >= 0
         if (tree.feature >= n_features).any():

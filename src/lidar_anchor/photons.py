@@ -22,7 +22,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -207,18 +207,29 @@ def _invalid_rows(table: np.ndarray, linenos: np.ndarray) -> list[tuple[int, str
     return problems
 
 
+# Rows formatted at a time by the CSV writers, so that their memory is one
+# block's strings however long the table.
+CSV_BLOCK_ROWS = 8192
+
+
+def _row_blocks(table: np.ndarray) -> Iterator[list[tuple]]:
+    """The table's rows as tuples, ``CSV_BLOCK_ROWS`` at a time."""
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        yield table[start : start + CSV_BLOCK_ROWS].tolist()
+
+
 def write_photons_csv(table: np.ndarray, path: Path | str) -> None:
     """Write a ``PHOTON_DTYPE`` table in the interchange CSV layout: floats
     as their ``repr``, CRLF line ends, as the ``csv`` module writes them."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [
-        f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
-        for pid, x, y, elev, conf, klass, beam, t in table.tolist()
-    ]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(PHOTON_CSV_HEADER) + "\r\n")
-        f.write("".join(rows))
+        for rows in _row_blocks(table):
+            f.write("".join([
+                f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
+                for pid, x, y, elev, conf, klass, beam, t in rows
+            ]))
 
 
 def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
@@ -226,13 +237,13 @@ def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
     ``repr``, CRLF line ends, as the ``csv`` module writes them."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [
-        f"{x!r},{y!r},{h!r},{kind},{lc_class},{size}\r\n"
-        for x, y, h, kind, lc_class, size in clean.tolist()
-    ]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(CLEAN_CSV_HEADER) + "\r\n")
-        f.write("".join(rows))
+        for rows in _row_blocks(clean):
+            f.write("".join([
+                f"{x!r},{y!r},{h!r},{kind},{lc_class},{size}\r\n"
+                for x, y, h, kind, lc_class, size in rows
+            ]))
 
 
 def read_clean_csv(path: Path | str) -> np.ndarray:

@@ -250,16 +250,15 @@ def save_raster(raster: Raster, path: Path | str) -> None:
         header_doc.pop("cell_px")
     stem.parent.mkdir(parents=True, exist_ok=True)
 
+    # the values' own buffer when they are already contiguous in the file's
+    # layout and dtype; else one copy that is
     vals = raster.values
     if h.bands > 1 and h.dtype == "float32":
-        payload = np.ascontiguousarray(np.moveaxis(vals, 2, 0)).astype("<f4").tobytes()
-    elif h.dtype == "float32":
-        payload = vals.astype("<f4").tobytes()
-    else:
-        payload = vals.astype("u1").tobytes()
+        vals = np.moveaxis(vals, 2, 0)
+    payload = np.ascontiguousarray(vals, dtype=_DTYPES[h.dtype])
 
     with open(stem.with_suffix(".bin"), "wb") as f:
-        f.write(payload)
+        f.write(payload.data)
     with open(stem.with_suffix(".json"), "w", encoding="utf-8") as f:
         json.dump(header_doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -35,6 +35,7 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     RasterHeader,
+    row_strips,
     sample_bilinear,
 )
 
@@ -56,6 +57,10 @@ PALETTE = np.array(
     ],
     dtype=np.uint8,
 )
+
+# Land-cover codes trees and aprons may take over, as a lookup by code.
+_PLANTABLE = np.zeros(256, dtype=bool)
+_PLANTABLE[[LC_RANGELAND, LC_BARELAND, LC_AGRICULTURE]] = True
 
 _TRACK_SPEED = 7000.0  # m/s along-track, used only to fill photon timestamps
 
@@ -84,6 +89,14 @@ class SceneConfig:
         lo, hi = self.tree_height_range
         if not (0.0 < lo < hi):
             raise ValueError(f"bad tree height range {self.tree_height_range}")
+        if not (math.isfinite(self.gsd) and self.gsd > 0.0):
+            raise ValueError(f"gsd must be a finite number above 0, got {self.gsd}")
+        if not (math.isfinite(self.building_height_sigma_log)
+                and self.building_height_sigma_log >= 0.0):
+            raise ValueError(
+                f"building_height_sigma_log must be finite and >= 0, "
+                f"got {self.building_height_sigma_log}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,10 @@ class TrackConfig:
     def __post_init__(self) -> None:
         if self.n_tracks < 1:
             raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
-        if self.along_spacing <= 0 or self.cross_spacing <= 0:
-            raise ValueError("spacings must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.along_spacing, self.cross_spacing)):
+            raise ValueError("spacings must be finite and > 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if len(self.conf_profile) != 5 or abs(sum(self.conf_profile) - 1.0) > 1e-9:
@@ -120,6 +135,19 @@ class CorruptionConfig:
     noise_sigma: float = 0.0
     noise_corr: float = 30.0  # correlation length in meters
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+        for name in ("noise_sigma", "noise_corr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for code, meters in self.class_bias.items():
+            if not 0 <= int(code) <= 7:
+                raise ValueError(f"class_bias code {code} outside 0..7")
+            if not math.isfinite(meters):
+                raise ValueError(f"class_bias for code {code} must be finite, got {meters}")
 
 
 # ===== Scene generation =====
@@ -149,23 +177,29 @@ def generate_scene(
     Truth is height above ground; the terrain lives in the DTM.  Buildings
     are stamped until their pixel fraction reaches the configured density
     (so the achieved fraction sits within one rectangle of the target),
-    then tree disks the same way on pixels not already built on.
+    then tree disks the same way on pixels not already built on.  The
+    terrain is summed one row strip at a time, so that the function holds
+    little beyond the four rasters it returns.
     """
     n = cfg.size
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     lc = np.full((n, n), LC_RANGELAND, dtype=np.uint8)
-    truth = np.zeros((n, n), dtype=np.float64)
+    # float32 from the start: rounding is monotonic, so the float32 of a
+    # maximum is the maximum of the float32 values
+    truth = np.zeros((n, n), dtype=np.float32)
 
     _stamp_rects(rng, lc, LC_AGRICULTURE, 3, (n // 8, n // 4))
     _stamp_rects(rng, lc, LC_BARELAND, 2, (n // 10, n // 5))
 
-    # one water body
+    # one water body; its center lies at least its radius from every edge
     wr = int(rng.integers(n // 16, n // 8))
     wc = int(rng.integers(wr, n - wr))
     wrow = int(rng.integers(wr, n - wr))
-    yy, xx = np.ogrid[:n, :n]
-    lc[(yy - wrow) ** 2 + (xx - wc) ** 2 <= wr * wr] = LC_WATER
+    yy, xx = np.ogrid[wrow - wr : wrow + wr + 1, wc - wr : wc + wr + 1]
+    lc[wrow - wr : wrow + wr + 1, wc - wr : wc + wr + 1][
+        (yy - wrow) ** 2 + (xx - wc) ** 2 <= wr * wr
+    ] = LC_WATER
 
     # two straight roads
     road_w = max(n // 64, 4)
@@ -179,7 +213,7 @@ def generate_scene(
     total = float(n * n)
     min_side = max(n // 42, 8)
     max_side = max(n // 10, min_side + 1)
-    built = np.count_nonzero(lc == LC_BUILDING)
+    built = 0
     for _ in range(20000):
         if float(built) / total >= cfg.building_density:
             break
@@ -190,7 +224,7 @@ def generate_scene(
         height = float(
             np.exp(rng.normal(cfg.building_height_mu_log, cfg.building_height_sigma_log))
         )
-        height = min(max(height, 3.0), 120.0)
+        height = np.float32(min(max(height, 3.0), 120.0))
         block = truth[r0 : r0 + h, c0 : c0 + w]
         np.maximum(block, height, out=block)
         lc_block = lc[r0 : r0 + h, c0 : c0 + w]
@@ -200,48 +234,54 @@ def generate_scene(
     # paved apron around buildings
     buildings = lc == LC_BUILDING
     apron = ndimage.binary_dilation(buildings, iterations=2) & ~buildings
-    plantable = np.isin(lc, (LC_RANGELAND, LC_BARELAND, LC_AGRICULTURE))
-    lc[apron & plantable] = LC_DEVELOPED
+    lc[apron & _PLANTABLE[lc]] = LC_DEVELOPED
+    del buildings, apron
 
-    # tree disks on open ground
+    # tree disks on open ground; no stamp overwrites a tree pixel, so the
+    # running count is the tree pixel count
     lo, hi = cfg.tree_height_range
     r_min = max(int(round(2.0 / cfg.gsd)), 2)
     r_max = max(int(round(5.0 / cfg.gsd)), r_min + 1)
-    treed = np.count_nonzero(lc == LC_TREE)
+    treed = 0
     for _ in range(20000):
         if float(treed) / total >= cfg.tree_density:
             break
         radius = int(rng.integers(r_min, r_max + 1))
         cc = int(rng.integers(0, n))
         cr = int(rng.integers(0, n))
-        height = float(rng.uniform(lo, hi))
+        height = np.float32(rng.uniform(lo, hi))
         r0 = max(cr - radius, 0)
         r1 = min(cr + radius + 1, n)
         c0 = max(cc - radius, 0)
         c1 = min(cc + radius + 1, n)
         sub_y, sub_x = np.ogrid[r0:r1, c0:c1]
         disk = (sub_y - cr) ** 2 + (sub_x - cc) ** 2 <= radius * radius
-        allowed = np.isin(lc[r0:r1, c0:c1], (LC_RANGELAND, LC_BARELAND, LC_AGRICULTURE))
-        sel = disk & allowed
+        sel = disk & _PLANTABLE[lc[r0:r1, c0:c1]]
         patch = truth[r0:r1, c0:c1]
         patch[sel] = np.maximum(patch[sel], height)
         lc[r0:r1, c0:c1][sel] = LC_TREE
         treed += np.count_nonzero(sel)  # sel holds no tree pixel yet
 
-    # smooth terrain: a few low-frequency cosine waves
+    # smooth terrain: a few low-frequency cosine waves, summed in float64
+    # one row strip at a time (xs along a row, ys down a column)
     extent = n * cfg.gsd
     xs = (np.arange(n) + 0.5) * cfg.gsd
-    X, Y = np.meshgrid(xs, xs)
-    surface = np.zeros((n, n), dtype=np.float64)
     weights = rng.uniform(0.4, 1.0, size=4)
     weights /= weights.sum()
+    waves = []
     for i in range(4):
         wavelength = float(rng.uniform(0.4, 1.6)) * extent
         angle = float(rng.uniform(0.0, math.pi))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        k = 2.0 * math.pi / wavelength
-        surface += weights[i] * np.cos(k * (X * math.cos(angle) + Y * math.sin(angle)) + phase)
-    dtm = cfg.base_elevation + cfg.terrain_amplitude * surface
+        waves.append((weights[i], 2.0 * math.pi / wavelength, math.cos(angle),
+                      math.sin(angle), phase))
+    dtm = np.empty((n, n), dtype=np.float32)
+    for rows in row_strips(n):
+        ys = xs[rows, None]
+        surface = np.zeros((ys.shape[0], n), dtype=np.float64)
+        for weight, k, ca, sa, phase in waves:
+            surface += weight * np.cos(k * (xs * ca + ys * sa) + phase)
+        dtm[rows] = cfg.base_elevation + cfg.terrain_amplitude * surface
 
     header = RasterHeader(
         width=n,
@@ -251,8 +291,8 @@ def generate_scene(
         origin_y=n * cfg.gsd,
         crs_code=cfg.crs_code,
     )
-    truth_raster = HeightRaster(header, truth.astype(np.float32))
-    dtm_raster = HeightRaster(header, dtm.astype(np.float32))
+    truth_raster = HeightRaster(header, truth)
+    dtm_raster = HeightRaster(header, dtm)
     lc_header = RasterHeader(
         width=n, height=n, gsd=cfg.gsd, origin_x=0.0, origin_y=n * cfg.gsd,
         crs_code=cfg.crs_code, bands=1, dtype="uint8",
@@ -264,9 +304,8 @@ def generate_scene(
     )
     optical_raster = OpticalRaster(optical_header, PALETTE[lc])
 
-    frac_b = float(np.count_nonzero(lc == LC_BUILDING)) / total
-    frac_t = float(np.count_nonzero(lc == LC_TREE)) / total
-    logger.info("scene %d: building fraction %.3f, tree fraction %.3f", cfg.seed, frac_b, frac_t)
+    logger.info("scene %d: building fraction %.3f, tree fraction %.3f",
+                cfg.seed, built / total, treed / total)
     return truth_raster, optical_raster, lc_raster, dtm_raster
 
 
@@ -363,33 +402,36 @@ def corrupt_prediction(
     """Damage the truth into a synthetic prediction raster.
 
     pred = alpha * truth + beta + class_bias[lc] + smooth noise, clamped at
-    0 m.  The noise field is white Gaussian noise blurred to the configured
-    correlation length and rescaled to the requested sigma.  An all-default
-    config returns the truth unchanged.
+    0 m, computed in float64 one row strip at a time.  The noise field is
+    white Gaussian noise blurred to the configured correlation length and
+    rescaled to the requested sigma; it is made for the whole raster, as its
+    blur and its spread are.  An all-default config returns the truth
+    unchanged.
     """
     if not truth.header.same_grid(lc.header):
         raise ValueError("truth and land-cover rasters must share one grid")
 
-    values = truth.values.astype(np.float64) * cfg.alpha + cfg.beta
+    bias = np.zeros(8, dtype=np.float64)
+    for code, meters in cfg.class_bias.items():
+        bias[int(code)] = float(meters)
 
-    if cfg.class_bias:
-        bias = np.zeros(8, dtype=np.float64)
-        for code, meters in cfg.class_bias.items():
-            code = int(code)
-            if not (0 <= code <= 7):
-                raise ValueError(f"class_bias code {code} outside 0..7")
-            bias[code] = float(meters)
-        values += bias[lc.values]
-
+    noise = None
     if cfg.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        noise = rng.standard_normal(values.shape)
+        noise = rng.standard_normal(truth.values.shape)
         if cfg.noise_corr > 0:
             noise = ndimage.gaussian_filter(noise, sigma=cfg.noise_corr / truth.header.gsd)
         spread = float(noise.std())
         if spread > 0:
-            noise = noise * (cfg.noise_sigma / spread)
-        values += noise
+            noise *= cfg.noise_sigma / spread
 
-    np.maximum(values, 0.0, out=values)
-    return HeightRaster(truth.header, values.astype(np.float32))
+    out = np.empty(truth.values.shape, dtype=np.float32)
+    for rows in row_strips(out.shape[0]):
+        values = truth.values[rows].astype(np.float64) * cfg.alpha + cfg.beta
+        if cfg.class_bias:
+            values += bias[lc.values[rows]]
+        if noise is not None:
+            values += noise[rows]
+        np.maximum(values, 0.0, out=values)
+        out[rows] = values
+    return HeightRaster(truth.header, out)

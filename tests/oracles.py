@@ -961,3 +961,162 @@ def save_model_direct(forest, path):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
+
+
+# ----- whole-array set-up and writers -----
+#
+# The scene generator, the corruption and the writers as they were before
+# they worked in row strips and blocks: every step over the whole raster or
+# table at once.  The strip and block forms must match them bit for bit.
+
+_LC_BARELAND, _LC_RANGELAND, _LC_DEVELOPED, _LC_ROAD = 0, 1, 2, 3
+_LC_TREE, _LC_WATER, _LC_AGRICULTURE, _LC_BUILDING = 4, 5, 6, 7
+_PLANTABLE_CODES = (_LC_RANGELAND, _LC_BARELAND, _LC_AGRICULTURE)
+
+
+def _stamp_rects_whole(rng, lc, code, count, side_range):
+    n = lc.shape[0]
+    for _ in range(count):
+        w = int(rng.integers(side_range[0], side_range[1] + 1))
+        h = int(rng.integers(side_range[0], side_range[1] + 1))
+        c0 = int(rng.integers(0, max(n - w, 1)))
+        r0 = int(rng.integers(0, max(n - h, 1)))
+        lc[r0 : r0 + h, c0 : c0 + w] = code
+
+
+def generate_scene_whole(cfg):
+    """(truth, landcover, dtm) value arrays of a ``SceneConfig``: truth in
+    float64 over the whole raster, terrain over n x n meshgrids, both cast
+    to float32 at the end; the water disk is tested on every pixel."""
+    from scipy import ndimage
+
+    n = cfg.size
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    lc = np.full((n, n), _LC_RANGELAND, dtype=np.uint8)
+    truth = np.zeros((n, n), dtype=np.float64)
+    _stamp_rects_whole(rng, lc, _LC_AGRICULTURE, 3, (n // 8, n // 4))
+    _stamp_rects_whole(rng, lc, _LC_BARELAND, 2, (n // 10, n // 5))
+
+    wr = int(rng.integers(n // 16, n // 8))
+    wc = int(rng.integers(wr, n - wr))
+    wrow = int(rng.integers(wr, n - wr))
+    yy, xx = np.ogrid[:n, :n]
+    lc[(yy - wrow) ** 2 + (xx - wc) ** 2 <= wr * wr] = _LC_WATER
+
+    road_w = max(n // 64, 4)
+    rrow = int(rng.integers(0, n - road_w))
+    rcol = int(rng.integers(0, n - road_w))
+    lc[rrow : rrow + road_w, :] = _LC_ROAD
+    lc[:, rcol : rcol + road_w] = _LC_ROAD
+
+    total = float(n * n)
+    min_side = max(n // 42, 8)
+    max_side = max(n // 10, min_side + 1)
+    built = 0
+    for _ in range(20000):
+        if float(built) / total >= cfg.building_density:
+            break
+        w = int(rng.integers(min_side, max_side + 1))
+        h = int(rng.integers(min_side, max_side + 1))
+        c0 = int(rng.integers(0, n - w))
+        r0 = int(rng.integers(0, n - h))
+        height = float(
+            np.exp(rng.normal(cfg.building_height_mu_log, cfg.building_height_sigma_log))
+        )
+        height = min(max(height, 3.0), 120.0)
+        block = truth[r0 : r0 + h, c0 : c0 + w]
+        np.maximum(block, height, out=block)
+        lc_block = lc[r0 : r0 + h, c0 : c0 + w]
+        built += lc_block.size - np.count_nonzero(lc_block == _LC_BUILDING)
+        lc_block[...] = _LC_BUILDING
+
+    buildings = lc == _LC_BUILDING
+    apron = ndimage.binary_dilation(buildings, iterations=2) & ~buildings
+    lc[apron & np.isin(lc, _PLANTABLE_CODES)] = _LC_DEVELOPED
+
+    lo, hi = cfg.tree_height_range
+    r_min = max(int(round(2.0 / cfg.gsd)), 2)
+    r_max = max(int(round(5.0 / cfg.gsd)), r_min + 1)
+    treed = 0
+    for _ in range(20000):
+        if float(treed) / total >= cfg.tree_density:
+            break
+        radius = int(rng.integers(r_min, r_max + 1))
+        cc = int(rng.integers(0, n))
+        cr = int(rng.integers(0, n))
+        height = float(rng.uniform(lo, hi))
+        r0, r1 = max(cr - radius, 0), min(cr + radius + 1, n)
+        c0, c1 = max(cc - radius, 0), min(cc + radius + 1, n)
+        sub_y, sub_x = np.ogrid[r0:r1, c0:c1]
+        disk = (sub_y - cr) ** 2 + (sub_x - cc) ** 2 <= radius * radius
+        sel = disk & np.isin(lc[r0:r1, c0:c1], _PLANTABLE_CODES)
+        patch = truth[r0:r1, c0:c1]
+        patch[sel] = np.maximum(patch[sel], height)
+        lc[r0:r1, c0:c1][sel] = _LC_TREE
+        treed += np.count_nonzero(sel)
+
+    extent = n * cfg.gsd
+    xs = (np.arange(n) + 0.5) * cfg.gsd
+    X, Y = np.meshgrid(xs, xs)
+    surface = np.zeros((n, n), dtype=np.float64)
+    weights = rng.uniform(0.4, 1.0, size=4)
+    weights /= weights.sum()
+    for i in range(4):
+        wavelength = float(rng.uniform(0.4, 1.6)) * extent
+        angle = float(rng.uniform(0.0, math.pi))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        k = 2.0 * math.pi / wavelength
+        surface += weights[i] * np.cos(k * (X * math.cos(angle) + Y * math.sin(angle)) + phase)
+    dtm = cfg.base_elevation + cfg.terrain_amplitude * surface
+    return truth.astype(np.float32), lc, dtm.astype(np.float32)
+
+
+def corrupt_prediction_whole(truth, lc, gsd, cfg):
+    """The float32 prediction of a ``CorruptionConfig`` over truth and
+    land-cover value arrays, computed over the whole raster in float64."""
+    from scipy import ndimage
+
+    values = truth.astype(np.float64) * cfg.alpha + cfg.beta
+    if cfg.class_bias:
+        bias = np.zeros(8, dtype=np.float64)
+        for code, meters in cfg.class_bias.items():
+            bias[int(code)] = float(meters)
+        values += bias[lc]
+    if cfg.noise_sigma > 0:
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        noise = rng.standard_normal(values.shape)
+        if cfg.noise_corr > 0:
+            noise = ndimage.gaussian_filter(noise, sigma=cfg.noise_corr / gsd)
+        spread = float(noise.std())
+        if spread > 0:
+            noise = noise * (cfg.noise_sigma / spread)
+        values += noise
+    np.maximum(values, 0.0, out=values)
+    return values.astype(np.float32)
+
+
+def photons_csv_whole(table):
+    """Bytes of a photon table's CSV, every row formatted before writing."""
+    rows = [
+        f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
+        for pid, x, y, elev, conf, klass, beam, t in table.tolist()
+    ]
+    return ("id,x,y,elev,signal_conf,atl08_class,beam,t\r\n" + "".join(rows)).encode("utf-8")
+
+
+def clean_csv_whole(clean):
+    """Bytes of a clean-photon table's CSV, every row formatted before writing."""
+    rows = [
+        f"{x!r},{y!r},{h!r},{kind},{lc_class},{size}\r\n"
+        for x, y, h, kind, lc_class, size in clean.tolist()
+    ]
+    return ("x,y,h_ag,kind,lc_class,cluster_size\r\n" + "".join(rows)).encode("utf-8")
+
+
+def raster_payload_whole(values, bands, dtype):
+    """The ``.bin`` bytes of a raster: float32 little-endian or uint8, in
+    row-major order; multiband float32 band-sequential, multiband uint8
+    pixel-interleaved."""
+    if bands > 1 and dtype == "float32":
+        return np.ascontiguousarray(np.moveaxis(values, 2, 0)).astype("<f4").tobytes()
+    return values.astype("<f4" if dtype == "float32" else "u1").tobytes()

@@ -447,6 +447,14 @@ class TestSerialization:
         doc["trees"][1]["feature"][0] = bad
         self._expect_error(tmp_path, doc, "tree 1 is malformed")
 
+    @pytest.mark.parametrize("name", ["threshold", "value", "impurity"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_node_numbers(self, tmp_path, name, bad):
+        # json writes these as NaN / Infinity tokens, which json.load reads
+        doc = self._doc(tmp_path)
+        doc["trees"][1][name] = [bad] * len(doc["trees"][1][name])
+        self._expect_error(tmp_path, doc, f"tree 1 has non-finite {name} entries")
+
     def test_rejects_nested_tree_arrays(self, tmp_path):
         doc = self._doc(tmp_path)
         doc["trees"][1]["threshold"] = [[v] for v in doc["trees"][1]["threshold"]]

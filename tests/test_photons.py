@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter, namedtuple
 from dataclasses import replace
 
@@ -12,7 +13,10 @@ from lidar_anchor.photons import (
     CLASS_GROUND,
     CLASS_NOISE,
     CLASS_TOP_OF_CANOPY,
+    CLEAN_DTYPE,
+    CSV_BLOCK_ROWS,
     GROUND_SOURCES,
+    PHOTON_DTYPE,
     ClusterParams,
     GroundInterpolator,
     PreprocessParams,
@@ -30,7 +34,15 @@ from lidar_anchor.photons import (
 from lidar_anchor.raster import GeometryError, LC_BUILDING, LC_ROAD, LC_TREE
 
 from conftest import CleanRow, clean_table, make_height, make_landcover, photon_table
-from oracles import aggregate_direct, dbscan_brute, idw_direct, idw_scan, read_clean_direct
+from oracles import (
+    aggregate_direct,
+    clean_csv_whole,
+    dbscan_brute,
+    idw_direct,
+    idw_scan,
+    photons_csv_whole,
+    read_clean_direct,
+)
 
 
 def photon(pid, x, y, elev, conf=4, klass=CLASS_GROUND, beam=0, t=0.0):
@@ -211,6 +223,63 @@ class TestCleanTable:
         with pytest.raises(ValueError) as got:
             read_clean_csv(path)
         assert str(got.value) == f"{path}: bad header, expected x,y,h_ag,kind,lc_class,cluster_size"
+
+
+def random_photons(n, seed=0):
+    """A ``PHOTON_DTYPE`` table of n rows with random values in every field."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros(n, dtype=PHOTON_DTYPE)
+    table["id"] = rng.permutation(n)
+    for name in ("x", "y", "elev", "t"):
+        table[name] = rng.normal(0.0, 1e3, n)
+    table["signal_conf"] = rng.integers(0, 5, n)
+    table["atl08_class"] = rng.integers(0, 4, n)
+    table["beam"] = rng.integers(0, 6, n)
+    return table
+
+
+def random_clean(n, seed=0):
+    """A ``CLEAN_DTYPE`` table of n rows with random values in every field."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros(n, dtype=CLEAN_DTYPE)
+    for name in ("x", "y", "h_ag"):
+        table[name] = rng.normal(0.0, 1e3, n)
+    table["kind"] = rng.choice(["ground", "object"], n)
+    table["lc_class"] = rng.integers(0, 8, n)
+    table["cluster_size"] = rng.integers(1, 10**6, n)
+    return table
+
+
+_BLOCK_EDGES = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                2 * CSV_BLOCK_ROWS + 1]
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_photons_csv_matches_the_whole_table_form(self, tmp_path, n):
+        table = random_photons(n, seed=n)
+        write_photons_csv(table, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == photons_csv_whole(table)
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_clean_csv_matches_the_whole_table_form(self, tmp_path, n):
+        table = random_clean(n, seed=n)
+        write_clean_csv(table, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == clean_csv_whole(table)
+
+    @pytest.mark.parametrize("write, make", [(write_photons_csv, random_photons),
+                                             (write_clean_csv, random_clean)])
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, write, make):
+        peaks = []
+        for n in (2 * CSV_BLOCK_ROWS, 8 * CSV_BLOCK_ROWS):
+            table = make(n)
+            tracemalloc.start()
+            try:
+                write(table, tmp_path / "t.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], f"peaks {peaks} at 4x the rows"
 
 
 class TestConfidenceFilter:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     footprint_mean_direct,
     footprint_pixels,
     percentile_direct,
+    raster_payload_whole,
     sample_bilinear_direct,
     sobel_direct,
     sobel_stencil_direct,
@@ -223,6 +225,55 @@ class TestRoundTrip:
         save_raster(src, tmp_path / "a")
         save_raster(src, tmp_path / "b")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestSavePayload:
+    @given(
+        kind=st.sampled_from(["height", "landcover", "optical", "embedding"]),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        rows=st.slices(40),
+        cols=st.slices(40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_whole_array_form(self, tmp_path_factory, kind, height, width,
+                                          rows, cols, seed):
+        # saved from views as well as whole arrays: edge tiles are slices
+        rng = np.random.default_rng(seed)
+        full = {
+            "height": lambda: rng.normal(5.0, 3.0, (height, width)).astype(np.float32),
+            "landcover": lambda: rng.integers(0, 8, (height, width), dtype=np.uint8),
+            "optical": lambda: rng.integers(0, 256, (height, width, 3), dtype=np.uint8),
+            "embedding": lambda: rng.normal(size=(height, width, 4)).astype(np.float32),
+        }[kind]()
+        vals = full[rows, cols]
+        if vals.shape[0] == 0 or vals.shape[1] == 0:
+            vals = full
+        h, w = vals.shape[:2]
+        src = {
+            "height": lambda: make_height(vals),
+            "landcover": lambda: make_landcover(vals),
+            "optical": lambda: make_optical(vals),
+            "embedding": lambda: EmbeddingGrid(
+                header(w=w, h=h, bands=4, dtype="float32", cell_px=8), vals),
+        }[kind]()
+        assert src.values is vals
+        path = tmp_path_factory.mktemp("save") / "r"
+        save_raster(src, path)
+        want = raster_payload_whole(vals, src.header.bands, src.header.dtype)
+        assert path.with_suffix(".bin").read_bytes() == want
+
+    def test_contiguous_raster_is_written_without_a_copy(self, tmp_path):
+        src = make_height(np.random.default_rng(0).normal(size=(1024, 1024)))
+        tracemalloc.start()
+        try:
+            save_raster(src, tmp_path / "h")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = src.values.nbytes
+        assert peak < 0.1 * payload, f"peak {peak / payload:.2f}x the payload"
 
 
 class TestLoadErrors:

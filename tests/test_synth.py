@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidar_anchor.photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, write_photons_csv
-from lidar_anchor.raster import LC_BUILDING, LC_TREE, HeightRaster
+from lidar_anchor.raster import LC_BUILDING, LC_TREE, STRIP_ROWS, HeightRaster
 from lidar_anchor.synth import (
     PALETTE,
     CorruptionConfig,
@@ -16,7 +20,18 @@ from lidar_anchor.synth import (
     simulate_tracks,
 )
 
-from conftest import make_height
+from conftest import make_height, make_landcover
+from oracles import corrupt_prediction_whole, generate_scene_whole
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 class TestSceneConfig:
@@ -27,6 +42,51 @@ class TestSceneConfig:
             SceneConfig(building_density=0.95)
         with pytest.raises(ValueError):
             SceneConfig(tree_height_range=(10.0, 4.0))
+
+    @pytest.mark.parametrize("gsd", [0.0, -0.5, math.nan, math.inf])
+    def test_gsd_must_be_finite_and_positive(self, gsd):
+        with pytest.raises(ValueError, match="gsd"):
+            SceneConfig(gsd=gsd)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_building_height_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="building_height_sigma_log"):
+            SceneConfig(building_height_sigma_log=sigma)
+        SceneConfig(building_height_sigma_log=0.0)
+
+
+class TestTrackConfig:
+    @pytest.mark.parametrize("field", ["along_spacing", "cross_spacing"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_spacings_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="spacings"):
+            TrackConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            TrackConfig(noise_sigma=sigma)
+        TrackConfig(noise_sigma=0.0)
+
+
+class TestCorruptionConfig:
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_alpha_and_beta_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            CorruptionConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "noise_corr"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_noise_knobs_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CorruptionConfig(**{field: value})
+
+    @pytest.mark.parametrize("bias", [{8: 1.0}, {-1: 1.0}, {4: math.nan}, {4: math.inf}])
+    def test_class_bias_is_checked_at_construction(self, bias):
+        with pytest.raises(ValueError, match="class_bias"):
+            CorruptionConfig(class_bias=bias)
+        CorruptionConfig(class_bias={0: -1.0, 7: 2.5})
 
 
 class TestGenerateScene:
@@ -85,6 +145,30 @@ class TestGenerateScene:
         on_object = np.isin(lc.values, [LC_TREE, LC_BUILDING])
         assert (truth.values[~on_object] == 0).all()
         assert truth.values[on_object].min() > 0
+
+
+    @given(
+        size=st.integers(128, 330).filter(lambda n: n % STRIP_ROWS != 0),
+        gsd=st.sampled_from([0.3, 0.5, 1.0]),
+        building=st.floats(0.0, 0.4),
+        tree=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_whole_raster_form(self, size, gsd, building, tree, seed):
+        cfg = SceneConfig(size=size, gsd=gsd, building_density=building, tree_density=tree,
+                          seed=seed)
+        truth, optical, lc, dtm = generate_scene(cfg)
+        want_truth, want_lc, want_dtm = generate_scene_whole(cfg)
+        assert truth.values.tobytes() == want_truth.tobytes()
+        assert lc.values.tobytes() == want_lc.tobytes()
+        assert dtm.values.tobytes() == want_dtm.tobytes()
+        assert optical.values.tobytes() == PALETTE[want_lc].tobytes()
+
+    def test_memory_is_the_rasters_it_returns(self):
+        peak, rasters = traced_peak(lambda: generate_scene(SceneConfig(size=1024, seed=3)))
+        returned = sum(r.values.nbytes for r in rasters)
+        assert peak < 1.6 * returned, f"peak {peak / returned:.2f}x the returned rasters"
 
 
 class TestSimulateTracks:
@@ -228,6 +312,38 @@ class TestCorruptPrediction:
         a = corrupt_prediction(truth, lc, cfg)
         b = corrupt_prediction(truth, lc, cfg)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @given(
+        height=st.integers(1, 200),
+        width=st.integers(1, 90),
+        alpha=st.floats(0.5, 1.5),
+        beta=st.floats(-3.0, 3.0),
+        bias=st.dictionaries(st.integers(0, 7), st.floats(-5.0, 5.0), max_size=3),
+        noise_sigma=st.sampled_from([0.0, 0.5, 2.0]),
+        noise_corr=st.sampled_from([0.0, 3.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_whole_raster_form(
+        self, height, width, alpha, beta, bias, noise_sigma, noise_corr, seed
+    ):
+        rng = np.random.default_rng(seed)
+        truth = make_height(rng.uniform(0.0, 30.0, (height, width)), gsd=0.5)
+        lc = make_landcover(rng.integers(0, 8, (height, width)), gsd=0.5)
+        cfg = CorruptionConfig(alpha=alpha, beta=beta, class_bias=bias,
+                               noise_sigma=noise_sigma, noise_corr=noise_corr, seed=seed)
+        pred = corrupt_prediction(truth, lc, cfg)
+        want = corrupt_prediction_whole(truth.values, lc.values, 0.5, cfg)
+        assert pred.values.tobytes() == want.tobytes()
+
+    def test_memory_without_noise_is_the_output(self):
+        rng = np.random.default_rng(0)
+        truth = make_height(rng.uniform(0.0, 30.0, (1024, 1024)))
+        lc = make_landcover(rng.integers(0, 8, (1024, 1024)))
+        cfg = CorruptionConfig(alpha=1.1, beta=0.5, class_bias={4: 5.0, 7: -4.0})
+        peak, pred = traced_peak(lambda: corrupt_prediction(truth, lc, cfg))
+        out = pred.values.nbytes
+        assert peak < 1.5 * out, f"peak {peak / out:.2f}x the output"
 
     def test_bad_class_code_rejected(self):
         truth, _, lc, _ = generate_scene(SceneConfig(size=128, seed=22))
