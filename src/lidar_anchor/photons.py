@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -89,6 +92,10 @@ DEFAULT_CLASS_BOUNDS: dict[int, tuple[float, float]] = {
 # ===== Parameters =====
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Density clustering knobs for object photons."""
@@ -96,6 +103,16 @@ class ClusterParams:
     eps: float = 3.0
     min_pts: int = 3
     height_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"cluster eps must be finite and > 0, got {self.eps}")
+        if not (_is_int(self.min_pts) and self.min_pts >= 1):
+            raise ValueError(f"cluster min_pts must be an integer >= 1, got {self.min_pts!r}")
+        if not (math.isfinite(self.height_weight) and self.height_weight >= 0):
+            raise ValueError(
+                f"cluster height_weight must be finite and >= 0, got {self.height_weight}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,37 +129,66 @@ class PreprocessParams:
     cluster: ClusterParams = ClusterParams()
     cell: float = 10.0
 
+    def __post_init__(self) -> None:
+        for name in ("idw_power", "idw_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (_is_int(self.idw_k_max) and self.idw_k_max >= 1):
+            raise ValueError(f"idw_k_max must be an integer >= 1, got {self.idw_k_max!r}")
+        # an infinite tau is allowed: the DTM then never overrides IDW
+        if not self.dtm_tau >= 0:
+            raise ValueError(f"dtm_tau must be >= 0, got {self.dtm_tau}")
+        for code, (lo, hi) in self.class_bounds.items():
+            if not lo <= hi:
+                raise ValueError(f"class_bounds of code {code} must be low <= high, got {lo}..{hi}")
+        if not (math.isfinite(self.cell) and self.cell > 0):
+            raise ValueError(f"cell size must be > 0 and finite, got {self.cell}")
+
 
 # ===== CSV I/O =====
+
+# Rows parsed at a time by load_photons and formatted at a time by the CSV
+# writers, so that their memory is one block's strings however long the table.
+CSV_BLOCK_ROWS = 8192
 
 
 def load_photons(path: Path | str) -> np.ndarray:
     """Read a photon CSV into a ``PHOTON_DTYPE`` table, rejecting malformed
-    rows with their row numbers."""
+    rows with their row numbers.  The file is parsed ``CSV_BLOCK_ROWS`` lines
+    at a time, so that its text is never held whole."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty photon CSV")
-    header = next(csv.reader(lines[:1]))
-    if tuple(h.strip() for h in header) != PHOTON_CSV_HEADER:
-        raise ValueError(
-            f"{path}: bad header {header!r}, expected {','.join(PHOTON_CSV_HEADER)}"
-        )
-    rows = [i for i, line in enumerate(lines) if i > 0 and line.strip()]
-    texts = [lines[i] for i in rows]
-    linenos = np.array(rows, dtype=np.int64) + 1
-
+    blocks, linenos = [_parse_rows([])], [np.zeros(0, dtype=np.int64)]
     problems: list[tuple[int, str]] = []
-    try:
-        table = _parse_rows(texts)
-    except ValueError:
-        problems = _unparsable_rows(texts, linenos)
-        parsed = ~np.isin(linenos, [lineno for lineno, _ in problems])
-        texts = [text for text, ok in zip(texts, parsed) if ok]
-        linenos = linenos[parsed]
-        table = _parse_rows(texts)
-    problems += _invalid_rows(table, linenos)
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        first = f.readline()
+        if not first:
+            raise ValueError(f"{path}: empty photon CSV")
+        header = next(csv.reader([first.rstrip("\r\n")]))
+        if tuple(h.strip() for h in header) != PHOTON_CSV_HEADER:
+            raise ValueError(
+                f"{path}: bad header {header!r}, expected {','.join(PHOTON_CSV_HEADER)}"
+            )
+        start = 2
+        while lines := list(itertools.islice(f, CSV_BLOCK_ROWS)):
+            rows = [i for i, line in enumerate(lines) if line.strip()]
+            texts = [lines[i] for i in rows]
+            rownos = np.array(rows, dtype=np.int64) + start
+            start += len(lines)
+            try:
+                table = _parse_rows(texts)
+            except ValueError:
+                bad = _unparsable_rows(texts, rownos)
+                parsed = ~np.isin(rownos, [lineno for lineno, _ in bad])
+                texts = [text for text, ok in zip(texts, parsed) if ok]
+                rownos = rownos[parsed]
+                table = _parse_rows(texts)
+                problems += bad
+            blocks.append(table)
+            linenos.append(rownos)
+    table = np.concatenate(blocks)
+    del blocks
+    problems += _invalid_rows(table, np.concatenate(linenos))
 
     if problems:
         problems.sort()
@@ -162,7 +208,7 @@ def _parse_rows(texts: list[str]) -> np.ndarray:
 
 def _unparsable_rows(texts: list[str], linenos: np.ndarray) -> list[tuple[int, str]]:
     """Rows with a wrong field count or a field that does not parse.  Rows
-    are parsed one at a time here, only after the whole-file parse failed."""
+    are parsed one at a time here, only after their block's parse failed."""
     problems = []
     for lineno, text in zip(linenos.tolist(), texts):
         row = next(csv.reader([text]))
@@ -205,11 +251,6 @@ def _invalid_rows(table: np.ndarray, linenos: np.ndarray) -> list[tuple[int, str
         for lineno, pid in zip(linenos[repeat].tolist(), table["id"][repeat].tolist())
     ]
     return problems
-
-
-# Rows formatted at a time by the CSV writers, so that their memory is one
-# block's strings however long the table.
-CSV_BLOCK_ROWS = 8192
 
 
 def _row_blocks(table: np.ndarray) -> Iterator[list[tuple]]:
@@ -317,7 +358,7 @@ class GroundInterpolator:
         radius: float = 100.0,
         k_max: int = 16,
     ) -> None:
-        if power <= 0 or radius <= 0 or k_max < 1:
+        if not (power > 0 and radius > 0 and k_max >= 1):
             raise ValueError(
                 f"bad IDW parameters power={power} radius={radius} k_max={k_max}"
             )
@@ -484,11 +525,18 @@ def landcover_plausibility_filter(
 # ===== Clustering =====
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lowest node index of each node's connected component under the edges
-    (a, b): every root hooks onto the lowest root across its edges, then
-    pointer jumping flattens the trees, until no edge joins two roots."""
-    parent = np.arange(n)
+# Neighbour-list entries whose edges are listed at a time: points are taken
+# in blocks of about this many entries, so that clustering memory is the
+# points plus one block of edges however dense the photons are.
+_EDGE_BLOCK = 1 << 16
+
+
+def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``parent`` with the edges (a, b) joined in: every root hooks onto the
+    lowest root across its edges, then pointer jumping flattens the trees,
+    until no edge joins two roots.  ``parent`` must be flat (each node points
+    at its root) and is returned flat, each root its component's lowest
+    index."""
     while True:
         ra, rb = parent[a], parent[b]
         cross = ra != rb
@@ -517,8 +565,6 @@ def dbscan_cluster(
     lowest member id.  Returns the member count of each cluster and the
     cluster number of each photon, -1 for noise.
     """
-    if params.eps <= 0 or params.min_pts < 1:
-        raise ValueError(f"bad cluster parameters eps={params.eps} min_pts={params.min_pts}")
     n = len(table)
     label = np.full(n, -1, dtype=np.int64)
     if n == 0:
@@ -526,32 +572,42 @@ def dbscan_cluster(
 
     # work in id order: index order is then id order
     order = np.argsort(table["id"], kind="stable")
-    sorted_ids = table["id"][order]
     coords = np.column_stack(
         (table["x"][order], table["y"][order], params.height_weight * h[order])
     )
-    # neighbour edges as arrays, not one Python list per point: every point
-    # is its own neighbour, and each pair within eps links both ways
-    pairs = cKDTree(coords).query_pairs(params.eps, output_type="ndarray")
-    src = np.concatenate((np.arange(n), pairs[:, 0], pairs[:, 1]))
-    dst = np.concatenate((np.arange(n), pairs[:, 1], pairs[:, 0]))
-    is_core = np.bincount(src, minlength=n) >= params.min_pts
+    tree = cKDTree(coords)
+    count = tree.query_ball_point(coords, params.eps, return_length=True)
+    is_core = count >= params.min_pts
 
-    # clusters are the connected components of the core points, each
-    # labelled by its lowest index
-    link = is_core[src] & is_core[dst]
-    root = np.where(is_core, _components(n, src[link], dst[link]), -1)
+    # the neighbours of a block of points at a time, blocks cut by the
+    # running neighbour count: core-core edges join components, each
+    # labelled by its lowest index, across blocks; a non-core point has all
+    # its neighbours in its own block and picks its nearest core there, ties
+    # to the lower id, by the dot product np.linalg.norm takes of one
+    # difference vector
+    parent = np.arange(n)
+    nearest = np.full(n, -1, dtype=np.int64)
+    ends = np.cumsum(count)
+    cuts = np.searchsorted(ends, np.arange(_EDGE_BLOCK, ends[-1], _EDGE_BLOCK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        edges = cKDTree(coords[lo:hi]).sparse_distance_matrix(
+            tree, params.eps, output_type="ndarray"
+        )
+        a, b = edges["i"] + lo, edges["j"]
+        link = is_core[a] & is_core[b]
+        parent = _hook(parent, a[link], b[link])
+        border = ~is_core[a] & is_core[b]
+        bi, bj = a[border], b[border]
+        diff = coords[bi] - coords[bj]
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        pick = np.lexsort((bj, dist, bi))
+        pick = pick[np.diff(bi[pick], prepend=-1) != 0]
+        nearest[bi[pick]] = bj[pick]
 
-    # a non-core point within eps of a core joins the cluster of its nearest
-    # core, ties to the lower id; the distance is the dot product
-    # np.linalg.norm takes of one difference vector
-    border = ~is_core[src] & is_core[dst]
-    bi, bj = src[border], dst[border]
-    diff = coords[bi] - coords[bj]
-    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    pick = np.lexsort((sorted_ids[bj], dist, bi))
-    pick = pick[np.diff(bi[pick], prepend=-1) != 0]
-    root[bi[pick]] = root[bj[pick]]
+    root = np.where(is_core, parent, -1)
+    border = nearest >= 0
+    root[border] = parent[nearest[border]]
 
     member = np.nonzero(root >= 0)[0]
     roots, first = np.unique(root[member], return_index=True)
@@ -654,8 +710,9 @@ def clean_photon_table(
     ``enforce_dtm_consistency``, ``normalize_heights``,
     ``landcover_plausibility_filter``, ``dbscan_cluster`` and
     ``aggregate_cells`` in turn.  Photons outside the DTM or land-cover
-    extent are dropped, as a track clipped to a tile runs past its edges.  Returns the clean photons as a ``CLEAN_DTYPE`` table
-    (ground photons in input order, then the object centroids) and a
+    extent are dropped, as a track clipped to a tile runs past its edges.
+    Returns the clean photons as a ``CLEAN_DTYPE`` table (ground photons
+    in input order, then the object centroids) and a
     report: per-stage retention counts, monotonically non-increasing
     (``counts``); the ground-estimate source of each object photon
     (``ground_sources``); and the object photons that DBSCAN put in clusters

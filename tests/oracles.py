@@ -134,6 +134,61 @@ def dbscan_brute(points, eps, min_pts):
     return [frozenset(c) for c in ordered], frozenset(noise)
 
 
+
+def dbscan_pairs(table, h, eps, min_pts, height_weight=1.0):
+    """DBSCAN over one list of every neighbour pair, as the package first
+    computed it: core counts, components and border picks all read the
+    same pair arrays, whose memory grows with the number of pairs.  Takes
+    and returns what ``photons.dbscan_cluster`` does: the member count of
+    each cluster and the cluster number of each row, -1 for noise."""
+    from scipy.spatial import cKDTree
+
+    n = len(table)
+    label = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), label
+    order = np.argsort(table["id"], kind="stable")
+    sorted_ids = table["id"][order]
+    coords = np.column_stack((table["x"][order], table["y"][order], height_weight * h[order]))
+    pairs = cKDTree(coords).query_pairs(eps, output_type="ndarray")
+    src = np.concatenate((np.arange(n), pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((np.arange(n), pairs[:, 1], pairs[:, 0]))
+    is_core = np.bincount(src, minlength=n) >= min_pts
+
+    # components of the core points by hooking and pointer jumping, each
+    # labelled by its lowest index
+    link = is_core[src] & is_core[dst]
+    a, b = src[link], dst[link]
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = np.where(is_core, parent, -1)
+
+    border = ~is_core[src] & is_core[dst]
+    bi, bj = src[border], dst[border]
+    diff = coords[bi] - coords[bj]
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    pick = np.lexsort((sorted_ids[bj], dist, bi))
+    pick = pick[np.diff(bi[pick], prepend=-1) != 0]
+    root[bi[pick]] = root[bj[pick]]
+
+    member = np.nonzero(root >= 0)[0]
+    roots, first = np.unique(root[member], return_index=True)
+    number = np.empty(n, dtype=np.int64)
+    number[roots[np.argsort(first)]] = np.arange(len(roots))
+    label[order[member]] = number[root[member]]
+    return np.bincount(number[root[member]]), label
+
+
 # ----- cluster centroids and cell thinning -----
 
 

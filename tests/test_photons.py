@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from lidar_anchor import photons
 from lidar_anchor.photons import (
     CLASS_CANOPY,
     CLASS_GROUND,
@@ -38,6 +40,7 @@ from oracles import (
     aggregate_direct,
     clean_csv_whole,
     dbscan_brute,
+    dbscan_pairs,
     idw_direct,
     idw_scan,
     photons_csv_whole,
@@ -280,6 +283,87 @@ class TestCsvBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], f"peaks {peaks} at 4x the rows"
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_photons_csv_reads_back_across_blocks(self, tmp_path, n):
+        table = random_photons(n, seed=n)
+        write_photons_csv(table, tmp_path / "p.csv")
+        assert load_photons(tmp_path / "p.csv").tolist() == table.tolist()
+
+    def test_problems_read_as_in_one_block(self, tmp_path, monkeypatch):
+        # blank lines, unparsable rows, values out of range and an id
+        # repeated two blocks later, in blocks of three lines: the rows are
+        # numbered in the file, sorted, the first ten shown
+        lines = ["id,x,y,elev,signal_conf,atl08_class,beam,t"]
+        lines += [f"{i},1.0,2.0,3.0,4,1,0,0.0" for i in range(12)]
+        lines[2] = ""
+        lines[4] = "3,1.0,2.0,oops,4,1,0,0.0"
+        lines[5] = "4,1.0,2.0,3.0,4,1,0"
+        lines[7] = "6,1.0,2.0,3.0,9,1,0,0.0"
+        lines[11] = "0,5.0,6.0,7.0,4,1,0,0.0"
+        lines += [f"{i},nan,2.0,3.0,4,1,0,0.0" for i in range(20, 30)]
+        (tmp_path / "p.csv").write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(ValueError) as whole:
+            load_photons(tmp_path / "p.csv")
+        monkeypatch.setattr(photons, "CSV_BLOCK_ROWS", 3)
+        with pytest.raises(ValueError) as blocked:
+            load_photons(tmp_path / "p.csv")
+        msg = str(blocked.value)
+        assert msg == str(whole.value)
+        assert "14 malformed rows" in msg and msg.endswith("(+4 more)")
+        for want in ("row 5: unparsable", "row 6: expected 8 fields, got 7",
+                     "row 8: signal_conf=9", "row 12: duplicate photon id 0", "row 14: x=nan"):
+            assert want in msg
+        assert "row 3" not in msg and "row 23" not in msg
+
+    def test_read_memory_is_about_twice_the_table(self, tmp_path):
+        table = random_photons(8 * CSV_BLOCK_ROWS)
+        write_photons_csv(table, tmp_path / "p.csv")
+        tracemalloc.start()
+        try:
+            got = load_photons(tmp_path / "p.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == table.tolist()
+        assert peak <= 2.5 * table.nbytes, f"peak {peak} for a {table.nbytes}-byte table"
+
+
+class TestParams:
+    @pytest.mark.parametrize("kwargs", [
+        dict(eps=float("nan")), dict(eps=float("inf")), dict(eps=0.0), dict(eps=-1.0),
+        dict(min_pts=2.5), dict(min_pts=0), dict(min_pts=True),
+        dict(height_weight=float("nan")), dict(height_weight=-1.0),
+    ])
+    def test_bad_cluster_params_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=f"cluster {next(iter(kwargs))} must be"):
+            ClusterParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dtm_tau=float("nan")), dict(dtm_tau=-1.0),
+        dict(cell=float("nan")), dict(cell=float("inf")), dict(cell=0.0),
+        dict(idw_k_max=0), dict(idw_k_max=2.5),
+        dict(idw_radius=float("nan")), dict(idw_radius=float("inf")), dict(idw_radius=0.0),
+        dict(idw_power=float("nan")), dict(idw_power=0.0),
+        dict(class_bounds={LC_TREE: (float("nan"), 90.0)}), dict(class_bounds={LC_TREE: (5, 1)}),
+    ])
+    def test_bad_preprocess_params_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match="cell size" if name == "cell" else name):
+            PreprocessParams(**kwargs)
+
+    def test_edge_values_accepted(self):
+        ClusterParams(eps=1e-9, min_pts=1, height_weight=0.0)
+        ClusterParams(min_pts=np.int64(4))
+        PreprocessParams(dtm_tau=0.0, idw_k_max=1, class_bounds={LC_TREE: (2.0, 2.0)})
+        # an infinite tau means the DTM never overrides IDW
+        PreprocessParams(dtm_tau=float("inf"))
+
+    def test_nan_idw_parameters_rejected(self):
+        ground = photon_table([photon(0, 0.0, 0.0, 1.0)])
+        for kwargs in (dict(power=float("nan")), dict(radius=float("nan"))):
+            with pytest.raises(ValueError, match="bad IDW parameters"):
+                GroundInterpolator(ground, **kwargs)
 
 
 class TestConfidenceFilter:
@@ -700,6 +784,75 @@ class TestDbscan:
             [p.id for p in c] for c in perm_clusters
         ]
         assert [p.id for p in base_noise] == [p.id for p in perm_noise]
+
+
+class TestDbscanBlocks:
+    """The blocked neighbour edges against the one pair list they replace."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)),
+            min_size=1,
+            max_size=80,
+        ),
+        st.sampled_from([0.0, 0.25]),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    # two plus-shaped clusters whose centre cores lie 1 m either side of a
+    # border point: random lattices seldom tie two clusters' cores this way
+    @example([(1, 2, 0), (0, 2, 0), (1, 1, 0), (1, 3, 0), (2, 2, 0),
+              (3, 2, 0), (4, 2, 0), (3, 1, 0), (3, 3, 0)], 0.0, 1.0, 4, 2, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_pair_list_form(self, cells, jitter, eps, min_pts, block, seed):
+        # lattice points, half of them nudged off the lattice or none: ties
+        # between cores and chains that cross many blocks of a few
+        # neighbour entries each
+        rng = np.random.default_rng(seed)
+        xyz = np.array(cells, dtype=np.float64)
+        xyz += jitter * rng.uniform(-1.0, 1.0, xyz.shape) * (rng.random(len(xyz)) < 0.5)[:, None]
+        table = photon_table(
+            (int(pid), x, y, 0.0, 4, CLASS_TOP_OF_CANOPY, 0, 0.0)
+            for pid, (x, y, _) in zip(rng.permutation(len(xyz)), xyz.tolist())
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(photons, "_EDGE_BLOCK", block)
+            sizes, label = dbscan_cluster(table, xyz[:, 2], ClusterParams(eps, min_pts))
+        want_sizes, want_label = dbscan_pairs(table, xyz[:, 2], eps, min_pts)
+        assert sizes.tolist() == want_sizes.tolist()
+        assert label.tolist() == want_label.tolist()
+
+    @staticmethod
+    def tracks(density, seed=3):
+        """Object photons along four 300 m tracks, ``density`` times the
+        along-track rate of a 1x set of 2,000 photons."""
+        rng = np.random.default_rng(seed)
+        n = 500 * density
+        rows, heights = [], []
+        for track in range(4):
+            x = np.sort(rng.uniform(0.0, 300.0, n))
+            y = 40.0 * track + rng.uniform(-0.5, 0.5, n)
+            rows += [(len(rows) + i, xi, yi, 0.0, 4, CLASS_TOP_OF_CANOPY, 0, 0.0)
+                     for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist()))]
+            heights.append(rng.uniform(5.0, 7.0, n))
+        return photon_table(rows), np.concatenate(heights)
+
+    def test_memory_grows_with_the_points_not_the_pairs(self):
+        peaks, pairs = [], []
+        for density in (1, 4):
+            table, h = self.tracks(density)
+            coords = np.column_stack((table["x"], table["y"], h))
+            pairs.append(len(cKDTree(coords).query_pairs(3.0, output_type="ndarray")))
+            tracemalloc.start()
+            try:
+                dbscan_cluster(table, h)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert pairs[1] > 12 * pairs[0], f"pairs {pairs}: not a 4x along-track density"
+        assert peaks[1] <= 5 * peaks[0], f"peaks {peaks} at 4x the points, {pairs} pairs"
 
 
 def aggregate(clusters, ground=(), cell=10.0):
