@@ -40,13 +40,24 @@ DEFAULT_PATCH = 64
 # memory: 8 windows at patch 64, 128 at patch 16.
 _FEATURE_CHUNK_PIXELS = 1 << 15
 
+# Bytes of a block allocated and freed, never written, before the feature
+# chunks.  glibc's allocator raises its mmap threshold to the largest block
+# freed and its heap-trim threshold to twice that, here above the numpy
+# temporaries of one chunk (about 100 bytes a window pixel): they are then
+# reused from the heap, not returned to the system and faulted in again for
+# every chunk, which made dense inference about 40% slower.
+_HEAP_BLOCK_BYTES = 64 * _FEATURE_CHUNK_PIXELS
+
 
 @dataclass
 class ResidualField:
-    """Dense per-pixel residual plus how many windows informed each pixel."""
+    """Dense per-pixel residual plus how many windows informed each pixel,
+    with the windows scored and those dropped for holding no valid pixel."""
 
     values: HeightRaster
     weights: np.ndarray
+    windows: int = 0
+    dropped: int = 0
 
 
 def _check_grids(
@@ -110,6 +121,7 @@ def _feature_matrix(
         cells = embeddings.values.reshape(g.height, g.width, g.bands)
         return cells[rows // g.cell_px, cols // g.cell_px].astype(np.float64)
     out = np.empty((len(row0), HRF_DIM), dtype=np.float64)
+    np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)  # freed at once, see _HEAP_BLOCK_BYTES
     chunk = max(_FEATURE_CHUNK_PIXELS // (patch * patch), 1)
     for s in range(0, len(row0), chunk):
         part = slice(s, s + chunk)
@@ -137,10 +149,10 @@ def build_training_set(
     table (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and ``h_ag`` are read).
 
     Each photon on a valid pixel gives one row, in table order: the
-    features of the window centered on its pixel, and the footprint-mean
-    prediction minus the photon height as target.  Photons outside the
-    raster or over invalid pixels are skipped and counted.  Raises when no
-    photon is usable.
+    features of the window centered on its pixel (computed once per
+    distinct pixel), and the footprint-mean prediction minus the photon
+    height as target.  Photons outside the raster or over invalid pixels
+    are skipped and counted.  Raises when no photon is usable.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -156,11 +168,10 @@ def build_training_set(
     on_pixel, col, row = on_pixel[valid], col[valid], row[valid]
     sampled = footprint_mean(pred, x[on_pixel], y[on_pixel], footprint)
     keep = ~np.isnan(sampled)
-    origins = list(zip((row[keep] - patch // 2).tolist(), (col[keep] - patch // 2).tolist()))
     targets = sampled[keep] - clean["h_ag"][on_pixel[keep]]
-    skipped = len(clean) - len(origins)
+    skipped = len(clean) - len(targets)
 
-    if not origins:
+    if not len(targets):
         raise ValueError(
             f"zero usable photons to train on ({skipped} skipped); "
             "check raster coverage and nodata"
@@ -168,8 +179,12 @@ def build_training_set(
     if skipped:
         logger.info("training set: %d photons skipped (outside raster or nodata)", skipped)
 
+    # one feature row per distinct pixel, copied to every photon on it
+    row, col = row[keep], col[keep]
+    _, first, photon_pixel = np.unique(row * h.width + col, return_index=True, return_inverse=True)
+    origins = np.stack([row[first], col[first]], axis=1) - patch // 2
     X = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
-    return X, targets, skipped
+    return X[photon_pixel.reshape(-1)], targets, skipped
 
 
 def _window_origins(extent: int, patch: int, stride: int) -> list[int]:
@@ -198,8 +213,9 @@ def infer_residual_field(
     windows and raises ValueError); each window that covers a valid
     prediction pixel contributes one scalar and each pixel averages the
     windows covering it.  Scalars are accumulated in row-major window
-    order.  Pixels under no contributing window are invalid and get
-    residual 0.
+    order, one window row at a time, so that beside the two output rasters
+    the pass holds about ``patch`` rows of float64 sums and int32 counts.
+    Pixels under no contributing window are invalid and get residual 0.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -218,36 +234,53 @@ def infer_residual_field(
         raise ValueError(f"stride must be <= patch ({patch}), got {stride}")
 
     h = pred.header
-    rows0 = np.array(_window_origins(h.height, patch, stride))
+    rows0 = _window_origins(h.height, patch, stride)
     cols0 = np.array(_window_origins(h.width, patch, stride))
-    valid = valid_mask(pred)
-    # valid pixels per window, from a summed-area table of the mask
-    sat = np.zeros((h.height + 1, h.width + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(valid, axis=0), axis=1, out=sat[1:, 1:])
-    top, left = rows0[:, None], cols0[None, :]
-    bottom = np.minimum(top + patch, h.height)
-    right = np.minimum(left + patch, h.width)
-    counts = sat[bottom, right] - sat[top, right] - sat[bottom, left] + sat[top, left]
-    hit_r, hit_c = np.nonzero(counts)
-    windows = list(zip(rows0[hit_r].tolist(), cols0[hit_c].tolist()))
-    if not windows:
+    right = np.minimum(cols0 + patch, h.width)
+    # each window row's windows that hold a valid pixel, from the column
+    # sums of the valid mask under that row
+    hits = []
+    for r0 in rows0:
+        valid_left = np.zeros(h.width + 1, dtype=np.int64)
+        np.cumsum(valid_mask(pred, slice(r0, r0 + patch)).sum(axis=0), out=valid_left[1:])
+        hits.append(cols0[valid_left[right] > valid_left[cols0]])
+    origins = np.concatenate(
+        [np.stack([np.full(len(c0), r0), c0], axis=1) for r0, c0 in zip(rows0, hits)]
+    )
+    if not len(origins):
         raise ValueError("no window covers a valid prediction pixel")
 
-    matrix = _feature_matrix(windows, pred, optical, lc, embeddings, feature_mode, patch)
-    scalars = predict_batch(forest, matrix)
+    matrix = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
+    scalars = iter(predict_batch(forest, matrix).tolist())
 
-    acc = np.zeros((h.height, h.width), dtype=np.float64)
-    cover = np.zeros((h.height, h.width), dtype=np.int32)
-    for i, (r0, c0) in enumerate(windows):
-        r1 = min(r0 + patch, h.height)
-        c1 = min(c0 + patch, h.width)
-        acc[r0:r1, c0:c1] += scalars[i]
-        cover[r0:r1, c0:c1] += 1
-
-    if (valid & (cover == 0)).any():
-        raise AssertionError("window tiling left valid pixels uncovered")
-    values = np.divide(acc, cover, out=np.zeros_like(acc), where=cover > 0).astype(np.float32)
-    return ResidualField(values=height_like(h, values), weights=cover)
+    # Scalars add in row-major window order into a buffer of the rows the
+    # current window row covers; the rows above the next window row are then
+    # final and leave it as float32 values and int32 weights.
+    values = np.empty((h.height, h.width), dtype=np.float32)
+    weights = np.empty((h.height, h.width), dtype=np.int32)
+    span = min(patch, h.height)
+    acc = np.zeros((span, h.width), dtype=np.float64)
+    cover = np.zeros((span, h.width), dtype=np.int32)
+    for i, (r0, c0s) in enumerate(zip(rows0, hits)):
+        for c0, c1 in zip(c0s.tolist(), np.minimum(c0s + patch, h.width).tolist()):
+            acc[:, c0:c1] += next(scalars)
+            cover[:, c0:c1] += 1
+        stop = rows0[i + 1] if i + 1 < len(rows0) else h.height
+        done = stop - r0
+        if (valid_mask(pred, slice(r0, stop)) & (cover[:done] == 0)).any():
+            raise AssertionError("window tiling left valid pixels uncovered")
+        values[r0:stop] = np.divide(
+            acc[:done], cover[:done], out=np.zeros_like(acc[:done]), where=cover[:done] > 0
+        )
+        weights[r0:stop] = cover[:done]
+        acc[:-done], cover[:-done] = acc[done:], cover[done:]
+        acc[-done:], cover[-done:] = 0.0, 0
+    return ResidualField(
+        values=height_like(h, values),
+        weights=weights,
+        windows=len(origins),
+        dropped=len(rows0) * len(cols0) - len(origins),
+    )
 
 
 def apply_correction(pred: HeightRaster, field: ResidualField) -> HeightRaster:

@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from json.decoder import WHITESPACE
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -591,6 +592,108 @@ def _tree_arrays(item: dict) -> RegressionTree:
     return RegressionTree(**arrays)
 
 
+# Characters of model.json that load_model reads at a time.
+_READ_CHARS = 1 << 17
+
+# Characters that must follow a decoded value before its end is certain: a
+# number cut at a block edge as "1" may go on as "1.5" or "1e+5".
+_LOOKAHEAD = 3
+
+
+class _Blocks:
+    """A text file read ``_READ_CHARS`` characters at a time; ``text[pos:]``
+    is the part of the blocks read so far that is not yet consumed."""
+
+    def __init__(self, f) -> None:
+        self.f, self.text, self.pos, self.eof = f, "", 0, False
+        # text kept ahead of a value before decoding it: a block, or the
+        # longest value so far, so that values are rarely decoded twice
+        self.ahead = _READ_CHARS
+
+    def read_more(self) -> None:
+        # the consumed text is dropped before the next block is read
+        rest, self.text, self.pos = self.text[self.pos :], "", 0
+        block = self.f.read(_READ_CHARS)
+        self.text, self.eof = rest + block, not block
+
+    def next_char(self) -> str:
+        """The next character after JSON whitespace, not consumed; '' at
+        the end of the file."""
+        while True:
+            self.pos = WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos : self.pos + 1]
+            self.read_more()
+
+    def expect(self, chars: str) -> str:
+        """Consume the next character after whitespace, which must be one
+        of ``chars``; raises ValueError otherwise."""
+        c = self.next_char()
+        if not c or c not in chars:
+            raise ValueError(f"expected one of {chars!r}")
+        self.pos += 1
+        return c
+
+    def value(self, decoder: json.JSONDecoder) -> object:
+        """Decode the next JSON value, reading blocks until it is whole."""
+        self.next_char()
+        while len(self.text) - self.pos < self.ahead and not self.eof:
+            self.read_more()
+        while True:
+            try:
+                obj, end = decoder.raw_decode(self.text, self.pos)
+                if end + _LOOKAHEAD <= len(self.text) or self.eof:
+                    self.ahead = max(self.ahead, end + _LOOKAHEAD - self.pos)
+                    self.pos = end
+                    return obj
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            self.read_more()
+
+
+def _read_model_document(f) -> object:
+    """What ``json.load(f, object_hook=_tree_hook)`` returns for a document
+    that is one JSON object, read a block at a time: the object one value at
+    a time, and its ``trees`` array one tree at a time, so that the text
+    held is about two blocks, or the longest tree and a block.  Raises
+    ValueError where the file is not such a document, or not UTF-8."""
+    text = _Blocks(f)
+    decoder = json.JSONDecoder(object_hook=_tree_hook)
+    doc = {}
+    text.expect("{")
+    if text.next_char() == "}":
+        text.pos += 1
+    else:
+        while True:
+            key = text.value(decoder)
+            if not isinstance(key, str):
+                raise ValueError("expected a key")
+            text.expect(":")
+            if key == "trees" and text.next_char() == "[":
+                doc[key] = _read_array(text, decoder)
+            else:
+                doc[key] = text.value(decoder)
+            if text.expect(",}") == "}":
+                break
+    if text.next_char():
+        raise ValueError("data after the document")
+    return _tree_hook(doc)
+
+
+def _read_array(text: _Blocks, decoder: json.JSONDecoder) -> list:
+    """The JSON array at ``text``'s position, decoded one element at a time."""
+    text.expect("[")
+    items = []
+    if text.next_char() == "]":
+        text.pos += 1
+        return items
+    while True:
+        items.append(text.value(decoder))
+        if text.expect(",]") == "]":
+            return items
+
+
 def _tree_hook(obj: dict) -> dict | RegressionTree:
     """``json`` object hook: a tree object becomes its arrays as soon as the
     parser closes it, so one tree's lists are alive at a time.  Any other
@@ -607,22 +710,30 @@ def _tree_hook(obj: dict) -> dict | RegressionTree:
 def load_model(path: Path | str) -> RandomForest:
     """Load a serialized forest, validating structure before use.
 
-    Each tree is converted to its node arrays while the document is parsed,
-    so the loader holds one tree's parsed lists at a time.  It checks the
-    format version, the feature schema, ``n_features``, that the document
-    holds ``params.n_trees`` trees, that each tree's seven arrays are flat
-    and of one size, that thresholds, values and impurities are finite,
-    that every split feature is below ``n_features``, and that every
-    internal node's children lie after it in the tree (as
+    The file is read a block at a time, and each tree is converted to its
+    node arrays as soon as it is parsed, so the loader never holds the whole
+    text, only a block or two and one tree's text and parsed lists.  It
+    accepts and rejects the documents ``json.load`` does, with its messages:
+    a file the block-wise walk cannot read is judged by ``json.load`` whole.
+
+    It checks the format version, the feature schema, ``n_features``, that
+    the document holds ``params.n_trees`` trees, that each tree's seven
+    arrays are flat and of one size, that thresholds, values and impurities
+    are finite, that every split feature is below ``n_features``, and that
+    every internal node's children lie after it in the tree (as
     ``save_model``'s preorder writes them), so prediction always reaches a
     leaf.  Any failure raises ``ValueError`` naming the file.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f, object_hook=_tree_hook)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed model document: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = _read_model_document(f)
+    except ValueError:
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                doc = json.load(f, object_hook=_tree_hook)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: malformed model document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: malformed model document: not a JSON object")
 

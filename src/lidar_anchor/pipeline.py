@@ -29,6 +29,7 @@ from .raster import (
     OpticalRaster,
     Raster,
     load_raster,
+    row_strips,
     save_raster,
 )
 
@@ -244,8 +245,11 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
     return report
 
 
-def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> None:
-    """Apply a trained model: corrected.bin/.json + residual.bin/.json."""
+def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> dict:
+    """Apply a trained model: corrected.bin/.json + residual.bin/.json and
+    correct_report.json, the residual field's coverage: the windows scored,
+    those dropped for holding no valid prediction pixel, and the invalid
+    pixels that no scored window covers, left at residual 0."""
     pred = _load(pred_path, HeightRaster, "pred")
     optical, lc, embeddings = _feature_inputs(cfg)
     model = forest.load_model(out_dir / "model.json")
@@ -263,6 +267,16 @@ def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> 
     corrected = correction.apply_correction(pred, field)
     save_raster(field.values, out_dir / "residual")
     save_raster(corrected, out_dir / "corrected")
+    report = {
+        "windows_scored": field.windows,
+        "windows_dropped": field.dropped,
+        "pixels_uncovered": sum(
+            int(np.count_nonzero(field.weights[rows] == 0))
+            for rows in row_strips(pred.header.height)
+        ),
+    }
+    _write_json(report, out_dir / "correct_report.json")
+    return report
 
 
 def stage_evaluate(
@@ -342,7 +356,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         pred_path = Path(cfg.pred)
 
     summary["train"] = run_stage("train", stage_train, cfg, pred_path, out_dir)
-    run_stage("correct", stage_correct, cfg, pred_path, out_dir)
+    summary["correct"] = run_stage("correct", stage_correct, cfg, pred_path, out_dir)
 
     for key, path, name in (
         ("baseline", pred_path, "metrics_baseline"),

@@ -742,6 +742,47 @@ def per_class_whole(pred, ref, codes, valid, n_classes=8):
     return rows
 
 
+# ----- residual field -----
+
+
+def window_origins_direct(extent, patch, stride):
+    """Window start offsets along one axis at ``stride``, the last one
+    clamped to the edge."""
+    last = max(extent - patch, 0)
+    origins = list(range(0, last + 1, stride))
+    if origins[-1] != last:
+        origins.append(last)
+    return origins
+
+
+def residual_field_whole(valid, patch, stride, score):
+    """(values, weights, windows) of the residual field as the package first
+    built it, over the whole raster at once: the windows holding a valid
+    pixel from one int64 summed-area table of ``valid``, in row-major
+    order; ``score(windows)`` gives one scalar per window (row0, col0); the
+    scalars summed in that order into float64 and int32 rasters; the
+    float32 quotient, 0 where no window covers a pixel."""
+    height, width = valid.shape
+    rows0 = np.array(window_origins_direct(height, patch, stride))
+    cols0 = np.array(window_origins_direct(width, patch, stride))
+    sat = np.zeros((height + 1, width + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(valid, axis=0), axis=1, out=sat[1:, 1:])
+    top, left = rows0[:, None], cols0[None, :]
+    bottom = np.minimum(top + patch, height)
+    right = np.minimum(left + patch, width)
+    counts = sat[bottom, right] - sat[top, right] - sat[bottom, left] + sat[top, left]
+    hit_r, hit_c = np.nonzero(counts)
+    windows = list(zip(rows0[hit_r].tolist(), cols0[hit_c].tolist()))
+    scalars = score(windows)
+    acc = np.zeros((height, width), dtype=np.float64)
+    cover = np.zeros((height, width), dtype=np.int32)
+    for (r0, c0), scalar in zip(windows, scalars):
+        acc[r0 : r0 + patch, c0 : c0 + patch] += scalar
+        cover[r0 : r0 + patch, c0 : c0 + patch] += 1
+    values = np.divide(acc, cover, out=np.zeros_like(acc), where=cover > 0).astype(np.float32)
+    return values, cover, windows
+
+
 # ----- clean-photon CSV -----
 
 

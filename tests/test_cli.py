@@ -113,7 +113,7 @@ class TestPipelineCommand:
         names = [
             "clean_photons.csv", "preprocess_report.json", "model.json",
             "importance.csv", "train_report.json", "residual.bin",
-            "corrected.bin", "metrics.json", "metrics_baseline.json",
+            "corrected.bin", "correct_report.json", "metrics.json", "metrics_baseline.json",
             "metrics_per_class.csv", "summary.json",
         ]
         for name in names:
@@ -219,7 +219,7 @@ class TestStagewiseEquivalence:
             "clean_photons.csv", "preprocess_report.json", "model.json",
             "importance.csv", "train_report.json",
             "residual.bin", "residual.json", "corrected.bin", "corrected.json",
-            "metrics.json", "metrics_per_class.csv",
+            "correct_report.json", "metrics.json", "metrics_per_class.csv",
         ]
         for name in shared:
             assert (out / name).read_bytes() == (run / name).read_bytes(), name

@@ -1,16 +1,26 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidar_anchor import correction
 from lidar_anchor.correction import (
     ResidualField,
     apply_correction,
     build_training_set,
     infer_residual_field,
 )
-from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM
-from lidar_anchor.forest import ForestParams, RandomForest, RegressionTree, train_forest
+from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF, HRF_DIM, hrf_features
+from lidar_anchor.forest import (
+    ForestParams,
+    RandomForest,
+    RegressionTree,
+    predict_batch,
+    train_forest,
+)
 from lidar_anchor.raster import (
     STRIP_ROWS,
     EmbeddingGrid,
@@ -20,7 +30,12 @@ from lidar_anchor.raster import (
 )
 
 from conftest import CleanRow, clean_table, make_height, make_landcover, make_optical
-from oracles import hrf_features_direct, window_direct
+from oracles import (
+    hrf_features_direct,
+    residual_field_whole,
+    window_direct,
+    window_origins_direct,
+)
 
 
 def leaf_tree(value):
@@ -87,6 +102,29 @@ class TestBuildTrainingSet:
             window_direct(lc, row - 16, col - 16, 32),
         )
         np.testing.assert_array_equal(X[0], want)
+
+    def test_photons_on_one_pixel_share_one_window(self):
+        # photons of three pixels, interleaved in table order: the features
+        # are computed for the three windows only, and every photon gets its
+        # pixel's row and its own target
+        pred, optical, lc = scene()
+        a, b, c = photons_on(pred, count=3)
+        pts = [a, b._replace(h_ag=1.0), a._replace(h_ag=3.0), c, b, a._replace(h_ag=0.5)]
+        windows = []
+
+        def counting(pred_stack, *args, **kwargs):
+            windows.append(len(pred_stack))
+            return hrf_features(pred_stack, *args, **kwargs)
+
+        with mock.patch.object(correction, "hrf_features", counting):
+            X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=32)
+        assert skipped == 0 and sum(windows) == 3
+        for i, p in enumerate(pts):
+            alone, target, _ = build_training_set(pred, optical, lc, clean_table([p]), patch=32)
+            np.testing.assert_array_equal(X[i], alone[0])
+            assert y[i] == target[0]
+        assert (X[0] == X[2]).all() and (X[2] == X[5]).all() and (X[1] == X[4]).all()
+        assert len({y[0], y[2], y[5]}) == 3
 
     def test_nrf_rows_are_embedding_cells_under_photons(self):
         pred, _, _ = scene(n=64)
@@ -266,6 +304,100 @@ class TestInferResidualField:
             infer_residual_field(
                 pred, optical, lc, constant_forest(1.0, schema=SCHEMA_NRF, n_features=3), patch=32
             )
+
+
+def varied_forest(schema, n_features):
+    """A few deep trees over features spread like hrf's, so that windows
+    take many different scalars."""
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-5.0, 260.0, (300, n_features))
+    y = rng.normal(0.0, 3.0, 300)
+    return train_forest(X, y, schema, ForestParams(n_trees=2, min_samples_leaf=1, seed=7))
+
+
+_HRF_FOREST = varied_forest(SCHEMA_HRF, HRF_DIM)
+_NRF_FOREST = varied_forest(SCHEMA_NRF, 3)
+
+
+@st.composite
+def residual_problems(draw):
+    """A raster with nodata stripes and columns, a window geometry and a
+    feature mode: sizes off the window grid, strides equal to the patch or
+    not dividing the raster, and rasters smaller than the patch."""
+    patch = draw(st.integers(1, 24))
+    stride = draw(st.one_of(st.just(patch), st.integers(1, patch)))
+    height = draw(st.integers(1, 3 * patch + 9))
+    width = draw(st.integers(1, 3 * patch + 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, 30.0, (height, width))
+    for _ in range(draw(st.integers(0, 3))):
+        r0 = int(rng.integers(0, height))
+        values[r0 : r0 + int(rng.integers(1, patch + 2))] = -9999.0
+    for _ in range(draw(st.integers(0, 3))):
+        c0 = int(rng.integers(0, width))
+        values[:, c0 : c0 + int(rng.integers(1, patch + 2))] = -9999.0
+    values[rng.random((height, width)) < draw(st.sampled_from([0.0, 0.05]))] = np.nan
+    pred = make_height(values, nodata=-9999.0)
+    if draw(st.booleans()):
+        optical = make_optical(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+        lc = make_landcover(rng.integers(0, 8, (height, width), dtype=np.uint8))
+        return pred, optical, lc, None, SCHEMA_HRF, _HRF_FOREST, patch, stride
+    cell = int(rng.integers(1, 9))
+    gh, gw = -(-height // cell), -(-width // cell)
+    header = RasterHeader(width=gw, height=gh, gsd=float(cell), origin_x=0.0,
+                          origin_y=float(height), crs_code=32654, bands=3,
+                          dtype="float32", nodata=None, cell_px=cell)
+    grid = EmbeddingGrid(header, rng.uniform(-5.0, 260.0, (gh, gw, 3)).astype(np.float32))
+    return pred, None, None, grid, SCHEMA_NRF, _NRF_FOREST, patch, stride
+
+
+class TestResidualStripPass:
+    @given(residual_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_whole_raster_form(self, problem):
+        pred, optical, lc, grid, mode, forest, patch, stride = problem
+        h = pred.header
+        valid = np.isfinite(pred.values) & (pred.values != -9999.0)
+
+        def score(windows):
+            matrix = correction._feature_matrix(windows, pred, optical, lc, grid, mode, patch)
+            return predict_batch(forest, matrix)
+
+        if not valid.any():
+            with pytest.raises(ValueError, match="no window"):
+                infer_residual_field(pred, optical, lc, forest, patch, stride, mode, grid)
+            return
+        want_values, want_weights, windows = residual_field_whole(valid, patch, stride, score)
+        field = infer_residual_field(pred, optical, lc, forest, patch, stride, mode, grid)
+        assert field.values.values.dtype == np.float32 and field.weights.dtype == np.int32
+        assert field.values.values.tobytes() == want_values.tobytes()
+        assert field.weights.tobytes() == want_weights.tobytes()
+        grid_windows = (len(window_origins_direct(h.height, patch, stride))
+                        * len(window_origins_direct(h.width, patch, stride)))
+        assert field.windows == len(windows)
+        assert field.dropped == grid_windows - len(windows)
+
+    def test_memory_is_the_output_and_a_window_row(self):
+        # nrf features, so that feature temporaries do not count: the two
+        # output rasters and a buffer of patch rows, against about eight
+        # rasters when the sums, counts, summed-area table and quotient
+        # were whole-raster arrays
+        n = 1024
+        rng = np.random.default_rng(25)
+        pred = make_height(rng.uniform(0.0, 20.0, (n, n)))
+        header = RasterHeader(width=16, height=16, gsd=64.0, origin_x=0.0,
+                              origin_y=float(n), crs_code=32654, bands=3,
+                              dtype="float32", nodata=None, cell_px=64)
+        grid = EmbeddingGrid(header, rng.uniform(-5.0, 260.0, (16, 16, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            field = infer_residual_field(pred, None, None, _NRF_FOREST, patch=64, stride=32,
+                                         feature_mode=SCHEMA_NRF, embeddings=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.windows == 31 * 31
+        assert peak < 3 * pred.values.nbytes, f"peak {peak / pred.values.nbytes:.2f} rasters"
 
 
 class TestApplyCorrection:

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidar_anchor.features import SCHEMA_HRF, SCHEMA_NRF
+from lidar_anchor import forest as forest_module
 from lidar_anchor.forest import (
     ForestParams,
     MODEL_FORMAT_VERSION,
     RandomForest,
     RegressionTree,
     SplitMix64,
+    _TREE_ARRAYS,
     _build_forked,
     _feature_ranks,
     _grow_tree,
@@ -485,6 +487,24 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 2.5 * size, f"load_model peaked at {peak / size:.2f}x the file size"
 
+    def test_load_peak_memory_is_near_the_arrays(self, tmp_path):
+        # The file is read a block at a time and each tree becomes arrays as
+        # soon as it is parsed, so beyond the arrays the loader holds about
+        # two blocks of text and one tree's lists: under half the arrays
+        # again for a model of several MB, against about twice the arrays
+        # again when the whole text was read at once.
+        save_model(chain_forest(100, 751, 27, seed=4), tmp_path / "m.json")
+        assert (tmp_path / "m.json").stat().st_size > 5_000_000
+        tracemalloc.start()
+        try:
+            loaded = load_model(tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(t, name).nbytes for t in loaded.trees for name, _ in _TREE_ARRAYS)
+        assert arrays > 3_000_000
+        assert peak < 1.5 * arrays, f"load_model peaked at {peak / arrays:.2f}x its arrays"
+
     def test_rejects_inconsistent_arrays(self, tmp_path):
         doc = self._doc(tmp_path)
         doc["trees"][0]["value"] = doc["trees"][0]["value"][:-1]
@@ -504,6 +524,92 @@ class TestSerialization:
         (tmp_path / "bad.json").write_text("{nope")
         with pytest.raises(ValueError, match="malformed"):
             load_model(tmp_path / "bad.json")
+
+
+def chain_forest(n_trees, n_nodes, n_features, seed):
+    """A forest of valid preorder trees with random node numbers: internal
+    node 2k splits into leaf 2k + 1 and the subtree at 2k + 2, and the last
+    node is a leaf (``n_nodes`` odd)."""
+    rng = np.random.default_rng(seed)
+    node = np.arange(n_nodes)
+    internal = (node % 2 == 0) & (node < n_nodes - 1)
+    trees = [
+        RegressionTree(
+            feature=np.where(internal, rng.integers(0, n_features, n_nodes), -1).astype(np.int32),
+            threshold=rng.normal(0.0, 10.0, n_nodes),
+            left=np.where(internal, node + 1, -1).astype(np.int32),
+            right=np.where(internal, node + 2, -1).astype(np.int32),
+            value=rng.normal(0.0, 3.0, n_nodes),
+            n=rng.integers(1, 2000, n_nodes),
+            impurity=rng.uniform(0.0, 9.0, n_nodes),
+        )
+        for _ in range(n_trees)
+    ]
+    return RandomForest(params=ForestParams(n_trees=n_trees), schema_id=SCHEMA_HRF,
+                        n_features=n_features, trees=trees, oob_mae=1.25)
+
+
+class TestLoaderText:
+    """load_model reads the file a block at a time; every document loads to
+    the arrays, or fails with the message, that json.load gives it."""
+
+    @pytest.fixture(params=[None, 5], ids=["default-blocks", "5-char-blocks"])
+    def model(self, request, tmp_path, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(forest_module, "_READ_CHARS", request.param)
+        save_model(chain_forest(3, 9, 4, seed=8), tmp_path / "m.json")
+        return tmp_path / "m.json"
+
+    def _assert_json_message(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        with pytest.raises(ValueError) as got:
+            load_model(path)
+        assert str(got.value) == f"{path}: malformed model document: {want.value}"
+
+    def _assert_loads_as(self, path, original):
+        save_model(load_model(path), path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == original
+
+    def test_file_cut_mid_tree(self, model):
+        text = model.read_text()
+        middle = (text.index('{"feature"', text.index("trees")) + len(text)) // 2
+        self._assert_json_message(model.with_name("cut.json"), text[:middle])
+
+    def test_data_after_the_closing_brace(self, model):
+        self._assert_json_message(model.with_name("extra.json"), model.read_text() + ' {"a": 1}')
+
+    def test_empty_file(self, model):
+        self._assert_json_message(model.with_name("empty.json"), "")
+
+    def test_non_object_top_level(self, model):
+        path = model.with_name("list.json")
+        path.write_text(json.dumps(json.loads(model.read_text())["trees"]))
+        with pytest.raises(ValueError) as got:
+            load_model(path)
+        assert str(got.value) == f"{path}: malformed model document: not a JSON object"
+        self._assert_json_message(path, "[1, 2")
+
+    def test_document_redumped_with_indent(self, model):
+        original = model.read_bytes()
+        path = model.with_name("indented.json")
+        path.write_text(json.dumps(json.loads(original), indent=2))
+        self._assert_loads_as(path, original)
+
+    def test_other_key_order_and_whitespace(self, model):
+        original = model.read_bytes()
+        doc = json.loads(original)
+        path = model.with_name("reordered.json")
+        compact = json.dumps(dict(reversed(list(doc.items()))), separators=(",", ":"))
+        path.write_text("\r\n " + compact + " \n\t")
+        self._assert_loads_as(path, original)
+
+    def test_tree_split_across_read_blocks(self, model, monkeypatch):
+        # a block of a few characters cuts every tree, key and number
+        for chars in (1, 2, 3, 7):
+            monkeypatch.setattr(forest_module, "_READ_CHARS", chars)
+            self._assert_loads_as(model, model.read_bytes())
 
 
 class TestImportance:

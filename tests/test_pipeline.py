@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from lidar_anchor import pipeline
+from lidar_anchor import forest, pipeline
+from lidar_anchor.features import HRF_DIM, SCHEMA_HRF
 from lidar_anchor.raster import save_raster
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
 
-from conftest import make_height, make_landcover
+from conftest import make_height, make_landcover, make_optical
+from oracles import window_origins_direct
 
 
 def _pinned_run(tmp_path, corruption, mode, names):
@@ -150,3 +152,41 @@ def test_config_rejects_stride_above_patch(tmp_path):
     with pytest.raises(ValueError, match="stride"):
         pipeline.load_config(path)
     pipeline.PipelineConfig(patch=8, stride=8)
+
+
+def test_correct_report_counts_coverage(tmp_path):
+    # nodata stripes of rows and columns wide enough to leave whole windows
+    # without a valid pixel, and one NaN pixel: the report's counts equal a
+    # direct count over the window grid
+    rng = np.random.default_rng(26)
+    n, patch, stride = 90, 16, 8
+    values = rng.uniform(0.0, 20.0, (n, n))
+    values[20:60] = -9999.0
+    values[:, 60:] = -9999.0
+    values[5, 5] = np.nan
+    save_raster(make_height(values, nodata=-9999.0), tmp_path / "pred")
+    save_raster(make_optical(rng.integers(0, 256, (n, n, 3), dtype=np.uint8)), tmp_path / "optical")
+    save_raster(make_landcover(rng.integers(0, 8, (n, n), dtype=np.uint8)), tmp_path / "landcover")
+    X = rng.normal(10.0, 1.0, (40, HRF_DIM))
+    model = forest.train_forest(X, X[:, 0] - 10.0, SCHEMA_HRF, forest.ForestParams(n_trees=1))
+    forest.save_model(model, tmp_path / "model.json")
+    cfg = pipeline.PipelineConfig(features="hrf", optical=str(tmp_path / "optical"),
+                                  landcover=str(tmp_path / "landcover"), out=str(tmp_path),
+                                  patch=patch, stride=stride)
+    report = pipeline.stage_correct(cfg, tmp_path / "pred", tmp_path)
+
+    valid = np.isfinite(values) & (values != -9999.0)
+    covered = np.zeros((n, n), dtype=bool)
+    scored = dropped = 0
+    for r0 in window_origins_direct(n, patch, stride):
+        for c0 in window_origins_direct(n, patch, stride):
+            if valid[r0 : r0 + patch, c0 : c0 + patch].any():
+                scored += 1
+                covered[r0 : r0 + patch, c0 : c0 + patch] = True
+            else:
+                dropped += 1
+    uncovered = int(np.count_nonzero(~covered))
+    assert dropped > 0 and uncovered > 0 and not (valid & ~covered).any()
+    assert report == {"windows_scored": scored, "windows_dropped": dropped,
+                      "pixels_uncovered": uncovered}
+    assert json.loads((tmp_path / "correct_report.json").read_text()) == report
