@@ -30,6 +30,7 @@ from .raster import (
     row_strips,
     valid_mask,
     window,
+    window_box,
 )
 
 logger = logging.getLogger(__name__)
@@ -40,13 +41,9 @@ DEFAULT_PATCH = 64
 # memory: 8 windows at patch 64, 128 at patch 16.
 _FEATURE_CHUNK_PIXELS = 1 << 15
 
-# Bytes of a block allocated and freed, never written, before the feature
-# chunks.  glibc's allocator raises its mmap threshold to the largest block
-# freed and its heap-trim threshold to twice that, here above the numpy
-# temporaries of one chunk (about 100 bytes a window pixel): they are then
-# reused from the heap, not returned to the system and faulted in again for
-# every chunk, which made dense inference about 40% slower.
-_HEAP_BLOCK_BYTES = 64 * _FEATURE_CHUNK_PIXELS
+# Width in pixels of the column bands in whose top-to-bottom order hrf
+# windows are chunked.
+_CHUNK_BAND_PX = 64
 
 
 @dataclass
@@ -103,7 +100,9 @@ def _feature_matrix(
     pixels, and nrf takes the embedding cell under the window center,
     clamped to the last row and column.  A center past the image the grid
     covers raises ValueError.  hrf rows are computed a chunk of
-    ``_FEATURE_CHUNK_PIXELS`` window pixels at a time.
+    ``_FEATURE_CHUNK_PIXELS`` window pixels at a time, from the bounding
+    box of the chunk's windows, or from its windows laid side by side when
+    that box holds more pixels than they do.
     """
     h = pred.header
     row0, col0 = np.array(origins, dtype=np.int64).reshape(-1, 2).T
@@ -121,16 +120,23 @@ def _feature_matrix(
         cells = embeddings.values.reshape(g.height, g.width, g.bands)
         return cells[rows // g.cell_px, cols // g.cell_px].astype(np.float64)
     out = np.empty((len(row0), HRF_DIM), dtype=np.float64)
-    np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)  # freed at once, see _HEAP_BLOCK_BYTES
     chunk = max(_FEATURE_CHUNK_PIXELS // (patch * patch), 1)
-    for s in range(0, len(row0), chunk):
-        part = slice(s, s + chunk)
+    rasters = (pred, optical, lc)
+    # chunks follow column bands top to bottom, so that their windows lie
+    # close together; rows go back to the caller's order
+    order = np.lexsort((col0, row0, col0 // _CHUNK_BAND_PX))
+    for s in range(0, len(order), chunk):
+        part = order[s : s + chunk]
+        r, c = row0[part], col0[part]
+        if (np.ptp(r) + patch) * (np.ptp(c) + patch) <= len(part) * patch * patch:
+            boxes = [window_box(x, r, c, patch)[0] for x in rasters]
+            rows, cols = r - r.min(), c - c.min()
+        else:
+            # a box larger than its windows: each window is a box, side by side
+            boxes = [np.concatenate(window(x, r, c, patch), axis=1) for x in rasters]
+            rows, cols = np.zeros_like(r), np.arange(len(part)) * patch
         out[part] = hrf_features(
-            window(pred, row0[part], col0[part], patch),
-            window(optical, row0[part], col0[part], patch),
-            window(lc, row0[part], col0[part], patch),
-            pred_nodata=h.nodata,
-            lc_nodata=lc.header.nodata,
+            *boxes, rows, cols, patch, pred_nodata=h.nodata, lc_nodata=lc.header.nodata
         )
     return out
 

@@ -3,10 +3,10 @@
 Two schemas exist.  "hrf27" is a frozen 27-slot handcrafted vector computed
 from a prediction patch, an RGB patch, and a land-cover patch; its index
 layout is append-only and documented by HRF_FEATURE_NAMES.  ``hrf_features``
-computes it for a stack of windows at once, each row bit-identical to the
-vector of its window computed alone; ``correction._feature_matrix`` feeds it
-fixed-size chunks of windows.  "nrf" is the embedding-grid cell covering the
-window center, with whatever dimensionality the grid carries;
+computes it for the windows of one box at once, each row bit-identical to
+the vector of its window computed alone; ``correction._feature_matrix``
+feeds it fixed-size chunks of windows.  "nrf" is the embedding-grid cell
+covering the window center, with whatever dimensionality the grid carries;
 ``correction._feature_matrix`` gathers it for all windows at once.
 """
 
@@ -17,7 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import percentile, segment_sums, sobel_magnitude
+from .raster import (
+    box_windows,
+    padded_sobel_magnitude,
+    percentile,
+    segment_sums,
+    sobel_magnitude,
+)
 
 SCHEMA_HRF = "hrf27"
 SCHEMA_NRF = "nrf"
@@ -69,82 +75,100 @@ HRF_GROUPS = (
 HRF_DIM = len(HRF_FEATURE_NAMES)
 
 _EPS = 1e-6
-# each 8-bit level scaled to [0, 1], as level / 255.0 computes it
-_UNIT_LEVELS = np.arange(256) / 255.0
 
 
 def hrf_features(
     pred: np.ndarray,
     optical: np.ndarray,
     lc: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    patch: int,
     pred_nodata: Optional[float] = None,
     lc_nodata: Optional[float] = None,
 ) -> np.ndarray:
-    """The 27-slot handcrafted feature vectors of a stack of k windows, as
+    """The 27-slot handcrafted feature vectors of k windows of one box, as
     a (k, 27) float64 matrix.
 
-    Inputs are the windows' prediction (k, p, p), uint8 RGB (k, p, p, 3)
-    and land-cover (k, p, p) patches.  Prediction statistics are taken over
-    valid (non-nodata) pixels; for the gradient, nodata pixels are first
-    filled with the window's valid mean so the Sobel response stays finite.
-    Optical channels are scaled to [0, 1].  Land-cover fractions cover the
-    eight class codes in order (codes other than nodata must lie in 0..7,
-    as ``LandCoverRaster`` ensures), and the last slot is their Shannon
-    entropy (natural log).
+    The box is given by its prediction (h, w), uint8 RGB (h, w, 3) and
+    land-cover (h, w) pixels; the windows by the box row and column of
+    their top-left pixels, ``rows`` and ``cols``, and their size ``patch``.
+    Prediction statistics are taken over valid (non-nodata) pixels; for the
+    gradient, nodata pixels are first filled with the window's valid mean
+    so the Sobel response stays finite.  Optical channels are scaled to
+    [0, 1].  Land-cover fractions cover the eight class codes in order
+    (codes other than nodata must lie in 0..7, as ``LandCoverRaster``
+    ensures), and the last slot is their Shannon entropy (natural log).
 
-    Every row equals the vector of its window computed alone, bit for bit:
-    each statistic reduces one C-contiguous row per window (numpy sums such
-    a row pairwise, as it sums a window alone), and ragged sets (valid
-    pixels, nonzero fractions) are reduced in groups of one length.
+    Every row equals the vector of its window computed alone, bit for bit.
+    The per-pixel transforms (float64 prediction, Sobel magnitude, RGB on
+    [0, 1], green-red index) are computed once over the box and the windows
+    cut from them.  Sobel replicates a window's own edge, so the outer ring
+    of each window's gradient, and the whole gradient of a window holding
+    an invalid pixel, are computed per window.  Each statistic reduces one
+    contiguous run of memory per window and channel (numpy sums such a run
+    pairwise, as it sums a window alone), and ragged sets (valid pixels,
+    nonzero fractions) are reduced in groups of one length.
 
-    Raises ValueError when a window has no valid prediction pixel at all.
+    Raises ValueError when a window has no valid prediction pixel at all,
+    or leaves the box.
     """
-    pred = np.ascontiguousarray(pred, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
     optical = np.asarray(optical)
     lc = np.asarray(lc)
-    if pred.ndim != 3:
-        raise ValueError(f"prediction patches must be a (k, p, p) stack, got shape {pred.shape}")
+    if pred.ndim != 2:
+        raise ValueError(f"prediction box must be 2-D, got shape {pred.shape}")
     if optical.shape != pred.shape + (3,):
         raise ValueError(
-            f"optical patch shape {optical.shape} does not match prediction {pred.shape}"
+            f"optical box shape {optical.shape} does not match prediction {pred.shape}"
         )
     if lc.shape != pred.shape:
-        raise ValueError(f"land-cover patch shape {lc.shape} does not match prediction {pred.shape}")
-    k = pred.shape[0]
-    n_pix = pred.shape[1] * pred.shape[2]
-    out = np.empty((k, HRF_DIM), dtype=np.float64)
+        raise ValueError(f"land-cover box shape {lc.shape} does not match prediction {pred.shape}")
 
-    pv = pred.reshape(k, n_pix)
-    valid = np.isfinite(pv)
+    # the per-pixel transforms, one box channel each: the prediction, its
+    # Sobel magnitude, RGB on [0, 1] and the green-red index; the gradient
+    # of the box's outer ring is left unset, as it lies on windows' rings
+    box = np.empty((6,) + pred.shape)
+    box[0] = pred
+    with np.errstate(invalid="ignore"):  # inf - inf by invalid pixels, redone below
+        box[1, 1:-1, 1:-1] = padded_sobel_magnitude(pred)
+    np.divide(optical.transpose(2, 0, 1), 255.0, out=box[2:5])
+    red, green = box[2], box[3]
+    np.divide(green - red, green + red + _EPS, out=box[5])
+    box_valid = np.isfinite(pred)
     if pred_nodata is not None:
-        valid &= pv != pred_nodata
+        box_valid &= pred != pred_nodata
+
+    windows = box_windows(box, rows, cols, patch)
+    k, n_pix = len(windows), patch * patch
+    valid = box_windows(box_valid, rows, cols, patch).reshape(k, n_pix)
     n_valid = valid.sum(axis=1)
     if not n_valid.all():
         i = int(np.argmin(n_valid))
         raise ValueError(f"prediction patch of window {i} contains no valid pixel")
+    # one row per window and channel
+    flat = windows.reshape(k, 6, n_pix)
+    pv, grad = flat[:, 0], windows[:, 1]
+    out = np.empty((k, HRF_DIM), dtype=np.float64)
     _ragged_stats(pv, valid, n_valid, out)
-    filled = np.where(valid, pv, out[:, :1]) if (n_valid < n_pix).any() else pv
+    with np.errstate(invalid="ignore"):
+        _own_edge_gradient(grad, windows[:, 0])
+    partial = np.nonzero(n_valid < n_pix)[0]
+    if partial.size:
+        filled = np.where(valid[partial], pv[partial], out[partial, :1])
+        grad[partial] = sobel_magnitude(filled.reshape(-1, patch, patch))
 
-    grad = sobel_magnitude(filled.reshape(pred.shape)).reshape(k, n_pix)
-    out[:, 6] = np.mean(grad, axis=1)
-    out[:, 7] = np.std(grad, axis=1)
-    out[:, 8] = percentile(grad, 95.0)
+    # the mean and std slots of the gradient, red, green, blue and green-red
+    # index, one channel at a time so that its deviations stay in cache
+    for channel, slot in zip(range(1, 6), (6, 9, 11, 13, 15)):
+        out[:, slot], out[:, slot + 1] = _mean_std(flat[:, channel])
+    out[:, 8] = percentile(flat[:, 1], 95.0)
+    out[:, 17] = out[:, 9] / (out[:, 11] + _EPS)
 
-    # one contiguous row per window and channel: (k, 3, p * p)
-    rgb = _UNIT_LEVELS[np.ascontiguousarray(np.moveaxis(optical, -1, 1)).reshape(k, 3, n_pix)]
-    r, g = rgb[:, 0], rgb[:, 1]
-    gr_index = (g - r) / (g + r + _EPS)
-    means = np.mean(rgb, axis=2)
-    out[:, 9:15:2] = means
-    out[:, 10:15:2] = np.std(rgb, axis=2)
-    out[:, 15] = np.mean(gr_index, axis=1)
-    out[:, 16] = np.std(gr_index, axis=1)
-    out[:, 17] = means[:, 0] / (means[:, 1] + _EPS)
-
-    codes = lc.reshape(k, n_pix).astype(np.int64)
-    lc_valid = np.ones(codes.shape, dtype=bool) if lc_nodata is None else codes != lc_nodata
-    counts = np.bincount((codes + 8 * np.arange(k)[:, None])[lc_valid], minlength=8 * k)
-    counts = counts.reshape(k, 8)
+    # nodata counts in a ninth class, left out of the fractions
+    codes = lc if lc_nodata is None else np.where(lc == lc_nodata, 8, lc)
+    bins = box_windows(codes, rows, cols, patch).reshape(k, n_pix) + 9 * np.arange(k)[:, None]
+    counts = np.bincount(bins.reshape(-1), minlength=9 * k).reshape(k, 9)[:, :8]
     n_lc = counts.sum(axis=1, keepdims=True)
     fractions = np.divide(counts, n_lc, out=np.zeros((k, 8)), where=n_lc > 0)
     out[:, 18:26] = fractions
@@ -157,6 +181,33 @@ def hrf_features(
     return out
 
 
+def _own_edge_gradient(grad: np.ndarray, windows: np.ndarray) -> None:
+    """Overwrite the outer ring of each (k, p, p) window gradient with the
+    values its window gets alone: there Sobel reads the window's own
+    replicated edge, which the box around it does not."""
+    p = windows.shape[-1]
+    # the three rows (columns) of the edge-padded window around its first
+    # and last row (column), and every column (row) of it, padded
+    edges = np.array([[0, 0, min(1, p - 1)], [max(p - 2, 0), p - 1, p - 1]])
+    padded = np.concatenate(([0], np.arange(p), [p - 1]))
+    rows = padded_sobel_magnitude(windows[:, edges[:, :, None], padded])
+    grad[:, 0], grad[:, -1] = rows[:, 0, 0], rows[:, 1, 0]
+    # the columns between the first and last row
+    cols = padded_sobel_magnitude(windows[:, padded[1:-1, None], edges[:, None, :]])
+    grad[:, 1:-1, 0], grad[:, 1:-1, -1] = cols[:, 0, :, 0], cols[:, 1, :, 0]
+
+
+def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.mean`` and ``np.std`` over the last axis, bit for bit, from the
+    one sum both take: std subtracts that mean, squares and sums again, as
+    numpy's own variance does."""
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / n
+    dev = np.subtract(x, mean)
+    np.square(dev, out=dev)
+    return mean[..., 0], np.sqrt(dev.sum(axis=-1) / n)
+
+
 def _ragged_stats(pv: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, out: np.ndarray) -> None:
     """Slots 0..5 of each row of ``pv`` over its valid pixels, one pass per
     distinct valid count: the valid pixels of those windows, in row-major
@@ -165,8 +216,7 @@ def _ragged_stats(pv: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, out: n
     for m in np.unique(n_valid).tolist():
         rows = np.nonzero(n_valid == m)[0]
         vals = pv[rows] if m == n_pix else pv[rows][valid[rows]].reshape(rows.size, m)
-        out[rows, 0] = np.mean(vals, axis=1)
-        out[rows, 1] = np.std(vals, axis=1)
+        out[rows, 0], out[rows, 1] = _mean_std(vals)
         out[rows, 2] = np.min(vals, axis=1)
         out[rows, 3] = np.max(vals, axis=1)
         out[rows, 4:6] = percentile(vals, (90.0, 10.0))

@@ -369,20 +369,18 @@ def sample_bilinear(
     return np.divide(acc, wsum, out=np.zeros_like(acc), where=found), found
 
 
-def window(raster: Raster, row0: np.ndarray, col0: np.ndarray, size: int) -> np.ndarray:
-    """Square windows of ``size`` pixels whose top-left pixels are
-    (row0[i], col0[i]), stacked as (k, size, size), or (k, size, size, bands)
-    for a multiband raster.
+def window_box(
+    raster: Raster, row0: np.ndarray, col0: np.ndarray, size: int
+) -> tuple[np.ndarray, int, int]:
+    """The bounding box of the square windows of ``size`` pixels whose
+    top-left pixels are (row0[i], col0[i]), as (box, row, col): the box's
+    pixels, (rows, cols) or (rows, cols, bands), and the raster row and
+    column of its top-left pixel.
 
     Rows and columns that fall outside the raster are clamped to the edge
-    (edge replication), so a window may start or end past the raster and
-    always has the full requested size.  A window that covers no raster
-    pixel raises GeometryError naming the first such window.  Returns a
-    copy.
-
-    The windows are cut from one box of the raster, the bounding box of
-    them all, edge-padded only where a window passes the raster, so the
-    memory taken beyond the stack is at most that of the padded raster.
+    (edge replication): the box is a view of the raster, edge-padded into a
+    copy only where a window passes the raster.  A window that covers no
+    raster pixel raises GeometryError naming the first such window.
     """
     if size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
@@ -399,9 +397,55 @@ def window(raster: Raster, row0: np.ndarray, col0: np.ndarray, size: int) -> np.
     pad = ((max(-r_lo, 0), max(r_hi - h.height, 0)), (max(-c_lo, 0), max(c_hi - h.width, 0)))
     if any(pad[0] + pad[1]):
         box = np.pad(box, pad + ((0, 0),) * (box.ndim - 2), mode="edge")
-    # the view puts a multiband raster's bands before the window axes
-    stack = sliding_window_view(box, (size, size), axis=(0, 1))[row0 - r_lo, col0 - c_lo]
-    return np.moveaxis(stack, 1, -1) if stack.ndim == 4 else stack
+    return box, r_lo, c_lo
+
+
+def box_windows(box: np.ndarray, rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Copies of the square windows of ``size`` pixels at (rows[i], cols[i])
+    of a box whose last two axes are its rows and columns, stacked as
+    (k, ..., size, size) and C-contiguous, so each window of each leading
+    band is one contiguous run.  A window that leaves the box raises
+    ValueError."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+    height, width = box.shape[-2:]
+    inside = (rows >= 0) & (rows <= height - size) & (cols >= 0) & (cols <= width - size)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(
+            f"window at ({rows[i]}, {cols[i]}) of size {size} leaves the {height} x {width} box"
+        )
+    # every window of the box, its two window axes after the leading bands
+    views = sliding_window_view(box, (size, size), axis=(-2, -1))
+    lead = box.ndim - 2
+    stack = views[(slice(None),) * lead + (rows, cols)]
+    # the window axis first, then the leading bands
+    order = (lead,) + tuple(range(lead)) + (lead + 1, lead + 2)
+    return np.ascontiguousarray(stack.transpose(order))
+
+
+def window(raster: Raster, row0: np.ndarray, col0: np.ndarray, size: int) -> np.ndarray:
+    """Square windows of ``size`` pixels whose top-left pixels are
+    (row0[i], col0[i]), stacked as (k, size, size), or (k, size, size, bands)
+    for a multiband raster.
+
+    Rows and columns that fall outside the raster are clamped to the edge
+    (edge replication), so a window may start or end past the raster and
+    always has the full requested size.  A window that covers no raster
+    pixel raises GeometryError naming the first such window.  Returns a
+    copy.
+
+    The windows are cut from one box of the raster, the bounding box of
+    them all (``window_box``), so the memory taken beyond the stack is at
+    most that of the padded raster.
+    """
+    row0 = np.asarray(row0, dtype=np.int64).reshape(-1)
+    col0 = np.asarray(col0, dtype=np.int64).reshape(-1)
+    box, r_lo, c_lo = window_box(raster, row0, col0, size)
+    if box.ndim == 2:
+        return box_windows(box, row0 - r_lo, col0 - c_lo, size)
+    stack = box_windows(np.moveaxis(box, -1, 0), row0 - r_lo, col0 - c_lo, size)
+    return np.moveaxis(stack, 1, -1)
 
 
 def sobel_magnitude(patches: np.ndarray) -> np.ndarray:
@@ -415,7 +459,13 @@ def sobel_magnitude(patches: np.ndarray) -> np.ndarray:
     if patches.ndim < 2 or patches.shape[-2] < 1 or patches.shape[-1] < 1:
         raise ValueError(f"expected 2D patches, got shape {patches.shape}")
     pad = ((0, 0),) * (patches.ndim - 2) + ((1, 1), (1, 1))
-    p = np.pad(patches.astype(np.float64), pad, mode="edge")
+    return padded_sobel_magnitude(np.pad(patches.astype(np.float64), pad, mode="edge"))
+
+
+def padded_sobel_magnitude(p: np.ndarray) -> np.ndarray:
+    """``sobel_magnitude`` of the interior of float64 patches already padded
+    by one pixel on each side of the last two axes: (h + 2, w + 2) in,
+    (h, w) out."""
     # the [1, 2, 1] smoothing across each axis, each shared by two taps:
     # gx[r, c] = (p[r, c+2] + 2 p[r+1, c+2] + p[r+2, c+2]) - (same at c),
     # summed in that order (2 p[r+1] + p[r] equals p[r] + 2 p[r+1] exactly)
@@ -588,6 +638,7 @@ def percentile(values: np.ndarray, q):
         if redo.any():
             held = values[redo]
             redo[redo] = ((held == 0) & np.signbit(held)).any(axis=-1)
+        if redo.any():
             value[redo] = np.percentile(values[redo], pct, axis=-1, method="linear")
         out.append(np.where(nan_rows, np.nan, value))
     return (np.stack(out, axis=-1) if np.ndim(q) else out[0])[()]

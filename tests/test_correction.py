@@ -112,9 +112,9 @@ class TestBuildTrainingSet:
         pts = [a, b._replace(h_ag=1.0), a._replace(h_ag=3.0), c, b, a._replace(h_ag=0.5)]
         windows = []
 
-        def counting(pred_stack, *args, **kwargs):
-            windows.append(len(pred_stack))
-            return hrf_features(pred_stack, *args, **kwargs)
+        def counting(pred_box, optical_box, lc_box, rows, *args, **kwargs):
+            windows.append(len(rows))
+            return hrf_features(pred_box, optical_box, lc_box, rows, *args, **kwargs)
 
         with mock.patch.object(correction, "hrf_features", counting):
             X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=32)

@@ -41,8 +41,8 @@ def mk_patches(n=8, pred=5.0, gray=128, lc_code=LC_BUILDING):
 
 
 def hrf_row(pred, optical, lc, **nodata):
-    """hrf_features of one window, as a stack of one."""
-    return hrf_features(pred[None], optical[None], lc[None], **nodata)[0]
+    """hrf_features of one window, the whole of its box."""
+    return hrf_features(pred, optical, lc, [0], [0], len(pred), **nodata)[0]
 
 
 class TestSchemaFreeze:
@@ -255,6 +255,51 @@ class TestHrfBatched:
                 got = _feature_matrix(usable, pred, optical, lc, None, SCHEMA_HRF, patch)
                 assert_bitwise_equal(got, want)
 
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(["grid", "track"]),
+        st.integers(1, 8),
+        st.integers(1, 20),
+        st.sampled_from([0.0, 0.02, 0.2]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_compact_window_sets_equal_per_window_oracle(
+        self, patch, layout, stride, chunk_windows, pred_nodata_share, seed
+    ):
+        # windows that lie close together, as inference and training make
+        # them, so that most chunks are cut from one box: a stride grid or
+        # the pixels of an along-track run, both past all four edges
+        rng = np.random.default_rng(seed)
+        stride = min(stride, patch)
+        height, width = (int(v) for v in rng.integers(1, 2 * patch + 9, 2))
+        pred, optical, lc = hrf_scene(rng, height, width, pred_nodata_share, 0.3)
+        if layout == "grid":
+            r0, c0 = (int(v) for v in rng.integers(-patch + 1, (height, width)))
+            rows = range(r0, min(r0 + 12 * stride, height), stride)
+            cols = range(c0, min(c0 + 12 * stride, width), stride)
+            origins = [(r, c) for r in rows for c in cols]
+        else:
+            start = rng.uniform(0, (height, width))
+            step = rng.uniform(-1.5, 1.5, 2)
+            pixels = np.floor(start + np.arange(40)[:, None] * step).astype(int)
+            inside = (pixels >= 0).all(axis=1) & (pixels < (height, width)).all(axis=1)
+            origins = list(dict.fromkeys(map(tuple, (pixels[inside] - patch // 2).tolist())))
+        # an invalid pixel on the ring and one inside a window, where there
+        # is a ring and an inside
+        r, c = origins[int(rng.integers(len(origins)))]
+        for dr, dc, value in ((0, patch - 1, np.nan), (patch // 2, patch // 2, -9999.0)):
+            if 0 <= r + dr < height and 0 <= c + dc < width:
+                pred.values[r + dr, c + dc] = value
+        want, empty = oracle_rows(origins, pred, optical, lc, patch)
+        usable = [o for o in origins if o not in empty]
+        if not usable:
+            return
+        # chunks of 1 to 20 windows, which straddle window rows
+        with mock.patch.object(correction, "_FEATURE_CHUNK_PIXELS", chunk_windows * patch**2):
+            got = _feature_matrix(usable, pred, optical, lc, None, SCHEMA_HRF, patch)
+        assert_bitwise_equal(got, want)
+
     @pytest.mark.parametrize("extra", [-1, 0, 1, 82])
     def test_window_counts_around_the_chunk_size(self, extra):
         patch = 20
@@ -270,6 +315,8 @@ class TestHrfBatched:
         assert_bitwise_equal(got, want)
 
     def test_stack_of_patches_equals_each_alone(self):
+        # six patches side by side in one box, each its own window: every
+        # window's ring replicates its own edge, not its neighbour's pixels
         rng = np.random.default_rng(11)
         pred = rng.normal(5.0, 2.0, (6, 9, 9))
         pred[2, :4] = -9999.0
@@ -278,46 +325,59 @@ class TestHrfBatched:
         optical = rng.integers(0, 256, (6, 9, 9, 3), dtype=np.uint8)
         lc = rng.integers(0, 8, (6, 9, 9), dtype=np.uint8)
         lc[3] = 255
-        got = hrf_features(pred, optical, lc, pred_nodata=-9999.0, lc_nodata=255)
+        box = [np.concatenate(x, axis=1) for x in (pred, optical, lc)]
+        before = [b.copy() for b in box]
+        got = hrf_features(*box, np.zeros(6, dtype=int), 9 * np.arange(6), 9,
+                           pred_nodata=-9999.0, lc_nodata=255)
         want = np.array([hrf_features_direct(pred[i], optical[i], lc[i], -9999.0, 255)
                          for i in range(6)])
         assert_bitwise_equal(got, want)
         # the inputs are read, not written
-        assert (pred[4, :8] == -9999.0).all()
+        for b, b0 in zip(box, before):
+            assert b.dtype == b0.dtype and b.tobytes() == b0.tobytes()
 
     def test_window_without_valid_pixel_is_named(self):
-        pred = np.full((3, 4, 4), 2.0)
-        pred[1] = np.nan
-        optical = np.zeros((3, 4, 4, 3), dtype=np.uint8)
-        lc = np.zeros((3, 4, 4), dtype=np.uint8)
+        pred = np.full((4, 12), 2.0)
+        pred[:, 4:8] = np.nan
+        optical = np.zeros((4, 12, 3), dtype=np.uint8)
+        lc = np.zeros((4, 12), dtype=np.uint8)
         with pytest.raises(ValueError, match="window 1 contains no valid pixel"):
-            hrf_features(pred, optical, lc)
+            hrf_features(pred, optical, lc, [0, 0, 0], [0, 4, 8], 4)
+        # one column of the neighbours is enough
+        assert hrf_features(pred, optical, lc, [0, 0], [1, 7], 4).shape == (2, HRF_DIM)
 
     def test_mismatched_stacks_raise(self):
         pred, optical, lc = mk_patches()
-        with pytest.raises(ValueError, match="stack"):
-            hrf_features(pred, optical, lc)
+        with pytest.raises(ValueError, match="2-D"):
+            hrf_features(pred[None], optical[None], lc[None], [0], [0], 8)
         with pytest.raises(ValueError, match="optical"):
-            hrf_features(pred[None], optical[None, :4], lc[None])
+            hrf_features(pred, optical[:4], lc, [0], [0], 8)
         with pytest.raises(ValueError, match="land-cover"):
-            hrf_features(pred[None], optical[None], lc[None, :4])
+            hrf_features(pred, optical, lc[:4], [0], [0], 8)
+        # a window past any side of its box
+        for row, col in ((-1, 0), (0, -1), (1, 0), (0, 1)):
+            with pytest.raises(ValueError, match=r"leaves the 8 x 8 box"):
+                hrf_features(pred, optical, lc, [0, row], [0, col], 8)
 
     def test_feature_matrix_memory_is_bounded(self):
-        # 1,000 windows at patch 64: the chunks, not the window count, set
-        # the peak of what the features allocate (about 3 MB at 8 windows
-        # a chunk, 11 MB at 32)
+        # patch 64, 1,000 scattered windows and 1,024 on a stride-8 grid,
+        # whose chunks each take one box: the chunks, not the window count,
+        # set the peak of what the features allocate (about 4-5.5 MB at 8
+        # windows a chunk, 13-16 MB at 32)
         rng = np.random.default_rng(9)
         pred, optical, lc = hrf_scene(rng, 192, 192, 0.02, 0.1)
-        origins = list(zip(rng.integers(-63, 192, 1000).tolist(),
-                           rng.integers(-63, 192, 1000).tolist()))
-        tracemalloc.start()
-        try:
-            X = _feature_matrix(origins, pred, optical, lc, None, SCHEMA_HRF, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert X.shape == (1000, HRF_DIM)
-        assert peak < 8 * 2**20, f"feature pass peaked at {peak / 2**20:.1f} MB"
+        scattered = list(zip(rng.integers(-63, 192, 1000).tolist(),
+                             rng.integers(-63, 192, 1000).tolist()))
+        grid = [(r, c) for r in range(-60, 192, 8) for c in range(-60, 192, 8)]
+        for origins in (scattered, grid):
+            tracemalloc.start()
+            try:
+                X = _feature_matrix(origins, pred, optical, lc, None, SCHEMA_HRF, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert X.shape == (len(origins), HRF_DIM)
+            assert peak < 8 * 2**20, f"feature pass peaked at {peak / 2**20:.1f} MB"
 
 
 def embedding_grid(width, height, bands, cell_px, values=None):

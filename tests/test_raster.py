@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -671,6 +672,24 @@ class TestPercentile:
                 assert both.shape == (3, 2) and both[:, 0].tobytes() == want.tobytes()
                 alone = np.percentile(values[0], q, method="linear")
                 assert np.float64(percentile(values[0], q)).tobytes() == alone.tobytes()
+
+    def test_numpy_fallback_only_for_rows_holding_negative_zero(self):
+        # order statistics at 0.0 in rows that hold no -0.0 are exact, so
+        # np.percentile is not called, not even on an empty selection
+        values = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 3.0, 0.0, 0.0]])
+        want = np.percentile(values, (10.0, 50.0), axis=1, method="linear").T
+        with mock.patch.object(np, "percentile", wraps=np.percentile) as spy:
+            got = percentile(values, (10.0, 50.0))
+        assert spy.call_count == 0
+        assert got.tobytes() == want.tobytes()
+        # a row holding -0.0 at a zero order statistic takes np.percentile,
+        # that row alone
+        values[1, 2] = -0.0
+        want = np.percentile(values, (10.0, 50.0), axis=1, method="linear").T
+        with mock.patch.object(np, "percentile", wraps=np.percentile) as spy:
+            got = percentile(values, (10.0, 50.0))
+        assert [len(call.args[0]) for call in spy.call_args_list] == [1, 1]
+        assert got.tobytes() == want.tobytes()
 
     def test_known_values(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
