@@ -18,7 +18,6 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from json.decoder import WHITESPACE
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -28,7 +27,7 @@ from .features import SCHEMA_HRF, SCHEMA_NRF
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 KNOWN_SCHEMAS = (SCHEMA_HRF, SCHEMA_NRF)
 
 _MASK64 = (1 << 64) - 1
@@ -545,11 +544,13 @@ _TREE_ARRAYS = (
 
 
 def save_model(forest: RandomForest, path: Path | str) -> None:
-    """Serialize a forest to JSON; reloading reproduces predictions bitwise.
+    """Serialize a forest as JSON lines; reloading reproduces predictions
+    bitwise.
 
-    The bytes are those of ``json.dump(doc, f, sort_keys=True)`` plus a
-    newline.  ``"trees"`` sorts last among the keys, so the document is
-    written as its other keys, then one tree at a time.
+    Line 1 is the header object: format version, feature schema,
+    ``n_features``, params and ``oob_mae``.  Each further line is one tree's
+    node arrays, in tree order.  Every line is ``json.dumps(obj,
+    sort_keys=True)`` plus a newline.
     """
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -567,233 +568,110 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header, sort_keys=True)[:-1] + ', "trees": [')
-        for t, tree in enumerate(forest.trees):
-            if t:
-                f.write(", ")
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for tree in forest.trees:
             doc = {name: getattr(tree, name).tolist() for name, _ in _TREE_ARRAYS}
-            f.write(json.dumps(doc, sort_keys=True))
-        f.write("]}\n")
+            f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _tree_arrays(item: dict) -> RegressionTree:
-    """The typed node arrays of one parsed tree object; raises one of
-    ``_MALFORMED`` when an array is missing, not a flat list, or holds
-    values its dtype cannot take."""
-    arrays = {}
-    for name, dtype in _TREE_ARRAYS:
-        arr = np.asarray(item[name], dtype=dtype)
-        if arr.ndim != 1:
-            raise ValueError(f"{name!r} is not a flat list")
-        arrays[name] = arr
-    return RegressionTree(**arrays)
-
-
-# Characters of model.json that load_model reads at a time.
-_READ_CHARS = 1 << 17
-
-# Characters that must follow a decoded value before its end is certain: a
-# number cut at a block edge as "1" may go on as "1.5" or "1e+5".
-_LOOKAHEAD = 3
-
-
-class _Blocks:
-    """A text file read ``_READ_CHARS`` characters at a time; ``text[pos:]``
-    is the part of the blocks read so far that is not yet consumed."""
-
-    def __init__(self, f) -> None:
-        self.f, self.text, self.pos, self.eof = f, "", 0, False
-        # text kept ahead of a value before decoding it: a block, or the
-        # longest value so far, so that values are rarely decoded twice
-        self.ahead = _READ_CHARS
-
-    def read_more(self) -> None:
-        # the consumed text is dropped before the next block is read
-        rest, self.text, self.pos = self.text[self.pos :], "", 0
-        block = self.f.read(_READ_CHARS)
-        self.text, self.eof = rest + block, not block
-
-    def next_char(self) -> str:
-        """The next character after JSON whitespace, not consumed; '' at
-        the end of the file."""
-        while True:
-            self.pos = WHITESPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or self.eof:
-                return self.text[self.pos : self.pos + 1]
-            self.read_more()
-
-    def expect(self, chars: str) -> str:
-        """Consume the next character after whitespace, which must be one
-        of ``chars``; raises ValueError otherwise."""
-        c = self.next_char()
-        if not c or c not in chars:
-            raise ValueError(f"expected one of {chars!r}")
-        self.pos += 1
-        return c
-
-    def value(self, decoder: json.JSONDecoder) -> object:
-        """Decode the next JSON value, reading blocks until it is whole."""
-        self.next_char()
-        while len(self.text) - self.pos < self.ahead and not self.eof:
-            self.read_more()
-        while True:
-            try:
-                obj, end = decoder.raw_decode(self.text, self.pos)
-                if end + _LOOKAHEAD <= len(self.text) or self.eof:
-                    self.ahead = max(self.ahead, end + _LOOKAHEAD - self.pos)
-                    self.pos = end
-                    return obj
-            except json.JSONDecodeError:
-                if self.eof:
-                    raise
-            self.read_more()
-
-
-def _read_model_document(f) -> object:
-    """What ``json.load(f, object_hook=_tree_hook)`` returns for a document
-    that is one JSON object, read a block at a time: the object one value at
-    a time, and its ``trees`` array one tree at a time, so that the text
-    held is about two blocks, or the longest tree and a block.  Raises
-    ValueError where the file is not such a document, or not UTF-8."""
-    text = _Blocks(f)
-    decoder = json.JSONDecoder(object_hook=_tree_hook)
-    doc = {}
-    text.expect("{")
-    if text.next_char() == "}":
-        text.pos += 1
-    else:
-        while True:
-            key = text.value(decoder)
-            if not isinstance(key, str):
-                raise ValueError("expected a key")
-            text.expect(":")
-            if key == "trees" and text.next_char() == "[":
-                doc[key] = _read_array(text, decoder)
-            else:
-                doc[key] = text.value(decoder)
-            if text.expect(",}") == "}":
-                break
-    if text.next_char():
-        raise ValueError("data after the document")
-    return _tree_hook(doc)
-
-
-def _read_array(text: _Blocks, decoder: json.JSONDecoder) -> list:
-    """The JSON array at ``text``'s position, decoded one element at a time."""
-    text.expect("[")
-    items = []
-    if text.next_char() == "]":
-        text.pos += 1
-        return items
-    while True:
-        items.append(text.value(decoder))
-        if text.expect(",]") == "]":
-            return items
-
-
-def _tree_hook(obj: dict) -> dict | RegressionTree:
-    """``json`` object hook: a tree object becomes its arrays as soon as the
-    parser closes it, so one tree's lists are alive at a time.  Any other
-    object, or a tree that fails conversion, is returned as parsed for
-    ``load_model``'s checks to judge."""
-    if "feature" not in obj:
-        return obj
+def _read_tree(path: Path, t: int, line: str, n_features: int) -> RegressionTree:
+    """Tree ``t`` of the model at ``path`` from its line, as checked node
+    arrays; raises ``ValueError`` naming the file and the tree."""
     try:
-        return _tree_arrays(obj)
-    except _MALFORMED:
-        return obj
+        item = json.loads(line)
+        arrays = {}
+        for name, dtype in _TREE_ARRAYS:
+            arrays[name] = np.asarray(item[name], dtype=dtype)
+            if arrays[name].ndim != 1:
+                raise ValueError(f"{name!r} is not a flat list")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: tree {t} is malformed: {exc}") from exc
+    tree = RegressionTree(**arrays)
+    sizes = {arr.size for arr in arrays.values()}
+    if len(sizes) != 1 or tree.feature.size == 0:
+        raise ValueError(f"{path}: tree {t} node arrays are inconsistent")
+    for name in ("threshold", "value", "impurity"):
+        if not np.isfinite(getattr(tree, name)).all():
+            raise ValueError(f"{path}: tree {t} has non-finite {name} entries")
+    n_nodes = tree.feature.size
+    internal = tree.feature >= 0
+    if (tree.feature >= n_features).any():
+        raise ValueError(f"{path}: tree {t} references feature out of range")
+    node = np.arange(n_nodes)
+    for name, arr in (("left", tree.left), ("right", tree.right)):
+        bad = internal & ((arr <= node) | (arr >= n_nodes))
+        if bad.any():
+            raise ValueError(
+                f"{path}: tree {t} has {name} child links that are dangling "
+                f"or do not point forward"
+            )
+    return tree
 
 
 def load_model(path: Path | str) -> RandomForest:
     """Load a serialized forest, validating structure before use.
 
-    The file is read a block at a time, and each tree is converted to its
-    node arrays as soon as it is parsed, so the loader never holds the whole
-    text, only a block or two and one tree's text and parsed lists.  It
-    accepts and rejects the documents ``json.load`` does, with its messages:
-    a file the block-wise walk cannot read is judged by ``json.load`` whole.
+    The header line is read and checked before any tree line is parsed, so
+    a file of another format version fails with its version.  Trees are then
+    read a line at a time, and each becomes its node arrays before the next
+    is read, so beside the arrays the loader holds one tree's text and lists.
 
     It checks the format version, the feature schema, ``n_features``, that
-    the document holds ``params.n_trees`` trees, that each tree's seven
-    arrays are flat and of one size, that thresholds, values and impurities
-    are finite, that every split feature is below ``n_features``, and that
-    every internal node's children lie after it in the tree (as
-    ``save_model``'s preorder writes them), so prediction always reaches a
-    leaf.  Any failure raises ``ValueError`` naming the file.
+    the file holds ``params.n_trees`` trees, that each tree's seven arrays
+    are flat and of one size, that thresholds, values and impurities are
+    finite, that every split feature is below ``n_features``, and that every
+    internal node's children lie after it in the tree (as ``save_model``'s
+    preorder writes them), so prediction always reaches a leaf.  Any
+    failure, a byte that is not UTF-8 included, raises ``ValueError`` naming
+    the file.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = _read_model_document(f)
-    except ValueError:
-        with open(path, "r", encoding="utf-8") as f:
             try:
-                doc = json.load(f, object_hook=_tree_hook)
+                header = json.loads(f.readline())
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed model document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: malformed model document: not a JSON object")
+                raise ValueError(f"{path}: malformed model header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise ValueError(f"{path}: malformed model header: not a JSON object")
 
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported model format version {version!r}, "
-            f"this build reads version {MODEL_FORMAT_VERSION}"
-        )
-    schema = doc.get("schema_id")
-    if schema not in KNOWN_SCHEMAS:
-        raise ValueError(f"{path}: unknown feature schema {schema!r}")
-    n_features = doc.get("n_features")
-    if not isinstance(n_features, int) or n_features < 1:
-        raise ValueError(f"{path}: bad n_features {n_features!r}")
-    raw_trees = doc.get("trees")
-    if not isinstance(raw_trees, list) or len(raw_trees) == 0:
-        raise ValueError(f"{path}: model has no trees")
-
-    try:
-        params = ForestParams(**doc["params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad params block: {exc}") from exc
-    if len(raw_trees) != params.n_trees:
-        raise ValueError(
-            f"{path}: model holds {len(raw_trees)} trees but params.n_trees is {params.n_trees}"
-        )
-
-    trees: list[RegressionTree] = []
-    for t, tree in enumerate(raw_trees):
-        if not isinstance(tree, RegressionTree):
-            try:
-                tree = _tree_arrays(tree)
-            except _MALFORMED as exc:
-                raise ValueError(f"{path}: tree {t} is malformed: {exc}") from exc
-        sizes = {getattr(tree, name).size for name, _ in _TREE_ARRAYS}
-        if len(sizes) != 1 or tree.feature.size == 0:
-            raise ValueError(f"{path}: tree {t} node arrays are inconsistent")
-        for name in ("threshold", "value", "impurity"):
-            if not np.isfinite(getattr(tree, name)).all():
-                raise ValueError(f"{path}: tree {t} has non-finite {name} entries")
-        n_nodes = tree.feature.size
-        internal = tree.feature >= 0
-        if (tree.feature >= n_features).any():
-            raise ValueError(f"{path}: tree {t} references feature out of range")
-        node = np.arange(n_nodes)
-        for name, arr in (("left", tree.left), ("right", tree.right)):
-            bad = internal & ((arr <= node) | (arr >= n_nodes))
-            if bad.any():
+            version = header.get("format_version")
+            if version != MODEL_FORMAT_VERSION:
                 raise ValueError(
-                    f"{path}: tree {t} has {name} child links that are dangling "
-                    f"or do not point forward"
+                    f"{path}: unsupported model format version {version!r}, "
+                    f"this build reads version {MODEL_FORMAT_VERSION}"
                 )
-        trees.append(tree)
+            schema = header.get("schema_id")
+            if schema not in KNOWN_SCHEMAS:
+                raise ValueError(f"{path}: unknown feature schema {schema!r}")
+            n_features = header.get("n_features")
+            if not isinstance(n_features, int) or n_features < 1:
+                raise ValueError(f"{path}: bad n_features {n_features!r}")
+            try:
+                params = ForestParams(**header["params"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad params block: {exc}") from exc
 
-    oob = doc.get("oob_mae")
+            trees: list[RegressionTree] = []
+            for t, line in enumerate(f):
+                if t == params.n_trees:
+                    raise ValueError(
+                        f"{path}: lines after the {params.n_trees} trees of params.n_trees"
+                    )
+                trees.append(_read_tree(path, t, line, n_features))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: model is not UTF-8 text: {exc}") from exc
+
+    if not trees:
+        raise ValueError(f"{path}: model has no trees")
+    if len(trees) != params.n_trees:
+        raise ValueError(
+            f"{path}: model holds {len(trees)} trees but params.n_trees is {params.n_trees}"
+        )
     return RandomForest(
         params=params,
         schema_id=schema,
         n_features=n_features,
         trees=trees,
-        oob_mae=oob,
+        oob_mae=header.get("oob_mae"),
     )

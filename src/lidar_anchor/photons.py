@@ -468,7 +468,7 @@ def enforce_dtm_consistency(
         i = int(np.argmax(lost))
         raise ValueError(
             f"photon {int(table['id'][i])}: no ground source at ({float(x[i])}, {float(y[i])}); "
-            "IDW found no neighbors and the DTM is nodata there"
+            "IDW found no neighbors and the DTM is nodata or non-finite there"
         )
     source = np.where(~found, 1, np.where(on_dtm & (np.abs(idw - dtm_value) > tau), 2, 0))
     return np.where(source == 0, idw, dtm_value), source

@@ -85,7 +85,8 @@ class RasterHeader:
         crs_code: Numeric code of the projected CRS (meters).
         bands: Number of bands (>= 1).
         dtype: "float32" or "uint8".
-        nodata: Optional sentinel value marking invalid pixels.
+        nodata: Optional sentinel value marking invalid pixels; it must be
+            exactly representable in ``dtype``.
         cell_px: Embedding grids only; image pixels per grid cell.
     """
 
@@ -111,6 +112,17 @@ class RasterHeader:
             raise ValueError(f"unsupported dtype {self.dtype!r}, expected one of {sorted(_DTYPES)}")
         if self.cell_px is not None and self.cell_px < 1:
             raise ValueError(f"cell_px must be >= 1, got {self.cell_px}")
+        if self.nodata is not None:
+            # pixels are compared with nodata in their own dtype and in
+            # float64, which agree only when the dtype holds it exactly
+            nodata = float(self.nodata)
+            if self.dtype == "float32":
+                with np.errstate(over="ignore"):
+                    held = math.isnan(nodata) or float(np.float32(nodata)) == nodata
+            else:
+                held = nodata.is_integer() and 0 <= nodata <= 255
+            if not held:
+                raise ValueError(f"nodata {self.nodata!r} is not exactly a {self.dtype} value")
 
     # --- coordinate transforms ---
 
@@ -331,10 +343,11 @@ def sample_bilinear(
     """Bilinear samples of a single-band raster at arrays of map points.
 
     Each point takes its four nearest pixel centers, clamped to the raster.
-    Neighbors flagged nodata are dropped and the remaining weights are
-    renormalized.  Returns the samples and a mask of the points that had a
-    sample; where the mask is False (all four neighbors nodata) the sample
-    reads 0.  A point outside the raster bounds raises GeometryError.
+    Neighbors that are nodata or non-finite are dropped and the remaining
+    weights are renormalized.  Returns the samples and a mask of the points
+    that had a sample; where the mask is False (all four neighbors invalid)
+    the sample reads 0.  A point outside the raster bounds raises
+    GeometryError.
     """
     h = raster.header
     if h.bands != 1:
@@ -361,9 +374,12 @@ def sample_bilinear(
         (r1, c1, fx * fy),
     ):
         v = raster.values[r, c].astype(np.float64)
-        keep = np.ones(len(v), dtype=bool) if h.nodata is None else v != h.nodata
-        # adding 0.0 for a skipped corner leaves the running sums unchanged
-        acc += np.where(keep, w * v, 0.0)
+        keep = np.isfinite(v)
+        if h.nodata is not None:
+            keep &= v != h.nodata
+        # a skipped corner adds 0.0, which leaves the running sums unchanged;
+        # its value is zeroed before the product, so that no inf meets a 0 weight
+        acc += w * np.where(keep, v, 0.0)
         wsum += np.where(keep, w, 0.0)
     found = wsum != 0.0
     return np.divide(acc, wsum, out=np.zeros_like(acc), where=found), found

@@ -348,9 +348,9 @@ def sample_bilinear_direct(raster, x, y):
     package first computed it: the four nearest pixel centers, clamped to
     the raster, weighted one corner at a time.
 
-    Nodata corners are dropped and the remaining weights renormalized.
-    Returns None when all four corners are nodata, and raises ValueError
-    for a point outside the raster bounds.
+    Nodata and non-finite corners are dropped and the remaining weights
+    renormalized.  Returns None when no corner is valid, and raises
+    ValueError for a point outside the raster bounds.
     """
     h = raster.header
     if not (h.origin_x <= x <= h.origin_x + h.width * h.gsd
@@ -373,7 +373,7 @@ def sample_bilinear_direct(raster, x, y):
         (r1, c1, fx * fy),
     ):
         v = float(raster.values[r, c])
-        if h.nodata is not None and v == h.nodata:
+        if not math.isfinite(v) or (h.nodata is not None and v == h.nodata):
             continue
         acc += w * v
         wsum += w
@@ -815,7 +815,7 @@ def read_clean_direct(path):
 #
 # The per-node grower, feature draw, importance loop and model writer as
 # first written: one numpy pass per node, a Python Fisher-Yates per draw, a
-# Python loop per split for importance and ``json.dump`` for the document.
+# Python loop per split for importance and one ``json.dumps`` per line.
 # Trees are SimpleNamespace objects with the attribute names of the package's
 # RegressionTree, so save_model_direct writes either kind.
 
@@ -1028,9 +1028,10 @@ def feature_importance_direct(forest):
 
 
 def save_model_direct(forest, path):
-    """The model document written in one ``json.dump`` call."""
-    doc = {
-        "format_version": 1,
+    """The model file as JSON lines: the header object, then one line per
+    tree."""
+    header = {
+        "format_version": 2,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
         "params": {
@@ -1041,8 +1042,11 @@ def save_model_direct(forest, path):
             "seed": forest.params.seed,
         },
         "oob_mae": forest.oob_mae,
-        "trees": [
-            {
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for tree in forest.trees:
+            doc = {
                 "feature": tree.feature.tolist(),
                 "threshold": tree.threshold.tolist(),
                 "left": tree.left.tolist(),
@@ -1051,12 +1055,7 @@ def save_model_direct(forest, path):
                 "n": tree.n.tolist(),
                 "impurity": tree.impurity.tolist(),
             }
-            for tree in forest.trees
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+            f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 # ----- whole-array set-up and writers -----

@@ -158,9 +158,11 @@ class TestPipelineCommand:
         out = tmp_path / "five"
         argv = ["pipeline", "--config", str(ws["pipe_cfg"]), "--out", str(out), "--trees", "5"]
         assert cli.main(argv) == 0
-        doc = json.loads((out / "model.json").read_text())
+        with open(out / "model.json", encoding="utf-8") as f:
+            doc = json.loads(f.readline())
         assert doc["params"]["n_trees"] == 5
-        base = json.loads((ws["run"] / "model.json").read_text())
+        with open(ws["run"] / "model.json", encoding="utf-8") as f:
+            base = json.loads(f.readline())
         assert base["params"]["n_trees"] == 8
 
     def test_missing_dtm_fails_before_any_output(self, ws, tmp_path, capsys):

@@ -400,13 +400,17 @@ class TestSerialization:
         assert loaded.oob_mae == forest.oob_mae
 
     def _doc(self, tmp_path):
+        # the header line's object, with the tree lines' objects as "trees"
         X, y = make_samples(n=40)
         forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=1))
         save_model(forest, tmp_path / "m.json")
-        return json.loads((tmp_path / "m.json").read_text())
+        header, *trees = map(json.loads, (tmp_path / "m.json").read_text().splitlines())
+        return {**header, "trees": trees}
 
     def _expect_error(self, tmp_path, doc, pattern):
-        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        header = {key: value for key, value in doc.items() if key != "trees"}
+        lines = [json.dumps(header)] + [json.dumps(tree) for tree in doc["trees"]]
+        (tmp_path / "bad.json").write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError, match=pattern):
             load_model(tmp_path / "bad.json")
 
@@ -468,10 +472,10 @@ class TestSerialization:
             load_model(tmp_path / "bad.json")
 
     def test_load_peak_memory_is_near_the_file_size(self, tmp_path):
-        # Trees become arrays while the document is parsed, so the loader
-        # holds the text, the arrays and one tree's lists: about twice the
-        # file, against about 3.5 times when every tree's lists are built
-        # before any array.
+        # Each tree line becomes arrays before the next is read, so the
+        # loader holds the arrays and one tree's text and lists: well under
+        # twice the file, against about 3.5 times when every tree's lists
+        # are built before any array.
         X, y = make_samples(n=600, d=4, seed=3)
         forest = train_forest(
             X, y, SCHEMA_NRF, ForestParams(n_trees=11, min_samples_leaf=1, seed=2)
@@ -488,11 +492,11 @@ class TestSerialization:
         assert peak < 2.5 * size, f"load_model peaked at {peak / size:.2f}x the file size"
 
     def test_load_peak_memory_is_near_the_arrays(self, tmp_path):
-        # The file is read a block at a time and each tree becomes arrays as
-        # soon as it is parsed, so beyond the arrays the loader holds about
-        # two blocks of text and one tree's lists: under half the arrays
-        # again for a model of several MB, against about twice the arrays
-        # again when the whole text was read at once.
+        # The file is read a line at a time and each tree becomes arrays as
+        # soon as its line is parsed, so beyond the arrays the loader holds
+        # one tree's text and lists: under half the arrays again for a model
+        # of several MB, against about twice the arrays again when the whole
+        # text was read at once.
         save_model(chain_forest(100, 751, 27, seed=4), tmp_path / "m.json")
         assert (tmp_path / "m.json").stat().st_size > 5_000_000
         tracemalloc.start()
@@ -550,66 +554,73 @@ def chain_forest(n_trees, n_nodes, n_features, seed):
 
 
 class TestLoaderText:
-    """load_model reads the file a block at a time; every document loads to
-    the arrays, or fails with the message, that json.load gives it."""
+    """A model file that is not a header line and params.n_trees tree lines
+    of UTF-8 JSON fails with a ValueError that names the file, wherever the
+    text reader's decode blocks fall."""
 
     @pytest.fixture(params=[None, 5], ids=["default-blocks", "5-char-blocks"])
     def model(self, request, tmp_path, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(forest_module, "_READ_CHARS", request.param)
-        save_model(chain_forest(3, 9, 4, seed=8), tmp_path / "m.json")
+            # the text reader decodes 5 characters at a time, so every line,
+            # and a byte that is not UTF-8, straddles its decode blocks
+            def small_block_open(*args, **kwargs):
+                f = open(*args, **kwargs)
+                f._CHUNK_SIZE = request.param
+                return f
+
+            monkeypatch.setattr(forest_module, "open", small_block_open, raising=False)
+        # tree lines of about 15 kB, so that with the default decode block
+        # the last ones lie past the first block the text reader decodes
+        save_model(chain_forest(3, 201, 4, seed=8), tmp_path / "m.json")
         return tmp_path / "m.json"
 
-    def _assert_json_message(self, path, text):
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError) as want:
-            json.loads(text)
+    def _expect_error(self, path, data, message):
+        path.write_bytes(data)
         with pytest.raises(ValueError) as got:
             load_model(path)
-        assert str(got.value) == f"{path}: malformed model document: {want.value}"
+        assert str(got.value).startswith(f"{path}: {message}"), str(got.value)
 
-    def _assert_loads_as(self, path, original):
-        save_model(load_model(path), path.with_name("again.json"))
-        assert path.with_name("again.json").read_bytes() == original
+    def test_model_loads(self, model):
+        original = model.read_bytes()
+        save_model(load_model(model), model.with_name("again.json"))
+        assert model.with_name("again.json").read_bytes() == original
 
     def test_file_cut_mid_tree(self, model):
-        text = model.read_text()
-        middle = (text.index('{"feature"', text.index("trees")) + len(text)) // 2
-        self._assert_json_message(model.with_name("cut.json"), text[:middle])
+        data = model.read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1
+        cut = model.with_name("cut.json")
+        self._expect_error(cut, data[: (last + len(data)) // 2], "tree 2 is malformed: ")
 
     def test_data_after_the_closing_brace(self, model):
-        self._assert_json_message(model.with_name("extra.json"), model.read_text() + ' {"a": 1}')
+        # an extra object line, or a blank line, after the last tree line
+        path = model.with_name("extra.json")
+        for extra in (b'{"a": 1}\n', b"\n"):
+            self._expect_error(path, model.read_bytes() + extra, "lines after the 3 trees")
 
     def test_empty_file(self, model):
-        self._assert_json_message(model.with_name("empty.json"), "")
+        self._expect_error(model.with_name("empty.json"), b"", "malformed model header: ")
 
     def test_non_object_top_level(self, model):
+        trees = model.read_bytes().split(b"\n", 1)[1]
         path = model.with_name("list.json")
-        path.write_text(json.dumps(json.loads(model.read_text())["trees"]))
-        with pytest.raises(ValueError) as got:
-            load_model(path)
-        assert str(got.value) == f"{path}: malformed model document: not a JSON object"
-        self._assert_json_message(path, "[1, 2")
+        self._expect_error(path, b"[1, 2]\n" + trees, "malformed model header: not a JSON object")
 
-    def test_document_redumped_with_indent(self, model):
-        original = model.read_bytes()
-        path = model.with_name("indented.json")
-        path.write_text(json.dumps(json.loads(original), indent=2))
-        self._assert_loads_as(path, original)
+    def test_single_document_of_format_version_1(self, model):
+        header, *trees = map(json.loads, model.read_text().splitlines())
+        doc = {**header, "format_version": 1, "trees": trees}
+        path = model.with_name("v1.json")
+        self._expect_error(
+            path,
+            (json.dumps(doc, sort_keys=True) + "\n").encode(),
+            "unsupported model format version 1, this build reads version 2",
+        )
 
-    def test_other_key_order_and_whitespace(self, model):
-        original = model.read_bytes()
-        doc = json.loads(original)
-        path = model.with_name("reordered.json")
-        compact = json.dumps(dict(reversed(list(doc.items()))), separators=(",", ":"))
-        path.write_text("\r\n " + compact + " \n\t")
-        self._assert_loads_as(path, original)
-
-    def test_tree_split_across_read_blocks(self, model, monkeypatch):
-        # a block of a few characters cuts every tree, key and number
-        for chars in (1, 2, 3, 7):
-            monkeypatch.setattr(forest_module, "_READ_CHARS", chars)
-            self._assert_loads_as(model, model.read_bytes())
+    @pytest.mark.parametrize("tree", [0, 2])
+    def test_byte_that_is_not_utf8_in_a_tree_line(self, model, tree):
+        lines = model.read_bytes().splitlines(keepends=True)
+        lines[1 + tree] = lines[1 + tree].replace(b"0", b"\xff", 1)
+        path = model.with_name("latin.json")
+        self._expect_error(path, b"".join(lines), "model is not UTF-8 text: ")
 
 
 class TestImportance:

@@ -34,10 +34,11 @@ def test_run_artifacts_are_pinned(tmp_path):
     # (0.05 * height + 2), where photon cleaning, the affine fit and its
     # calibrated raster feed the rest of the run; metrics.json moved at the
     # last bits of ssim when SSIM became separable, and the relative run's
-    # at the last bit of rmse when scoring went strip by strip
+    # at the last bit of rmse when scoring went strip by strip; model.json
+    # moved when it became JSON lines (format version 2), with the same trees
     metric = {
         "model.json":
-            "6cb07191fee582cea8d9ad199771b4b882da49de59efc1ba1e96881a9057f814",
+            "15508049f9012abe262b742235d366916dc61fb1248dfa60e76eb111cedee939",
         "importance.csv":
             "009c665b3c52dfa65d1ac8fe9a54a5019a4c73d46fd50e038fd5c4bd0b00df41",
         "train_report.json":

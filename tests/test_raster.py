@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -113,6 +114,25 @@ class TestHeader:
             header(gsd=-1.0)
         with pytest.raises(ValueError):
             header(dtype="float16")
+
+    @pytest.mark.parametrize("dtype, nodata", [
+        ("float32", -9999.0), ("float32", -7777), ("float32", 0.5), ("float32", math.nan),
+        ("float32", -math.inf), ("uint8", 200), ("uint8", 0), ("uint8", 255.0),
+    ])
+    def test_nodata_the_dtype_holds(self, dtype, nodata):
+        assert header(dtype=dtype, nodata=nodata).nodata is nodata
+
+    @pytest.mark.parametrize("dtype, nodata", [
+        ("float32", 0.1), ("float32", -9999.1), ("float32", 1e40), ("uint8", 256),
+        ("uint8", -1), ("uint8", 1.5), ("uint8", math.nan),
+    ])
+    def test_nodata_the_dtype_cannot_hold(self, dtype, nodata):
+        # a float32 pixel of 0.1 equals nodata 0.1 in float32 but not in
+        # float64, so such a nodata would be invalid to one reader and valid
+        # to another
+        message = f"nodata {nodata!r} is not exactly a {dtype} value"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            header(dtype=dtype, nodata=nodata)
 
 
 class TestRasterTypes:
@@ -309,6 +329,11 @@ class TestLoadErrors:
         with pytest.raises(RasterFormatError):
             load_raster(tmp_path / "r")
 
+    def test_nodata_the_dtype_cannot_hold(self, tmp_path):
+        self._write(tmp_path, lambda d: d.update(nodata=0.1))
+        with pytest.raises(RasterFormatError, match="bad header: nodata 0.1"):
+            load_raster(tmp_path / "r")
+
     def test_missing_bin(self, tmp_path):
         src = make_height(np.zeros((3, 4)))
         save_raster(src, tmp_path / "r")
@@ -351,6 +376,27 @@ class TestBilinear:
         vals = np.full((2, 2), -9999.0, dtype=np.float32)
         r = make_height(vals, gsd=1.0, origin=(0.0, 2.0), nodata=-9999.0)
         assert sample_at(r, 1.0, 1.0) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pixels", [[(1, 1)], [(1, 1), (1, 2), (2, 1), (2, 2)]])
+    def test_nonfinite_pixels_sample_as_nodata(self, bad, pixels):
+        # a non-finite pixel is invalid, as a nodata one is: the samples
+        # and found flags equal those with -9999 nodata there, bit for bit
+        rng = np.random.default_rng(7)
+        vals = rng.normal(10.0, 2.0, (4, 4)).astype(np.float32)
+        holed, marked = vals.copy(), vals.copy()
+        for row, col in pixels:
+            holed[row, col] = bad
+            marked[row, col] = -9999.0
+        x = np.concatenate([rng.uniform(0.0, 4.0, 300), [1.5, 1.7, 2.0]])
+        y = np.concatenate([rng.uniform(0.0, 4.0, 300), [2.5, 2.5, 2.0]])
+        got, found = sample_bilinear(make_height(holed, gsd=1.0, origin=(0.0, 4.0)), x, y)
+        want, want_found = sample_bilinear(
+            make_height(marked, gsd=1.0, origin=(0.0, 4.0), nodata=-9999.0), x, y
+        )
+        assert found.tolist() == want_found.tolist()
+        assert got.tobytes() == want.tobytes()
+        assert found[-3:].tolist() == ([False, True, True] if len(pixels) == 1 else [False] * 3)
 
     def test_clamps_outside_center_band(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
