@@ -29,6 +29,7 @@ from .raster import (
     height_like,
     row_strips,
     valid_mask,
+    valid_values,
     window,
     window_box,
 )
@@ -167,10 +168,7 @@ def build_training_set(
     x, y = clean["x"], clean["y"]
     on_pixel = np.nonzero(h.contains_point(x, y))[0]
     col, row = h.pixels_of(x[on_pixel], y[on_pixel])
-    value = pred.values[row, col]
-    valid = np.isfinite(value)
-    if h.nodata is not None:
-        valid &= value.astype(np.float64) != h.nodata
+    valid = valid_values(pred.values[row, col], h.nodata)
     on_pixel, col, row = on_pixel[valid], col[valid], row[valid]
     sampled = footprint_mean(pred, x[on_pixel], y[on_pixel], footprint)
     keep = ~np.isnan(sampled)

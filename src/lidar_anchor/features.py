@@ -23,6 +23,7 @@ from .raster import (
     percentile,
     segment_sums,
     sobel_magnitude,
+    valid_values,
 )
 
 SCHEMA_HRF = "hrf27"
@@ -135,9 +136,7 @@ def hrf_features(
     np.divide(optical.transpose(2, 0, 1), 255.0, out=box[2:5])
     red, green = box[2], box[3]
     np.divide(green - red, green + red + _EPS, out=box[5])
-    box_valid = np.isfinite(pred)
-    if pred_nodata is not None:
-        box_valid &= pred != pred_nodata
+    box_valid = valid_values(pred, pred_nodata)
 
     windows = box_windows(box, rows, cols, patch)
     k, n_pix = len(windows), patch * patch

@@ -18,7 +18,6 @@ that returns masks or arrays in the table's row order, and
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import logging
 import math
@@ -74,7 +73,9 @@ NEGATIVE_CLAMP_FLOOR = -2.0
 COINCIDENT_DIST = 1e-6
 
 # Where a ground estimate comes from; the codes are indices into this tuple.
-GROUND_SOURCES = ("idw", "dtm_fallback", "dtm_override")
+# "none": IDW found no neighbour and the DTM is invalid there, so the photon
+# is dropped.
+GROUND_SOURCES = ("idw", "dtm_fallback", "dtm_override", "none")
 
 # kd-tree distances may differ from np.hypot by a few ulps; IDW candidate
 # sets are widened by this relative margin before the exact distances rank
@@ -148,9 +149,31 @@ class PreprocessParams:
 
 # ===== CSV I/O =====
 
-# Rows parsed at a time by load_photons and formatted at a time by the CSV
+# Rows parsed at a time by the CSV readers and formatted at a time by the
 # writers, so that their memory is one block's strings however long the table.
 CSV_BLOCK_ROWS = 8192
+
+
+def _csv_blocks(path: Path, header: tuple[str, ...]) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The rows of a CSV file whose first line must be ``header``, read
+    ``CSV_BLOCK_ROWS`` lines at a time: each block's lines, line ends kept,
+    and their line numbers in the file.  As in the ``csv`` module, a line
+    holding nothing but its line end is skipped; one row is one line."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        first = next(csv.reader([f.readline()]))
+        if tuple(h.strip() for h in first) != header:
+            raise ValueError(f"{path}: bad header, expected {','.join(header)}")
+        start = 2
+        while lines := list(itertools.islice(f, CSV_BLOCK_ROWS)):
+            rows = [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
+            yield [lines[i] for i in rows], np.array(rows, dtype=np.int64) + start
+            start += len(lines)
+
+
+def _parse_rows(texts: list[str], dtype: np.dtype = PHOTON_DTYPE) -> np.ndarray:
+    if not texts:
+        return np.empty(0, dtype=dtype)
+    return np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1)
 
 
 def load_photons(path: Path | str) -> np.ndarray:
@@ -160,32 +183,18 @@ def load_photons(path: Path | str) -> np.ndarray:
     path = Path(path)
     blocks, linenos = [_parse_rows([])], [np.zeros(0, dtype=np.int64)]
     problems: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        first = f.readline()
-        if not first:
-            raise ValueError(f"{path}: empty photon CSV")
-        header = next(csv.reader([first.rstrip("\r\n")]))
-        if tuple(h.strip() for h in header) != PHOTON_CSV_HEADER:
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {','.join(PHOTON_CSV_HEADER)}"
-            )
-        start = 2
-        while lines := list(itertools.islice(f, CSV_BLOCK_ROWS)):
-            rows = [i for i, line in enumerate(lines) if line.strip()]
-            texts = [lines[i] for i in rows]
-            rownos = np.array(rows, dtype=np.int64) + start
-            start += len(lines)
-            try:
-                table = _parse_rows(texts)
-            except ValueError:
-                bad = _unparsable_rows(texts, rownos)
-                parsed = ~np.isin(rownos, [lineno for lineno, _ in bad])
-                texts = [text for text, ok in zip(texts, parsed) if ok]
-                rownos = rownos[parsed]
-                table = _parse_rows(texts)
-                problems += bad
-            blocks.append(table)
-            linenos.append(rownos)
+    for texts, rownos in _csv_blocks(path, PHOTON_CSV_HEADER):
+        try:
+            table = _parse_rows(texts)
+        except ValueError:
+            bad = _unparsable_rows(texts, rownos)
+            parsed = ~np.isin(rownos, [lineno for lineno, _ in bad])
+            texts = [text for text, ok in zip(texts, parsed) if ok]
+            rownos = rownos[parsed]
+            table = _parse_rows(texts)
+            problems += bad
+        blocks.append(table)
+        linenos.append(rownos)
     table = np.concatenate(blocks)
     del blocks
     problems += _invalid_rows(table, np.concatenate(linenos))
@@ -196,14 +205,6 @@ def load_photons(path: Path | str) -> np.ndarray:
         more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
         raise ValueError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
     return table
-
-
-def _parse_rows(texts: list[str]) -> np.ndarray:
-    if not texts:
-        return np.empty(0, dtype=PHOTON_DTYPE)
-    return np.loadtxt(
-        texts, delimiter=",", dtype=PHOTON_DTYPE, comments=None, quotechar='"', ndmin=1
-    )
 
 
 def _unparsable_rows(texts: list[str], linenos: np.ndarray) -> list[tuple[int, str]]:
@@ -289,25 +290,25 @@ def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
 
 def read_clean_csv(path: Path | str) -> np.ndarray:
     """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table, rejecting a bad
-    header or a malformed row with its row number."""
+    header or the first malformed row with its row number.  The file is
+    parsed ``CSV_BLOCK_ROWS`` lines at a time, as ``load_photons`` parses."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        text = f.read()
-    header = next(csv.reader(io.StringIO(text, newline="")), None)
-    if header is None or tuple(h.strip() for h in header) != CLEAN_CSV_HEADER:
-        raise ValueError(f"{path}: bad header, expected {','.join(CLEAN_CSV_HEADER)}")
-    rows = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
-            if line]
-    if not rows:
-        return np.empty(0, dtype=CLEAN_DTYPE)
+    blocks = [np.empty(0, dtype=CLEAN_DTYPE)]
+    blocks += (_parse_clean_block(path, lines, linenos)
+               for lines, linenos in _csv_blocks(path, CLEAN_CSV_HEADER))
+    return np.concatenate(blocks)
+
+
+def _parse_clean_block(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:
+    """A block's rows as a ``CLEAN_DTYPE`` table: one ``np.loadtxt`` parse, or
+    the row parser where that fails or reads a kind other than the two."""
     try:
-        table = np.loadtxt(rows, delimiter=",", dtype=_CLEAN_PARSE_DTYPE, comments=None,
-                           quotechar='"', ndmin=1)
+        table = _parse_rows(lines, _CLEAN_PARSE_DTYPE)
         if np.isin(table["kind"], (KIND_GROUND, KIND_OBJECT)).all():
             return table.astype(CLEAN_DTYPE)
     except ValueError:
         pass
-    return _parse_clean_rows(path, text)
+    return _parse_clean_rows(path, lines, linenos)
 
 
 # The kind field is one character wider than CLEAN_DTYPE's, so that a longer
@@ -317,15 +318,13 @@ _CLEAN_PARSE_DTYPE = np.dtype([
 ])
 
 
-def _parse_clean_rows(path: Path, text: str) -> np.ndarray:
-    """Clean-photon rows parsed one at a time with the ``csv`` module, only
-    after the whole-file parse failed: the table, or the first malformed row."""
+def _parse_clean_rows(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:
+    """A block's clean-photon rows parsed one at a time with the ``csv``
+    module, only after the block's parse failed: the block's table, or its
+    first malformed row."""
     out = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, line in zip(linenos.tolist(), lines):
+        row = next(csv.reader([line]))
         try:
             kind = row[3]
             if kind not in (KIND_GROUND, KIND_OBJECT):
@@ -457,21 +456,15 @@ def enforce_dtm_consistency(
     photons of ``table``.  The DTM replaces the IDW value when the two
     disagree by more than ``tau`` meters (source "dtm_override") and fills
     in whenever IDW had no answer (source "dtm_fallback"); otherwise the IDW
-    value stands.  Returns the ground elevation and the source code (an
-    index into ``GROUND_SOURCES``) per photon; a photon with neither an IDW
-    value nor a DTM value under it raises ``ValueError``.
+    value stands.  A photon with neither an IDW value nor a valid DTM value
+    under it has source "none" and ground elevation NaN.  Returns the ground
+    elevation and the source code (an index into ``GROUND_SOURCES``) per
+    photon.
     """
-    x, y = table["x"], table["y"]
-    dtm_value, on_dtm = sample_bilinear(dtm, x, y)
-    lost = ~found & ~on_dtm
-    if lost.any():
-        i = int(np.argmax(lost))
-        raise ValueError(
-            f"photon {int(table['id'][i])}: no ground source at ({float(x[i])}, {float(y[i])}); "
-            "IDW found no neighbors and the DTM is nodata or non-finite there"
-        )
-    source = np.where(~found, 1, np.where(on_dtm & (np.abs(idw - dtm_value) > tau), 2, 0))
-    return np.where(source == 0, idw, dtm_value), source
+    dtm_value, on_dtm = sample_bilinear(dtm, table["x"], table["y"])
+    source = np.where(~found, np.where(on_dtm, 1, 3),
+                      np.where(on_dtm & (np.abs(idw - dtm_value) > tau), 2, 0))
+    return np.where(source == 0, idw, np.where(on_dtm, dtm_value, np.nan)), source
 
 
 def normalize_heights(
@@ -710,13 +703,13 @@ def clean_photon_table(
     ``enforce_dtm_consistency``, ``normalize_heights``,
     ``landcover_plausibility_filter``, ``dbscan_cluster`` and
     ``aggregate_cells`` in turn.  Photons outside the DTM or land-cover
-    extent are dropped, as a track clipped to a tile runs past its edges.
-    Returns the clean photons as a ``CLEAN_DTYPE`` table (ground photons
-    in input order, then the object centroids) and a
-    report: per-stage retention counts, monotonically non-increasing
-    (``counts``); the ground-estimate source of each object photon
-    (``ground_sources``); and the object photons that DBSCAN put in clusters
-    or left as noise (``clustering``).
+    extent are dropped, as a track clipped to a tile runs past its edges,
+    and so are object photons with no ground source.  Returns the clean
+    photons as a ``CLEAN_DTYPE`` table (ground photons in input order, then
+    the object centroids) and a report: per-stage retention counts,
+    monotonically non-increasing (``counts``); the ground-estimate source of
+    each object photon (``ground_sources``); and the object photons that
+    DBSCAN put in clusters or left as noise (``clustering``).
     """
     counts = {"loaded": len(table)}
 
@@ -737,6 +730,9 @@ def clean_photon_table(
     ground_elev[obj], source = enforce_dtm_consistency(objects, idw, found, dtm, params.dtm_tau)
     sources = {name: int(np.count_nonzero(source == i)) for i, name in enumerate(GROUND_SOURCES)}
     logger.info("ground estimates: %s", sources)
+    grounded = np.ones(len(t), dtype=bool)
+    grounded[obj] = source != GROUND_SOURCES.index("none")
+    t, ground_elev = t[grounded], ground_elev[grounded]
 
     keep, h = normalize_heights(t, ground_elev)
     t, h = t[keep], h[keep]

@@ -13,6 +13,8 @@ import csv
 import dataclasses
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -89,17 +91,22 @@ class PipelineConfig:
         self.features = _FEATURE_ALIASES[self.features]
         if self.seed is None:
             raise ValueError("a seed is required; every randomized stage records it")
-        for name in ("threads", "patch", "trees"):
+        for name in ("seed", "threads", "patch", "stride", "trees"):
             value = getattr(self, name)
-            if value < 1:
+            if value is None and name == "stride":
+                continue
+            if not photons._is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
         if self.stride is not None and self.stride > self.patch:
             # windows that far apart would leave pixels between them uncovered
             raise ValueError(f"stride must be <= patch ({self.patch}), got {self.stride}")
-        if not (self.footprint > 0):
-            raise ValueError(f"footprint must be > 0, got {self.footprint}")
+        footprint = self.footprint
+        if isinstance(footprint, bool) or not (
+            isinstance(footprint, numbers.Real) and math.isfinite(footprint) and footprint > 0
+        ):
+            raise ValueError(f"footprint must be finite and > 0, got {self.footprint!r}")
 
 
 def load_config(path: Path | str) -> PipelineConfig:

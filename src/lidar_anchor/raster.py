@@ -374,9 +374,7 @@ def sample_bilinear(
         (r1, c1, fx * fy),
     ):
         v = raster.values[r, c].astype(np.float64)
-        keep = np.isfinite(v)
-        if h.nodata is not None:
-            keep &= v != h.nodata
+        keep = valid_values(v, h.nodata)
         # a skipped corner adds 0.0, which leaves the running sums unchanged;
         # its value is zeroed before the product, so that no inf meets a 0 weight
         acc += w * np.where(keep, v, 0.0)
@@ -500,13 +498,18 @@ def padded_sobel_magnitude(p: np.ndarray) -> np.ndarray:
 DEFAULT_FOOTPRINT = 17.0
 
 
+def valid_values(values: np.ndarray, nodata: Optional[float]) -> np.ndarray:
+    """Which pixel ``values`` are valid: finite and not ``nodata`` (None for
+    no nodata value)."""
+    valid = np.isfinite(values)
+    if nodata is not None:
+        valid &= values != nodata
+    return valid
+
+
 def valid_mask(raster: Raster, rows: slice = slice(None)) -> np.ndarray:
     """Pixels that are finite and not nodata, in all rows or in ``rows``."""
-    values = raster.values[rows]
-    valid = np.isfinite(values)
-    if raster.header.nodata is not None:
-        valid &= values != raster.header.nodata
-    return valid
+    return valid_values(raster.values[rows], raster.header.nodata)
 
 
 # Rows per strip of the passes that visit a whole raster a strip at a time,
@@ -544,8 +547,8 @@ def footprint_mean(raster: Raster, x: np.ndarray, y: np.ndarray, diameter: float
     h = raster.header
     if h.bands != 1:
         raise ValueError("footprint_mean expects a single-band raster")
-    if not (diameter > 0):
-        raise ValueError(f"diameter must be > 0, got {diameter}")
+    if not (math.isfinite(diameter) and diameter > 0):
+        raise ValueError(f"diameter must be finite and > 0, got {diameter}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     radius = diameter / 2.0
@@ -586,9 +589,7 @@ def footprint_mean(raster: Raster, x: np.ndarray, y: np.ndarray, diameter: float
         )
         block = raster.values[np.clip(rows, 0, h.height - 1)[:, :, None],
                               np.clip(cols, 0, h.width - 1)[:, None, :]]
-        usable = in_disk & np.isfinite(block)
-        if h.nodata is not None:
-            usable &= block != h.nodata
+        usable = in_disk & valid_values(block, h.nodata)
         sizes = usable.sum(axis=(1, 2))
         sums = segment_sums(block[usable].astype(np.float64), np.cumsum(sizes) - sizes, sizes)
         with np.errstate(invalid="ignore"):
@@ -605,9 +606,7 @@ def _containing_pixel_values(raster: Raster, x: np.ndarray, y: np.ndarray) -> np
     inside = h.contains_point(x, y)
     col, row = h.pixels_of(x[inside], y[inside])
     v = raster.values[row, col].astype(np.float64)
-    valid = np.isfinite(v)
-    if h.nodata is not None:
-        valid &= v != h.nodata
+    valid = valid_values(v, h.nodata)
     out = np.full(x.shape, np.nan)
     out[np.nonzero(inside)[0][valid]] = v[valid]
     return out

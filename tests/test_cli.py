@@ -205,6 +205,12 @@ class TestPipelineCommand:
             err = capsys.readouterr().err
             assert "unknown config keys" in err and key in err
 
+    def test_config_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"patch": "16"}))
+        assert cli.main(["preprocess", "--config", str(p)]) == 1
+        assert "error: preprocess: patch must be an integer, got '16'" in capsys.readouterr().err
+
 
 class TestStagewiseEquivalence:
     def test_stage_sequence_matches_single_run(self, ws, tmp_path):

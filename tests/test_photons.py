@@ -316,6 +316,52 @@ class TestCsvBlocks:
             assert want in msg
         assert "row 3" not in msg and "row 23" not in msg
 
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_clean_csv_reads_back_across_blocks(self, tmp_path, n):
+        table = random_clean(n, seed=n)
+        write_clean_csv(table, tmp_path / "c.csv")
+        got = read_clean_csv(tmp_path / "c.csv")
+        assert got.dtype == CLEAN_DTYPE and got.tolist() == table.tolist()
+
+    def test_clean_problem_in_a_later_block_is_named_as_by_the_row_parser(
+        self, tmp_path, monkeypatch
+    ):
+        # blocks of three lines: a blank line in the first, the bad kind
+        # in the third block, on file line 9
+        rows = ["1.5,2.5,0.0,ground,1,1"] * 9
+        rows[1] = ""
+        rows[7] = "3.5,4.5,12.25,objects,4,7"
+        path = tmp_path / "c.csv"
+        path.write_bytes((_CLEAN_HEADER + "\r\n".join(rows) + "\r\n").encode())
+        monkeypatch.setattr(photons, "CSV_BLOCK_ROWS", 3)
+        with pytest.raises(ValueError) as want:
+            read_clean_direct(path)
+        assert "malformed row 9:" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            read_clean_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_whitespace_line_is_a_malformed_photon_row(self, tmp_path):
+        # only a line holding nothing but its line end is blank
+        lines = ["id,x,y,elev,signal_conf,atl08_class,beam,t", "0,1.0,2.0,3.0,4,1,0,0.0",
+                 "", "  ", "1,1.0,2.0,3.0,4,1,0,0.0"]
+        (tmp_path / "p.csv").write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(ValueError) as err:
+            load_photons(tmp_path / "p.csv")
+        assert str(err.value).endswith("1 malformed rows: row 4: expected 8 fields, got 1")
+
+    def test_clean_read_memory_is_about_twice_the_table(self, tmp_path):
+        table = random_clean(8 * CSV_BLOCK_ROWS)
+        write_clean_csv(table, tmp_path / "c.csv")
+        tracemalloc.start()
+        try:
+            got = read_clean_csv(tmp_path / "c.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == table.tolist()
+        assert peak <= 2.5 * table.nbytes, f"peak {peak} for a {table.nbytes}-byte table"
+
     def test_read_memory_is_about_twice_the_table(self, tmp_path):
         table = random_photons(8 * CSV_BLOCK_ROWS)
         write_photons_csv(table, tmp_path / "p.csv")
@@ -546,10 +592,10 @@ class TestDtmConsistency:
         assert source == "dtm_fallback"
         assert ground == pytest.approx(100.0)
 
-    def test_no_source_at_all_raises(self):
+    def test_no_source_at_all_is_none(self):
         holes = make_height(np.full((4, 4), -9999.0), gsd=10.0, nodata=-9999.0)
-        with pytest.raises(ValueError, match="photon 7: no ground source"):
-            reconcile(None, holes)
+        ground, source = reconcile(None, holes)
+        assert source == "none" and math.isnan(ground)
 
 
 def height(p, ground_elev):

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from lidar_anchor import forest, pipeline
+from lidar_anchor import forest, photons, pipeline
 from lidar_anchor.features import HRF_DIM, SCHEMA_HRF
-from lidar_anchor.raster import save_raster
+from lidar_anchor.raster import LC_BUILDING, save_raster
 from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
 
-from conftest import make_height, make_landcover, make_optical
+from conftest import make_height, make_landcover, make_optical, photon_table
 from oracles import window_origins_direct
 
 
@@ -90,12 +90,38 @@ def test_dense_clean_photons_are_pinned(tmp_path):
     # every object photon has one ground source; the clustering splits the
     # object photons that passed the land-cover filter, and clusters thin
     # to at most one clean photon each
-    assert set(report["ground_sources"]) == {"idw", "dtm_fallback", "dtm_override"}
+    assert set(report["ground_sources"]) == {"idw", "dtm_fallback", "dtm_override", "none"}
     assert sum(report["ground_sources"].values()) >= clustering["clustered"] + clustering["noise"]
     assert clustering["clustered"] > clustering["clusters"] > 0
     assert json.loads((run / "preprocess_report.json").read_text()) == report
     digest = hashlib.sha256((run / "clean_photons.csv").read_bytes()).hexdigest()
     assert digest == "a20ec07a1e9c38c97641ea5fe09f980ba51edac3ee6371481254ddc1ba9669c1"
+
+
+def test_photons_with_no_ground_source_are_dropped_and_counted(tmp_path):
+    # a 20 x 20 DTM with a 4 x 4 NaN patch under building land cover, and
+    # ten top-of-canopy photons with no ground photon: IDW has no answer,
+    # the DTM answers for the four off the patch, and the six over it have
+    # no ground source and leave the run, which goes on without them
+    dtm = np.full((20, 20), 50.0)
+    dtm[8:12, 8:12] = np.nan
+    save_raster(make_height(dtm), tmp_path / "dtm")
+    save_raster(make_landcover(np.full((20, 20), LC_BUILDING)), tmp_path / "landcover")
+    over = [(9.0 + 0.4 * i, 11.0) for i in range(6)]
+    off = [(3.0 + i, 3.0) for i in range(4)]
+    photons.write_photons_csv(photon_table([
+        (i, x, y, 60.0, 4, photons.CLASS_TOP_OF_CANOPY, 0, 0.0)
+        for i, (x, y) in enumerate(over + off)
+    ]), tmp_path / "photons.csv")
+    run = tmp_path / "run"
+    report = pipeline.stage_preprocess(pipeline.PipelineConfig(
+        landcover=str(tmp_path / "landcover"), dtm=str(tmp_path / "dtm"),
+        photons=str(tmp_path / "photons.csv"), out=str(run)), run)
+    assert report["ground_sources"] == {"idw": 0, "dtm_fallback": 4, "dtm_override": 0, "none": 6}
+    assert report["counts"]["normalized"] == 4
+    assert json.loads((run / "preprocess_report.json").read_text()) == report
+    clean = photons.read_clean_csv(run / "clean_photons.csv")
+    assert clean.tolist() == [(4.5, 3.0, 10.0, "object", LC_BUILDING, 4)]
 
 
 def test_evaluate_writes_null_ssim_when_undefined(tmp_path):
@@ -131,9 +157,12 @@ def test_evaluate_writes_nothing_when_landcover_is_off_grid(tmp_path):
 
 def test_config_rejects_bad_window_forest_and_footprint_values(tmp_path):
     # each would otherwise pass preprocess and fit-scale, write their
-    # artifacts, and fail only in train or correct
+    # artifacts, and fail only in train or correct, or with a TypeError
     for key, value in (("patch", 0), ("stride", 0), ("stride", -8), ("trees", 0),
-                       ("footprint", 0.0), ("footprint", -17.0), ("footprint", float("nan"))):
+                       ("footprint", 0.0), ("footprint", -17.0), ("footprint", float("nan")),
+                       ("seed", 1.5), ("seed", "x"), ("trees", 2.5), ("patch", True),
+                       ("patch", "16"), ("stride", 8.0), ("threads", True),
+                       ("footprint", float("inf")), ("footprint", True), ("footprint", "17")):
         with pytest.raises(ValueError, match=key):
             pipeline.PipelineConfig(**{key: value})
         path = tmp_path / "cfg.json"

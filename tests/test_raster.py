@@ -585,6 +585,12 @@ class TestFootprint:
         r = make_height(vals, gsd=1.0, origin=(0.0, 8.0), nodata=-9999.0)
         assert math.isnan(footprint_at(r, 4.0, 4.0, 5.0))
 
+    @pytest.mark.parametrize("diameter", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_diameter_rejected(self, diameter):
+        r = make_height(np.zeros((4, 4), dtype=np.float32), gsd=1.0, origin=(0.0, 4.0))
+        with pytest.raises(ValueError, match="diameter must be finite and > 0"):
+            footprint_at(r, 2.0, 2.0, diameter)
+
     def test_nonfinite_pixels_are_left_out(self):
         rng = np.random.default_rng(12)
         vals = rng.normal(10, 4, size=(16, 16)).astype(np.float32)
