@@ -151,15 +151,18 @@ def build_training_set(
     footprint: float = DEFAULT_FOOTPRINT,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Feature matrix X, targets y and a skip count from a clean-photon
-    table (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and ``h_ag`` are read).
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Feature matrix X, targets y and the skipped photons by reason, from a
+    clean-photon table (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and
+    ``h_ag`` are read).
 
     Each photon on a valid pixel gives one row, in table order: the
     features of the window centered on its pixel (computed once per
     distinct pixel), and the footprint-mean prediction minus the photon
-    height as target.  Photons outside the raster or over invalid pixels
-    are skipped and counted.  Raises when no photon is usable.
+    height as target.  The other photons are skipped and counted under
+    ``outside_raster``, ``invalid_pixel`` (nodata or non-finite under the
+    photon) and ``empty_footprint`` (no valid pixel to average).  Raises
+    when no photon is usable.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -169,19 +172,20 @@ def build_training_set(
     on_pixel = np.nonzero(h.contains_point(x, y))[0]
     col, row = h.pixels_of(x[on_pixel], y[on_pixel])
     valid = valid_values(pred.values[row, col], h.nodata)
+    skipped = {"outside_raster": len(clean) - len(on_pixel), "invalid_pixel": int((~valid).sum())}
     on_pixel, col, row = on_pixel[valid], col[valid], row[valid]
     sampled = footprint_mean(pred, x[on_pixel], y[on_pixel], footprint)
     keep = ~np.isnan(sampled)
+    skipped["empty_footprint"] = int((~keep).sum())
     targets = sampled[keep] - clean["h_ag"][on_pixel[keep]]
-    skipped = len(clean) - len(targets)
 
     if not len(targets):
         raise ValueError(
-            f"zero usable photons to train on ({skipped} skipped); "
+            f"zero usable photons to train on ({len(clean)} skipped); "
             "check raster coverage and nodata"
         )
-    if skipped:
-        logger.info("training set: %d photons skipped (outside raster or nodata)", skipped)
+    if len(targets) < len(clean):
+        logger.info("training set: photons skipped %s", skipped)
 
     # one feature row per distinct pixel, copied to every photon on it
     row, col = row[keep], col[keep]

@@ -4,10 +4,14 @@ Every source of randomness flows through SplitMix64, a counter-based 64-bit
 generator simple enough to restate in any language (see the class docstring
 for the exact recurrence).  Tree ``t`` of a forest trained with seed ``s``
 draws from the stream seeded ``s XOR t``, consuming values in a fixed order:
-first the bootstrap indices, then one feature subset per node in depth-first
-preorder (left child before right).  Training is therefore bit-identical
-whether trees grow in one process or several, and a serialized model rebuilds
-the exact same predictor anywhere.
+first the bootstrap indices, then one feature subset per split-searched node
+in breadth-first order (depth by depth, parents in order, left child before
+right).  Trees store their nodes in that same breadth-first order, and
+``model.json`` is format version 3; version 2 numbered nodes and drew subsets
+in depth-first preorder.  Trees grow together, one depth at a time, yet each
+equals the tree grown alone, so training is bit-identical however trees are
+grouped or spread over processes, and a serialized model rebuilds the exact
+same predictor anywhere.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .features import SCHEMA_HRF, SCHEMA_NRF
+from .raster import segment_sums
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 KNOWN_SCHEMAS = (SCHEMA_HRF, SCHEMA_NRF)
 
 _MASK64 = (1 << 64) - 1
@@ -69,15 +74,7 @@ class SplitMix64:
         """The next m raw outputs as a uint64 array (vectorized stream)."""
         start = self.counter + 1
         self.counter += m
-        with np.errstate(over="ignore"):
-            z = np.arange(start, start + m, dtype=np.uint64) * np.uint64(_GOLDEN)
-            z += np.uint64(self.seed)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(_MIX1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
-        return z
+        return _mix(np.uint64(self.seed), np.arange(start, start + m, dtype=np.uint64))
 
     def _float_block(self, m: int) -> np.ndarray:
         return (self.u64_block(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -99,15 +96,45 @@ class SplitMix64:
         """
         if not (1 <= k <= d):
             raise ValueError(f"cannot choose {k} of {d} features")
-        bounds = np.arange(d, d - k, -1)
-        offsets = (self._float_block(m * k).reshape(m, k) * bounds).astype(np.int64)
-        np.minimum(offsets, bounds - 1, out=offsets)
-        pool = np.tile(np.arange(d), (m, 1))
-        rows = np.arange(m)
-        for i in range(k):
-            j = offsets[:, i] + i
-            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
-        return np.sort(pool[:, :k], axis=1)
+        return _subset_blocks([self], [m], d, k)
+
+
+def _mix(seed: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs ``mix(seed + step * 0x9E3779B97F4A7C15)`` for uint64
+    seeds and steps (broadcast together)."""
+    with np.errstate(over="ignore"):
+        z = steps * np.uint64(_GOLDEN)
+        z += seed
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _subset_blocks(rngs: list[SplitMix64], counts, d: int, k: int) -> np.ndarray:
+    """``rngs[t].subset_block(counts[t], d, k)`` for every t, concatenated in
+    order: the k-of-d draws of all streams, with their Fisher-Yates swaps,
+    run in one pass."""
+    floats = np.asarray(counts, dtype=np.int64) * k
+    first = np.array([rng.counter + 1 for rng in rngs], dtype=np.int64)
+    # each float's step: its stream's next step plus its place in that
+    # stream's block
+    steps = np.arange(int(floats.sum())) + np.repeat(first - (np.cumsum(floats) - floats), floats)
+    seeds = np.repeat(np.array([rng.seed for rng in rngs], dtype=np.uint64), floats)
+    for rng, c in zip(rngs, floats.tolist()):
+        rng.counter += c
+    u = (_mix(seeds, steps.astype(np.uint64)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    bounds = np.arange(d, d - k, -1)
+    offsets = (u.reshape(-1, k) * bounds).astype(np.int64)
+    np.minimum(offsets, bounds - 1, out=offsets)
+    pool = np.tile(np.arange(d), (offsets.shape[0], 1))
+    rows = np.arange(offsets.shape[0])
+    for i in range(k):
+        j = offsets[:, i] + i
+        pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+    return np.sort(pool[:, :k], axis=1)
 
 
 # ===== Model types =====
@@ -140,7 +167,9 @@ class ForestParams:
 
 @dataclass
 class RegressionTree:
-    """One CART tree as flat node arrays in depth-first preorder.
+    """One CART tree as flat node arrays in breadth-first order: the root,
+    then each depth's nodes in the order of their parents, left child before
+    right, so children always come after their parent.
 
     ``feature[i] == -1`` marks a leaf.  Internal nodes route a sample left
     when its feature value is <= threshold.  ``value`` holds the mean
@@ -174,22 +203,19 @@ class RandomForest:
 
 # ===== Training =====
 
-def _subset_stream(rng: SplitMix64, d: int, k: int) -> Iterator[np.ndarray]:
-    """Endless k-of-d subset draws, generated 256 at a time.
-
-    Only the tree reads its stream, so drawing ahead leaves every subset
-    where drawing one at a time would find it.
-    """
-    while True:
-        yield from rng.subset_block(256, d, k)
+# Sample slots (bootstrap draws) of the trees grown together: each depth
+# holds at most this many, so a group's level arrays stay a few tens of MB.
+_GROUP_SLOTS = 1 << 21
+# Padded (node, feature, sample) cells one split-search chunk holds, unless
+# one node's row for one feature is wider.
+_CHUNK_CELLS = 1 << 15
 
 
 def _feature_ranks(X: np.ndarray) -> np.ndarray:
     """Dense rank of each value within its feature, one row per feature.
 
     Equal values share a rank, so a stable sort of ranks orders samples
-    exactly as a stable sort of the values does; ranks that fit 16 bits
-    let numpy sort them by radix.
+    exactly as a stable sort of the values does.
     """
     n, d = X.shape
     ranks = np.empty((d, n), dtype=np.uint16 if n <= 1 << 16 else np.int64)
@@ -198,158 +224,286 @@ def _feature_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _best_split(
+def _padded_width(sizes: np.ndarray) -> np.ndarray:
+    """The row width a node of each size is searched in: the size rounded up
+    to three significant bits, so padding adds under a quarter."""
+    e = np.maximum(np.frexp(sizes)[1] - 3, 0)
+    return -(-sizes >> e) << e
+
+
+def _split_search(
     X: np.ndarray,
-    ranks: np.ndarray,
+    keys: np.ndarray,
+    pos_bits: int,
+    y_pad: np.ndarray,
     idx: np.ndarray,
-    y_node: np.ndarray,
-    y_sum: float,
+    starts: np.ndarray,
+    sizes: np.ndarray,
     feats: np.ndarray,
+    sums: np.ndarray,
     min_samples_leaf: int,
-    ramp: np.ndarray,
-    col: np.ndarray,
-) -> Optional[tuple[int, float, np.ndarray, np.ndarray]]:
-    """Exhaustive best split of one node over the drawn feature subset.
+    children: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exhaustive best split of many nodes, each over its own feature subset.
 
-    ``ranks`` is ``_feature_ranks(X)``, ``y_node`` the node's targets and
-    ``y_sum`` their sum; ``ramp`` is ``arange(len(idx) + 1)`` or longer as
-    float64 and ``col`` is ``arange(len(feats))[:, None]``.  Candidate
-    thresholds are midpoints between consecutive distinct sorted values.
-    The criterion is weighted variance reduction; ties go to the lower
-    feature index, then the lower threshold.  Returns None when no candidate
-    reduces variance.
+    Node i holds the samples ``idx[starts[i]:starts[i] + sizes[i]]``, whose
+    targets sum (pairwise) to ``sums[i]``, and searches the ascending
+    features ``feats[i]``; ``idx`` ends with the sentinel sample n.  ``keys``
+    is the flattened (d, n + 1) table of ``rank << pos_bits``, whose last
+    column holds the sentinel rank n, and ``y_pad`` is y with a 0.0 appended
+    for the sentinel sample n.
+
+    Nodes are searched a chunk at a time as rows of one width: a node's
+    samples, then sentinel samples up to the width.  A chunk holds about
+    ``_CHUNK_CELLS`` cells, so a node too wide for all its features at once
+    is searched a span of features at a time.  Ranks or'ed with their row
+    position sort, in one unstable sort, as a stable sort of the ranks
+    would, and the sentinel sorts last, so each row's real prefix has the
+    arithmetic of a node searched alone.  Candidate thresholds are midpoints
+    between consecutive distinct sorted values; the criterion is weighted
+    variance reduction; ties go to the lower feature index, then the lower
+    threshold.  A node splits when its best criterion is finite and beats
+    ``sums[i]**2 / sizes[i]``.
+
+    Returns per node whether it splits, its feature, threshold and left
+    size; a splitting node's samples, stably sorted by its split feature,
+    are written to its segment of ``children``.
     """
-    m = idx.size
-    rs = ranks[feats[:, None], idx]
-    order = rs.argsort(axis=1, kind="stable")
-    rs = rs[col, order]
-    csum = np.add.accumulate(y_node[order], axis=1)
-    sl = csum[:, :-1]
-    sr = csum[:, -1:] - sl
-    # left sizes 1 .. m-1 and right sizes m-1 .. 1, exact in float64
-    crit = sl * sl
-    crit /= ramp[1:m]
-    sr *= sr
-    sr /= ramp[m - 1 : 0 : -1]
-    crit += sr
+    count, k = feats.shape
+    found = np.zeros(count, dtype=bool)
+    feature = np.full(count, -1, dtype=np.int32)
+    threshold = np.zeros(count)
+    cut = np.zeros(count, dtype=np.int64)
+    sentinel = y_pad.size - 1
+    key_type = keys.dtype.type
+    low = key_type((1 << pos_bits) - 1)
+    width = _padded_width(sizes)
+    by_width = np.argsort(width, kind="stable")
+    bounds = np.flatnonzero(np.diff(width[by_width])) + 1
+    # one set of buffers for every chunk: (node, feature, position) cells
+    cells = max(_CHUNK_CELLS, int(width.max()))
+    buf_order = np.empty(cells, dtype=np.intp)
+    buf_comp = np.empty(cells, dtype=keys.dtype)
+    buf_crit = np.empty(cells)
+    buf_csum = np.empty(cells)
+    buf_right = np.empty(cells)
+    buf_valid = np.empty(cells, dtype=bool)
+    for same in np.split(by_width, bounds):
+        L = int(width[same[0]])
+        pos = np.arange(L)
+        # left sizes 1 .. L-1, and right sizes m-1 .. m-L+1, exact in float64
+        n_left = pos[1:].astype(np.float64)
+        # a chunk searches `step` nodes over `span` of their features at once
+        span = min(k, max(1, _CHUNK_CELLS // L))
+        step = max(1, _CHUNK_CELLS // (span * L))
+        for c in range(0, same.size, step):
+            nodes = same[c : c + step]
+            rows = np.arange(nodes.size)
+            m = sizes[nodes]
+            samp = idx[np.where(pos < m[:, None], starts[nodes, None] + pos, idx.size - 1)]
+            y_samp = y_pad[samp]
+            n_right = np.maximum(m[:, None] - n_left, 1.0)[:, None, :]
+            tail = (pos[:-1] < (m - min_samples_leaf)[:, None])[:, None, :]
+            for f0 in range(0, k, span):
+                f = feats[nodes, f0 : f0 + span]
+                full = (nodes.size, f.shape[1], L)
+                gaps = (nodes.size, f.shape[1], L - 1)
+                size = nodes.size * f.shape[1] * L
+                order = buf_order[:size].reshape(full)
+                np.add((f * (sentinel + 1))[:, :, None], samp[:, None, :], out=order)
+                comp = np.take(keys, order, out=buf_comp[:size].reshape(full))
+                comp |= pos.astype(keys.dtype)
+                comp.sort(axis=2)
+                np.bitwise_and(comp, low, out=order)
+                order += (rows * L)[:, None, None]  # flat index into samp
+                ys = np.take(y_samp, order, out=buf_crit[:size].reshape(full))
+                csum = np.add.accumulate(ys, axis=2, out=buf_csum[:size].reshape(full))
+                sl = csum[:, :, :-1]
+                crit = np.multiply(sl, sl, out=buf_crit[: sl.size].reshape(gaps))
+                crit /= n_left
+                total = csum[rows, :, m - 1][:, :, None]
+                sr = np.subtract(total, sl, out=buf_right[: sl.size].reshape(gaps))
+                sr *= sr
+                sr /= n_right  # padded right sizes of 0 and below divide by 1
+                crit += sr
 
-    invalid = rs[:, 1:] == rs[:, :-1]
-    if min_samples_leaf > 1:
-        invalid[:, : min_samples_leaf - 1] = True
-        invalid[:, m - min_samples_leaf :] = True
-    np.putmask(crit, invalid, -np.inf)
+                # A split at a tie, or leaving a child under min_samples_leaf,
+                # is not a candidate: its criterion becomes +0.0 (all bits
+                # clear), and every candidate's is +0.0 or more (or NaN).
+                comp >>= key_type(pos_bits)
+                valid = np.not_equal(
+                    comp[:, :, 1:], comp[:, :, :-1], out=buf_valid[: sl.size].reshape(gaps)
+                )
+                valid &= tail
+                valid[:, :, : min_samples_leaf - 1] = False
+                keep = np.negative(valid.view(np.int8), out=sr.view(np.int64), dtype=np.int64)
+                np.bitwise_and(crit.view(np.int64), keep, out=crit.view(np.int64))
 
-    # The first maximum in feature-major order: lowest feature index (feats
-    # are ascending), then lowest threshold.
-    j, i = divmod(int(crit.argmax()), m - 1)
-    best = float(crit[j, i])
-    if not math.isfinite(best):
-        return None
-    if not (best > y_sum**2 / m):
-        return None
+                # the first maximum in feature-major order: lowest feature
+                # index (feats are ascending), then lowest threshold; an
+                # earlier span keeps a tie, and the first NaN wins
+                flat = crit.reshape(nodes.size, -1)
+                at = flat.argmax(axis=1)
+                value = flat[rows, at]
+                j, i = np.divmod(at, L - 1)
+                ranked = samp.reshape(-1)[order[rows, j]]  # each best's samples, sorted
+                if f0 == 0:
+                    best, best_at, best_sorted = value, np.stack([j, i]), ranked
+                    continue
+                better = (value > best) | (np.isnan(value) & ~np.isnan(best))
+                best[better] = value[better]
+                best_at[:, better] = f0 + j[better], i[better]
+                best_sorted[better] = ranked[better]
 
-    f = int(feats[j])
-    sorted_idx = idx[order[j]]
-    lo = float(X[sorted_idx[i], f])
-    hi = float(X[sorted_idx[i + 1], f])
-    thr = (lo + hi) / 2.0
-    if thr >= hi:  # adjacent floats: keep both children non-empty
-        thr = lo
-    return f, thr, sorted_idx[: i + 1], sorted_idx[i + 1 :]
+            # A best of +0.0 never beats the baseline, which is +0.0 or more.
+            # The baseline squares with Python's float power, which rounds
+            # unlike s * s in about one case in a thousand.
+            ok = np.array([
+                b > 0.0 and math.isfinite(b) and b > s**2 / n
+                for b, s, n in zip(best.tolist(), sums[nodes].tolist(), m.tolist())
+            ], dtype=bool)
+            if not ok.any():
+                continue
+            won, m, (j, i), sorted_idx = nodes[ok], m[ok], best_at[:, ok], best_sorted[ok]
+            held = pos < m[:, None]
+            children[(starts[won, None] + pos)[held]] = sorted_idx[held]
+            f = feats[won, j]
+            r = np.arange(won.size)
+            lo = X[sorted_idx[r, i], f]
+            hi = X[sorted_idx[r, i + 1], f]
+            thr = (lo + hi) / 2.0
+            # adjacent floats: keep both children non-empty
+            threshold[won] = np.where(thr >= hi, lo, thr)
+            found[won] = True
+            feature[won] = f
+            cut[won] = i + 1
+    return found, feature, threshold, cut
 
 
-def _grow_tree(
+def _grow_trees(
     X: np.ndarray,
     ranks: np.ndarray,
     y: np.ndarray,
-    root_idx: np.ndarray,
+    boots: list[np.ndarray],
+    rngs: list[SplitMix64],
     params: ForestParams,
     max_features: int,
-    rng: SplitMix64,
-) -> RegressionTree:
-    """Grow one tree on the given sample indices (bootstrap multiset).
+) -> list[RegressionTree]:
+    """Grow one tree per bootstrap multiset ``boots[t]``, drawing its
+    feature subsets from ``rngs[t]``, all trees one depth at a time.
 
-    ``ranks`` is ``_feature_ranks(X)``.  Node mean and variance are
-    the arithmetic of ``np.mean`` and ``np.var``: one pairwise sum divided by
-    the count.
+    ``ranks`` is ``_feature_ranks(X)``.  A depth's nodes lie in breadth-first
+    order (trees in order, then each tree's nodes level by level, parents in
+    order, left child before right), their samples as consecutive segments
+    of one index array.  Per depth: every node's mean and variance, with the
+    arithmetic of ``np.mean`` and ``np.var`` (one pairwise sum divided by
+    the count); one feature-subset draw per split-searched node, each
+    tree's in breadth-first order; and one batched split search.  Each tree
+    equals the tree grown alone, so the grouping of trees changes nothing.
     """
-    d = X.shape[1]
+    n, d = X.shape
     msl = params.min_samples_leaf
-    max_depth = params.max_depth
-    ramp = np.arange(root_idx.size + 1, dtype=np.float64)
-    col = np.arange(max_features)[:, None]
-    subsets = _subset_stream(rng, d, max_features)
-    add = np.add.reduce
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    n_node: list[int] = []
-    impurity: list[float] = []
+    bits = int(n).bit_length()  # ranks up to the sentinel n, and row positions
+    key_type = np.uint32 if 2 * bits <= 32 else np.uint64
+    keys = np.empty((d, n + 1), dtype=key_type)
+    keys[:, :n] = ranks
+    keys[:, n] = n
+    keys <<= key_type(bits)
+    keys = keys.reshape(-1)
+    y_pad = np.append(y, 0.0)
 
-    stack: list[tuple[np.ndarray, int, int, int]] = [(root_idx, 0, -1, 0)]
-    while stack:
-        idx, depth, parent, side = stack.pop()
-        nid = len(feature)
-        if parent >= 0:
-            if side == 0:
-                left[parent] = nid
-            else:
-                right[parent] = nid
-        m = idx.size
-        y_node = y[idx]
-        y_sum = add(y_node)
-        mean = y_sum / m
-        dev = y_node - mean
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(mean))
-        n_node.append(m)
-        impurity.append(float(add(dev * dev) / m))
+    # the depth's samples, node after node, then the sentinel sample n
+    idx = np.concatenate(boots + [[n]])
+    tree = np.arange(len(boots))
+    sizes = np.array([b.size for b in boots], dtype=np.int64)
+    levels = []
+    depth = 0
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        y_node = y[idx[:-1]]
+        sums = segment_sums(y_node, starts, sizes)
+        mean = sums / sizes
+        searched = (sizes >= 2 * msl) & (
+            np.maximum.reduceat(y_node, starts) != np.minimum.reduceat(y_node, starts)
+        )
+        y_node -= np.repeat(mean, sizes)
+        y_node *= y_node
+        impurity = segment_sums(y_node, starts, sizes) / sizes
+        del y_node
+        if params.max_depth is not None and depth >= params.max_depth:
+            searched[:] = False
+        nodes = np.flatnonzero(searched)
+        found = np.zeros(sizes.size, dtype=bool)
+        feature = np.full(sizes.size, -1, dtype=np.int32)
+        threshold = np.zeros(sizes.size)
+        cut = np.zeros(sizes.size, dtype=np.int64)
+        children = np.empty_like(idx)
+        children[-1] = n
+        if nodes.size:
+            feats = _subset_blocks(
+                rngs, np.bincount(tree[nodes], minlength=len(rngs)), d, max_features
+            )
+            found[nodes], feature[nodes], threshold[nodes], cut[nodes] = _split_search(
+                X, keys, bits, y_pad, idx, starts[nodes], sizes[nodes], feats, sums[nodes],
+                msl, children,
+            )
+        levels.append((tree, sizes, mean, impurity, feature, threshold, found))
+        if not found.any():
+            return _trees_of_levels(levels, len(boots))
+        split = np.flatnonzero(found)
+        idx = children[np.append(np.repeat(found, sizes), True)]
+        del children
+        sizes = np.stack([cut[split], sizes[split] - cut[split]], axis=1).reshape(-1)
+        tree = np.repeat(tree[split], 2)
+        depth += 1
 
-        if m < 2 * msl:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if np.maximum.reduce(y_node) == np.minimum.reduce(y_node):
-            continue
 
-        feats = next(subsets)
-        split = _best_split(X, ranks, idx, y_node, float(y_sum), feats, msl, ramp, col)
-        if split is None:
-            continue
-        f, thr, left_idx, right_idx = split
-        feature[nid] = f
-        threshold[nid] = thr
-        stack.append((right_idx, depth + 1, nid, 1))
-        stack.append((left_idx, depth + 1, nid, 0))
-
-    return RegressionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        n=np.array(n_node, dtype=np.int64),
-        impurity=np.array(impurity, dtype=np.float64),
+def _trees_of_levels(levels: list[tuple], n_trees: int) -> list[RegressionTree]:
+    """Per-tree node arrays, in breadth-first order, from the per-depth node
+    records of ``_grow_trees`` (tree, size, value, impurity, feature,
+    threshold, split)."""
+    tree, n, value, impurity, feature, threshold, found = (
+        np.concatenate(column) for column in zip(*levels)
     )
+    # the children of a depth's r-th split node are nodes 2r and 2r + 1 of
+    # the next depth
+    first = np.cumsum([0] + [level[0].size for level in levels])
+    left = np.full(tree.size, -1, dtype=np.int64)
+    for depth, level in enumerate(levels[:-1]):
+        split = np.flatnonzero(level[6])
+        left[first[depth] + split] = first[depth + 1] + 2 * np.arange(split.size)
+    order = np.argsort(tree, kind="stable")
+    bounds = np.searchsorted(tree[order], np.arange(n_trees + 1))
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size)
+    local -= bounds[tree]
+    internal = left >= 0
+    right = np.where(internal, local[left + 1], -1)
+    left = np.where(internal, local[left], -1)
+    columns = {
+        "feature": feature, "threshold": threshold, "left": left.astype(np.int32),
+        "right": right.astype(np.int32), "value": value, "n": n, "impurity": impurity,
+    }
+    columns = {name: column[order] for name, column in columns.items()}
+    return [
+        RegressionTree(**{name: column[lo:hi] for name, column in columns.items()})
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _build_forked(
-    build: Callable[[int], tuple[RegressionTree, np.ndarray]],
+    build: Callable[[list[int]], list],
     n_trees: int,
     workers: int,
-) -> list[tuple[RegressionTree, np.ndarray]]:
-    """``[build(t) for t in range(n_trees)]`` over forked worker processes.
+) -> list:
+    """``build(list(range(n_trees)))`` over forked worker processes.
 
-    Worker w grows trees w, w + workers, ... and sends them back in one
-    message when it is done.  Forked workers inherit ``build`` and the
-    training data it closes over, so nothing but the grown trees is
-    pickled, and the results are unpickled on the calling thread.  The
-    package starts no threads, so forking is safe.
+    Worker w calls ``build`` on its share, trees w, w + workers, ..., and
+    sends the results back in one message when it is done; they come back
+    in tree order.  Forked workers inherit ``build`` and the training data
+    it closes over, so nothing but the grown trees is pickled, and the
+    results are unpickled on the calling thread.  The package starts no
+    threads, so forking is safe.
     """
     ctx = multiprocessing.get_context("fork")
     pipes = [ctx.Pipe(duplex=False) for _ in range(workers)]
@@ -362,7 +516,7 @@ def _build_forked(
             if i != w:
                 send.close()
         with pipes[w][1] as send:
-            send.send([build(t) for t in range(w, n_trees, workers)])
+            send.send(build(list(range(w, n_trees, workers))))
 
     procs: list[multiprocessing.process.BaseProcess] = []
     try:
@@ -402,7 +556,9 @@ def train_forest(
     stream (seed XOR tree_index) and searches ceil(d/3) features per node
     unless params says otherwise.  With ``threads`` > 1 the trees grow in
     min(threads, n_trees, CPU count) forked worker processes, or serially
-    where ``fork`` is unavailable.  Results do not depend on ``threads``.
+    where ``fork`` is unavailable.  Each process grows its trees in groups
+    of up to ``_GROUP_SLOTS // n`` trees, a group one depth at a time.
+    Results depend on neither ``threads`` nor the grouping.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -421,18 +577,24 @@ def train_forest(
     max_features = min(max_features, d)
     ranks = _feature_ranks(X)
 
-    def build(t: int) -> tuple[RegressionTree, np.ndarray]:
-        rng = SplitMix64(params.seed ^ t)
-        boot = rng.index_block(n, n)
-        tree = _grow_tree(X, ranks, y, boot, params, max_features, rng)
-        oob_mask = np.bincount(boot, minlength=n) == 0
-        return tree, oob_mask
+    group = max(1, _GROUP_SLOTS // n)
+
+    def build(share: list[int]) -> list[tuple[RegressionTree, np.ndarray]]:
+        built = []
+        for g in range(0, len(share), group):
+            rngs = [SplitMix64(params.seed ^ t) for t in share[g : g + group]]
+            boots = [rng.index_block(n, n) for rng in rngs]
+            trees = _grow_trees(X, ranks, y, boots, rngs, params, max_features)
+            built += [
+                (tree, np.bincount(boot, minlength=n) == 0) for tree, boot in zip(trees, boots)
+            ]
+        return built
 
     workers = min(threads, params.n_trees, os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         built = _build_forked(build, params.n_trees, workers)
     else:
-        built = [build(t) for t in range(params.n_trees)]
+        built = build(list(range(params.n_trees)))
 
     trees = [tree for tree, _ in built]
 
@@ -465,6 +627,33 @@ def train_forest(
         trees=trees,
         oob_mae=oob_mae,
     )
+
+
+def forest_shape(forest: RandomForest) -> dict:
+    """The forest's shape: tree depth (the deepest leaf's, the root at depth
+    0) as its maximum and mean over the trees, the leaf count, and the mean
+    bootstrap samples per leaf."""
+    sizes = [tree.n_nodes() for tree in forest.trees]
+    first = np.cumsum([0] + sizes[:-1])
+    internal = np.concatenate([tree.feature >= 0 for tree in forest.trees])
+    children = np.concatenate(
+        [np.stack([tree.left, tree.right], axis=1) + f for tree, f in zip(forest.trees, first)]
+    )
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    depth = np.zeros(len(sizes), dtype=np.int64)
+    level, d = first, 0
+    while level.size:
+        depth[owner[level]] = d
+        level = children[level[internal[level]]].reshape(-1)
+        d += 1
+    leaves = int(internal.size - internal.sum())
+    samples = sum(int(tree.n[tree.feature < 0].sum()) for tree in forest.trees)
+    return {
+        "depth_max": int(depth.max()),
+        "depth_mean": float(depth.mean()),
+        "leaves": leaves,
+        "leaf_size_mean": samples / leaves,
+    }
 
 
 # ===== Prediction =====
@@ -620,8 +809,9 @@ def load_model(path: Path | str) -> RandomForest:
     the file holds ``params.n_trees`` trees, that each tree's seven arrays
     are flat and of one size, that thresholds, values and impurities are
     finite, that every split feature is below ``n_features``, and that every
-    internal node's children lie after it in the tree (as ``save_model``'s
-    preorder writes them), so prediction always reaches a leaf.  Any
+    internal node's children lie after it in the tree (as the breadth-first
+    order ``save_model`` writes has them), so prediction always reaches a
+    leaf.  Any
     failure, a byte that is not UTF-8 included, raises ``ValueError`` naming
     the file.
     """

@@ -46,6 +46,8 @@ _MODE_ALIASES = {
     MODE_RELATIVE: MODE_RELATIVE,
 }
 _FEATURE_ALIASES = {"hrf": SCHEMA_HRF, "nrf": SCHEMA_NRF, SCHEMA_HRF: SCHEMA_HRF, SCHEMA_NRF: SCHEMA_NRF}
+# input paths a run may leave unset
+_PATH_KEYS = ("pred", "optical", "landcover", "dtm", "photons", "reference", "embeddings")
 
 
 class PipelineError(RuntimeError):
@@ -81,6 +83,13 @@ class PipelineConfig:
     footprint: float = DEFAULT_FOOTPRINT
 
     def __post_init__(self) -> None:
+        for name in ("mode", "features", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in _PATH_KEYS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a path string or null, got {value!r}")
         if self.mode not in _MODE_ALIASES:
             raise ValueError(
                 f"unknown mode {self.mode!r}, expected one of {sorted(set(_MODE_ALIASES))}"
@@ -214,7 +223,10 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
 
 
 def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> dict:
-    """Residual training: clean photons + rasters -> model.json + report."""
+    """Residual training: clean photons + rasters -> model.json + report.
+
+    train_report.json gives the training rows, the photons skipped (in all
+    and by reason), the forest's shape and its out-of-bag MAE."""
     pred = _load(pred_path, HeightRaster, "pred")
     optical, lc, embeddings = _feature_inputs(cfg)
     clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
@@ -244,7 +256,9 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
 
     report = {
         "n_samples": len(y),
-        "skipped": skipped,
+        "skipped": sum(skipped.values()),
+        **{f"skipped_{reason}": count for reason, count in skipped.items()},
+        "forest": forest.forest_shape(model),
         "oob_mae": model.oob_mae,
         "seed": cfg.seed,
     }

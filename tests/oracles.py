@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -904,7 +905,9 @@ def _best_split(X, y, idx, feats, min_samples_leaf):
 
 
 def _grow_tree(X, y, root_idx, params, max_features, rng):
-    """Grow one tree on the given sample indices (bootstrap multiset)."""
+    """Grow one tree on the given sample indices (bootstrap multiset),
+    visiting nodes from a FIFO queue: they are numbered, and draw their
+    feature subsets, in breadth-first order."""
     d = X.shape[1]
     msl = params.min_samples_leaf
     feature = []
@@ -915,9 +918,9 @@ def _grow_tree(X, y, root_idx, params, max_features, rng):
     n_node = []
     impurity = []
 
-    stack = [(root_idx, 0, -1, 0)]
-    while stack:
-        idx, depth, parent, side = stack.pop()
+    queue = deque([(root_idx, 0, -1, 0)])
+    while queue:
+        idx, depth, parent, side = queue.popleft()
         nid = len(feature)
         if parent >= 0:
             if side == 0:
@@ -947,8 +950,8 @@ def _grow_tree(X, y, root_idx, params, max_features, rng):
         f, thr, left_idx, right_idx = split
         feature[nid] = f
         threshold[nid] = thr
-        stack.append((right_idx, depth + 1, nid, 1))
-        stack.append((left_idx, depth + 1, nid, 0))
+        queue.append((left_idx, depth + 1, nid, 0))
+        queue.append((right_idx, depth + 1, nid, 1))
 
     return SimpleNamespace(
         feature=np.array(feature, dtype=np.int32),
@@ -973,7 +976,8 @@ def _route_direct(tree, row):
 
 def train_forest_direct(X, y, schema_id, params):
     """Serial forest on a feature matrix, with the documented stream per tree:
-    seed XOR tree index, the bootstrap first, then one draw per node."""
+    seed XOR tree index, the bootstrap first, then one draw per split-searched
+    node in breadth-first order."""
     n, d = X.shape
     max_features = params.max_features if params.max_features is not None else math.ceil(d / 3)
     max_features = min(max_features, d)
@@ -1031,7 +1035,7 @@ def save_model_direct(forest, path):
     """The model file as JSON lines: the header object, then one line per
     tree."""
     header = {
-        "format_version": 2,
+        "format_version": 3,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
         "params": {

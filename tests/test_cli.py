@@ -211,6 +211,21 @@ class TestPipelineCommand:
         assert cli.main(["preprocess", "--config", str(p)]) == 1
         assert "error: preprocess: patch must be an integer, got '16'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": ["metric"]}, "mode must be a string, got ['metric']"),
+        ({"features": 3}, "features must be a string, got 3"),
+        ({"out": 5}, "out must be a string, got 5"),
+        ({"out": None}, "out must be a string, got None"),
+        ({"dtm": 1.5}, "dtm must be a path string or null, got 1.5"),
+        ({"embeddings": {"path": "e"}},
+         "embeddings must be a path string or null, got {'path': 'e'}"),
+    ])
+    def test_config_key_of_the_wrong_type_is_named(self, tmp_path, capsys, doc, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["preprocess", "--config", str(p)]) == 1
+        assert f"error: preprocess: {message}" in capsys.readouterr().err
+
 
 class TestStagewiseEquivalence:
     def test_stage_sequence_matches_single_run(self, ws, tmp_path):

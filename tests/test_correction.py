@@ -85,7 +85,7 @@ class TestBuildTrainingSet:
         pred, optical, lc = scene()
         pts = photons_on(pred, count=12, h=2.5)
         X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=32)
-        assert skipped == 0
+        assert skipped == {"outside_raster": 0, "invalid_pixel": 0, "empty_footprint": 0}
         assert X.shape == (12, HRF_DIM)
         for target, p in zip(y, pts):
             want = footprint_mean(pred, np.array([p.x]), np.array([p.y]), 17.0)[0] - p.h_ag
@@ -118,7 +118,7 @@ class TestBuildTrainingSet:
 
         with mock.patch.object(correction, "hrf_features", counting):
             X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=32)
-        assert skipped == 0 and sum(windows) == 3
+        assert sum(skipped.values()) == 0 and sum(windows) == 3
         for i, p in enumerate(pts):
             alone, target, _ = build_training_set(pred, optical, lc, clean_table([p]), patch=32)
             np.testing.assert_array_equal(X[i], alone[0])
@@ -154,7 +154,7 @@ class TestBuildTrainingSet:
         X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts + [outside]),
                                            patch=32)
         assert len(X) == len(y) == 10
-        assert skipped == 1
+        assert skipped == {"outside_raster": 1, "invalid_pixel": 0, "empty_footprint": 0}
 
     def test_nodata_under_photon_is_skipped(self):
         pred, optical, lc = scene()
@@ -168,7 +168,7 @@ class TestBuildTrainingSet:
         X, _, skipped = build_training_set(
             pred2, optical, lc, clean_table([p] + photons_on(pred, count=5)), patch=32
         )
-        assert skipped == 2
+        assert skipped == {"outside_raster": 0, "invalid_pixel": 2, "empty_footprint": 0}
         assert len(X) == 4
 
     def test_nonfinite_under_photon_is_skipped(self):
@@ -181,8 +181,41 @@ class TestBuildTrainingSet:
             make_height(vals, gsd=pred.header.gsd), optical, lc,
             clean_table([p] + photons_on(pred, count=5)), patch=32,
         )
-        assert skipped == 2
+        assert skipped == {"outside_raster": 0, "invalid_pixel": 2, "empty_footprint": 0}
         assert len(X) == 4 and np.isfinite(y).all()
+
+    def test_skips_are_counted_by_reason_on_a_nodata_heavy_raster(self):
+        # a 128 px prediction with nine pixels in ten nodata, photons on a
+        # grid that runs past its east and south edges
+        pred, optical, lc = scene(n=128)
+        rng = np.random.default_rng(4)
+        vals = np.where(rng.random((128, 128)) < 0.9, -9999.0, pred.values)
+        pred = make_height(vals, nodata=-9999.0)
+        gx, gy = np.meshgrid(np.arange(2.5, 150.0, 5.0), np.arange(2.5, 150.0, 5.0))
+        pts = [
+            CleanRow(float(x), float(y), 1.0, "ground", 0, 1) for x, y in zip(gx.ravel(), gy.ravel())
+        ]
+        inside = (gx.ravel() < 128) & (gy.ravel() < 128)
+        col, row = pred.header.pixels_of(gx.ravel()[inside], gy.ravel()[inside])
+        on_nodata = int((vals[row, col] == -9999.0).sum())
+        X, y, skipped = build_training_set(pred, optical, lc, clean_table(pts), patch=16)
+        assert skipped == {
+            "outside_raster": int((~inside).sum()),
+            "invalid_pixel": on_nodata,
+            "empty_footprint": 0,
+        }
+        assert len(X) == len(y) == len(pts) - sum(skipped.values()) > 0
+
+        # a footprint with no valid pixel is the third reason
+        def first_empty(*args):
+            sampled = footprint_mean(*args)
+            sampled[0] = np.nan
+            return sampled
+
+        with mock.patch.object(correction, "footprint_mean", first_empty):
+            X2, _, skipped2 = build_training_set(pred, optical, lc, clean_table(pts), patch=16)
+        assert skipped2 == {**skipped, "empty_footprint": 1}
+        assert len(X2) == len(X) - 1
 
     def test_zero_usable_raises(self):
         pred, optical, lc = scene()

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from lidar_anchor.forest import (
     _TREE_ARRAYS,
     _build_forked,
     _feature_ranks,
-    _grow_tree,
+    _grow_trees,
+    _subset_blocks,
     _tree_predict,
     feature_importance,
+    forest_shape,
     load_model,
     predict_batch,
     save_model,
@@ -130,6 +133,18 @@ class TestSplitMix64:
             np.testing.assert_array_equal(row, b.subset_block(1, 10, 4)[0])
         assert a.counter == b.counter == 160
 
+    def test_subset_blocks_draw_each_stream_in_turn(self):
+        counts = [3, 0, 5, 1]
+        streams = [SplitMix64(seed) for seed in (7, 8, 2**64 - 1, 0)]
+        alone = [SplitMix64(seed) for seed in (7, 8, 2**64 - 1, 0)]
+        for rng in streams + alone:  # streams already part-way through
+            rng.index_block(11, 4)
+        np.testing.assert_array_equal(
+            _subset_blocks(streams, np.array(counts), 9, 3),
+            np.concatenate([rng.subset_block(c, 9, 3) for rng, c in zip(alone, counts)]),
+        )
+        assert [rng.counter for rng in streams] == [rng.counter for rng in alone]
+
     def test_validation(self):
         rng = SplitMix64(0)
         with pytest.raises(ValueError):
@@ -187,7 +202,7 @@ class TestTraining:
 
         def record(build, n_trees, workers):
             calls.append((n_trees, workers))
-            return [build(t) for t in range(n_trees)]
+            return build(list(range(n_trees)))
 
         monkeypatch.setattr(forest_module, "_build_forked", record)
         X, y = make_samples(n=30)
@@ -198,12 +213,18 @@ class TestTraining:
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
     def test_forked_build_keeps_tree_order_and_reports_a_dead_worker(self):
-        assert _build_forked(lambda t: ("tree", t), 5, 2) == [("tree", t) for t in range(5)]
+        def share(trees):
+            return [("tree", t, trees) for t in trees]
 
-        def build(t):
-            if t == 1:
+        # worker 0 grows trees 0, 2 and 4 in one call, worker 1 trees 1 and 3
+        assert _build_forked(share, 5, 2) == [
+            ("tree", t, [0, 2, 4] if t % 2 == 0 else [1, 3]) for t in range(5)
+        ]
+
+        def build(trees):
+            if 1 in trees:
                 os._exit(3)
-            return t
+            return trees
 
         with pytest.raises(RuntimeError, match="worker 1"):
             _build_forked(build, 4, 2)
@@ -226,7 +247,7 @@ class TestTraining:
         for r in (ranks, ranks.astype(np.int64)):
             rng = SplitMix64(4)
             boot = rng.index_block(300, 300)
-            trees.append(_grow_tree(X, r, y, boot, params, 2, rng))
+            trees += _grow_trees(X, r, y, [boot], [rng], params, 2)
         for name in ("feature", "threshold", "left", "right", "value", "n", "impurity"):
             np.testing.assert_array_equal(getattr(trees[0], name), getattr(trees[1], name))
 
@@ -612,7 +633,18 @@ class TestLoaderText:
         self._expect_error(
             path,
             (json.dumps(doc, sort_keys=True) + "\n").encode(),
-            "unsupported model format version 1, this build reads version 2",
+            "unsupported model format version 1, this build reads version 3",
+        )
+
+    def test_json_lines_of_format_version_2(self, model):
+        # version 2 had this layout, but preorder trees from another stream
+        header, *trees = model.read_text().splitlines(keepends=True)
+        header = json.dumps({**json.loads(header), "format_version": 2}, sort_keys=True)
+        path = model.with_name("v2.json")
+        self._expect_error(
+            path,
+            (header + "\n" + "".join(trees)).encode(),
+            "unsupported model format version 2, this build reads version 3",
         )
 
     @pytest.mark.parametrize("tree", [0, 2])
@@ -621,6 +653,123 @@ class TestLoaderText:
         lines[1 + tree] = lines[1 + tree].replace(b"0", b"\xff", 1)
         path = model.with_name("latin.json")
         self._expect_error(path, b"".join(lines), "model is not UTF-8 text: ")
+
+
+def _grown_alone(X, y, params, trees):
+    """Each tree of ``trees`` (indices) grown by itself, from its own stream."""
+    n = len(y)
+    ranks = _feature_ranks(X)
+    out = []
+    for t in trees:
+        rng = SplitMix64(params.seed ^ t)
+        boot = rng.index_block(n, n)
+        out += _grow_trees(X, ranks, y, [boot], [rng], params, params.max_features)
+    return out
+
+
+def _assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name, _ in _TREE_ARRAYS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+class TestLevelWiseGrowth:
+    """Trees grow together, one depth at a time; each must equal the tree
+    grown alone, whatever the batch, the groups or the workers."""
+
+    @given(forest_problems(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_tree_of_a_batch_equals_the_tree_grown_alone(self, problem, data):
+        X, y, params = problem
+        n = len(y)
+        # any trees, in any order, a tree possibly twice
+        batch = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=6))
+        rngs = [SplitMix64(params.seed ^ t) for t in batch]
+        boots = [rng.index_block(n, n) for rng in rngs]
+        together = _grow_trees(
+            X, _feature_ranks(X), y, boots, rngs, params, params.max_features
+        )
+        _assert_same_trees(together, _grown_alone(X, y, params, batch))
+
+    @given(
+        forest_problems(),
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 3),
+        st.sampled_from([4, 16, 64, forest_module._CHUNK_CELLS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_trees_depend_on_neither_threads_nor_groups_nor_chunks(
+        self, problem, threads, group, cells
+    ):
+        # small chunks search a node's features a few at a time
+        X, y, params = problem
+        want = _grown_alone(X, y, params, range(params.n_trees))
+        with mock.patch.object(forest_module, "_GROUP_SLOTS", group * len(y)), \
+                mock.patch.object(forest_module, "_CHUNK_CELLS", cells):
+            forest = train_forest(X, y, SCHEMA_NRF, params, threads=threads)
+        _assert_same_trees(forest.trees, want)
+
+    def test_wide_keys_and_feature_spans_match_the_loop_grower(self, tmp_path):
+        # 70,000 rows take 64-bit sort keys, and a root searched one feature
+        # per chunk; two levels keep the loop grower quick
+        rng = np.random.default_rng(3)
+        X = np.round(rng.normal(size=(70_000, 6)) * 100)
+        y = np.round(X[:, 0] / 10 + rng.normal(size=70_000))
+        params = ForestParams(n_trees=2, max_depth=2, max_features=6, seed=9)
+        save_model(train_forest(X, y, SCHEMA_NRF, params), tmp_path / "fast.json")
+        save_model_direct(train_forest_direct(X, y, SCHEMA_NRF, params), tmp_path / "loop.json")
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+    def test_nodes_are_numbered_breadth_first(self):
+        X, y = make_samples(n=150, d=4, seed=2)
+        tree = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=1, seed=3)).trees[0]
+        internal = np.flatnonzero(tree.feature >= 0)
+        # children are numbered in the order of their parents, in pairs
+        children = np.stack([tree.left[internal], tree.right[internal]], axis=1).reshape(-1)
+        np.testing.assert_array_equal(children, np.arange(1, tree.n_nodes()))
+
+    def test_grower_memory_follows_its_group_bound(self):
+        # 20,000-row trees, depth 6 so that the levels are wide and few.
+        # Grown one tree per group, eight trees peak, beside the trees they
+        # return, as one tree does (about 4.2 MB); all eight in one group
+        # peak at about 7.4 MB.
+        X, y = make_samples(n=20_000, d=6, seed=5)
+
+        def peak_beside_trees(n_trees, group):
+            params = ForestParams(n_trees=n_trees, max_depth=6, seed=1)
+            with mock.patch.object(forest_module, "_GROUP_SLOTS", group * len(y)):
+                tracemalloc.start()
+                try:
+                    forest = train_forest(X, y, SCHEMA_NRF, params)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return peak - sum(
+                getattr(t, name).nbytes for t in forest.trees for name, _ in _TREE_ARRAYS
+            )
+
+        one = peak_beside_trees(1, 1)
+        grouped = peak_beside_trees(8, 1)
+        assert grouped < 1.1 * one, f"8 trees peaked at {grouped / one:.2f}x one tree"
+        assert peak_beside_trees(8, 8) > 1.5 * one
+
+    def test_forest_shape(self):
+        # chain trees of 7 nodes: internal nodes 0, 2 and 4 each split off a
+        # leaf, so every tree is 3 deep with 4 leaves
+        forest = chain_forest(2, 7, 4, seed=1)
+        leaf_n = [t.n[t.feature < 0] for t in forest.trees]
+        assert forest_shape(forest) == {
+            "depth_max": 3,
+            "depth_mean": 3.0,
+            "leaves": 8,
+            "leaf_size_mean": float(np.concatenate(leaf_n).sum()) / 8,
+        }
+        X, y = make_samples(n=80)
+        stumps = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=3, max_depth=1, seed=2))
+        shape = forest_shape(stumps)
+        assert shape["depth_max"] == 1 and shape["leaves"] == 6
+        assert shape["leaf_size_mean"] == 80 * 3 / 6
 
 
 class TestImportance:

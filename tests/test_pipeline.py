@@ -35,22 +35,25 @@ def test_run_artifacts_are_pinned(tmp_path):
     # calibrated raster feed the rest of the run; metrics.json moved at the
     # last bits of ssim when SSIM became separable, and the relative run's
     # at the last bit of rmse when scoring went strip by strip; model.json
-    # moved when it became JSON lines (format version 2), with the same trees
+    # moved when it became JSON lines (format version 2), with the same trees;
+    # the forest and all that follows it moved with format version 3, whose
+    # trees draw their feature subsets in breadth-first order, and
+    # train_report.json also gained the skip reasons and the forest's shape
     metric = {
         "model.json":
-            "15508049f9012abe262b742235d366916dc61fb1248dfa60e76eb111cedee939",
+            "b166431a6069ec18bc40f5a59907ee305030f57bbb7a5fdea85f92a455c9ff90",
         "importance.csv":
-            "009c665b3c52dfa65d1ac8fe9a54a5019a4c73d46fd50e038fd5c4bd0b00df41",
+            "e893becab092eda35d32a794e73218121b7f26b823af762e1d853abd466d568f",
         "train_report.json":
-            "68752dc0fd8b612aee32bc17f217673ceba083a643463c4e64f0a3c3565854ca",
+            "7b4a8a8d6c18e5d27b52aae94d9122473acc7dddad9b8ae33e4de3cb8cd084a5",
         "residual.bin":
-            "7c732aa08121c5661c6e5fb131113aa6d65ad8f34a929d1f9e67f2f4af677567",
+            "698387067bfb6523e1efcd4e838ee2fbb6d5cec6e112d82cc5d4eaf8a9ac7741",
         "corrected.bin":
-            "2f1a8b6cac0a5537001f9672c11c2c44937f4d0da0b20745e03e250da6444289",
+            "61e36c67c8e4c51b2ee31105377735bc2d360e0152fb4b0aa998fe3b65a6b757",
         "clean_photons.csv":
             "fb0a7e4b70d93b06b2f7b8d5e4cbe679b41e0a95542365008a2243e096a5f2cb",
         "metrics.json":
-            "d3fd75fe25a3231e8b988b64f949703c160bf2954b009c40be63404453a3f969",
+            "b5b5bf6fceca90f6003634325379a48c13858eb585ed70443f20e2b5399882bc",
     }
     relative = {
         "affine.json":
@@ -60,9 +63,9 @@ def test_run_artifacts_are_pinned(tmp_path):
         "clean_photons.csv":
             "fb0a7e4b70d93b06b2f7b8d5e4cbe679b41e0a95542365008a2243e096a5f2cb",
         "corrected.bin":
-            "df7dd445b52a5d214bda96bf374bba858a55e385260a397431846a8d37cbed95",
+            "ee236ba0a3ef915047a9e50d6b1fd82080fd9e3c37c224ede1f7719a6a32ede9",
         "metrics.json":
-            "bb34c43c09858277f630023209043584ef15b3a05a915ce46c7ef0d477fc91e6",
+            "50c7563f7197c9bb7222debce2ca36755ac2f7c06cf6f1a6e601272fac35e311",
     }
     runs = [
         ("metric", CorruptionConfig(class_bias={4: 5.0, 7: -4.0}, noise_sigma=1.0, seed=42),

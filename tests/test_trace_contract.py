@@ -109,7 +109,7 @@ def test_hrf_calls_count_training_rows():
         finally:
             tracer.uninstall()
         counts = tracing.layer_metrics(tracer.take(), tracer.installed, tracing.RUN_POINTS)
-        assert skipped == 1
+        assert skipped["outside_raster"] == 1
         assert len(X) == 11
         per_chunk = correction._FEATURE_CHUNK_PIXELS // patch**2
         assert counts["features.hrf_calls"] == -(-len(X) // per_chunk) == chunks
