@@ -61,7 +61,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", type=int, help="number of trees in the forest")
     p.add_argument("--seed", type=int, help="RNG seed recorded in all outputs (default 42)")
     p.add_argument(
-        "--threads", type=int, help="processes that grow the forest; results do not depend on this"
+        "--threads",
+        type=int,
+        help="processes that compute the training features and grow the forest; "
+        "results do not depend on this",
     )
 
 
@@ -97,7 +100,9 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     else:
         cfg = pipeline.PipelineConfig()
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    return pipeline.merge_overrides(cfg, overrides)
+    cfg = pipeline.merge_overrides(cfg, overrides)
+    pipeline.validate_inputs(cfg, args.command)
+    return cfg
 
 
 def _out_dir(cfg: pipeline.PipelineConfig) -> Path:

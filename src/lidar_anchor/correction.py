@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .features import HRF_DIM, SCHEMA_HRF, SCHEMA_NRF, hrf_features
-from .forest import RandomForest, predict_batch
+from .forest import RandomForest, _build_forked, predict_batch
 from .raster import (
     DEFAULT_FOOTPRINT,
     EmbeddingGrid,
@@ -93,6 +93,7 @@ def _feature_matrix(
     embeddings: Optional[EmbeddingGrid],
     feature_mode: str,
     patch: int,
+    threads: int = 1,
 ) -> np.ndarray:
     """One feature row per ``patch``-pixel window, given by its top-left
     (row0, col0).
@@ -103,7 +104,10 @@ def _feature_matrix(
     covers raises ValueError.  hrf rows are computed a chunk of
     ``_FEATURE_CHUNK_PIXELS`` window pixels at a time, from the bounding
     box of the chunk's windows, or from its windows laid side by side when
-    that box holds more pixels than they do.
+    that box holds more pixels than they do.  With ``threads`` > 1 the
+    chunks are shared out to forked worker processes
+    (``forest._build_forked``); each row equals its window computed alone,
+    so the matrix does not depend on ``threads``.
     """
     h = pred.header
     row0, col0 = np.array(origins, dtype=np.int64).reshape(-1, 2).T
@@ -120,14 +124,14 @@ def _feature_matrix(
             )
         cells = embeddings.values.reshape(g.height, g.width, g.bands)
         return cells[rows // g.cell_px, cols // g.cell_px].astype(np.float64)
-    out = np.empty((len(row0), HRF_DIM), dtype=np.float64)
     chunk = max(_FEATURE_CHUNK_PIXELS // (patch * patch), 1)
     rasters = (pred, optical, lc)
     # chunks follow column bands top to bottom, so that their windows lie
     # close together; rows go back to the caller's order
     order = np.lexsort((col0, row0, col0 // _CHUNK_BAND_PX))
-    for s in range(0, len(order), chunk):
-        part = order[s : s + chunk]
+    parts = [order[s : s + chunk] for s in range(0, len(order), chunk)]
+
+    def chunk_rows(part: np.ndarray) -> np.ndarray:
         r, c = row0[part], col0[part]
         if (np.ptp(r) + patch) * (np.ptp(c) + patch) <= len(part) * patch * patch:
             boxes = [window_box(x, r, c, patch)[0] for x in rasters]
@@ -136,9 +140,16 @@ def _feature_matrix(
             # a box larger than its windows: each window is a box, side by side
             boxes = [np.concatenate(window(x, r, c, patch), axis=1) for x in rasters]
             rows, cols = np.zeros_like(r), np.arange(len(part)) * patch
-        out[part] = hrf_features(
+        return hrf_features(
             *boxes, rows, cols, patch, pred_nodata=h.nodata, lc_nodata=lc.header.nodata
         )
+
+    chunks = _build_forked(
+        lambda items: (chunk_rows(parts[i]) for i in items), list(range(len(parts))), threads
+    )
+    out = np.empty((len(row0), HRF_DIM), dtype=np.float64)
+    for part, rows in zip(parts, chunks):
+        out[part] = rows
     return out
 
 
@@ -151,6 +162,7 @@ def build_training_set(
     footprint: float = DEFAULT_FOOTPRINT,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
+    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Feature matrix X, targets y and the skipped photons by reason, from a
     clean-photon table (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and
@@ -162,7 +174,8 @@ def build_training_set(
     height as target.  The other photons are skipped and counted under
     ``outside_raster``, ``invalid_pixel`` (nodata or non-finite under the
     photon) and ``empty_footprint`` (no valid pixel to average).  Raises
-    when no photon is usable.
+    when no photon is usable.  ``threads`` caps the worker processes that
+    compute hrf features; the result does not depend on it.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -191,7 +204,7 @@ def build_training_set(
     row, col = row[keep], col[keep]
     _, first, photon_pixel = np.unique(row * h.width + col, return_index=True, return_inverse=True)
     origins = np.stack([row[first], col[first]], axis=1) - patch // 2
-    X = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
+    X = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch, threads)
     return X[photon_pixel.reshape(-1)], targets, skipped
 
 

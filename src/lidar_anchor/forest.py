@@ -6,16 +6,20 @@ for the exact recurrence).  Tree ``t`` of a forest trained with seed ``s``
 draws from the stream seeded ``s XOR t``, consuming values in a fixed order:
 first the bootstrap indices, then one feature subset per split-searched node
 in breadth-first order (depth by depth, parents in order, left child before
-right).  Trees store their nodes in that same breadth-first order, and
-``model.json`` is format version 3; version 2 numbered nodes and drew subsets
-in depth-first preorder.  Trees grow together, one depth at a time, yet each
-equals the tree grown alone, so training is bit-identical however trees are
-grouped or spread over processes, and a serialized model rebuilds the exact
-same predictor anywhere.
+right).  Trees store their nodes in that same breadth-first order, which
+implies the child links: the j-th internal node's children are nodes 2j + 1
+and 2j + 2.  ``model.json`` is format version 4, whose tree lines hold the
+node arrays as base64 of their bytes and leave the links out; version 3 held
+every array, links included, as JSON numbers, and version 2 numbered nodes
+and drew subsets in depth-first preorder.  Trees grow together, one depth at
+a time, yet each equals the tree grown alone, so training is bit-identical
+however trees are grouped or spread over processes, and a serialized model
+rebuilds the exact same predictor anywhere.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -23,7 +27,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .raster import segment_sums
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 KNOWN_SCHEMAS = (SCHEMA_HRF, SCHEMA_NRF)
 
 _MASK64 = (1 << 64) - 1
@@ -169,7 +173,8 @@ class ForestParams:
 class RegressionTree:
     """One CART tree as flat node arrays in breadth-first order: the root,
     then each depth's nodes in the order of their parents, left child before
-    right, so children always come after their parent.
+    right, so children always come after their parent and the j-th internal
+    node's children are nodes 2j + 1 and 2j + 2 (``left`` and ``right``).
 
     ``feature[i] == -1`` marks a leaf.  Internal nodes route a sample left
     when its feature value is <= threshold.  ``value`` holds the mean
@@ -447,7 +452,7 @@ def _grow_trees(
                 X, keys, bits, y_pad, idx, starts[nodes], sizes[nodes], feats, sums[nodes],
                 msl, children,
             )
-        levels.append((tree, sizes, mean, impurity, feature, threshold, found))
+        levels.append((tree, sizes, mean, impurity, feature, threshold))
         if not found.any():
             return _trees_of_levels(levels, len(boots))
         split = np.flatnonzero(found)
@@ -461,54 +466,61 @@ def _grow_trees(
 def _trees_of_levels(levels: list[tuple], n_trees: int) -> list[RegressionTree]:
     """Per-tree node arrays, in breadth-first order, from the per-depth node
     records of ``_grow_trees`` (tree, size, value, impurity, feature,
-    threshold, split)."""
-    tree, n, value, impurity, feature, threshold, found = (
+    threshold)."""
+    tree, n, value, impurity, feature, threshold = (
         np.concatenate(column) for column in zip(*levels)
     )
-    # the children of a depth's r-th split node are nodes 2r and 2r + 1 of
-    # the next depth
-    first = np.cumsum([0] + [level[0].size for level in levels])
-    left = np.full(tree.size, -1, dtype=np.int64)
-    for depth, level in enumerate(levels[:-1]):
-        split = np.flatnonzero(level[6])
-        left[first[depth] + split] = first[depth + 1] + 2 * np.arange(split.size)
     order = np.argsort(tree, kind="stable")
     bounds = np.searchsorted(tree[order], np.arange(n_trees + 1))
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size)
-    local -= bounds[tree]
-    internal = left >= 0
-    right = np.where(internal, local[left + 1], -1)
-    left = np.where(internal, local[left], -1)
     columns = {
-        "feature": feature, "threshold": threshold, "left": left.astype(np.int32),
-        "right": right.astype(np.int32), "value": value, "n": n, "impurity": impurity,
+        "feature": feature, "threshold": threshold, "value": value, "n": n,
+        "impurity": impurity,
     }
     columns = {name: column[order] for name, column in columns.items()}
-    return [
-        RegressionTree(**{name: column[lo:hi] for name, column in columns.items()})
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    trees = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        arrays = {name: column[lo:hi] for name, column in columns.items()}
+        left, right = _child_links(arrays["feature"])
+        trees.append(RegressionTree(left=left, right=right, **arrays))
+    return trees
+
+
+def _child_links(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right child of each node of a breadth-first tree, -1 at
+    leaves: the children of the j-th internal node are nodes 2j + 1 and
+    2j + 2, since each depth's nodes are the children of the previous
+    depth's internal nodes, in order."""
+    internal = np.flatnonzero(feature >= 0)
+    left = np.full(feature.size, -1, dtype=np.int32)
+    right = np.full(feature.size, -1, dtype=np.int32)
+    left[internal] = 2 * np.arange(internal.size) + 1
+    right[internal] = left[internal] + 1
+    return left, right
 
 
 def _build_forked(
-    build: Callable[[list[int]], list],
-    n_trees: int,
-    workers: int,
-) -> list:
-    """``build(list(range(n_trees)))`` over forked worker processes.
+    build: Callable[[list[int]], Iterable], items: list[int], threads: int
+) -> Iterator:
+    """The results of ``build(items)`` in item order, over forked worker
+    processes when ``threads`` > 1.
 
-    Worker w calls ``build`` on its share, trees w, w + workers, ..., and
-    sends the results back in one message when it is done; they come back
-    in tree order.  Forked workers inherit ``build`` and the training data
-    it closes over, so nothing but the grown trees is pickled, and the
-    results are unpickled on the calling thread.  The package starts no
-    threads, so forking is safe.
+    ``build`` gives one result per item of the list it is given, in its
+    order.  There are min(threads, items, CPU count) workers, and worker w
+    calls ``build`` on its strided share, items w, w + workers, ..., and
+    sends the results back in one message when it is done.  Forked workers
+    inherit ``build`` and the data it closes over, so nothing but the
+    results is pickled, and they are unpickled on the calling thread.  The
+    package starts no threads, so forking is safe.  With one worker, or
+    where ``fork`` is unavailable, ``build`` runs in this process, and a
+    ``build`` that is a generator makes each result as it is consumed.
     """
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return iter(build(items))
     ctx = multiprocessing.get_context("fork")
     pipes = [ctx.Pipe(duplex=False) for _ in range(workers)]
 
-    def grow(w: int) -> None:
+    def work(w: int) -> None:
         # Keep only this worker's write end, so that each pipe has one
         # writer and reads EOF as soon as that worker exits.
         for i, (recv, send) in enumerate(pipes):
@@ -516,12 +528,12 @@ def _build_forked(
             if i != w:
                 send.close()
         with pipes[w][1] as send:
-            send.send(build(list(range(w, n_trees, workers))))
+            send.send(list(build(items[w::workers])))
 
     procs: list[multiprocessing.process.BaseProcess] = []
     try:
         for w in range(workers):
-            procs.append(ctx.Process(target=grow, args=(w,)))
+            procs.append(ctx.Process(target=work, args=(w,)))
             procs[-1].start()
         for _, send in pipes:
             send.close()
@@ -530,7 +542,7 @@ def _build_forked(
             try:
                 shares.append(recv.recv())
             except EOFError:
-                raise RuntimeError(f"tree worker {w} exited without its trees") from None
+                raise RuntimeError(f"worker {w} exited without its results") from None
     finally:
         for proc in procs:
             if proc.is_alive():
@@ -539,7 +551,7 @@ def _build_forked(
         for recv, send in pipes:
             recv.close()
             send.close()
-    return [shares[t % workers][t // workers] for t in range(n_trees)]
+    return (shares[i % workers][i // workers] for i in range(len(items)))
 
 
 def train_forest(
@@ -557,8 +569,10 @@ def train_forest(
     unless params says otherwise.  With ``threads`` > 1 the trees grow in
     min(threads, n_trees, CPU count) forked worker processes, or serially
     where ``fork`` is unavailable.  Each process grows its trees in groups
-    of up to ``_GROUP_SLOTS // n`` trees, a group one depth at a time.
-    Results depend on neither ``threads`` nor the grouping.
+    of up to ``_GROUP_SLOTS // n`` trees, a group one depth at a time, and
+    predicts each tree's out-of-bag rows; the calling process adds those
+    predictions in tree order.  Results depend on neither ``threads`` nor
+    the grouping.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -579,34 +593,25 @@ def train_forest(
 
     group = max(1, _GROUP_SLOTS // n)
 
-    def build(share: list[int]) -> list[tuple[RegressionTree, np.ndarray]]:
-        built = []
+    def build(share: list[int]) -> Iterator[tuple[RegressionTree, np.ndarray, np.ndarray]]:
+        """Each tree of ``share`` with its out-of-bag mask and the tree's
+        predictions for those rows."""
         for g in range(0, len(share), group):
             rngs = [SplitMix64(params.seed ^ t) for t in share[g : g + group]]
             boots = [rng.index_block(n, n) for rng in rngs]
             trees = _grow_trees(X, ranks, y, boots, rngs, params, max_features)
-            built += [
-                (tree, np.bincount(boot, minlength=n) == 0) for tree, boot in zip(trees, boots)
-            ]
-        return built
-
-    workers = min(threads, params.n_trees, os.cpu_count() or 1)
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        built = _build_forked(build, params.n_trees, workers)
-    else:
-        built = build(list(range(params.n_trees)))
-
-    trees = [tree for tree, _ in built]
+            for tree, boot in zip(trees, boots):
+                oob = np.bincount(boot, minlength=n) == 0
+                yield tree, oob, _tree_predict(tree, X[oob])
 
     # Out-of-bag error, accumulated in tree order for bit-stable results.
+    trees = []
     sums = np.zeros(n, dtype=np.float64)
     hits = np.zeros(n, dtype=np.int64)
-    for tree, oob_mask in built:
-        rows = np.nonzero(oob_mask)[0]
-        if rows.size == 0:
-            continue
-        sums[rows] += _tree_predict(tree, X[rows])
-        hits[rows] += 1
+    for tree, oob, predicted in _build_forked(build, list(range(params.n_trees)), threads):
+        trees.append(tree)
+        sums[oob] += predicted
+        hits[oob] += 1
     covered = hits > 0
     if covered.any():
         oob_mae = float(np.mean(np.abs(sums[covered] / hits[covered] - y[covered])))
@@ -720,16 +725,20 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
 # ===== Serialization =====
 
 
-# The node arrays of a tree, with the dtypes load_model gives them.
-_TREE_ARRAYS = (
+# The node arrays a tree line stores, with their dtypes; lines hold them
+# little-endian.  The child links are not stored: ``_child_links`` derives
+# them from ``feature``.
+_STORED_ARRAYS = (
     ("feature", np.int32),
     ("threshold", np.float64),
-    ("left", np.int32),
-    ("right", np.int32),
     ("value", np.float64),
     ("n", np.int64),
     ("impurity", np.float64),
 )
+
+
+def _little_endian(dtype) -> np.dtype:
+    return np.dtype(dtype).newbyteorder("<")
 
 
 def save_model(forest: RandomForest, path: Path | str) -> None:
@@ -737,9 +746,10 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
     bitwise.
 
     Line 1 is the header object: format version, feature schema,
-    ``n_features``, params and ``oob_mae``.  Each further line is one tree's
-    node arrays, in tree order.  Every line is ``json.dumps(obj,
-    sort_keys=True)`` plus a newline.
+    ``n_features``, params and ``oob_mae``.  Each further line is one tree,
+    in tree order: an object of its five stored node arrays, each the
+    base64 of the array's little-endian bytes.  Every line is
+    ``json.dumps(obj, sort_keys=True)`` plus a newline.
     """
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -759,42 +769,60 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for tree in forest.trees:
-            doc = {name: getattr(tree, name).tolist() for name, _ in _TREE_ARRAYS}
+            doc = {
+                name: base64.b64encode(
+                    np.asarray(getattr(tree, name), dtype=_little_endian(dtype)).tobytes()
+                ).decode("ascii")
+                for name, dtype in _STORED_ARRAYS
+            }
             f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _read_tree(path: Path, t: int, line: str, n_features: int) -> RegressionTree:
     """Tree ``t`` of the model at ``path`` from its line, as checked node
-    arrays; raises ``ValueError`` naming the file and the tree."""
+    arrays with their derived child links; raises ``ValueError`` naming the
+    file and the tree."""
     try:
         item = json.loads(line)
-        arrays = {}
-        for name, dtype in _TREE_ARRAYS:
-            arrays[name] = np.asarray(item[name], dtype=dtype)
-            if arrays[name].ndim != 1:
-                raise ValueError(f"{name!r} is not a flat list")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if not isinstance(item, dict):
+            raise ValueError("not a JSON object")
+        keys = sorted(name for name, _ in _STORED_ARRAYS)
+        if sorted(item) != keys:
+            raise ValueError(f"keys {sorted(item)}, expected {keys}")
+        arrays = {
+            name: np.frombuffer(
+                base64.b64decode(item[name], validate=True), dtype=_little_endian(dtype)
+            ).astype(dtype)
+            for name, dtype in _STORED_ARRAYS
+        }
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: tree {t} is malformed: {exc}") from exc
-    tree = RegressionTree(**arrays)
     sizes = {arr.size for arr in arrays.values()}
-    if len(sizes) != 1 or tree.feature.size == 0:
+    if len(sizes) != 1 or 0 in sizes:
         raise ValueError(f"{path}: tree {t} node arrays are inconsistent")
     for name in ("threshold", "value", "impurity"):
-        if not np.isfinite(getattr(tree, name)).all():
+        if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{path}: tree {t} has non-finite {name} entries")
-    n_nodes = tree.feature.size
-    internal = tree.feature >= 0
-    if (tree.feature >= n_features).any():
+    feature = arrays["feature"]
+    if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"{path}: tree {t} references feature out of range")
-    node = np.arange(n_nodes)
-    for name, arr in (("left", tree.left), ("right", tree.right)):
-        bad = internal & ((arr <= node) | (arr >= n_nodes))
-        if bad.any():
-            raise ValueError(
-                f"{path}: tree {t} has {name} child links that are dangling "
-                f"or do not point forward"
-            )
-    return tree
+    # breadth first, the j-th internal node's children are nodes 2j + 1 and
+    # 2j + 2: they must exist and lie after it
+    internal = np.flatnonzero(feature >= 0)
+    if feature.size != 2 * internal.size + 1:
+        raise ValueError(
+            f"{path}: tree {t} has {feature.size} nodes, but its {internal.size} "
+            f"internal nodes need {2 * internal.size + 1}: child links would dangle"
+        )
+    behind = internal >= 2 * np.arange(internal.size) + 1
+    if behind.any():
+        i = int(internal[np.argmax(behind)])
+        raise ValueError(
+            f"{path}: tree {t} has child links that do not point forward: "
+            f"internal node {i} comes at or after its children"
+        )
+    left, right = _child_links(feature)
+    return RegressionTree(left=left, right=right, **arrays)
 
 
 def load_model(path: Path | str) -> RandomForest:
@@ -803,15 +831,17 @@ def load_model(path: Path | str) -> RandomForest:
     The header line is read and checked before any tree line is parsed, so
     a file of another format version fails with its version.  Trees are then
     read a line at a time, and each becomes its node arrays before the next
-    is read, so beside the arrays the loader holds one tree's text and lists.
+    is read, so beside the arrays the loader holds one tree's text and bytes.
 
     It checks the format version, the feature schema, ``n_features``, that
-    the file holds ``params.n_trees`` trees, that each tree's seven arrays
-    are flat and of one size, that thresholds, values and impurities are
-    finite, that every split feature is below ``n_features``, and that every
-    internal node's children lie after it in the tree (as the breadth-first
-    order ``save_model`` writes has them), so prediction always reaches a
-    leaf.  Any
+    the file holds ``params.n_trees`` trees, that each tree line holds
+    exactly the five stored arrays as base64 of whole items, of one
+    non-zero size, that thresholds, values and impurities are finite, and
+    that every ``feature`` is -1 or below ``n_features``.  The child links
+    are derived from the breadth-first order, so it also checks that a tree
+    of k internal nodes has 2k + 1 nodes and that the j-th internal node
+    comes before node 2j + 1: every node but the root then has one parent,
+    which comes before it, and prediction always reaches a leaf.  Any
     failure, a byte that is not UTF-8 included, raises ``ValueError`` naming
     the file.
     """

@@ -4,7 +4,8 @@ Each stage reads and writes files, so any stage can be re-run by hand from
 the artifacts of the previous one, and a pipeline run is just the stages in
 order.  All reports are JSON with sorted keys; identical configuration and
 seed produce byte-identical outputs.  ``threads`` caps the worker processes
-that grow the forest's trees; no output depends on it.
+that compute the training features and grow the forest's trees; no output
+depends on it.
 """
 
 from __future__ import annotations
@@ -153,17 +154,23 @@ def _require(cfg: PipelineConfig, *names: str) -> None:
         )
 
 
-def validate_inputs(cfg: PipelineConfig) -> None:
-    """Check that every input the configured run needs is present.
+def validate_inputs(cfg: PipelineConfig, command: str = "pipeline") -> None:
+    """Check that every input the configured run, or one stage command of
+    it, reads is set.
 
     Runs before any compute so misconfiguration fails fast; in particular,
     relative-depth mode insists on a DTM and photons for calibration.
     """
-    _require(cfg, "pred", "photons", "dtm", "landcover")
-    if cfg.features == SCHEMA_HRF:
-        _require(cfg, "optical")
-    else:
-        _require(cfg, "embeddings")
+    features = ("optical", "landcover") if cfg.features == SCHEMA_HRF else ("embeddings",)
+    needs = {
+        "preprocess": ("photons", "dtm", "landcover"),
+        "fit-scale": ("pred",),
+        "train": ("pred", *features),
+        "correct": ("pred", *features),
+        "evaluate": ("pred", "reference"),
+        "pipeline": ("pred", "photons", "dtm", "landcover", *features),
+    }[command]
+    _require(cfg, *dict.fromkeys(needs))
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -240,6 +247,7 @@ def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> di
         footprint=cfg.footprint,
         feature_mode=cfg.features,
         embeddings=embeddings,
+        threads=cfg.threads,
     )
     params = forest.ForestParams(n_trees=cfg.trees, seed=cfg.seed)
     model = forest.train_forest(X, y, cfg.features, params, threads=cfg.threads)

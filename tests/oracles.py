@@ -9,9 +9,11 @@ comparison is well defined.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
+import struct
 from collections import deque
 from types import SimpleNamespace
 
@@ -1033,9 +1035,10 @@ def feature_importance_direct(forest):
 
 def save_model_direct(forest, path):
     """The model file as JSON lines: the header object, then one line per
-    tree."""
+    tree, each of its five stored arrays packed value by value as
+    little-endian bytes and base64-encoded; the child links are left out."""
     header = {
-        "format_version": 3,
+        "format_version": 4,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
         "params": {
@@ -1047,18 +1050,15 @@ def save_model_direct(forest, path):
         },
         "oob_mae": forest.oob_mae,
     }
+    codes = {"feature": "i", "threshold": "d", "value": "d", "n": "q", "impurity": "d"}
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for tree in forest.trees:
-            doc = {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-                "n": tree.n.tolist(),
-                "impurity": tree.impurity.tolist(),
-            }
+            doc = {}
+            for name, code in codes.items():
+                values = getattr(tree, name).tolist()
+                packed = struct.pack(f"<{len(values)}{code}", *values)
+                doc[name] = base64.b64encode(packed).decode("ascii")
             f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 

@@ -226,6 +226,26 @@ class TestPipelineCommand:
         assert cli.main(["preprocess", "--config", str(p)]) == 1
         assert f"error: preprocess: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, missing", [
+        ("preprocess", "photons, dtm, landcover"),
+        ("fit-scale", "pred"),
+        ("train", "pred, optical, landcover"),
+        ("correct", "pred, optical, landcover"),
+        ("evaluate", "pred, reference"),
+    ])
+    def test_stage_command_with_an_input_unset_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, command, missing
+    ):
+        # each stage command checks the inputs it reads before it opens any
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "bare.json"
+        p.write_text(json.dumps({"out": "o1"}))
+        assert cli.main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}: "), err
+        assert f"requires: {missing}\n" in err, err
+        assert not (tmp_path / "o1").exists()
+
 
 class TestStagewiseEquivalence:
     def test_stage_sequence_matches_single_run(self, ws, tmp_path):

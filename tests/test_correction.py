@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidar_anchor import correction
+from lidar_anchor import forest as forest_module
 from lidar_anchor.correction import (
     ResidualField,
     apply_correction,
@@ -216,6 +217,40 @@ class TestBuildTrainingSet:
             X2, _, skipped2 = build_training_set(pred, optical, lc, clean_table(pts), patch=16)
         assert skipped2 == {**skipped, "empty_footprint": 1}
         assert len(X2) == len(X) - 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([16, 32, 64]))
+    @settings(max_examples=8, deadline=None)
+    def test_rows_do_not_depend_on_threads(self, seed, count, patch):
+        # 1 to 20 chunks of windows; threads 2 and more threads than chunks
+        # share them out to forked workers where the platform can fork
+        pred, optical, lc = scene(n=64)
+        rng = np.random.default_rng(seed)
+        top = pred.header.origin_y
+        pts = clean_table([
+            CleanRow(float(x), float(top - y), float(h), "object", 4, 1)
+            for x, y, h in rng.uniform(0.0, 64.0, (count, 3))
+        ])
+        X, y, skipped = build_training_set(pred, optical, lc, pts, patch=patch, threads=1)
+        for threads in (2, count + 1):
+            X2, y2, skipped2 = build_training_set(
+                pred, optical, lc, pts, patch=patch, threads=threads
+            )
+            np.testing.assert_array_equal(X2, X)
+            np.testing.assert_array_equal(y2, y)
+            assert skipped2 == skipped
+
+    def test_serial_where_fork_is_unavailable(self, monkeypatch):
+        pred, optical, lc = scene(n=64)
+        pts = clean_table(photons_on(pred, count=30))
+        X, _, _ = build_training_set(pred, optical, lc, pts, patch=64, threads=1)
+
+        def no_pool(method):
+            raise AssertionError(f"no {method} pool expected")
+
+        monkeypatch.setattr(forest_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(forest_module.multiprocessing, "get_context", no_pool)
+        X2, _, _ = build_training_set(pred, optical, lc, pts, patch=64, threads=4)
+        np.testing.assert_array_equal(X2, X)
 
     def test_zero_usable_raises(self):
         pred, optical, lc = scene()

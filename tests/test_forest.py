@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import logging
 import math
@@ -19,7 +21,7 @@ from lidar_anchor.forest import (
     RandomForest,
     RegressionTree,
     SplitMix64,
-    _TREE_ARRAYS,
+    _STORED_ARRAYS,
     _build_forked,
     _feature_ranks,
     _grow_trees,
@@ -40,6 +42,9 @@ from oracles import (
     save_model_direct,
     train_forest_direct,
 )
+
+# the seven node arrays a tree holds in memory
+TREE_ARRAYS = [field.name for field in dataclasses.fields(RegressionTree)]
 
 
 def reference_splitmix(seed, count):
@@ -195,39 +200,43 @@ class TestTraining:
         save_model(train_forest(X, y, SCHEMA_NRF, params, threads=2), tmp_path / "t2.json")
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
     def test_workers_capped_by_trees_and_cpus(self, monkeypatch):
-        import lidar_anchor.forest as forest_module
+        def pids(items):
+            return [os.getpid()] * len(items)
 
-        calls = []
-
-        def record(build, n_trees, workers):
-            calls.append((n_trees, workers))
-            return build(list(range(n_trees)))
-
-        monkeypatch.setattr(forest_module, "_build_forked", record)
-        X, y = make_samples(n=30)
-        train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=3, seed=1), threads=5)
-        assert calls in ([], [(3, min(3, os.cpu_count() or 1))])
+        # min(threads, items, CPUs) processes, the calling one only when
+        # that is 1
+        for threads, items, cpus, want in ((5, 3, 8, 3), (5, 3, 2, 2), (2, 1, 8, 1), (1, 4, 8, 1)):
+            monkeypatch.setattr(forest_module.os, "cpu_count", lambda: cpus)
+            got = set(_build_forked(pids, list(range(items)), threads))
+            assert len(got) == want
+            assert (os.getpid() in got) == (want == 1)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
-    def test_forked_build_keeps_tree_order_and_reports_a_dead_worker(self):
-        def share(trees):
-            return [("tree", t, trees) for t in trees]
+    def test_forked_build_keeps_tree_order_and_reports_a_dead_worker(self, monkeypatch):
+        monkeypatch.setattr(forest_module.os, "cpu_count", lambda: 2)
 
-        # worker 0 grows trees 0, 2 and 4 in one call, worker 1 trees 1 and 3
-        assert _build_forked(share, 5, 2) == [
-            ("tree", t, [0, 2, 4] if t % 2 == 0 else [1, 3]) for t in range(5)
+        def share(items):
+            return [("item", i, items) for i in items]
+
+        # worker 0 builds items 10, 12 and 14 in one call, worker 1 items 11
+        # and 13
+        assert list(_build_forked(share, list(range(10, 15)), 2)) == [
+            ("item", i, [10, 12, 14] if i % 2 == 0 else [11, 13]) for i in range(10, 15)
         ]
 
-        def build(trees):
-            if 1 in trees:
+        def build(items):
+            if 1 in items:
                 os._exit(3)
-            return trees
+            return items
 
         with pytest.raises(RuntimeError, match="worker 1"):
-            _build_forked(build, 4, 2)
+            _build_forked(build, list(range(4)), 2)
 
     def test_ranks_order_like_values(self):
         X = np.array([[0.5, 2.0], [-1.0, 2.0], [0.5, -0.0], [3.0, 0.0]])
@@ -421,19 +430,61 @@ class TestSerialization:
         assert loaded.oob_mae == forest.oob_mae
 
     def _doc(self, tmp_path):
-        # the header line's object, with the tree lines' objects as "trees"
+        # the header line's object, with the tree lines' arrays as "trees"
         X, y = make_samples(n=40)
         forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=1))
         save_model(forest, tmp_path / "m.json")
         header, *trees = map(json.loads, (tmp_path / "m.json").read_text().splitlines())
+        dtypes = dict(_STORED_ARRAYS)
+        trees = [
+            {
+                name: np.frombuffer(
+                    base64.b64decode(text), dtype=np.dtype(dtypes[name]).newbyteorder("<")
+                ).astype(dtypes[name])
+                for name, text in tree.items()
+            }
+            for tree in trees
+        ]
         return {**header, "trees": trees}
 
-    def _expect_error(self, tmp_path, doc, pattern):
+    def _write(self, path, doc):
+        # arrays are written as the base64 of their little-endian bytes at
+        # their stored dtype, anything else as it is
+        dtypes = dict(_STORED_ARRAYS)
+
+        def stored(name, value):
+            if not isinstance(value, np.ndarray):
+                return value
+            le = np.dtype(dtypes.get(name, value.dtype)).newbyteorder("<")
+            return base64.b64encode(value.astype(le).tobytes()).decode("ascii")
+
         header = {key: value for key, value in doc.items() if key != "trees"}
-        lines = [json.dumps(header)] + [json.dumps(tree) for tree in doc["trees"]]
-        (tmp_path / "bad.json").write_text("".join(line + "\n" for line in lines))
+        lines = [json.dumps(header)] + [
+            json.dumps({name: stored(name, value) for name, value in tree.items()})
+            for tree in doc["trees"]
+        ]
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def _expect_error(self, tmp_path, doc, pattern):
         with pytest.raises(ValueError, match=pattern):
-            load_model(tmp_path / "bad.json")
+            load_model(self._write(tmp_path / "bad.json", doc))
+
+    def test_tree_lines_hold_base64_of_five_little_endian_arrays(self, tmp_path):
+        X, y = make_samples(n=40)
+        forest = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=2, seed=1))
+        save_model(forest, tmp_path / "m.json")
+        header, *lines = (tmp_path / "m.json").read_text().splitlines()
+        assert json.loads(header)["format_version"] == 4
+        for tree, line in zip(forest.trees, lines):
+            doc = json.loads(line)
+            assert line == json.dumps(doc, sort_keys=True)
+            assert sorted(doc) == ["feature", "impurity", "n", "threshold", "value"]
+            for name, code in (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"),
+                               ("impurity", "<f8"), ("n", "<i8")):
+                assert doc[name] == base64.b64encode(
+                    getattr(tree, name).astype(code).tobytes()
+                ).decode("ascii")
 
     def test_rejects_future_version(self, tmp_path):
         doc = self._doc(tmp_path)
@@ -446,19 +497,34 @@ class TestSerialization:
         self._expect_error(tmp_path, doc, "schema")
 
     def test_rejects_dangling_children(self, tmp_path):
+        # a last leaf made internal: its children would lie past the end
         doc = self._doc(tmp_path)
-        doc["trees"][0]["left"][0] = 9999
-        self._expect_error(tmp_path, doc, "dangling|child")
+        doc["trees"][0]["feature"][-1] = 0
+        self._expect_error(tmp_path, doc, "tree 0 has .* child links would dangle")
 
     @pytest.mark.parametrize(
-        "side, node, target", [("left", 0, 0), ("right", 0, 0), ("left", 1, 0), ("right", 1, 1)]
+        "feature",
+        [[0, -1, -1, 0, -1], [-1, 0, -1], [0, -1, -1, -1, 0], [0, -1, -1, -1, -1, 0, 0]],
+        ids=["self-loop", "leaf-root", "child-before-parent", "children-before-parents"],
     )
-    def test_rejects_child_links_that_do_not_point_forward(self, tmp_path, side, node, target):
+    def test_rejects_child_links_that_do_not_point_forward(self, tmp_path, feature):
+        # 2k + 1 nodes for k internal ones, but internal node j lies at or
+        # after node 2j + 1, its left child
         doc = self._doc(tmp_path)
-        tree = doc["trees"][1]
-        assert tree["feature"][node] >= 0  # an internal node
-        tree[side][node] = target
-        self._expect_error(tmp_path, doc, f"tree 1 has {side} child links")
+        size = len(feature)
+        doc["trees"][1] = {name: np.resize(arr, size) for name, arr in doc["trees"][1].items()}
+        doc["trees"][1]["feature"] = np.array(feature, dtype=np.int32)
+        self._expect_error(tmp_path, doc, "tree 1 has child links that do not point forward")
+
+    def test_loaded_links_are_the_breadth_first_children(self, tmp_path):
+        # the j-th internal node's children are nodes 2j + 1 and 2j + 2
+        doc = self._doc(tmp_path)
+        doc["trees"][1] = {name: np.resize(arr, 7) for name, arr in doc["trees"][1].items()}
+        doc["trees"][1]["feature"] = np.array([0, -1, 0, 0, -1, -1, -1], dtype=np.int32)
+        forest = load_model(self._write(tmp_path / "seven.json", doc))
+        tree = forest.trees[1]
+        np.testing.assert_array_equal(tree.left, [1, -1, 3, 5, -1, -1, -1])
+        np.testing.assert_array_equal(tree.right, [2, -1, 4, 6, -1, -1, -1])
 
     def test_rejects_tree_count_other_than_params(self, tmp_path):
         doc = self._doc(tmp_path)
@@ -470,21 +536,53 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", ["seven", [1, 2], 2**40])
     def test_rejects_malformed_tree_arrays(self, tmp_path, bad):
+        # a base64 string of bad padding, a JSON list and a number
         doc = self._doc(tmp_path)
-        doc["trees"][1]["feature"][0] = bad
+        doc["trees"][1]["feature"] = bad
         self._expect_error(tmp_path, doc, "tree 1 is malformed")
+
+    @pytest.mark.parametrize(
+        "bad", ["AAAA!AAA", "AAAA AAA", "AAAA\nAAA", "AAA", "AAAAé"],
+        ids=["symbol", "space", "newline", "short", "not-ascii"],
+    )
+    def test_rejects_strings_that_are_not_base64(self, tmp_path, bad):
+        doc = self._doc(tmp_path)
+        doc["trees"][1]["value"] = bad
+        self._expect_error(tmp_path, doc, "tree 1 is malformed")
+
+    @pytest.mark.parametrize("name, size", [("feature", 6), ("threshold", 12), ("n", 4)])
+    def test_rejects_byte_counts_of_part_items(self, tmp_path, name, size):
+        doc = self._doc(tmp_path)
+        doc["trees"][0][name] = base64.b64encode(bytes(size)).decode("ascii")
+        self._expect_error(tmp_path, doc, "tree 0 is malformed: .*multiple")
+
+    def test_rejects_missing_and_extra_keys(self, tmp_path):
+        doc = self._doc(tmp_path)
+        del doc["trees"][1]["impurity"]
+        self._expect_error(tmp_path, doc, "tree 1 is malformed: keys")
+        doc = self._doc(tmp_path)
+        # a version-3 link array under a version-4 header
+        doc["trees"][1]["left"] = np.zeros_like(doc["trees"][1]["feature"])
+        self._expect_error(tmp_path, doc, "tree 1 is malformed: keys")
+
+    def test_rejects_a_tree_line_that_is_not_an_object(self, tmp_path):
+        doc = self._doc(tmp_path)
+        header = {key: value for key, value in doc.items() if key != "trees"}
+        (tmp_path / "bad.json").write_text(json.dumps(header) + "\n" + "[1, 2]\n" * 2)
+        with pytest.raises(ValueError, match="tree 0 is malformed: not a JSON object"):
+            load_model(tmp_path / "bad.json")
 
     @pytest.mark.parametrize("name", ["threshold", "value", "impurity"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_node_numbers(self, tmp_path, name, bad):
-        # json writes these as NaN / Infinity tokens, which json.load reads
         doc = self._doc(tmp_path)
-        doc["trees"][1][name] = [bad] * len(doc["trees"][1][name])
+        doc["trees"][1][name] = np.full_like(doc["trees"][1][name], bad)
         self._expect_error(tmp_path, doc, f"tree 1 has non-finite {name} entries")
 
     def test_rejects_nested_tree_arrays(self, tmp_path):
+        # JSON lists where base64 strings belong
         doc = self._doc(tmp_path)
-        doc["trees"][1]["threshold"] = [[v] for v in doc["trees"][1]["threshold"]]
+        doc["trees"][1]["threshold"] = [[v] for v in doc["trees"][1]["threshold"].tolist()]
         self._expect_error(tmp_path, doc, "tree 1 is malformed")
 
     def test_rejects_a_document_that_is_not_an_object(self, tmp_path):
@@ -494,12 +592,12 @@ class TestSerialization:
 
     def test_load_peak_memory_is_near_the_file_size(self, tmp_path):
         # Each tree line becomes arrays before the next is read, so the
-        # loader holds the arrays and one tree's text and lists: well under
+        # loader holds the arrays and one tree's text and bytes: well under
         # twice the file, against about 3.5 times when every tree's lists
         # are built before any array.
         X, y = make_samples(n=600, d=4, seed=3)
         forest = train_forest(
-            X, y, SCHEMA_NRF, ForestParams(n_trees=11, min_samples_leaf=1, seed=2)
+            X, y, SCHEMA_NRF, ForestParams(n_trees=14, min_samples_leaf=1, seed=2)
         )
         save_model(forest, tmp_path / "m.json")
         size = (tmp_path / "m.json").stat().st_size
@@ -514,11 +612,11 @@ class TestSerialization:
 
     def test_load_peak_memory_is_near_the_arrays(self, tmp_path):
         # The file is read a line at a time and each tree becomes arrays as
-        # soon as its line is parsed, so beyond the arrays the loader holds
-        # one tree's text and lists: under half the arrays again for a model
+        # soon as its line is decoded, so beyond the arrays the loader holds
+        # one tree's text and bytes: under half the arrays again for a model
         # of several MB, against about twice the arrays again when the whole
         # text was read at once.
-        save_model(chain_forest(100, 751, 27, seed=4), tmp_path / "m.json")
+        save_model(chain_forest(150, 751, 27, seed=4), tmp_path / "m.json")
         assert (tmp_path / "m.json").stat().st_size > 5_000_000
         tracemalloc.start()
         try:
@@ -526,19 +624,27 @@ class TestSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = sum(getattr(t, name).nbytes for t in loaded.trees for name, _ in _TREE_ARRAYS)
+        arrays = sum(getattr(t, name).nbytes for t in loaded.trees for name in TREE_ARRAYS)
         assert arrays > 3_000_000
         assert peak < 1.5 * arrays, f"load_model peaked at {peak / arrays:.2f}x its arrays"
 
     def test_rejects_inconsistent_arrays(self, tmp_path):
         doc = self._doc(tmp_path)
         doc["trees"][0]["value"] = doc["trees"][0]["value"][:-1]
-        self._expect_error(tmp_path, doc, "inconsistent")
+        self._expect_error(tmp_path, doc, "tree 0 node arrays are inconsistent")
+
+    def test_rejects_empty_arrays(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["trees"][0] = {name: arr[:0] for name, arr in doc["trees"][0].items()}
+        self._expect_error(tmp_path, doc, "tree 0 node arrays are inconsistent")
 
     def test_rejects_feature_out_of_range(self, tmp_path):
         doc = self._doc(tmp_path)
         doc["n_features"] = 2
         self._expect_error(tmp_path, doc, "feature|range")
+        doc = self._doc(tmp_path)
+        doc["trees"][1]["feature"][doc["trees"][1]["feature"] < 0] = -2
+        self._expect_error(tmp_path, doc, "tree 1 references feature out of range")
 
     def test_rejects_empty_trees(self, tmp_path):
         doc = self._doc(tmp_path)
@@ -590,7 +696,7 @@ class TestLoaderText:
                 return f
 
             monkeypatch.setattr(forest_module, "open", small_block_open, raising=False)
-        # tree lines of about 15 kB, so that with the default decode block
+        # tree lines of about 10 kB, so that with the default decode block
         # the last ones lie past the first block the text reader decodes
         save_model(chain_forest(3, 201, 4, seed=8), tmp_path / "m.json")
         return tmp_path / "m.json"
@@ -633,7 +739,7 @@ class TestLoaderText:
         self._expect_error(
             path,
             (json.dumps(doc, sort_keys=True) + "\n").encode(),
-            "unsupported model format version 1, this build reads version 3",
+            "unsupported model format version 1, this build reads version 4",
         )
 
     def test_json_lines_of_format_version_2(self, model):
@@ -644,7 +750,24 @@ class TestLoaderText:
         self._expect_error(
             path,
             (header + "\n" + "".join(trees)).encode(),
-            "unsupported model format version 2, this build reads version 3",
+            "unsupported model format version 2, this build reads version 4",
+        )
+
+    def test_json_lines_of_format_version_3(self, model):
+        # version 3 held the same trees, each of its seven arrays, child
+        # links included, as a JSON list of numbers
+        forest = load_model(model)
+        header = json.loads(model.read_text().splitlines()[0])
+        lines = [json.dumps({**header, "format_version": 3}, sort_keys=True)] + [
+            json.dumps({name: getattr(tree, name).tolist() for name in TREE_ARRAYS},
+                       sort_keys=True)
+            for tree in forest.trees
+        ]
+        path = model.with_name("v3.json")
+        self._expect_error(
+            path,
+            "".join(line + "\n" for line in lines).encode(),
+            "unsupported model format version 3, this build reads version 4",
         )
 
     @pytest.mark.parametrize("tree", [0, 2])
@@ -670,7 +793,7 @@ def _grown_alone(X, y, params, trees):
 def _assert_same_trees(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for name, _ in _TREE_ARRAYS:
+        for name in TREE_ARRAYS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -746,7 +869,7 @@ class TestLevelWiseGrowth:
                 finally:
                     tracemalloc.stop()
             return peak - sum(
-                getattr(t, name).nbytes for t in forest.trees for name, _ in _TREE_ARRAYS
+                getattr(t, name).nbytes for t in forest.trees for name in TREE_ARRAYS
             )
 
         one = peak_beside_trees(1, 1)
@@ -795,6 +918,10 @@ class TestGrowerOracle:
         save_model(forest, tmp / "fast.json")
         save_model_direct(reference, tmp / "loop.json")
         assert (tmp / "fast.json").read_bytes() == (tmp / "loop.json").read_bytes()
+        # the links derived from breadth-first order are the loop grower's
+        for tree, want in zip(forest.trees, reference.trees):
+            np.testing.assert_array_equal(tree.left, want.left)
+            np.testing.assert_array_equal(tree.right, want.right)
         np.testing.assert_array_equal(
             feature_importance(forest), feature_importance_direct(reference)
         )

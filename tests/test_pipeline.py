@@ -38,10 +38,12 @@ def test_run_artifacts_are_pinned(tmp_path):
     # moved when it became JSON lines (format version 2), with the same trees;
     # the forest and all that follows it moved with format version 3, whose
     # trees draw their feature subsets in breadth-first order, and
-    # train_report.json also gained the skip reasons and the forest's shape
+    # train_report.json also gained the skip reasons and the forest's shape;
+    # model.json moved alone with format version 4 (base64 node arrays, no
+    # stored child links), with the same trees
     metric = {
         "model.json":
-            "b166431a6069ec18bc40f5a59907ee305030f57bbb7a5fdea85f92a455c9ff90",
+            "b96b22df8c1fe2ea21d25a35a17da3d46ed415fd8a5468793dab3f0bc33dd85c",
         "importance.csv":
             "e893becab092eda35d32a794e73218121b7f26b823af762e1d853abd466d568f",
         "train_report.json":
