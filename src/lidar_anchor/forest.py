@@ -8,13 +8,15 @@ first the bootstrap indices, then one feature subset per split-searched node
 in breadth-first order (depth by depth, parents in order, left child before
 right).  Trees store their nodes in that same breadth-first order, which
 implies the child links: the j-th internal node's children are nodes 2j + 1
-and 2j + 2.  ``model.json`` is format version 4, whose tree lines hold the
-node arrays as base64 of their bytes and leave the links out; version 3 held
-every array, links included, as JSON numbers, and version 2 numbered nodes
-and drew subsets in depth-first preorder.  Trees grow together, one depth at
-a time, yet each equals the tree grown alone, so training is bit-identical
-however trees are grouped or spread over processes, and a serialized model
-rebuilds the exact same predictor anywhere.
+and 2j + 2.  A tree is the five node arrays ``model.json`` stores, and
+routing derives the links where it needs them.  ``model.json`` is format
+version 4, whose tree lines hold those arrays as base64 of their bytes;
+version 3 held every array, links included, as JSON numbers, and version 2
+numbered nodes and drew subsets in depth-first preorder.  Trees grow
+together, one depth at a time, yet each equals the tree grown alone, so
+training is bit-identical however trees are grouped or spread over
+processes, and a serialized model rebuilds the exact same predictor
+anywhere.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import logging
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+import dataclasses
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .features import SCHEMA_HRF, SCHEMA_NRF
-from .raster import segment_sums
+from .raster import is_int, segment_sums
 
 logger = logging.getLogger(__name__)
 
@@ -74,33 +76,16 @@ class SplitMix64:
         self.seed = seed & _MASK64
         self.counter = 0
 
-    def u64_block(self, m: int) -> np.ndarray:
-        """The next m raw outputs as a uint64 array (vectorized stream)."""
-        start = self.counter + 1
-        self.counter += m
-        return _mix(np.uint64(self.seed), np.arange(start, start + m, dtype=np.uint64))
-
-    def _float_block(self, m: int) -> np.ndarray:
-        return (self.u64_block(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
     def index_block(self, m: int, n: int) -> np.ndarray:
         """m uniform integers in [0, n) (the bootstrap draw)."""
         if n < 1:
             raise ValueError(f"index bound must be >= 1, got {n}")
-        idx = (self._float_block(m) * n).astype(np.int64)
+        steps = np.arange(self.counter + 1, self.counter + 1 + m, dtype=np.uint64)
+        self.counter += m
+        u = (_mix(np.uint64(self.seed), steps) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        idx = (u * n).astype(np.int64)
         np.minimum(idx, n - 1, out=idx)
         return idx
-
-    def subset_block(self, m: int, d: int, k: int) -> np.ndarray:
-        """m successive k-of-d subsets as the rows of an (m, k) array.
-
-        Row r is the r-th of m successive k-of-d draws as the class docstring
-        defines them: each reads k floats of the stream, and the Fisher-Yates
-        swaps run on all rows at once.
-        """
-        if not (1 <= k <= d):
-            raise ValueError(f"cannot choose {k} of {d} features")
-        return _subset_blocks([self], [m], d, k)
 
 
 def _mix(seed: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -118,9 +103,12 @@ def _mix(seed: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _subset_blocks(rngs: list[SplitMix64], counts, d: int, k: int) -> np.ndarray:
-    """``rngs[t].subset_block(counts[t], d, k)`` for every t, concatenated in
-    order: the k-of-d draws of all streams, with their Fisher-Yates swaps,
-    run in one pass."""
+    """``counts[t]`` successive k-of-d subsets from each stream ``rngs[t]``,
+    as the rows of one array, streams in order: each subset reads the next k
+    floats of its stream, and the Fisher-Yates swaps of all rows run in one
+    pass."""
+    if not (1 <= k <= d):
+        raise ValueError(f"cannot choose {k} of {d} features")
     floats = np.asarray(counts, dtype=np.int64) * k
     first = np.array([rng.counter + 1 for rng in rngs], dtype=np.int64)
     # each float's step: its stream's next step plus its place in that
@@ -144,7 +132,7 @@ def _subset_blocks(rngs: list[SplitMix64], counts, d: int, k: int) -> np.ndarray
 # ===== Model types =====
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ForestParams:
     """Training hyperparameters.
 
@@ -159,22 +147,22 @@ class ForestParams:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1 or None, got {self.max_features}")
+        for name, value in dataclasses.asdict(self).items():
+            optional = " or None" if name in ("max_depth", "max_features") else ""
+            if value is None and optional:
+                continue
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer{optional}, got {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be >= 1{optional}, got {value}")
 
 
-@dataclass
+@dataclasses.dataclass
 class RegressionTree:
-    """One CART tree as flat node arrays in breadth-first order: the root,
-    then each depth's nodes in the order of their parents, left child before
-    right, so children always come after their parent and the j-th internal
-    node's children are nodes 2j + 1 and 2j + 2 (``left`` and ``right``).
+    """One CART tree as the five node arrays ``model.json`` stores, in
+    breadth-first order: the root, then each depth's nodes in the order of
+    their parents, left child before right.  That order implies the child
+    links, which are not held: ``_left_child`` derives them.
 
     ``feature[i] == -1`` marks a leaf.  Internal nodes route a sample left
     when its feature value is <= threshold.  ``value`` holds the mean
@@ -185,8 +173,6 @@ class RegressionTree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n: np.ndarray
     impurity: np.ndarray
@@ -195,7 +181,7 @@ class RegressionTree:
         return int(self.feature.size)
 
 
-@dataclass
+@dataclasses.dataclass
 class RandomForest:
     """A trained forest plus the metadata needed to apply and audit it."""
 
@@ -477,25 +463,19 @@ def _trees_of_levels(levels: list[tuple], n_trees: int) -> list[RegressionTree]:
         "impurity": impurity,
     }
     columns = {name: column[order] for name, column in columns.items()}
-    trees = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        arrays = {name: column[lo:hi] for name, column in columns.items()}
-        left, right = _child_links(arrays["feature"])
-        trees.append(RegressionTree(left=left, right=right, **arrays))
-    return trees
+    return [
+        RegressionTree(**{name: column[lo:hi] for name, column in columns.items()})
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-def _child_links(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right child of each node of a breadth-first tree, -1 at
-    leaves: the children of the j-th internal node are nodes 2j + 1 and
-    2j + 2, since each depth's nodes are the children of the previous
-    depth's internal nodes, in order."""
-    internal = np.flatnonzero(feature >= 0)
-    left = np.full(feature.size, -1, dtype=np.int32)
-    right = np.full(feature.size, -1, dtype=np.int32)
-    left[internal] = 2 * np.arange(internal.size) + 1
-    right[internal] = left[internal] + 1
-    return left, right
+def _left_child(feature: np.ndarray) -> np.ndarray:
+    """Each internal node's left child in a breadth-first tree, whose right
+    child is the next node; entries at leaves mean nothing.  The children of
+    the j-th internal node are nodes 2j + 1 and 2j + 2, since each depth's
+    nodes are the children of the previous depth's internal nodes, in
+    order."""
+    return 2 * np.cumsum(feature >= 0) - 1
 
 
 def _build_forked(
@@ -620,13 +600,7 @@ def train_forest(
         logger.warning("no out-of-bag samples; oob_mae unavailable")
 
     return RandomForest(
-        params=ForestParams(
-            n_trees=params.n_trees,
-            max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
-            max_features=max_features,
-            seed=params.seed,
-        ),
+        params=dataclasses.replace(params, max_features=max_features),
         schema_id=schema_id,
         n_features=d,
         trees=trees,
@@ -641,15 +615,16 @@ def forest_shape(forest: RandomForest) -> dict:
     sizes = [tree.n_nodes() for tree in forest.trees]
     first = np.cumsum([0] + sizes[:-1])
     internal = np.concatenate([tree.feature >= 0 for tree in forest.trees])
-    children = np.concatenate(
-        [np.stack([tree.left, tree.right], axis=1) + f for tree, f in zip(forest.trees, first)]
+    left = np.concatenate(
+        [_left_child(tree.feature) + f for tree, f in zip(forest.trees, first)]
     )
     owner = np.repeat(np.arange(len(sizes)), sizes)
     depth = np.zeros(len(sizes), dtype=np.int64)
     level, d = first, 0
     while level.size:
         depth[owner[level]] = d
-        level = children[level[internal[level]]].reshape(-1)
+        level = left[level[internal[level]]]
+        level = np.concatenate([level, level + 1])
         d += 1
     leaves = int(internal.size - internal.sum())
     samples = sum(int(tree.n[tree.feature < 0].sum()) for tree in forest.trees)
@@ -665,6 +640,7 @@ def forest_shape(forest: RandomForest) -> dict:
 
 
 def _tree_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    left = _left_child(tree.feature)
     node = np.zeros(X.shape[0], dtype=np.int64)
     while True:
         f = tree.feature[node]
@@ -673,7 +649,7 @@ def _tree_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
             return tree.value[node]
         cur = node[rows]
         go_left = X[rows, f[rows]] <= tree.threshold[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+        node[rows] = left[cur] + ~go_left
 
 
 def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
@@ -703,8 +679,8 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
     total = np.zeros(forest.n_features, dtype=np.float64)
     for tree in forest.trees:
         internal = np.nonzero(tree.feature >= 0)[0]
-        l = tree.left[internal]
-        r = tree.right[internal]
+        l = _left_child(tree.feature)[internal]
+        r = l + 1
         n = tree.n[internal]
         child = (tree.n[l] * tree.impurity[l] + tree.n[r] * tree.impurity[r]) / n
         delta = tree.impurity[internal] - child
@@ -726,8 +702,7 @@ def feature_importance(forest: RandomForest) -> np.ndarray:
 
 
 # The node arrays a tree line stores, with their dtypes; lines hold them
-# little-endian.  The child links are not stored: ``_child_links`` derives
-# them from ``feature``.
+# little-endian.  They are a ``RegressionTree``'s fields, in order.
 _STORED_ARRAYS = (
     ("feature", np.int32),
     ("threshold", np.float64),
@@ -755,13 +730,7 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "min_samples_leaf": forest.params.min_samples_leaf,
-            "max_features": forest.params.max_features,
-            "seed": forest.params.seed,
-        },
+        "params": dataclasses.asdict(forest.params),
         "oob_mae": forest.oob_mae,
     }
     path = Path(path)
@@ -780,8 +749,7 @@ def save_model(forest: RandomForest, path: Path | str) -> None:
 
 def _read_tree(path: Path, t: int, line: str, n_features: int) -> RegressionTree:
     """Tree ``t`` of the model at ``path`` from its line, as checked node
-    arrays with their derived child links; raises ``ValueError`` naming the
-    file and the tree."""
+    arrays; raises ``ValueError`` naming the file and the tree."""
     try:
         item = json.loads(line)
         if not isinstance(item, dict):
@@ -821,8 +789,7 @@ def _read_tree(path: Path, t: int, line: str, n_features: int) -> RegressionTree
             f"{path}: tree {t} has child links that do not point forward: "
             f"internal node {i} comes at or after its children"
         )
-    left, right = _child_links(feature)
-    return RegressionTree(left=left, right=right, **arrays)
+    return RegressionTree(**arrays)
 
 
 def load_model(path: Path | str) -> RandomForest:
@@ -865,7 +832,7 @@ def load_model(path: Path | str) -> RandomForest:
             if schema not in KNOWN_SCHEMAS:
                 raise ValueError(f"{path}: unknown feature schema {schema!r}")
             n_features = header.get("n_features")
-            if not isinstance(n_features, int) or n_features < 1:
+            if not is_int(n_features) or n_features < 1:
                 raise ValueError(f"{path}: bad n_features {n_features!r}")
             try:
                 params = ForestParams(**header["params"])

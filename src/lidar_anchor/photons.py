@@ -21,7 +21,6 @@ import csv
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -35,6 +34,7 @@ from .raster import (
     LC_BUILDING,
     LC_TREE,
     LandCoverRaster,
+    is_int,
     sample_bilinear,
     segment_sums,
 )
@@ -93,10 +93,6 @@ DEFAULT_CLASS_BOUNDS: dict[int, tuple[float, float]] = {
 # ===== Parameters =====
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ClusterParams:
     """Density clustering knobs for object photons."""
@@ -108,7 +104,7 @@ class ClusterParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"cluster eps must be finite and > 0, got {self.eps}")
-        if not (_is_int(self.min_pts) and self.min_pts >= 1):
+        if not (is_int(self.min_pts) and self.min_pts >= 1):
             raise ValueError(f"cluster min_pts must be an integer >= 1, got {self.min_pts!r}")
         if not (math.isfinite(self.height_weight) and self.height_weight >= 0):
             raise ValueError(
@@ -135,7 +131,7 @@ class PreprocessParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (_is_int(self.idw_k_max) and self.idw_k_max >= 1):
+        if not (is_int(self.idw_k_max) and self.idw_k_max >= 1):
             raise ValueError(f"idw_k_max must be an integer >= 1, got {self.idw_k_max!r}")
         # an infinite tau is allowed: the DTM then never overrides IDW
         if not self.dtm_tau >= 0:

@@ -31,6 +31,7 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     Raster,
+    is_int,
     load_raster,
     row_strips,
     save_raster,
@@ -105,7 +106,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is None and name == "stride":
                 continue
-            if not photons._is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1, got {value}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
@@ -72,6 +73,11 @@ class GeometryError(ValueError):
 # ===== Header and containers =====
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, a bool not counting as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RasterHeader:
     """Geometry and storage metadata for one raster.
@@ -102,6 +108,14 @@ class RasterHeader:
     cell_px: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("width", "height", "bands", "crs_code", "cell_px"):
+            value = getattr(self, name)
+            if not (is_int(value) or (value is None and name == "cell_px")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("gsd", "origin_x", "origin_y"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"raster dimensions must be positive, got {self.width}x{self.height}")
         if not (self.gsd > 0):
@@ -303,7 +317,7 @@ def load_raster(path: Path | str) -> Raster:
 
     try:
         header = RasterHeader(**doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RasterFormatError(f"{json_path}: bad header: {exc}") from exc
 
     raw = np.fromfile(bin_path, dtype=_DTYPES[header.dtype])

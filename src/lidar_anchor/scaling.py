@@ -24,8 +24,6 @@ from .raster import (
 logger = logging.getLogger(__name__)
 
 MIN_FIT_POINTS = 10
-HUBER_DELTA = 1.0  # meters of residual that keep unit weight
-HUBER_ITERS = 10
 
 
 @dataclass(frozen=True)
@@ -42,17 +40,14 @@ def fit_affine(
     depth: HeightRaster,
     clean: np.ndarray,
     footprint: float = DEFAULT_FOOTPRINT,
-    huber: bool = False,
 ) -> AffineFit:
     """Fit height = a * depth + b over a clean-photon table
     (``photons.CLEAN_DTYPE``; only ``x``, ``y`` and ``h_ag`` are read).
 
     Depth is sampled as a footprint mean around each photon; photons whose
     footprint has no valid depth are skipped.  Requires at least 10 usable
-    points with non-constant depth.  With ``huber=True`` the ordinary fit
-    is refined by iteratively reweighted least squares using Huber weights
-    (unit weight inside ``HUBER_DELTA`` meters of residual, downweighted
-    outside), which blunts the influence of outlier photons.
+    points with non-constant depth.  The line is the ordinary least-squares
+    fit.
 
     The fit is independent of photon input order.
     """
@@ -73,30 +68,18 @@ def fit_affine(
     if np.ptp(d) == 0.0:
         raise ValueError("affine fit is degenerate: all depth samples are equal")
 
-    a, b = _weighted_line(d, h, np.ones_like(d))
-    if huber:
-        for _ in range(HUBER_ITERS):
-            resid = h - (a * d + b)
-            absr = np.abs(resid)
-            w = np.where(absr <= HUBER_DELTA, 1.0, HUBER_DELTA / np.maximum(absr, 1e-300))
-            a, b = _weighted_line(d, h, w)
+    dm = np.sum(d) / d.size
+    hm = np.sum(h) / h.size
+    var = np.sum((d - dm) ** 2)
+    if var == 0.0:
+        raise ValueError("affine fit is degenerate: depth variance is zero")
+    a = float(np.sum((d - dm) * (h - hm)) / var)
+    b = float(hm - a * dm)
 
     resid = h - (a * d + b)
     rmse = float(np.sqrt(np.mean(resid * resid)))
     logger.info("affine fit: a=%.6g b=%.6g n=%d rmse=%.4g", a, b, d.size, rmse)
-    return AffineFit(a=float(a), b=float(b), n_points=int(d.size), rmse=rmse)
-
-
-def _weighted_line(d: np.ndarray, h: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    sw = np.sum(w)
-    dm = np.sum(w * d) / sw
-    hm = np.sum(w * h) / sw
-    cov = np.sum(w * (d - dm) * (h - hm))
-    var = np.sum(w * (d - dm) ** 2)
-    if var == 0.0:
-        raise ValueError("affine fit is degenerate: weighted depth variance is zero")
-    a = cov / var
-    return float(a), float(hm - a * dm)
+    return AffineFit(a=a, b=b, n_points=int(d.size), rmse=rmse)
 
 
 def apply_affine(depth: HeightRaster, fit: AffineFit) -> HeightRaster:

@@ -43,8 +43,6 @@ def leaf_tree(value):
     return RegressionTree(
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([0.0]),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
         value=np.array([float(value)]),
         n=np.array([1], dtype=np.int64),
         impurity=np.array([0.0]),

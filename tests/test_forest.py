@@ -25,6 +25,8 @@ from lidar_anchor.forest import (
     _build_forked,
     _feature_ranks,
     _grow_trees,
+    _left_child,
+    _mix,
     _subset_blocks,
     _tree_predict,
     feature_importance,
@@ -36,6 +38,7 @@ from lidar_anchor.forest import (
 )
 
 from oracles import (
+    _route_direct,
     choose_k_direct,
     feature_importance_direct,
     SplitMix64Direct,
@@ -43,7 +46,7 @@ from oracles import (
     train_forest_direct,
 )
 
-# the seven node arrays a tree holds in memory
+# the five node arrays a tree holds in memory
 TREE_ARRAYS = [field.name for field in dataclasses.fields(RegressionTree)]
 
 
@@ -70,34 +73,35 @@ def make_samples(n=200, d=5, seed=0, target=None):
     return X, y
 
 
+def subsets(rng, m, d, k):
+    """m successive k-of-d subsets of one stream."""
+    return _subset_blocks([rng], [m], d, k)
+
+
 class TestSplitMix64:
     def test_matches_documented_recurrence(self):
         for seed in (0, 42, 2**63 + 17, (1 << 64) - 1):
-            rng = SplitMix64(seed)
-            got = [int(v) for v in rng.u64_block(200)]
-            assert got == reference_splitmix(seed, 200)
+            got = _mix(np.uint64(seed), np.arange(1, 201, dtype=np.uint64))
+            assert [int(v) for v in got] == reference_splitmix(seed, 200)
 
     def test_block_equals_scalar_stream(self):
         a = SplitMix64Direct(42)
-        b = SplitMix64(42)
         scalar = [a.next_u64() for _ in range(100)]
-        block = b.u64_block(100)
+        block = _mix(np.uint64(42), np.arange(1, 101, dtype=np.uint64))
         assert scalar == [int(v) for v in block]
 
     def test_interleaved_block_and_scalar_stay_in_step(self):
         a = SplitMix64(7)
         b = SplitMix64(7)
-        got = [int(v) for v in a.u64_block(3)]
-        got += [int(v) for v in a.u64_block(5)]
-        got += [int(v) for v in a.u64_block(1)]
-        want = [int(v) for v in b.u64_block(9)]
-        assert got == want
+        got = np.concatenate([a.index_block(3, 50), a.index_block(5, 50), a.index_block(1, 50)])
+        np.testing.assert_array_equal(got, b.index_block(9, 50))
         assert a.counter == b.counter == 9
 
     def test_float_range_and_precision(self):
-        rng = SplitMix64(1)
-        vals = rng._float_block(1000)
-        assert ((0.0 <= vals) & (vals < 1.0)).all()
+        # a bound of 2**53 scales each float back to its 53 bits exactly
+        vals = SplitMix64(1).index_block(1000, 2**53)
+        assert [int(v) for v in vals] == [raw >> 11 for raw in reference_splitmix(1, 1000)]
+        assert ((0 <= vals) & (vals < 2**53)).all()
         assert len(set(vals.tolist())) > 990
 
     def test_randint_bounds(self):
@@ -114,48 +118,50 @@ class TestSplitMix64:
         assert [int(v) for v in block] == scalar
 
     def test_choose_k_is_sorted_distinct_subset(self):
-        rng = SplitMix64(4)
-        for got in rng.subset_block(100, 27, 9):
+        for got in subsets(SplitMix64(4), 100, 27, 9):
             assert list(got) == sorted(set(int(v) for v in got))
             assert all(0 <= v < 27 for v in got)
             assert got.size == 9
 
     def test_choose_all_returns_full_range(self):
-        assert sorted(int(v) for v in SplitMix64(5).subset_block(1, 6, 6)[0]) == list(range(6))
+        assert sorted(int(v) for v in subsets(SplitMix64(5), 1, 6, 6)[0]) == list(range(6))
 
     def test_choose_k_matches_loop(self):
         a = SplitMix64(11)
         b = SplitMix64Direct(11)
         for d, k in ((27, 9), (5, 5), (1, 1), (8, 3)):
-            for got in a.subset_block(20, d, k):
+            for got in subsets(a, 20, d, k):
                 np.testing.assert_array_equal(got, choose_k_direct(b, d, k))
 
     def test_subset_block_rows_are_successive_draws(self):
         a = SplitMix64(12)
         b = SplitMix64(12)
-        block = a.subset_block(40, 10, 4)
+        block = subsets(a, 40, 10, 4)
         for row in block:
-            np.testing.assert_array_equal(row, b.subset_block(1, 10, 4)[0])
+            np.testing.assert_array_equal(row, subsets(b, 1, 10, 4)[0])
         assert a.counter == b.counter == 160
 
     def test_subset_blocks_draw_each_stream_in_turn(self):
         counts = [3, 0, 5, 1]
-        streams = [SplitMix64(seed) for seed in (7, 8, 2**64 - 1, 0)]
-        alone = [SplitMix64(seed) for seed in (7, 8, 2**64 - 1, 0)]
-        for rng in streams + alone:  # streams already part-way through
+        seeds = (7, 8, 2**64 - 1, 0)
+        streams = [SplitMix64(seed) for seed in seeds]
+        alone = [SplitMix64Direct(seed) for seed in seeds]
+        for rng in streams:  # streams already part-way through
             rng.index_block(11, 4)
-        np.testing.assert_array_equal(
-            _subset_blocks(streams, np.array(counts), 9, 3),
-            np.concatenate([rng.subset_block(c, 9, 3) for rng, c in zip(alone, counts)]),
-        )
+        for rng in alone:
+            for _ in range(11):
+                rng.randint(4)
+        want = [choose_k_direct(rng, 9, 3) for rng, c in zip(alone, counts) for _ in range(c)]
+        np.testing.assert_array_equal(_subset_blocks(streams, np.array(counts), 9, 3), want)
         assert [rng.counter for rng in streams] == [rng.counter for rng in alone]
 
     def test_validation(self):
         rng = SplitMix64(0)
         with pytest.raises(ValueError):
             rng.index_block(1, 0)
-        with pytest.raises(ValueError):
-            rng.subset_block(1, 3, 4)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"cannot choose {k} of 3"):
+                subsets(rng, 1, 3, k)
 
 
 class TestForestParams:
@@ -168,6 +174,15 @@ class TestForestParams:
             ForestParams(min_samples_leaf=0)
         with pytest.raises(ValueError):
             ForestParams(max_features=0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_trees", True), ("n_trees", 2.0), ("max_depth", 3.5), ("min_samples_leaf", 2.5),
+         ("max_features", True), ("seed", 1.5), ("seed", None)],
+    )
+    def test_rejects_values_that_are_not_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ForestParams(**{key: value})
 
 
 class TestTraining:
@@ -257,7 +272,7 @@ class TestTraining:
             rng = SplitMix64(4)
             boot = rng.index_block(300, 300)
             trees += _grow_trees(X, r, y, [boot], [rng], params, 2)
-        for name in ("feature", "threshold", "left", "right", "value", "n", "impurity"):
+        for name in TREE_ARRAYS:
             np.testing.assert_array_equal(getattr(trees[0], name), getattr(trees[1], name))
 
     def test_fully_grown_tree_zero_error_on_its_bootstrap(self):
@@ -360,13 +375,15 @@ class TestTraining:
             train_forest(np.zeros((1, 3)), [math.nan], SCHEMA_NRF, ForestParams(n_trees=1))
 
 
+def test_tree_fields_are_the_stored_arrays():
+    assert TREE_ARRAYS == [name for name, _ in _STORED_ARRAYS]
+
+
 class TestRouting:
     def hand_tree(self):
         return RegressionTree(
             feature=np.array([0, -1, -1], dtype=np.int32),
             threshold=np.array([1.5, 0.0, 0.0]),
-            left=np.array([1, -1, -1], dtype=np.int32),
-            right=np.array([2, -1, -1], dtype=np.int32),
             value=np.array([15.0, 10.0, 20.0]),
             n=np.array([4, 2, 2], dtype=np.int64),
             impurity=np.array([25.0, 0.0, 0.0]),
@@ -522,9 +539,23 @@ class TestSerialization:
         doc["trees"][1] = {name: np.resize(arr, 7) for name, arr in doc["trees"][1].items()}
         doc["trees"][1]["feature"] = np.array([0, -1, 0, 0, -1, -1, -1], dtype=np.int32)
         forest = load_model(self._write(tmp_path / "seven.json", doc))
-        tree = forest.trees[1]
-        np.testing.assert_array_equal(tree.left, [1, -1, 3, 5, -1, -1, -1])
-        np.testing.assert_array_equal(tree.right, [2, -1, 4, 6, -1, -1, -1])
+        internal = forest.trees[1].feature >= 0
+        np.testing.assert_array_equal(_left_child(forest.trees[1].feature)[internal], [1, 3, 5])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_trees", True), ("seed", 1.5), ("min_samples_leaf", 2.5), ("max_features", True)],
+    )
+    def test_rejects_params_that_are_not_integers(self, tmp_path, key, value):
+        doc = self._doc(tmp_path)
+        doc["params"][key] = value
+        self._expect_error(tmp_path, doc, f"bad params block: {key} must be an integer")
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_rejects_n_features_that_is_not_an_integer(self, tmp_path, value):
+        doc = self._doc(tmp_path)
+        doc["n_features"] = value
+        self._expect_error(tmp_path, doc, "bad n_features")
 
     def test_rejects_tree_count_other_than_params(self, tmp_path):
         doc = self._doc(tmp_path)
@@ -658,9 +689,9 @@ class TestSerialization:
 
 
 def chain_forest(n_trees, n_nodes, n_features, seed):
-    """A forest of valid preorder trees with random node numbers: internal
-    node 2k splits into leaf 2k + 1 and the subtree at 2k + 2, and the last
-    node is a leaf (``n_nodes`` odd)."""
+    """A forest of valid trees with random node numbers: internal node 2k
+    splits into leaf 2k + 1 and the subtree at 2k + 2, as breadth-first
+    order implies, and the last node is a leaf (``n_nodes`` odd)."""
     rng = np.random.default_rng(seed)
     node = np.arange(n_nodes)
     internal = (node % 2 == 0) & (node < n_nodes - 1)
@@ -668,8 +699,6 @@ def chain_forest(n_trees, n_nodes, n_features, seed):
         RegressionTree(
             feature=np.where(internal, rng.integers(0, n_features, n_nodes), -1).astype(np.int32),
             threshold=rng.normal(0.0, 10.0, n_nodes),
-            left=np.where(internal, node + 1, -1).astype(np.int32),
-            right=np.where(internal, node + 2, -1).astype(np.int32),
             value=rng.normal(0.0, 3.0, n_nodes),
             n=rng.integers(1, 2000, n_nodes),
             impurity=rng.uniform(0.0, 9.0, n_nodes),
@@ -754,15 +783,16 @@ class TestLoaderText:
         )
 
     def test_json_lines_of_format_version_3(self, model):
-        # version 3 held the same trees, each of its seven arrays, child
-        # links included, as a JSON list of numbers
+        # version 3 held the same trees, each of its arrays and its child
+        # links (-1 at leaves), as a JSON list of numbers
         forest = load_model(model)
         header = json.loads(model.read_text().splitlines()[0])
-        lines = [json.dumps({**header, "format_version": 3}, sort_keys=True)] + [
-            json.dumps({name: getattr(tree, name).tolist() for name in TREE_ARRAYS},
-                       sort_keys=True)
-            for tree in forest.trees
-        ]
+        lines = [json.dumps({**header, "format_version": 3}, sort_keys=True)]
+        for tree in forest.trees:
+            doc = {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
+            left = np.where(tree.feature >= 0, _left_child(tree.feature), -1)
+            doc.update(left=left.tolist(), right=np.where(left >= 0, left + 1, -1).tolist())
+            lines.append(json.dumps(doc, sort_keys=True))
         path = model.with_name("v3.json")
         self._expect_error(
             path,
@@ -847,10 +877,13 @@ class TestLevelWiseGrowth:
     def test_nodes_are_numbered_breadth_first(self):
         X, y = make_samples(n=150, d=4, seed=2)
         tree = train_forest(X, y, SCHEMA_NRF, ForestParams(n_trees=1, seed=3)).trees[0]
-        internal = np.flatnonzero(tree.feature >= 0)
+        internal = tree.feature >= 0
+        left = _left_child(tree.feature)[internal]
         # children are numbered in the order of their parents, in pairs
-        children = np.stack([tree.left[internal], tree.right[internal]], axis=1).reshape(-1)
+        children = np.stack([left, left + 1], axis=1).reshape(-1)
         np.testing.assert_array_equal(children, np.arange(1, tree.n_nodes()))
+        # and those children share out their parent's samples
+        np.testing.assert_array_equal(tree.n[left] + tree.n[left + 1], tree.n[internal])
 
     def test_grower_memory_follows_its_group_bound(self):
         # 20,000-row trees, depth 6 so that the levels are wide and few.
@@ -918,10 +951,26 @@ class TestGrowerOracle:
         save_model(forest, tmp / "fast.json")
         save_model_direct(reference, tmp / "loop.json")
         assert (tmp / "fast.json").read_bytes() == (tmp / "loop.json").read_bytes()
-        # the links derived from breadth-first order are the loop grower's
+        # the links derived from breadth-first order are the loop grower's,
+        # built as its queue numbered the nodes
         for tree, want in zip(forest.trees, reference.trees):
-            np.testing.assert_array_equal(tree.left, want.left)
-            np.testing.assert_array_equal(tree.right, want.right)
+            internal = want.feature >= 0
+            np.testing.assert_array_equal(_left_child(tree.feature)[internal], want.left[internal])
+            np.testing.assert_array_equal(want.right[internal], want.left[internal] + 1)
         np.testing.assert_array_equal(
             feature_importance(forest), feature_importance_direct(reference)
         )
+        # new rows, and rows lying on each split's threshold, route as the
+        # loop grower's links route them
+        rows = [np.random.default_rng(0).normal(size=(8, X.shape[1]))]
+        for want in reference.trees:
+            for f, thr in zip(want.feature, want.threshold):
+                if f >= 0:
+                    rows.append(X[:1].copy())
+                    rows[-1][0, f] = thr
+        rows = np.concatenate(rows)
+        direct = [
+            sum(_route_direct(want, row) for want in reference.trees) / len(reference.trees)
+            for row in rows
+        ]
+        np.testing.assert_array_equal(predict_batch(forest, rows), direct)

@@ -334,6 +334,24 @@ class TestLoadErrors:
         with pytest.raises(RasterFormatError, match="bad header: nodata 0.1"):
             load_raster(tmp_path / "r")
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("width", 4.0, "an integer"),
+            ("height", True, "an integer"),
+            ("bands", 1.0, "an integer"),
+            ("crs_code", "x", "an integer"),
+            ("cell_px", 2.5, "an integer"),
+            ("gsd", math.inf, "finite"),
+            ("origin_x", math.nan, "finite"),
+            ("origin_y", -math.inf, "finite"),
+        ],
+    )
+    def test_field_of_the_wrong_kind(self, tmp_path, key, value, rule):
+        self._write(tmp_path, lambda d: d.update({key: value}))
+        with pytest.raises(RasterFormatError, match=f"bad header: {key} must be {rule}, got"):
+            load_raster(tmp_path / "r")
+
     def test_missing_bin(self, tmp_path):
         src = make_height(np.zeros((3, 4)))
         save_raster(src, tmp_path / "r")

@@ -77,15 +77,6 @@ class TestFitAffine:
         assert fit.n_points == len(pts)
         assert fit.a == pytest.approx(40.0, rel=1e-9)
 
-    def test_huber_downweights_outliers(self):
-        depth = plateau_depth()
-        pts = plateau_photons(40.0, -10.0, per_side=10)
-        spoiled = pts + [CleanRow(20.0, 80.0, 500.0, "object", 4, 3)]
-        plain = fit_affine(depth, clean_table(spoiled), footprint=17.0)
-        robust = fit_affine(depth, clean_table(spoiled), footprint=17.0, huber=True)
-        assert abs(robust.a - 40.0) < abs(plain.a - 40.0)
-        assert abs(robust.b + 10.0) < abs(plain.b + 10.0)
-
 
 class TestApplyAffine:
     def test_transforms_values(self):
