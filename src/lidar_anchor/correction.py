@@ -12,7 +12,6 @@ prediction and clamping at zero yields the corrected raster.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,17 +44,6 @@ _FEATURE_CHUNK_PIXELS = 1 << 15
 # Width in pixels of the column bands in whose top-to-bottom order hrf
 # windows are chunked.
 _CHUNK_BAND_PX = 64
-
-
-@dataclass
-class ResidualField:
-    """Dense per-pixel residual plus how many windows informed each pixel,
-    with the windows scored and those dropped for holding no valid pixel."""
-
-    values: HeightRaster
-    weights: np.ndarray
-    windows: int = 0
-    dropped: int = 0
 
 
 def _check_grids(
@@ -208,13 +196,10 @@ def build_training_set(
     return X[photon_pixel.reshape(-1)], targets, skipped
 
 
-def _window_origins(extent: int, patch: int, stride: int) -> list[int]:
+def _window_origins(extent: int, patch: int, stride: int) -> np.ndarray:
     """Window start offsets along one axis, last one clamped to the edge."""
     last = max(extent - patch, 0)
-    origins = list(range(0, last + 1, stride))
-    if origins[-1] != last:
-        origins.append(last)
-    return origins
+    return np.union1d(np.arange(0, last + 1, stride), last)
 
 
 def infer_residual_field(
@@ -226,17 +211,19 @@ def infer_residual_field(
     stride: Optional[int] = None,
     feature_mode: str = SCHEMA_HRF,
     embeddings: Optional[EmbeddingGrid] = None,
-) -> ResidualField:
-    """Predict a dense residual raster from the trained forest.
+) -> tuple[HeightRaster, dict[str, int]]:
+    """Predict a dense residual raster from the trained forest, and its
+    coverage: ``windows_scored``, ``windows_dropped`` (no valid prediction
+    pixel) and ``pixels_uncovered`` (under no scored window).
 
     Windows of ``patch`` pixels tile the raster at ``stride`` (default
     patch // 2; a stride above the patch would leave pixels between the
     windows and raises ValueError); each window that covers a valid
     prediction pixel contributes one scalar and each pixel averages the
-    windows covering it.  Scalars are accumulated in row-major window
-    order, one window row at a time, so that beside the two output rasters
-    the pass holds about ``patch`` rows of float64 sums and int32 counts.
-    Pixels under no contributing window are invalid and get residual 0.
+    windows covering it.  The window edges cut the raster into blocks that
+    one set of windows covers: scalars are summed per block in row-major
+    window order, and the float32 block means repeated out to the pixels.
+    Pixels under no scored window are invalid and get residual 0.
     """
     _check_grids(pred, optical, lc)
     _require_inputs(feature_mode, optical, lc, embeddings)
@@ -256,7 +243,7 @@ def infer_residual_field(
 
     h = pred.header
     rows0 = _window_origins(h.height, patch, stride)
-    cols0 = np.array(_window_origins(h.width, patch, stride))
+    cols0 = _window_origins(h.width, patch, stride)
     right = np.minimum(cols0 + patch, h.width)
     # each window row's windows that hold a valid pixel, from the column
     # sums of the valid mask under that row
@@ -272,48 +259,46 @@ def infer_residual_field(
         raise ValueError("no window covers a valid prediction pixel")
 
     matrix = _feature_matrix(origins, pred, optical, lc, embeddings, feature_mode, patch)
-    scalars = iter(predict_batch(forest, matrix).tolist())
+    scalars = predict_batch(forest, matrix)
 
-    # Scalars add in row-major window order into a buffer of the rows the
-    # current window row covers; the rows above the next window row are then
-    # final and leave it as float32 values and int32 weights.
-    values = np.empty((h.height, h.width), dtype=np.float32)
-    weights = np.empty((h.height, h.width), dtype=np.int32)
-    span = min(patch, h.height)
-    acc = np.zeros((span, h.width), dtype=np.float64)
-    cover = np.zeros((span, h.width), dtype=np.int32)
-    for i, (r0, c0s) in enumerate(zip(rows0, hits)):
-        for c0, c1 in zip(c0s.tolist(), np.minimum(c0s + patch, h.width).tolist()):
-            acc[:, c0:c1] += next(scalars)
-            cover[:, c0:c1] += 1
-        stop = rows0[i + 1] if i + 1 < len(rows0) else h.height
-        done = stop - r0
-        if (valid_mask(pred, slice(r0, stop)) & (cover[:done] == 0)).any():
+    # block edges on each axis: the window starts and clipped ends; blocks
+    # sum in row-major window order, as each pixel's own sum would
+    row_edges = np.union1d(rows0, np.minimum(rows0 + patch, h.height))
+    col_edges = np.union1d(cols0, right)
+    ends = np.minimum(origins + patch, [h.height, h.width])
+    top, bottom = np.searchsorted(row_edges, [origins[:, 0], ends[:, 0]])
+    left, stop = np.searchsorted(col_edges, [origins[:, 1], ends[:, 1]])
+    sums = np.zeros((len(row_edges) - 1, len(col_edges) - 1), dtype=np.float64)
+    counts = np.zeros(sums.shape, dtype=np.int64)
+    spans = np.stack([top, bottom, left, stop], axis=1).tolist()
+    for (r0, r1, c0, c1), scalar in zip(spans, scalars.tolist()):
+        sums[r0:r1, c0:c1] += scalar
+        counts[r0:r1, c0:c1] += 1
+    empty = counts == 0
+    for r, c in zip(*np.nonzero(empty)):
+        rows = slice(row_edges[r], row_edges[r + 1])
+        if valid_mask(pred, rows)[:, col_edges[c] : col_edges[c + 1]].any():
             raise AssertionError("window tiling left valid pixels uncovered")
-        values[r0:stop] = np.divide(
-            acc[:done], cover[:done], out=np.zeros_like(acc[:done]), where=cover[:done] > 0
-        )
-        weights[r0:stop] = cover[:done]
-        acc[:-done], cover[:-done] = acc[done:], cover[done:]
-        acc[-done:], cover[-done:] = 0.0, 0
-    return ResidualField(
-        values=height_like(h, values),
-        weights=weights,
-        windows=len(origins),
-        dropped=len(rows0) * len(cols0) - len(origins),
-    )
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    heights, widths = np.diff(row_edges), np.diff(col_edges)
+    values = np.repeat(np.repeat(means.astype(np.float32), heights, axis=0), widths, axis=1)
+    return height_like(h, values), {
+        "windows_scored": len(origins),
+        "windows_dropped": len(rows0) * len(cols0) - len(origins),
+        "pixels_uncovered": int(np.outer(heights, widths)[empty].sum()),
+    }
 
 
-def apply_correction(pred: HeightRaster, field: ResidualField) -> HeightRaster:
-    """Subtract the residual field from the prediction, clamped at >= 0 m.
+def apply_correction(pred: HeightRaster, residual: HeightRaster) -> HeightRaster:
+    """Subtract the residual raster from the prediction, clamped at >= 0 m.
 
     Invalid pixels (nodata or non-finite) pass through unchanged.
     """
-    if not pred.header.same_grid(field.values.header):
+    if not pred.header.same_grid(residual.header):
         raise ValueError("residual field is on a different grid than the prediction")
     out = np.empty_like(pred.values)
     for rows in row_strips(pred.header.height):
         values = pred.values[rows].astype(np.float64)
-        corrected = np.maximum(values - field.values.values[rows].astype(np.float64), 0.0)
+        corrected = np.maximum(values - residual.values[rows].astype(np.float64), 0.0)
         out[rows] = np.where(valid_mask(pred, rows), corrected, values)
     return height_like(pred.header, out, nodata=pred.header.nodata)

@@ -297,10 +297,12 @@ def read_clean_csv(path: Path | str) -> np.ndarray:
 
 def _parse_clean_block(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:
     """A block's rows as a ``CLEAN_DTYPE`` table: one ``np.loadtxt`` parse, or
-    the row parser where that fails or reads a kind other than the two."""
+    the row parser where that fails, reads a kind other than the two or a
+    non-finite coordinate or height."""
     try:
         table = _parse_rows(lines, _CLEAN_PARSE_DTYPE)
-        if np.isin(table["kind"], (KIND_GROUND, KIND_OBJECT)).all():
+        finite = all(np.isfinite(table[name]).all() for name in ("x", "y", "h_ag"))
+        if finite and np.isin(table["kind"], (KIND_GROUND, KIND_OBJECT)).all():
             return table.astype(CLEAN_DTYPE)
     except ValueError:
         pass
@@ -323,10 +325,10 @@ def _parse_clean_rows(path: Path, lines: list[str], linenos: np.ndarray) -> np.n
         row = next(csv.reader([line]))
         try:
             kind = row[3]
-            if kind not in (KIND_GROUND, KIND_OBJECT):
+            x, y, h_ag = (float(value) for value in row[:3])
+            if kind not in (KIND_GROUND, KIND_OBJECT) or not all(map(math.isfinite, (x, y, h_ag))):
                 raise ValueError(kind)
-            out.append((float(row[0]), float(row[1]), float(row[2]), kind,
-                        int(row[4]), int(row[5])))
+            out.append((x, y, h_ag, kind, int(row[4]), int(row[5])))
         except (ValueError, IndexError):
             raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
     return np.array(out, dtype=CLEAN_DTYPE)

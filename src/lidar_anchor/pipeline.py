@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
 from . import correction, forest, metrics, photons, scaling, synth
 from .features import SCHEMA_HRF, SCHEMA_NRF, feature_groups, feature_names
 from .raster import (
@@ -33,7 +31,6 @@ from .raster import (
     Raster,
     is_int,
     load_raster,
-    row_strips,
     save_raster,
 )
 
@@ -284,7 +281,7 @@ def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> 
     optical, lc, embeddings = _feature_inputs(cfg)
     model = forest.load_model(out_dir / "model.json")
 
-    field = correction.infer_residual_field(
+    residual, report = correction.infer_residual_field(
         pred,
         optical,
         lc,
@@ -294,17 +291,9 @@ def stage_correct(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> 
         feature_mode=cfg.features,
         embeddings=embeddings,
     )
-    corrected = correction.apply_correction(pred, field)
-    save_raster(field.values, out_dir / "residual")
+    corrected = correction.apply_correction(pred, residual)
+    save_raster(residual, out_dir / "residual")
     save_raster(corrected, out_dir / "corrected")
-    report = {
-        "windows_scored": field.windows,
-        "windows_dropped": field.dropped,
-        "pixels_uncovered": sum(
-            int(np.count_nonzero(field.weights[rows] == 0))
-            for rows in row_strips(pred.header.height)
-        ),
-    }
     _write_json(report, out_dir / "correct_report.json")
     return report
 

@@ -107,6 +107,25 @@ class TestSynthCommand:
         assert rc == 1
         assert "sizee" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"scene": {"size": 128.0}}, "size must be an integer, got 128.0"),
+        ({"tracks": {"n_tracks": 2.5}}, "n_tracks must be an integer, got 2.5"),
+        ({"scene": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+        ({"corruption": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+        ({"scene": {"crs_code": 32654.0}}, "crs_code must be an integer, got 32654.0"),
+        ({"scene": {"tree_height_range": [4, float("inf")]}}, "bad tree height range"),
+        ({"scene": {"base_elevation": float("nan")}}, "base_elevation must be finite"),
+        ({"tracks": {"conf_profile": [-0.1, 0.13, 0.05, 0.32, 0.6]}}, "conf_profile"),
+    ])
+    def test_bad_field_value_fails_before_any_output(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth: ") and message in err, err
+        assert not (tmp_path / "o").exists()
+
 
 class TestPipelineCommand:
     def test_artifacts_exist(self, ws):
@@ -309,6 +328,21 @@ class TestRelativeMode:
         assert (tmp_path / "rel" / "pred_abs.bin").exists()
         doc = json.loads((tmp_path / "rel" / "summary.json").read_text())
         assert doc["affine"]["a"] > 0
+
+    def test_fit_scale_rejects_a_non_finite_photon_height(self, ws, tmp_path, capsys):
+        # one nan h_ag in clean_photons.csv would fit an affine of NaNs
+        truth = load_raster(ws["scene"] / "truth")
+        save_raster(height_like(truth.header, truth.values / 40.0), tmp_path / "depth")
+        out = tmp_path / "nan"
+        out.mkdir()
+        lines = (ws["run"] / "clean_photons.csv").read_bytes().split(b"\r\n")
+        x, y, _, rest = lines[1].split(b",", 3)
+        lines[1] = b",".join([x, y, b"nan", rest])
+        (out / "clean_photons.csv").write_bytes(b"\r\n".join(lines))
+        argv = ["fit-scale", "--pred", str(tmp_path / "depth"), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "malformed row 2:" in capsys.readouterr().err
+        assert not (out / "affine.json").exists()
 
 
 class TestLogging:

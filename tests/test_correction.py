@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lidar_anchor import correction
 from lidar_anchor import forest as forest_module
 from lidar_anchor.correction import (
-    ResidualField,
     apply_correction,
     build_training_set,
     infer_residual_field,
@@ -275,22 +274,22 @@ class TestBuildTrainingSet:
 class TestInferResidualField:
     def test_constant_model_fills_field_exactly(self):
         pred, optical, lc = scene()
-        field = infer_residual_field(pred, optical, lc, constant_forest(2.5), patch=32)
-        np.testing.assert_array_equal(field.values.values, np.float32(2.5))
-        assert field.values.header.same_grid(pred.header)
-        assert (field.weights >= 1).all()
+        residual, coverage = infer_residual_field(pred, optical, lc, constant_forest(2.5), patch=32)
+        np.testing.assert_array_equal(residual.values, np.float32(2.5))
+        assert residual.header.same_grid(pred.header)
+        assert coverage["pixels_uncovered"] == 0
 
     def test_coverage_with_awkward_stride(self):
         pred, optical, lc = scene(n=70)
-        field = infer_residual_field(
+        _, coverage = infer_residual_field(
             pred, optical, lc, constant_forest(1.0), patch=32, stride=24
         )
-        assert (field.weights >= 1).all()
+        assert coverage["pixels_uncovered"] == 0
 
     def test_raster_smaller_than_patch(self):
         pred, optical, lc = scene(n=40)
-        field = infer_residual_field(pred, optical, lc, constant_forest(3.5), patch=64)
-        np.testing.assert_array_equal(field.values.values, np.float32(3.5))
+        residual, _ = infer_residual_field(pred, optical, lc, constant_forest(3.5), patch=64)
+        np.testing.assert_array_equal(residual.values, np.float32(3.5))
 
     def test_nrf_uses_embedding_cells(self):
         pred, _, _ = scene(n=64)
@@ -307,7 +306,7 @@ class TestInferResidualField:
             cell_px=32,
         )
         emb = EmbeddingGrid(header, np.zeros((2, 2, 3), dtype=np.float32))
-        field = infer_residual_field(
+        residual, _ = infer_residual_field(
             pred,
             None,
             None,
@@ -316,7 +315,7 @@ class TestInferResidualField:
             feature_mode=SCHEMA_NRF,
             embeddings=emb,
         )
-        np.testing.assert_array_equal(field.values.values, np.float32(4.0))
+        np.testing.assert_array_equal(residual.values, np.float32(4.0))
 
     def test_nrf_center_clamps_on_raster_smaller_than_patch(self):
         pred, _, _ = scene(n=20)
@@ -325,11 +324,11 @@ class TestInferResidualField:
             crs_code=32654, bands=3, dtype="float32", nodata=None, cell_px=10,
         )
         emb = EmbeddingGrid(header, np.zeros((2, 2, 3), dtype=np.float32))
-        field = infer_residual_field(
+        residual, _ = infer_residual_field(
             pred, None, None, constant_forest(4.0, schema=SCHEMA_NRF, n_features=3),
             patch=64, feature_mode=SCHEMA_NRF, embeddings=emb,
         )
-        np.testing.assert_array_equal(field.values.values, np.float32(4.0))
+        np.testing.assert_array_equal(residual.values, np.float32(4.0))
 
     def test_windows_without_valid_pixels_drop_out(self):
         pred, optical, lc = scene(n=128)
@@ -339,10 +338,12 @@ class TestInferResidualField:
         rng = np.random.default_rng(3)
         X = rng.normal(10.0, 1.0, (40, HRF_DIM))
         forest = train_forest(X, X[:, 0] - 10.0, SCHEMA_HRF, ForestParams(n_trees=1, seed=5))
-        field = infer_residual_field(pred, optical, lc, forest, patch=32, stride=16)
-        residual = field.values.values
+        field, coverage = infer_residual_field(pred, optical, lc, forest, patch=32, stride=16)
+        residual = field.values
         assert np.isfinite(residual).all()
-        assert (field.weights[:, 70:] >= 1).all()
+        # the windows at columns 0, 16 and 32 hold only nodata
+        assert coverage["pixels_uncovered"] == 128 * 48
+        assert (residual[:, :48] == 0.0).all()
         out = apply_correction(pred, field).values
         assert (out[:, :70] == -9999.0).all()
         want = np.maximum(pred.values[:, 70:].astype(np.float64) - residual[:, 70:], 0.0)
@@ -355,8 +356,8 @@ class TestInferResidualField:
         forest = train_forest(X, X[:, 0] - 10.0, SCHEMA_HRF, ForestParams(n_trees=1, seed=5))
         with pytest.raises(ValueError, match=r"stride must be <= patch \(8\), got 20"):
             infer_residual_field(pred, optical, lc, forest, patch=8, stride=20)
-        field = infer_residual_field(pred, optical, lc, forest, patch=8, stride=8)
-        assert (field.weights >= 1).all()
+        _, coverage = infer_residual_field(pred, optical, lc, forest, patch=8, stride=8)
+        assert coverage["pixels_uncovered"] == 0
 
     def test_all_nodata_raster_raises(self):
         _, optical, lc = scene(n=64)
@@ -434,20 +435,21 @@ class TestResidualStripPass:
                 infer_residual_field(pred, optical, lc, forest, patch, stride, mode, grid)
             return
         want_values, want_weights, windows = residual_field_whole(valid, patch, stride, score)
-        field = infer_residual_field(pred, optical, lc, forest, patch, stride, mode, grid)
-        assert field.values.values.dtype == np.float32 and field.weights.dtype == np.int32
-        assert field.values.values.tobytes() == want_values.tobytes()
-        assert field.weights.tobytes() == want_weights.tobytes()
+        residual, coverage = infer_residual_field(pred, optical, lc, forest, patch, stride, mode, grid)
+        assert residual.values.dtype == np.float32
+        assert residual.values.tobytes() == want_values.tobytes()
         grid_windows = (len(window_origins_direct(h.height, patch, stride))
                         * len(window_origins_direct(h.width, patch, stride)))
-        assert field.windows == len(windows)
-        assert field.dropped == grid_windows - len(windows)
+        assert coverage == {
+            "windows_scored": len(windows),
+            "windows_dropped": grid_windows - len(windows),
+            "pixels_uncovered": int(np.count_nonzero(want_weights == 0)),
+        }
 
-    def test_memory_is_the_output_and_a_window_row(self):
-        # nrf features, so that feature temporaries do not count: the two
-        # output rasters and a buffer of patch rows, against about eight
-        # rasters when the sums, counts, summed-area table and quotient
-        # were whole-raster arrays
+    def test_memory_is_the_output_raster(self):
+        # nrf features, so that feature temporaries do not count: the
+        # residual raster and the block grid's sums, about 1.07 rasters; a
+        # per-pixel weights raster or row buffer would exceed 1.5
         n = 1024
         rng = np.random.default_rng(25)
         pred = make_height(rng.uniform(0.0, 20.0, (n, n)))
@@ -457,32 +459,24 @@ class TestResidualStripPass:
         grid = EmbeddingGrid(header, rng.uniform(-5.0, 260.0, (16, 16, 3)).astype(np.float32))
         tracemalloc.start()
         try:
-            field = infer_residual_field(pred, None, None, _NRF_FOREST, patch=64, stride=32,
-                                         feature_mode=SCHEMA_NRF, embeddings=grid)
+            _, coverage = infer_residual_field(pred, None, None, _NRF_FOREST, patch=64, stride=32,
+                                               feature_mode=SCHEMA_NRF, embeddings=grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert field.windows == 31 * 31
-        assert peak < 3 * pred.values.nbytes, f"peak {peak / pred.values.nbytes:.2f} rasters"
+        assert coverage["windows_scored"] == 31 * 31
+        assert peak < 1.5 * pred.values.nbytes, f"peak {peak / pred.values.nbytes:.2f} rasters"
 
 
 class TestApplyCorrection:
     def test_subtracts_and_clamps(self):
         pred = make_height([[5.0, 1.0], [0.5, 10.0]])
-        field = ResidualField(
-            values=height_like(pred.header, np.full((2, 2), 2.0)),
-            weights=np.ones((2, 2), dtype=np.int32),
-        )
-        out = apply_correction(pred, field)
+        out = apply_correction(pred, height_like(pred.header, np.full((2, 2), 2.0)))
         np.testing.assert_allclose(out.values, [[3.0, 0.0], [0.0, 8.0]])
 
     def test_nodata_preserved(self):
         pred = make_height([[-9999.0, 4.0, np.nan, -np.inf]], nodata=-9999.0)
-        field = ResidualField(
-            values=height_like(pred.header, np.full((1, 4), 1.0)),
-            weights=np.ones((1, 4), dtype=np.int32),
-        )
-        out = apply_correction(pred, field)
+        out = apply_correction(pred, height_like(pred.header, np.full((1, 4), 1.0)))
         assert out.values[0, 0] == -9999.0
         assert out.values[0, 1] == 3.0
         assert np.isnan(out.values[0, 2])
@@ -499,7 +493,7 @@ class TestApplyCorrection:
             vals[row, row % 9] = bad
         pred = make_height(vals, nodata=-9999.0)
         residual = height_like(pred.header, rng.normal(0.0, 5.0, shape))
-        out = apply_correction(pred, ResidualField(residual, np.ones(shape, dtype=np.int32)))
+        out = apply_correction(pred, residual)
         wide = vals.astype(np.float64)
         want = np.maximum(wide - residual.values.astype(np.float64), 0.0)
         want = np.where(np.isfinite(wide) & (wide != -9999.0), want, wide)
@@ -508,11 +502,10 @@ class TestApplyCorrection:
     def test_memory_is_the_output_and_a_strip(self):
         rng = np.random.default_rng(24)
         pred = make_height(rng.uniform(0.0, 20.0, (1024, 1024)))
-        field = ResidualField(height_like(pred.header, rng.normal(0.0, 5.0, (1024, 1024))),
-                              np.ones((1024, 1024), dtype=np.int32))
+        residual = height_like(pred.header, rng.normal(0.0, 5.0, (1024, 1024)))
         tracemalloc.start()
         try:
-            apply_correction(pred, field)
+            apply_correction(pred, residual)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -521,6 +514,5 @@ class TestApplyCorrection:
     def test_grid_mismatch_raises(self):
         pred = make_height(np.zeros((4, 4)), gsd=1.0)
         other = make_height(np.zeros((4, 4)), gsd=2.0)
-        field = ResidualField(values=other, weights=np.ones((4, 4), dtype=np.int32))
         with pytest.raises(ValueError, match="grid"):
-            apply_correction(pred, field)
+            apply_correction(pred, other)

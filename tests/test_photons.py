@@ -217,6 +217,21 @@ class TestCleanTable:
             read_clean_csv(path)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_malformed_row(self, tmp_path, column, value):
+        fields = ["3.5", "4.5", "12.25", "object", "4", "7"]
+        fields[column] = value
+        path = tmp_path / "c.csv"
+        path.write_bytes((_CLEAN_HEADER + "1.5,2.5,0.0,ground,1,1\r\n"
+                          + ",".join(fields) + "\r\n").encode())
+        with pytest.raises(ValueError) as got:
+            read_clean_csv(path)
+        assert str(got.value) == f"{path}: malformed row 3: {fields!r}"
+        with pytest.raises(ValueError) as want:
+            read_clean_direct(path)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("text", ["", "x,y,h_ag,kind,lc_class\r\n", "\r\nx,y,h_ag,kind,lc_class,cluster_size\r\n"])
     def test_bad_header(self, tmp_path, text):
         path = tmp_path / "c.csv"

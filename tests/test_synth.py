@@ -54,6 +54,26 @@ class TestSceneConfig:
             SceneConfig(building_height_sigma_log=sigma)
         SceneConfig(building_height_sigma_log=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("size", 128.0), ("size", True), ("crs_code", 32654.0), ("seed", 1.5),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SceneConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "base_elevation", "terrain_amplitude", "building_height_mu_log",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_terrain_and_height_knobs_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SceneConfig(**{field: value})
+
+    @pytest.mark.parametrize("bounds", [(4.0, math.inf), (math.nan, 18.0), (4.0, math.nan)])
+    def test_tree_height_range_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="tree height range"):
+            SceneConfig(tree_height_range=bounds)
+
 
 class TestTrackConfig:
     @pytest.mark.parametrize("field", ["along_spacing", "cross_spacing"])
@@ -67,6 +87,23 @@ class TestTrackConfig:
         with pytest.raises(ValueError, match="noise_sigma"):
             TrackConfig(noise_sigma=sigma)
         TrackConfig(noise_sigma=0.0)
+
+    @pytest.mark.parametrize("field, value", [("n_tracks", 2.5), ("seed", 1.5)])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrackConfig(**{field: value})
+
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
+    def test_track_azimuth_must_be_finite(self, azimuth):
+        with pytest.raises(ValueError, match="track_azimuth must be finite"):
+            TrackConfig(track_azimuth=azimuth)
+
+    @pytest.mark.parametrize("profile", [
+        (-0.1, 0.13, 0.05, 0.32, 0.60), (math.nan, 0.05, 0.05, 0.30, 0.60),
+    ])
+    def test_conf_profile_entries_must_be_probabilities(self, profile):
+        with pytest.raises(ValueError, match="conf_profile"):
+            TrackConfig(conf_profile=profile)
 
 
 class TestCorruptionConfig:
@@ -82,11 +119,17 @@ class TestCorruptionConfig:
         with pytest.raises(ValueError, match=field):
             CorruptionConfig(**{field: value})
 
-    @pytest.mark.parametrize("bias", [{8: 1.0}, {-1: 1.0}, {4: math.nan}, {4: math.inf}])
+    @pytest.mark.parametrize("bias", [
+        {8: 1.0}, {-1: 1.0}, {4.0: 1.0}, {4: math.nan}, {4: math.inf},
+    ])
     def test_class_bias_is_checked_at_construction(self, bias):
         with pytest.raises(ValueError, match="class_bias"):
             CorruptionConfig(class_bias=bias)
         CorruptionConfig(class_bias={0: -1.0, 7: 2.5})
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            CorruptionConfig(seed=1.5)
 
 
 class TestGenerateScene:
