@@ -165,15 +165,21 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _section(doc: dict, key: str, cls, seed_override: Optional[int]):
-    section = dict(doc.get(key) or {})
+    section = doc.get(key)
+    if not isinstance(section, (dict, type(None))):
+        raise ValueError(f"synth config section {key!r} must be a JSON object, got {section!r}")
+    section = dict(section or {})
     known = {f.name for f in dataclasses.fields(cls)}
     extra = set(section) - known
     if extra:
         raise ValueError(f"synth config section {key!r}: unknown keys {sorted(extra)}")
     if seed_override is not None:
         section["seed"] = seed_override
-    if key == "corruption" and "class_bias" in section:
-        section["class_bias"] = {int(k): float(v) for k, v in section["class_bias"].items()}
+    bias = section.get("class_bias")
+    if key == "corruption" and isinstance(bias, dict):
+        # codes that are not decimal text stay strings, and CorruptionConfig
+        # rejects them as it rejects a class_bias that is not an object
+        section["class_bias"] = {int(k) if k.isdecimal() else k: v for k, v in bias.items()}
     return cls(**section)
 
 
@@ -182,6 +188,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"synth config must be a JSON object, got {doc!r}")
         extra = set(doc) - {"scene", "tracks", "corruption"}
         if extra:
             raise ValueError(f"synth config: unknown sections {sorted(extra)}")

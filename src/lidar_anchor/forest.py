@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .features import SCHEMA_HRF, SCHEMA_NRF
-from .raster import is_int, segment_sums
+from .raster import check_fields, is_int, segment_sums
 
 logger = logging.getLogger(__name__)
 
@@ -147,14 +147,8 @@ class ForestParams:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name, value in dataclasses.asdict(self).items():
-            optional = " or None" if name in ("max_depth", "max_features") else ""
-            if value is None and optional:
-                continue
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer{optional}, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be >= 1{optional}, got {value}")
+        check_fields(self, {"n_trees": ">= 1", "max_depth": ">= 1", "min_samples_leaf": ">= 1",
+                            "max_features": ">= 1"})
 
 
 @dataclasses.dataclass

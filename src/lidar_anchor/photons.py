@@ -34,7 +34,7 @@ from .raster import (
     LC_BUILDING,
     LC_TREE,
     LandCoverRaster,
-    is_int,
+    check_fields,
     sample_bilinear,
     segment_sums,
 )
@@ -102,14 +102,7 @@ class ClusterParams:
     height_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"cluster eps must be finite and > 0, got {self.eps}")
-        if not (is_int(self.min_pts) and self.min_pts >= 1):
-            raise ValueError(f"cluster min_pts must be an integer >= 1, got {self.min_pts!r}")
-        if not (math.isfinite(self.height_weight) and self.height_weight >= 0):
-            raise ValueError(
-                f"cluster height_weight must be finite and >= 0, got {self.height_weight}"
-            )
+        check_fields(self, {"eps": "> 0", "min_pts": ">= 1", "height_weight": ">= 0"})
 
 
 @dataclass(frozen=True)
@@ -127,20 +120,14 @@ class PreprocessParams:
     cell: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("idw_power", "idw_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (is_int(self.idw_k_max) and self.idw_k_max >= 1):
-            raise ValueError(f"idw_k_max must be an integer >= 1, got {self.idw_k_max!r}")
+        check_fields(self, {"idw_power": "> 0", "idw_radius": "> 0", "idw_k_max": ">= 1",
+                            "cell": "> 0"})
         # an infinite tau is allowed: the DTM then never overrides IDW
         if not self.dtm_tau >= 0:
             raise ValueError(f"dtm_tau must be >= 0, got {self.dtm_tau}")
         for code, (lo, hi) in self.class_bounds.items():
             if not lo <= hi:
                 raise ValueError(f"class_bounds of code {code} must be low <= high, got {lo}..{hi}")
-        if not (math.isfinite(self.cell) and self.cell > 0):
-            raise ValueError(f"cell size must be > 0 and finite, got {self.cell}")
 
 
 # ===== CSV I/O =====

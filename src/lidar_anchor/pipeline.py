@@ -14,8 +14,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -29,7 +27,7 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     Raster,
-    is_int,
+    check_fields,
     load_raster,
     save_raster,
 )
@@ -45,8 +43,6 @@ _MODE_ALIASES = {
     MODE_RELATIVE: MODE_RELATIVE,
 }
 _FEATURE_ALIASES = {"hrf": SCHEMA_HRF, "nrf": SCHEMA_NRF, SCHEMA_HRF: SCHEMA_HRF, SCHEMA_NRF: SCHEMA_NRF}
-# input paths a run may leave unset
-_PATH_KEYS = ("pred", "optical", "landcover", "dtm", "photons", "reference", "embeddings")
 
 
 class PipelineError(RuntimeError):
@@ -82,13 +78,8 @@ class PipelineConfig:
     footprint: float = DEFAULT_FOOTPRINT
 
     def __post_init__(self) -> None:
-        for name in ("mode", "features", "out"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in _PATH_KEYS:
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{name} must be a path string or null, got {value!r}")
+        check_fields(self, {"threads": ">= 1", "patch": ">= 1", "stride": ">= 1", "trees": ">= 1",
+                            "footprint": "> 0"})
         if self.mode not in _MODE_ALIASES:
             raise ValueError(
                 f"unknown mode {self.mode!r}, expected one of {sorted(set(_MODE_ALIASES))}"
@@ -97,24 +88,9 @@ class PipelineConfig:
         if self.features not in _FEATURE_ALIASES:
             raise ValueError(f"unknown feature mode {self.features!r}, expected hrf or nrf")
         self.features = _FEATURE_ALIASES[self.features]
-        if self.seed is None:
-            raise ValueError("a seed is required; every randomized stage records it")
-        for name in ("seed", "threads", "patch", "stride", "trees"):
-            value = getattr(self, name)
-            if value is None and name == "stride":
-                continue
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.stride is not None and self.stride > self.patch:
             # windows that far apart would leave pixels between them uncovered
             raise ValueError(f"stride must be <= patch ({self.patch}), got {self.stride}")
-        footprint = self.footprint
-        if isinstance(footprint, bool) or not (
-            isinstance(footprint, numbers.Real) and math.isfinite(footprint) and footprint > 0
-        ):
-            raise ValueError(f"footprint must be finite and > 0, got {self.footprint!r}")
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -125,6 +101,8 @@ def load_config(path: Path | str) -> PipelineConfig:
 
 
 def config_from_dict(doc: dict, source: str = "config") -> PipelineConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: a config must be a JSON object, got {doc!r}")
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     extra = set(doc) - known
     if extra:
@@ -179,18 +157,7 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _metrics_doc(report: metrics.MetricsReport, seed: int) -> dict:
-    return {
-        "mae": report.mae,
-        "rmse": report.rmse,
-        "ssim": report.ssim,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1_he": report.f1_he,
-        "n_valid": report.n_valid,
-        "params": report.params,
-        "flags": list(report.flags),
-        "seed": seed,
-    }
+    return {**dataclasses.asdict(report), "flags": list(report.flags), "seed": seed}
 
 
 # ===== Stages =====
@@ -218,10 +185,7 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     depth = _load(cfg.pred, HeightRaster, "pred")
     clean = photons.read_clean_csv(out_dir / "clean_photons.csv")
     fit = scaling.fit_affine(depth, clean, footprint=cfg.footprint)
-    _write_json(
-        {"a": fit.a, "b": fit.b, "n_points": fit.n_points, "rmse": fit.rmse, "seed": cfg.seed},
-        out_dir / "affine.json",
-    )
+    _write_json({**dataclasses.asdict(fit), "seed": cfg.seed}, out_dir / "affine.json")
     calibrated = scaling.apply_affine(depth, fit)
     save_raster(calibrated, out_dir / "pred_abs")
     return fit
@@ -363,12 +327,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     if cfg.mode == MODE_RELATIVE:
         fit = run_stage("fit-scale", stage_fit_scale, cfg, out_dir)
-        summary["affine"] = {
-            "a": fit.a,
-            "b": fit.b,
-            "n_points": fit.n_points,
-            "rmse": fit.rmse,
-        }
+        summary["affine"] = dataclasses.asdict(fit)
         pred_path = out_dir / "pred_abs"
     else:
         summary["affine"] = None
@@ -430,7 +389,7 @@ def run_synth(
         pred = synth.corrupt_prediction(truth, lc, corruption_cfg)
         save_raster(pred, out_dir / "pred")
         doc = dataclasses.asdict(corruption_cfg)
-        doc["class_bias"] = {str(k): v for k, v in corruption_cfg.class_bias.items()}
+        doc["class_bias"] = {str(k): float(v) for k, v in corruption_cfg.class_bias.items()}
         manifest["corruption"] = doc
 
     _write_json(manifest, out_dir / "scene_manifest.json")

@@ -16,10 +16,12 @@ the closest order statistics (numpy's "linear" method).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -78,6 +80,72 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# What a field declared ``int``, ``float`` or ``str`` must hold, and how an
+# error names it.
+_KINDS = {
+    int: (is_int, "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def check_value(name: str, value, tp, bound: Optional[str] = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is of the declared
+    type ``tp`` and within ``bound``.
+
+    ``int`` is an integer as ``is_int`` has it, ``float`` any real number but
+    a bool, ``str`` a string; ``Optional[X]`` also takes None, and
+    ``tuple[X, ...]`` (or a fixed-length ``tuple[X, X]``) a list or tuple of
+    such values, each checked against ``bound``.  Any other type is checked
+    with ``isinstance``.  ``bound`` is "finite" or a comparison with a
+    number ("> 0", ">= 1"), which also requires a finite value.
+    """
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return
+        (tp,) = (a for a in args if a is not type(None))
+        args = typing.get_args(tp)
+    origin = typing.get_origin(tp) or tp
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ValueError(f"{name} must hold {len(args)} values, got {value!r}")
+        for i, item in enumerate(value):
+            check_value(f"{name}[{i}]", item, args[0], bound)
+        return
+    if origin in _KINDS:
+        holds, kind = _KINDS[origin]
+        if not holds(value):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+    elif not isinstance(value, origin):
+        raise ValueError(f"{name} must be a {origin.__name__}, got {value!r}")
+    if bound is None:
+        return
+    # an integer is finite, and may be too large for math.isfinite
+    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if bound != "finite":
+        op, limit = bound.split()
+        if not (value > float(limit) if op == ">" else value >= float(limit)):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_fields(obj, bounds: dict[str, str]) -> None:
+    """Check every field of the dataclass ``obj`` against its declared type,
+    and the fields named in ``bounds`` against their bound (see
+    ``check_value``).  Field types are resolved once per class."""
+    for name, tp in _field_types(type(obj)):
+        check_value(name, getattr(obj, name), tp, bounds.get(name))
+
+
 @dataclass(frozen=True)
 class RasterHeader:
     """Geometry and storage metadata for one raster.
@@ -108,24 +176,10 @@ class RasterHeader:
     cell_px: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("width", "height", "bands", "crs_code", "cell_px"):
-            value = getattr(self, name)
-            if not (is_int(value) or (value is None and name == "cell_px")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("gsd", "origin_x", "origin_y"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"raster dimensions must be positive, got {self.width}x{self.height}")
-        if not (self.gsd > 0):
-            raise ValueError(f"gsd must be > 0, got {self.gsd}")
-        if self.bands < 1:
-            raise ValueError(f"bands must be >= 1, got {self.bands}")
+        check_fields(self, {"width": ">= 1", "height": ">= 1", "gsd": "> 0", "origin_x": "finite",
+                            "origin_y": "finite", "bands": ">= 1", "cell_px": ">= 1"})
         if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {self.dtype!r}, expected one of {sorted(_DTYPES)}")
-        if self.cell_px is not None and self.cell_px < 1:
-            raise ValueError(f"cell_px must be >= 1, got {self.cell_px}")
         if self.nodata is not None:
             # pixels are compared with nodata in their own dtype and in
             # float64, which agree only when the dtype holds it exactly
@@ -307,6 +361,8 @@ def load_raster(path: Path | str) -> Raster:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise RasterFormatError(f"{json_path}: invalid JSON header: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise RasterFormatError(f"{json_path}: header must be a JSON object, got {doc!r}")
 
     missing = _HEADER_KEYS - set(doc)
     if missing:

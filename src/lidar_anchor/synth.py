@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import ndimage
@@ -35,6 +35,8 @@ from .raster import (
     LandCoverRaster,
     OpticalRaster,
     RasterHeader,
+    check_fields,
+    check_value,
     is_int,
     row_strips,
     sample_bilinear,
@@ -66,17 +68,6 @@ _PLANTABLE[[LC_RANGELAND, LC_BARELAND, LC_AGRICULTURE]] = True
 _TRACK_SPEED = 7000.0  # m/s along-track, used only to fill photon timestamps
 
 
-def _check_numbers(cfg, ints: Sequence[str], finite: Sequence[str] = ()) -> None:
-    """Raise ValueError naming the first field of ``ints`` that is not an
-    integer, or of ``finite`` that is not a finite number."""
-    for name in ints:
-        if not is_int(value := getattr(cfg, name)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name in finite:
-        if not math.isfinite(value := getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Scene layout knobs; densities are fractions of total pixels."""
@@ -94,23 +85,15 @@ class SceneConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        _check_numbers(self, ("size", "crs_code", "seed"),
-                       ("base_elevation", "terrain_amplitude", "building_height_mu_log"))
-        if self.size < 128:
-            raise ValueError(f"scene size must be >= 128, got {self.size}")
-        if not (0.0 <= self.building_density < 0.9 and 0.0 <= self.tree_density < 0.9):
+        check_fields(self, {"size": ">= 128", "gsd": "> 0", "building_density": ">= 0",
+                            "tree_density": ">= 0", "building_height_mu_log": "finite",
+                            "building_height_sigma_log": ">= 0", "terrain_amplitude": "finite",
+                            "base_elevation": "finite"})
+        if not (self.building_density < 0.9 and self.tree_density < 0.9):
             raise ValueError("densities must lie in [0, 0.9)")
         lo, hi = self.tree_height_range
         if not (0.0 < lo < hi < math.inf):
             raise ValueError(f"bad tree height range {self.tree_height_range}")
-        if not (math.isfinite(self.gsd) and self.gsd > 0.0):
-            raise ValueError(f"gsd must be a finite number above 0, got {self.gsd}")
-        if not (math.isfinite(self.building_height_sigma_log)
-                and self.building_height_sigma_log >= 0.0):
-            raise ValueError(
-                f"building_height_sigma_log must be finite and >= 0, "
-                f"got {self.building_height_sigma_log}"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,17 +110,12 @@ class TrackConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        _check_numbers(self, ("n_tracks", "seed"), ("track_azimuth",))
-        if self.n_tracks < 1:
-            raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.along_spacing, self.cross_spacing)):
-            raise ValueError("spacings must be finite and > 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if (len(self.conf_profile) != 5 or not all(p >= 0.0 for p in self.conf_profile)
-                or abs(sum(self.conf_profile) - 1.0) > 1e-9):
+        check_fields(self, {"n_tracks": ">= 1", "track_azimuth": "finite", "along_spacing": "> 0",
+                            "cross_spacing": "> 0", "noise_sigma": ">= 0", "dropout": ">= 0",
+                            "conf_profile": ">= 0"})
+        if not self.dropout < 1.0:
+            raise ValueError(f"dropout must be < 1, got {self.dropout}")
+        if len(self.conf_profile) != 5 or abs(sum(self.conf_profile) - 1.0) > 1e-9:
             raise ValueError("conf_profile must be 5 probabilities summing to 1")
 
 
@@ -153,18 +131,12 @@ class CorruptionConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        _check_numbers(self, ("seed",))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        for name in ("noise_sigma", "noise_corr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        check_fields(self, {"alpha": "finite", "beta": "finite", "noise_sigma": ">= 0",
+                            "noise_corr": ">= 0"})
         for code, meters in self.class_bias.items():
             if not (is_int(code) and 0 <= code <= 7):
                 raise ValueError(f"class_bias code {code!r} must be an integer in 0..7")
-            if not math.isfinite(meters):
-                raise ValueError(f"class_bias for code {code} must be finite, got {meters}")
+            check_value(f"class_bias[{code}]", meters, float, "finite")
 
 
 # ===== Scene generation =====

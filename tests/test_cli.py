@@ -126,6 +126,37 @@ class TestSynthCommand:
         assert err.startswith("error: synth: ") and message in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"scene": {"gsd": "0.5"}},
+        {"scene": {"building_density": "0.1"}},
+        {"scene": {"tree_height_range": ["a", "b"]}},
+        {"scene": {"tree_height_range": 5}},
+        {"scene": {"terrain_amplitude": "1"}},
+        {"scene": {"building_height_sigma_log": None}},
+        {"scene": {"size": True}},
+        {"tracks": {"dropout": "0.1"}},
+        {"tracks": {"noise_sigma": "1"}},
+        {"tracks": {"along_spacing": None}},
+        {"tracks": {"conf_profile": ["a", 1, 1, 1, 1]}},
+        {"tracks": {"conf_profile": 5}},
+        {"tracks": {"track_azimuth": True}},
+        {"corruption": {"class_bias": [1, 2]}},
+        {"corruption": {"class_bias": {"x": 1}}},
+        {"corruption": {"class_bias": {"4": "a"}}},
+        {"corruption": {"alpha": "1"}},
+        {"corruption": {"noise_corr": None}},
+        {"scene": []},
+        [],
+    ])
+    def test_value_of_the_wrong_type_fails_before_any_output(self, tmp_path, capsys, doc):
+        # each of these ended in a traceback or was taken as another value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: synth: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestPipelineCommand:
     def test_artifacts_exist(self, ws):
@@ -224,6 +255,16 @@ class TestPipelineCommand:
             err = capsys.readouterr().err
             assert "unknown config keys" in err and key in err
 
+    @pytest.mark.parametrize("doc", [[], "x"])
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        assert cli.main(["pipeline", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline: ") and "must be a JSON object" in err, err
+        assert not out.exists()
+
     def test_config_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"patch": "16"}))
@@ -235,9 +276,9 @@ class TestPipelineCommand:
         ({"features": 3}, "features must be a string, got 3"),
         ({"out": 5}, "out must be a string, got 5"),
         ({"out": None}, "out must be a string, got None"),
-        ({"dtm": 1.5}, "dtm must be a path string or null, got 1.5"),
+        ({"dtm": 1.5}, "dtm must be a string, got 1.5"),
         ({"embeddings": {"path": "e"}},
-         "embeddings must be a path string or null, got {'path': 'e'}"),
+         "embeddings must be a string, got {'path': 'e'}"),
     ])
     def test_config_key_of_the_wrong_type_is_named(self, tmp_path, capsys, doc, message):
         p = tmp_path / "bad.json"

@@ -397,7 +397,7 @@ class TestParams:
         dict(height_weight=float("nan")), dict(height_weight=-1.0),
     ])
     def test_bad_cluster_params_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=f"cluster {next(iter(kwargs))} must be"):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
             ClusterParams(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
@@ -410,7 +410,7 @@ class TestParams:
     ])
     def test_bad_preprocess_params_rejected(self, kwargs):
         name = next(iter(kwargs))
-        with pytest.raises(ValueError, match="cell size" if name == "cell" else name):
+        with pytest.raises(ValueError, match=name):
             PreprocessParams(**kwargs)
 
     def test_edge_values_accepted(self):
@@ -1035,7 +1035,7 @@ class TestPreprocess:
 
     @pytest.mark.parametrize("cell", [-5.0, 0.0, float("nan")])
     def test_cell_must_be_positive(self, small_scene, cell):
-        with pytest.raises(ValueError, match="cell size must be > 0"):
+        with pytest.raises(ValueError, match="cell must be"):
             clean_photon_table(small_scene["photons"], small_scene["dtm"], small_scene["lc"],
                                PreprocessParams(cell=cell))
 

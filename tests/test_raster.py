@@ -1,6 +1,10 @@
+import dataclasses
+import json
 import math
 import re
 import tracemalloc
+import typing
+from collections.abc import Mapping
 from unittest import mock
 
 import numpy as np
@@ -27,6 +31,11 @@ from lidar_anchor.raster import (
     sobel_magnitude,
     window,
 )
+
+from lidar_anchor.forest import ForestParams
+from lidar_anchor.photons import ClusterParams, PreprocessParams
+from lidar_anchor.pipeline import PipelineConfig
+from lidar_anchor.synth import CorruptionConfig, SceneConfig, TrackConfig
 
 from conftest import make_height, make_landcover, make_optical
 from oracles import (
@@ -312,6 +321,14 @@ class TestLoadErrors:
         with pytest.raises(RasterFormatError, match="gsd"):
             load_raster(tmp_path / "r")
 
+    @pytest.mark.parametrize("doc", [5, [], "gsd"])
+    def test_header_that_is_not_an_object(self, tmp_path, doc):
+        src = make_height(np.zeros((3, 4)))
+        save_raster(src, tmp_path / "r")
+        (tmp_path / "r.json").write_text(json.dumps(doc))
+        with pytest.raises(RasterFormatError, match="header must be a JSON object"):
+            load_raster(tmp_path / "r")
+
     def test_unknown_key(self, tmp_path):
         self._write(tmp_path, lambda d: d.update(extra=1))
         with pytest.raises(RasterFormatError, match="extra"):
@@ -358,6 +375,89 @@ class TestLoadErrors:
         (tmp_path / "r.bin").unlink()
         with pytest.raises(RasterFormatError):
             load_raster(tmp_path / "r")
+
+
+# Every parameter record, with the fields it needs to be built.
+RECORDS = [
+    (RasterHeader, dict(width=4, height=3, gsd=2.0, origin_x=100.0, origin_y=200.0,
+                        crs_code=32654)),
+    (ForestParams, {}),
+    (PipelineConfig, {}),
+    (ClusterParams, {}),
+    (PreprocessParams, {}),
+    (SceneConfig, {}),
+    (TrackConfig, {}),
+    (CorruptionConfig, {}),
+]
+RECORD_FIELDS = [
+    (cls, base, f.name, typing.get_type_hints(cls)[f.name])
+    for cls, base in RECORDS
+    for f in dataclasses.fields(cls)
+]
+JSON_KINDS = {
+    "string": st.text(max_size=4),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 9), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+
+
+def right_kinds(tp) -> set:
+    """The JSON kinds a declared field type takes besides numbers."""
+    kinds = set()
+    if type(None) in typing.get_args(tp):
+        kinds.add("null")
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    origin = typing.get_origin(tp) or tp
+    kinds |= {str: {"string"}, tuple: {"list"}, dict: {"object"}, Mapping: {"object"}}.get(
+        origin, set())
+    return kinds
+
+
+class TestFieldRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_value_of_the_wrong_kind_is_named(self, data):
+        # a string, bool, null, list or object where the declared type does
+        # not take it fails as a ValueError naming the field, never as a
+        # TypeError or AttributeError
+        cls, base, name, tp = data.draw(st.sampled_from(RECORD_FIELDS))
+        kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - right_kinds(tp))))
+        value = data.draw(JSON_KINDS[kind])
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            cls(**{**base, name: value})
+
+    def test_the_records_hold_a_field_of_each_right_kind(self):
+        # so that the property above also meets each kind where it is right
+        kinds = [right_kinds(tp) for *_, tp in RECORD_FIELDS]
+        assert set().union(*kinds) == set(JSON_KINDS) - {"bool"}
+
+    @pytest.mark.parametrize("value, message", [
+        (10**400, None),
+        (127, "must be >= 128, got 127"),
+        (True, "must be an integer, got True"),
+    ])
+    def test_integer_bounds(self, value, message):
+        # an integer too large for a float is still compared exactly
+        if message is None:
+            assert SceneConfig(size=value).size == value
+        else:
+            with pytest.raises(ValueError, match=f"^size {re.escape(message)}$"):
+                SceneConfig(size=value)
+
+    @pytest.mark.parametrize("value, message", [
+        ((4.0,), " must hold 2 values, got (4.0,)"),
+        ([4, "a"], "[1] must be a number, got 'a'"),
+        ((4.0, math.nan), None),
+    ])
+    def test_tuple_fields_check_length_and_entries(self, value, message):
+        if message is None:
+            with pytest.raises(ValueError, match="bad tree height range"):
+                SceneConfig(tree_height_range=value)
+        else:
+            with pytest.raises(ValueError, match=f"^tree_height_range{re.escape(message)}$"):
+                SceneConfig(tree_height_range=value)
 
 
 def sample_at(raster, x, y):

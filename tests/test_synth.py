@@ -79,7 +79,7 @@ class TestTrackConfig:
     @pytest.mark.parametrize("field", ["along_spacing", "cross_spacing"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_spacings_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match="spacings"):
+        with pytest.raises(ValueError, match=f"{field} must be"):
             TrackConfig(**{field: value})
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
@@ -110,7 +110,7 @@ class TestCorruptionConfig:
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_alpha_and_beta_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match="alpha and beta"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             CorruptionConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["noise_sigma", "noise_corr"])
