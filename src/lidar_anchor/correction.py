@@ -268,12 +268,17 @@ def infer_residual_field(
     ends = np.minimum(origins + patch, [h.height, h.width])
     top, bottom = np.searchsorted(row_edges, [origins[:, 0], ends[:, 0]])
     left, stop = np.searchsorted(col_edges, [origins[:, 1], ends[:, 1]])
-    sums = np.zeros((len(row_edges) - 1, len(col_edges) - 1), dtype=np.float64)
-    counts = np.zeros(sums.shape, dtype=np.int64)
-    spans = np.stack([top, bottom, left, stop], axis=1).tolist()
-    for (r0, r1, c0, c1), scalar in zip(spans, scalars.tolist()):
-        sums[r0:r1, c0:c1] += scalar
-        counts[r0:r1, c0:c1] += 1
+    # the blocks each window covers, window by window: np.add.at adds in
+    # this order, so each block sums its windows in row-major window order
+    shape = (len(row_edges) - 1, len(col_edges) - 1)
+    across = stop - left
+    covered = (bottom - top) * across
+    window = np.repeat(np.arange(len(origins)), covered)
+    k = np.arange(int(covered.sum())) - np.repeat(np.cumsum(covered) - covered, covered)
+    block = (top[window] + k // across[window]) * shape[1] + left[window] + k % across[window]
+    sums = np.zeros(shape, dtype=np.float64)
+    np.add.at(sums.ravel(), block, scalars[window])
+    counts = np.bincount(block, minlength=sums.size).reshape(shape)
     empty = counts == 0
     for r, c in zip(*np.nonzero(empty)):
         rows = slice(row_edges[r], row_edges[r + 1])

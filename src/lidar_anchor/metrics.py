@@ -13,7 +13,9 @@ SSIM follows the standard Gaussian-window formulation (11x11 window, sigma
 1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2) with the dynamic range L taken from
 the reference raster's valid values and clamped below at 1 m so near-flat
 references do not blow up the stabilizers.  Its Gaussian moments are taken
-as two 1-D passes (the window is separable).  The height-error F1 counts a
+as two 1-D numpy passes (the window is separable), only where the window
+lies inside the raster and summed as ``scipy.ndimage.correlate1d`` sums
+them; the usable windows come from integral counts of invalid pixels.  The height-error F1 counts a
 pixel as a true positive when both heights exceed a threshold and their
 ratio (after flooring both at 0.1 m) stays below eta.
 """
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import (
     LC_CLASSES,
@@ -89,6 +90,47 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+# Rows of a Gaussian pass computed at a time, so that its temporaries stay
+# in cache.
+_PASS_ROWS = 16
+
+
+def _gaussian_pass(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """The correlation of ``arr`` with the odd, symmetric ``kernel`` along
+    ``axis``, at the positions where the kernel lies inside ``arr``.  It
+    sums as ``scipy.ndimage.correlate1d`` does for a symmetric kernel: the
+    centre pixel times the centre weight, then from the outermost pair
+    inwards the pair's sum times its weight."""
+    size = len(kernel)
+    half = size // 2
+    rows, cols = arr.shape
+    out = np.empty((rows - 2 * half, cols) if axis == 0 else (rows, cols - 2 * half))
+    pair = np.empty((_PASS_ROWS, out.shape[1]))
+    for lo in range(0, len(out), _PASS_ROWS):
+        hi = min(lo + _PASS_ROWS, len(out))
+        if axis == 0:
+            taps = [arr[lo + k : hi + k] for k in range(size)]
+        else:
+            taps = [arr[lo:hi, k : k + out.shape[1]] for k in range(size)]
+        acc, tmp = out[lo:hi], pair[: hi - lo]
+        np.multiply(taps[half], kernel[half], out=acc)
+        for k in range(half):
+            np.add(taps[k], taps[size - 1 - k], out=tmp)
+            tmp *= kernel[k]
+            acc += tmp
+    return out
+
+
+def _windows_without(bad: np.ndarray, size: int) -> np.ndarray:
+    """Whether each ``size`` x ``size`` window lying inside ``bad`` holds no
+    true pixel, from the integral counts of its true pixels."""
+    counts = np.zeros((bad.shape[0] + 1, bad.shape[1] + 1), dtype=np.int32)
+    np.cumsum(bad, axis=0, dtype=np.int32, out=counts[1:, 1:])
+    np.cumsum(counts[1:, 1:], axis=1, out=counts[1:, 1:])
+    right = counts[size:, size:] - counts[:-size, size:]
+    return right == counts[size:, :-size] - counts[:-size, :-size]
+
+
 def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
     """Mean structural similarity over all fully interior window positions.
 
@@ -122,8 +164,7 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
 
     def local(arr: np.ndarray) -> np.ndarray:
         # window means at the positions whose window lies inside ``arr``
-        cols = ndimage.correlate1d(arr, kernel, axis=1)[:, half:-half]
-        return ndimage.correlate1d(cols, kernel, axis=0)[half:-half]
+        return _gaussian_pass(_gaussian_pass(arr, kernel, axis=1), kernel, axis=0)
 
     total = 0.0
     count = 0
@@ -131,14 +172,14 @@ def ssim(pred: HeightRaster, ref: HeightRaster) -> float:
     for out_rows in row_strips(h.height - 2 * half, SSIM_STRIP):
         rows = slice(out_rows.start, out_rows.stop + 2 * half)
         # a window is usable when every pixel under it is valid
-        usable = ndimage.minimum_filter(_joint_valid(pred, ref, rows), size=SSIM_WINDOW)
-        usable = usable[half:-half, half:-half]
+        usable = _windows_without(~_joint_valid(pred, ref, rows), SSIM_WINDOW)
         if not usable.any():
             continue
         x = pred.values[rows].astype(np.float64)
         y = ref.values[rows].astype(np.float64)
-        # windows over a non-finite pixel give NaN here; none of them is usable
-        with np.errstate(invalid="ignore"):
+        # windows over a non-finite pixel give NaN or overflow here; none of
+        # them is usable
+        with np.errstate(over="ignore", invalid="ignore"):
             mu_x = local(x)
             mu_y = local(y)
             var_x = local(x * x) - mu_x * mu_x

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .raster import (
     GeometryError,
@@ -76,11 +75,6 @@ COINCIDENT_DIST = 1e-6
 # "none": IDW found no neighbour and the DTM is invalid there, so the photon
 # is dropped.
 GROUND_SOURCES = ("idw", "dtm_fallback", "dtm_override", "none")
-
-# kd-tree distances may differ from np.hypot by a few ulps; IDW candidate
-# sets are widened by this relative margin before the exact distances rank
-# them.
-_KD_MARGIN = 1e-9
 
 # Height plausibility bounds (exclusive low, inclusive high) per land-cover
 # class for object photons.  Objects must exceed 1 m to count at all.
@@ -333,6 +327,12 @@ class GroundInterpolator:
     photon id.  A ground photon closer than 1e-6 m short-circuits to the
     elevation of the lowest-id such photon.  ``table`` is a photon table;
     only its ground photons are used.
+
+    A beam's ground photons lie along its ground track, so each beam keeps
+    them sorted by their position along the track's principal axis, and a
+    query's candidates are a window of that order around its own position:
+    no photon outside the window can be nearer than the window's edge along
+    the axis.
     """
 
     def __init__(
@@ -352,17 +352,10 @@ class GroundInterpolator:
         ground = table[table["atl08_class"] == CLASS_GROUND]
         ground = ground[np.lexsort((ground["id"], ground["beam"]))]
         beams, starts = np.unique(ground["beam"], return_index=True)
-        # per beam: kd-tree, x, y, elevation and id of its ground photons in id order
-        self._beams: dict[int, tuple[cKDTree, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for beam, members in zip(beams.tolist(), np.split(ground, starts[1:])):
-            xs, ys = np.ascontiguousarray(members["x"]), np.ascontiguousarray(members["y"])
-            self._beams[beam] = (
-                cKDTree(np.column_stack((xs, ys))),
-                xs,
-                ys,
-                np.ascontiguousarray(members["elev"]),
-                np.ascontiguousarray(members["id"]),
-            )
+        self._beams = {
+            beam: _Track(members)
+            for beam, members in zip(beams.tolist(), np.split(ground, starts[1:]))
+        }
 
     def query(
         self, x: np.ndarray, y: np.ndarray, beam: np.ndarray
@@ -373,59 +366,91 @@ class GroundInterpolator:
         value = np.zeros(len(x))
         found = np.zeros(len(x), dtype=bool)
         for b in np.unique(beam).tolist():
-            entry = self._beams.get(b)
-            if entry is not None:
+            track = self._beams.get(b)
+            if track is not None:
                 rows = np.nonzero(beam == b)[0]
-                value[rows], found[rows] = self._query_beam(entry, x[rows], y[rows])
+                value[rows], found[rows] = self._query_beam(track, x[rows], y[rows])
         return value, found
 
-    def _query_beam(self, entry, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tree, xs, ys, zs, ids = entry
-        n = len(xs)
-        reach = max(self.radius, COINCIDENT_DIST) * (1.0 + _KD_MARGIN)
+    def _query_beam(
+        self, track: _Track, qx: np.ndarray, qy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n = len(track.along)
+        qa, slack = track.project(qx, qy)
+        pos = np.searchsorted(track.along, qa)
         value = np.zeros(len(qx))
         found = np.zeros(len(qx), dtype=bool)
         todo = np.arange(len(qx))
-        k = min(2 * self.k_max, n)
+        width = min(2 * self.k_max, n)
         while todo.size:
-            # k nearest by kd-tree distance, ranked again by exact distance
-            # and id; a row is settled once every photon left out of its
-            # candidates lies beyond both its k_max-th pick (or the radius)
+            # a window of ``width`` photons around each query's position
+            # along the track, ranked by exact distance and id; a row is
+            # settled once every photon outside its window lies farther
+            # along the axis than both its k_max-th pick (or the radius)
             # and the coincidence distance
-            kd, cand = tree.query(
-                np.column_stack((qx[todo], qy[todo])),
-                k=np.arange(1, k + 1),
-                distance_upper_bound=reach,
-            )
-            cand = np.where(cand < n, cand, 0)
-            d = np.hypot(xs[cand] - qx[todo, None], ys[cand] - qy[todo, None])
-            d = np.where(np.isfinite(kd), d, np.inf)
+            first = np.clip(pos[todo] - width // 2, 0, n - width)
+            cand = first[:, None] + np.arange(width)
+            d = np.hypot(track.x[cand] - qx[todo, None], track.y[cand] - qy[todo, None])
+            ids = track.ids[cand]
             near = d < COINCIDENT_DIST
             coincident = near.any(axis=1)
-            lowest = np.argmin(np.where(near, ids[cand], np.iinfo(np.int64).max), axis=1)
+            lowest = np.argmin(np.where(near, ids, np.iinfo(np.int64).max), axis=1)
             in_radius = np.where((d <= self.radius) & ~coincident[:, None], d, np.inf)
-            order = np.lexsort((ids[cand], in_radius), axis=1)[:, : self.k_max]
+            order = np.lexsort((ids, in_radius), axis=1)[:, : self.k_max]
             chosen = np.take_along_axis(cand, order, axis=1)
             dist = np.take_along_axis(in_radius, order, axis=1)
             m = np.isfinite(dist).sum(axis=1)
             bound = np.where(coincident, 0.0, np.where(m == self.k_max, dist[:, -1], self.radius))
+            # the projection's rounding is covered by a relative margin on
+            # the bound and by the query's slack
+            reach = np.maximum(bound, COINCIDENT_DIST) * (1.0 + 1e-9) + slack[todo]
+            before = track.along[np.maximum(first - 1, 0)]
+            after = track.along[np.minimum(first + width, n - 1)]
             settled = (
-                (k == n)
-                | np.isinf(kd[:, -1])
-                | (np.maximum(bound, COINCIDENT_DIST) < kd[:, -1] * (1.0 - _KD_MARGIN))
+                ((first == 0) | (qa[todo] - before > reach))
+                & ((first + width == n) | (after - qa[todo] > reach))
             )
 
             w = 1.0 / dist**self.power
             starts = np.arange(len(m)) * dist.shape[1]
-            num = segment_sums((w * zs[chosen]).ravel(), starts, m)
+            num = segment_sums((w * track.z[chosen]).ravel(), starts, m)
             den = segment_sums(w.ravel(), starts, m)
             idw = np.divide(num, den, out=np.zeros(len(m)), where=m > 0)
             rows = todo[settled]
-            value[rows] = np.where(coincident, zs[cand[np.arange(len(m)), lowest]], idw)[settled]
+            coincident_z = track.z[cand[np.arange(len(m)), lowest]]
+            value[rows] = np.where(coincident, coincident_z, idw)[settled]
             found[rows] = (coincident | (m > 0))[settled]
             todo = todo[~settled]
-            k = min(2 * k, n)
+            width = min(2 * width, n)
         return value, found
+
+
+class _Track:
+    """One beam's ground photons sorted by their position along the
+    principal axis of their coordinates (ties in id order): ``along`` holds
+    the positions, ``x``, ``y``, ``z`` and ``ids`` the photons."""
+
+    def __init__(self, members: np.ndarray) -> None:
+        x, y = members["x"], members["y"]
+        self.centre = np.array([x.mean(), y.mean()])
+        dx, dy = x - self.centre[0], y - self.centre[1]
+        # any unit axis gives exact neighbours; the track's own gives short windows
+        cov = np.array([[dx @ dx, dx @ dy], [dx @ dy, dy @ dy]])
+        self.axis = np.linalg.eigh(cov)[1][:, -1]
+        along = dx * self.axis[0] + dy * self.axis[1]
+        order = np.argsort(along, kind="stable")
+        self.along = along[order]
+        self.x, self.y = x[order], y[order]
+        self.z, self.ids = members["elev"][order], members["id"][order]
+        self.span = float(np.max(np.abs(dx) + np.abs(dy)))
+
+    def project(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each query's position along the axis, and a bound on the rounding
+        of its gap to any photon's position: a photon whose gap exceeds a
+        distance plus this slack lies farther than that distance."""
+        dx, dy = qx - self.centre[0], qy - self.centre[1]
+        slack = 1e-9 * (self.span + np.abs(dx) + np.abs(dy))
+        return dx * self.axis[0] + dy * self.axis[1], slack
 
 
 def enforce_dtm_consistency(
@@ -503,10 +528,53 @@ def landcover_plausibility_filter(
 # ===== Clustering =====
 
 
-# Neighbour-list entries whose edges are listed at a time: points are taken
-# in blocks of about this many entries, so that clustering memory is the
-# points plus one block of edges however dense the photons are.
+# Candidate pairs listed at a time: points are taken in blocks of about
+# this many candidates, so that clustering memory is the points plus one
+# block of pairs however dense the photons are.
 _EDGE_BLOCK = 1 << 16
+
+
+class _CellGrid:
+    """Points binned in cubic cells a little wider than ``eps``, so that the
+    27 cells around a point's own hold every point within ``eps`` of it
+    (rounding of the cell coordinates included).  ``order`` lists the
+    points cell by cell, ``start`` and ``size`` give each cell's slice of it
+    (with one empty cell last), ``cell`` each point's cell and
+    ``neighbours`` each cell's 27 neighbour cells, the empty one where a
+    neighbour holds no point."""
+
+    def __init__(self, coords: np.ndarray, eps: float) -> None:
+        low = coords.min(axis=0)
+        # at most 2**20 cells a side, so that one int64 key holds all three
+        side = np.maximum(eps * (1.0 + 2.0**-20), (coords.max(axis=0) - low) / 2.0**20)
+        cell = np.floor((coords - low) / side).astype(np.int64) + 1
+        dims = cell.max(axis=0) + 2  # room for the neighbours either side
+        key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        self.order = np.argsort(key, kind="stable")
+        keys, start, size = np.unique(key[self.order], return_index=True, return_counts=True)
+        self.start = np.append(start, 0)
+        self.size = np.append(size, 0)
+        self.cell = np.searchsorted(keys, key)
+        step = np.arange(-1, 2)
+        offsets = ((step[:, None, None] * dims[1] + step[None, :, None]) * dims[2]
+                   + step[None, None, :]).ravel()
+        wanted = keys[:, None] + offsets
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        self.neighbours = np.where(keys[found] == wanted, found, len(keys))
+
+    def candidates(self) -> np.ndarray:
+        """The number of points in the 27 cells around each point."""
+        return self.size[self.neighbours].sum(axis=1)[self.cell]
+
+    def pairs(self, lo: int, hi: int, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every point of the 27 cells around each point ``lo <= i < hi``:
+        pairs (i, j) in i order, ``count`` holding each point's candidates."""
+        around = self.neighbours[self.cell[lo:hi]].ravel()
+        sizes = self.size[around]
+        total = int(count[lo:hi].sum())
+        skip = np.repeat(self.start[around] - (np.cumsum(sizes) - sizes), sizes)
+        return (np.repeat(np.arange(lo, hi), count[lo:hi]),
+                self.order[np.arange(total) + skip])
 
 
 def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -550,29 +618,38 @@ def dbscan_cluster(
 
     # work in id order: index order is then id order
     order = np.argsort(table["id"], kind="stable")
-    coords = np.column_stack(
-        (table["x"][order], table["y"][order], params.height_weight * h[order])
-    )
-    tree = cKDTree(coords)
-    count = tree.query_ball_point(coords, params.eps, return_length=True)
+    x, y, z = table["x"][order], table["y"][order], params.height_weight * h[order]
+    coords = np.column_stack((x, y, z))
+    grid = _CellGrid(coords, params.eps)
+    candidates = grid.candidates()
+    ends = np.cumsum(candidates)
+    cuts = np.searchsorted(ends, np.arange(_EDGE_BLOCK, ends[-1], _EDGE_BLOCK), side="right")
+    blocks = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+
+    def neighbours():
+        # the eps-neighbours of a block of points at a time, blocks cut by
+        # the running candidate count; the squared distance sums x, y and
+        # then z, as scipy's kd-tree sums it, so the pairs are the ones it
+        # finds
+        limit = params.eps * params.eps
+        for lo, hi in zip(blocks[:-1], blocks[1:]):
+            a, b = grid.pairs(lo, hi, candidates)
+            dx, dy, dz = x[a] - x[b], y[a] - y[b], z[a] - z[b]
+            near = (dx * dx + dy * dy) + dz * dz <= limit
+            yield a[near], b[near]
+
+    count = np.zeros(n, dtype=np.int64)
+    for a, _ in neighbours():
+        count += np.bincount(a, minlength=n)
     is_core = count >= params.min_pts
 
-    # the neighbours of a block of points at a time, blocks cut by the
-    # running neighbour count: core-core edges join components, each
-    # labelled by its lowest index, across blocks; a non-core point has all
-    # its neighbours in its own block and picks its nearest core there, ties
-    # to the lower id, by the dot product np.linalg.norm takes of one
-    # difference vector
+    # core-core edges join components, each labelled by its lowest index,
+    # across blocks; a non-core point has all its neighbours in its own
+    # block and picks its nearest core there, ties to the lower id, by the
+    # dot product np.linalg.norm takes of one difference vector
     parent = np.arange(n)
     nearest = np.full(n, -1, dtype=np.int64)
-    ends = np.cumsum(count)
-    cuts = np.searchsorted(ends, np.arange(_EDGE_BLOCK, ends[-1], _EDGE_BLOCK), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        edges = cKDTree(coords[lo:hi]).sparse_distance_matrix(
-            tree, params.eps, output_type="ndarray"
-        )
-        a, b = edges["i"] + lo, edges["j"]
+    for a, b in neighbours():
         link = is_core[a] & is_core[b]
         parent = _hook(parent, a[link], b[link])
         border = ~is_core[a] & is_core[b]

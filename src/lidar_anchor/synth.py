@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import ndimage
 
 from .photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, PHOTON_DTYPE
 from .raster import (
@@ -158,6 +157,17 @@ def _stamp_rects(
         lc[r0 : r0 + h, c0 : c0 + w] = code
 
 
+def _grow(mask: np.ndarray) -> np.ndarray:
+    """``mask`` grown by one pixel to its 4 neighbours, nothing past the
+    border: one step of ``scipy.ndimage.binary_dilation``'s default."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
 def generate_scene(
     cfg: SceneConfig = SceneConfig(),
 ) -> tuple[HeightRaster, OpticalRaster, LandCoverRaster, HeightRaster]:
@@ -222,7 +232,7 @@ def generate_scene(
 
     # paved apron around buildings
     buildings = lc == LC_BUILDING
-    apron = ndimage.binary_dilation(buildings, iterations=2) & ~buildings
+    apron = _grow(_grow(buildings)) & ~buildings
     lc[apron & _PLANTABLE[lc]] = LC_DEVELOPED
     del buildings, apron
 
@@ -409,6 +419,9 @@ def corrupt_prediction(
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         noise = rng.standard_normal(truth.values.shape)
         if cfg.noise_corr > 0:
+            # imported here, so that only correlated noise loads scipy
+            from scipy import ndimage
+
             noise = ndimage.gaussian_filter(noise, sigma=cfg.noise_corr / truth.header.gsd)
         spread = float(noise.std())
         if spread > 0:

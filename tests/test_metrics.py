@@ -8,7 +8,9 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidar_anchor import metrics
 from lidar_anchor.metrics import (
+    SSIM_SIGMA,
     SSIM_STRIP,
     SSIM_WINDOW,
     MetricsReport,
@@ -219,9 +221,10 @@ class TestStripSsim:
         st.integers(SSIM_WINDOW, 24),
         st.sampled_from([0.0, 0.01, 0.2]),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([SSIM_STRIP, 1]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matches_2d_oracle(self, height, width, invalid_share, seed):
+    def test_matches_2d_oracle(self, height, width, invalid_share, seed, strip):
         rng = np.random.default_rng(seed)
         vals_r = rng.normal(10, 5, (height, width))
         vals_p = vals_r + rng.normal(0, 1, (height, width))
@@ -229,12 +232,15 @@ class TestStripSsim:
         vals_r[rng.random((height, width)) < invalid_share / 2] = np.nan
         pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
         usable = ndimage.minimum_filter(valid_mask(pred) & valid_mask(ref), size=SSIM_WINDOW)
-        if not usable[5:-5, 5:-5].any():
-            # a small or nodata-heavy pair may have no window left
-            with pytest.raises(ValueError, match="nodata"):
-                ssim(pred, ref)
-            return
-        _assert_ssim_matches_2d(pred, ref)
+        # strips of SSIM_STRIP output rows, or of one, so that each reads 11 rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "SSIM_STRIP", strip)
+            if not usable[5:-5, 5:-5].any():
+                # a small or nodata-heavy pair may have no window left
+                with pytest.raises(ValueError, match="nodata"):
+                    ssim(pred, ref)
+                return
+            _assert_ssim_matches_2d(pred, ref)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -9999.0])
     def test_invalid_pixels_on_strip_seam(self, bad):
@@ -248,6 +254,19 @@ class TestStripSsim:
             vals_p[row, 3 + row % 20] = bad
         pred, ref = pair(vals_p, vals_r, pred_nodata=-9999.0)
         _assert_ssim_matches_2d(pred, ref)
+
+    @pytest.mark.parametrize("shape", [(11, 11), (26, 40), (74, 33), (75, 12)])
+    def test_gaussian_pass_is_correlate1d(self, shape):
+        # bit for bit on both axes, blocks of rows and their remainders
+        # included, over values of many magnitudes
+        rng = np.random.default_rng(shape[0])
+        arr = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-3, 6, shape)
+        kernel = metrics._gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+        half = SSIM_WINDOW // 2
+        rows = ndimage.correlate1d(arr, kernel, axis=0)[half:-half]
+        cols = ndimage.correlate1d(arr, kernel, axis=1)[:, half:-half]
+        assert metrics._gaussian_pass(arr, kernel, axis=0).tobytes() == rows.tobytes()
+        assert metrics._gaussian_pass(arr, kernel, axis=1).tobytes() == cols.tobytes()
 
     def test_large_pair_matches_loop_oracle(self):
         rng = np.random.default_rng(11)

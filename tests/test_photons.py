@@ -529,14 +529,26 @@ class TestIdwOracle:
         st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=12),
         st.integers(1, 20),
         st.sampled_from([1.0, 2.5, 100.0]),
+        st.booleans(),
     )
+    # a beam of fewer ground photons than its first window of 2 * k_max
+    @example([(0, 0, 8), (3, 1, -8), (-2, 0, 4)], [(1, 2), (0, 0)], 4, 2.5, False)
+    # a track out and back beside itself, queries 2-3 m off it: the first
+    # window of 2 * k_max photons is too short and widens
+    @example([(gx, k, k * gx) for k in (0, 1) for gx in range(-6, 7)],
+             [(0, 12), (-9, -8), (12, 12)], 2, 100.0, True)
     @settings(max_examples=150, deadline=None)
-    def test_ties_duplicates_and_coincidence_match_oracles(self, grid, queries, k_max, radius):
+    def test_ties_duplicates_and_coincidence_match_oracles(
+        self, grid, queries, k_max, radius, track
+    ):
         # half-metre lattice: points mirrored around a query tie exactly,
         # repeated coordinates stand for duplicate photons under other ids,
-        # and queries on lattice points hit the coincident rule
+        # and queries on lattice points hit the coincident rule; or a track
+        # along x that doubles back half a metre beside itself, so that a
+        # query beside it widens its window
         ids = _scrambled_ids(len(grid))
-        pts = [(pid, gx * 0.5, gy * 0.5, z / 8.0) for pid, (gx, gy, z) in zip(ids, grid)]
+        pts = [(pid, gx * 0.5, (gy % 2 if track else gy) * 0.5, z / 8.0)
+               for pid, (gx, gy, z) in zip(ids, grid)]
         interp = GroundInterpolator(photon_table(photon(*p) for p in pts), radius=radius,
                                     k_max=k_max)
         qx = np.array([q[0] * 0.25 for q in queries])
@@ -553,8 +565,8 @@ class TestIdwOracle:
 
     def test_tie_at_the_k_max_boundary_goes_to_the_lower_id(self):
         # 20 photons exactly 25 m from the query (Pythagorean lattice
-        # points), far more than the 2 * k_max nearest a kd-tree first
-        # returns: whichever of them holds the lowest id must be the pick
+        # points), far more than the first window of 2 * k_max candidates:
+        # whichever of them holds the lowest id must be the pick
         ring = [(sx * a, sy * b) for a, b in [(7, 24), (24, 7), (15, 20), (20, 15)]
                 for sx in (1, -1) for sy in (1, -1)]
         ring += [(25, 0), (-25, 0), (0, 25), (0, -25)]
@@ -569,7 +581,7 @@ class TestIdwOracle:
             )
 
     def test_coincident_duplicates_take_the_lowest_id(self):
-        # more coincident photons than the kd-tree's first candidates
+        # more coincident photons than the first window of candidates
         for r in range(0, 40, 7):
             pts = [photon((i - r) % 40, 3.0, 4.0 + 1e-8 * (i % 3), 50.0 + i) for i in range(40)]
             pts.append(photon(99, 3.5, 4.0, -10.0))

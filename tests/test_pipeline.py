@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +229,48 @@ def test_correct_report_counts_coverage(tmp_path):
     assert report == {"windows_scored": scored, "windows_dropped": dropped,
                       "pixels_uncovered": uncovered}
     assert json.loads((tmp_path / "correct_report.json").read_text()) == report
+
+
+def _leaves_scipy_out(tmp_path, code):
+    """Run ``code`` in a fresh interpreter on this package and assert that
+    no scipy module was imported by the end of it."""
+    src = Path(pipeline.__file__).resolve().parents[1]
+    check = code + (
+        "\nimport sys\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestWithoutScipy:
+    """The stages run on numpy alone; only synth's correlated noise loads
+    scipy."""
+
+    def test_cli_import(self, tmp_path):
+        _leaves_scipy_out(tmp_path, "import lidar_anchor.cli")
+
+    @pytest.mark.parametrize("mode, corruption", [
+        ("metric", CorruptionConfig(class_bias={4: 5.0, 7: -4.0})),
+        ("relative", CorruptionConfig(alpha=0.05, beta=2.0)),
+    ])
+    def test_pipeline_run(self, tmp_path, mode, corruption):
+        # a noise-free scene, so that making it loads no scipy either
+        scene = tmp_path / "scene"
+        pipeline.run_synth(SceneConfig(size=128, seed=7), TrackConfig(seed=7), corruption, scene)
+        inputs = {name: str(scene / name)
+                  for name in ("pred", "optical", "landcover", "dtm", "truth")}
+        _leaves_scipy_out(tmp_path, (
+            "from lidar_anchor import pipeline\n"
+            "pipeline.run_pipeline(pipeline.PipelineConfig(\n"
+            f"    mode={mode!r}, pred={inputs['pred']!r}, optical={inputs['optical']!r},\n"
+            f"    landcover={inputs['landcover']!r}, dtm={inputs['dtm']!r},\n"
+            f"    photons={str(scene / 'photons.csv')!r}, reference={inputs['truth']!r},\n"
+            f"    out={str(tmp_path / 'run')!r}, trees=3, patch=32))\n"
+        ))
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        # every stage ran, SSIM included
+        assert summary["affine"] is None if mode == "metric" else summary["affine"]
+        assert summary["corrected_metrics"]["ssim"] is not None
