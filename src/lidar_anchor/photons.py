@@ -43,10 +43,12 @@ logger = logging.getLogger(__name__)
 PHOTON_CSV_HEADER = ("id", "x", "y", "elev", "signal_conf", "atl08_class", "beam", "t")
 CLEAN_CSV_HEADER = ("x", "y", "h_ag", "kind", "lc_class", "cluster_size")
 
-# Raw and clean photon tables: one field per CSV column.
+# Raw and clean photon tables: one field per CSV column.  A raw photon row
+# is 50 bytes: the two codes, in 0..4 and 0..3, take one byte each, and beam
+# ids, free integers in the CSV, take eight.
 PHOTON_DTYPE = np.dtype([
     ("id", "<i8"), ("x", "<f8"), ("y", "<f8"), ("elev", "<f8"),
-    ("signal_conf", "<i8"), ("atl08_class", "<i8"), ("beam", "<i8"), ("t", "<f8"),
+    ("signal_conf", "i1"), ("atl08_class", "i1"), ("beam", "<i8"), ("t", "<f8"),
 ])
 CLEAN_DTYPE = np.dtype([
     ("x", "<f8"), ("y", "<f8"), ("h_ag", "<f8"), ("kind", "<U6"),
@@ -127,8 +129,23 @@ class PreprocessParams:
 # ===== CSV I/O =====
 
 # Rows parsed at a time by the CSV readers and formatted at a time by the
-# writers, so that their memory is one block's strings however long the table.
-CSV_BLOCK_ROWS = 8192
+# writers, so that their memory is one block's strings however long the
+# table: about 1 MB of formatted photon rows.
+CSV_BLOCK_ROWS = 2048
+
+# Photon CSV blocks are parsed with the codes at int64 width, so that a code
+# too wide for its one-byte field is read, and reported, as written.
+_PHOTON_PARSE_DTYPE = np.dtype([
+    (name, "<i8" if name in ("signal_conf", "atl08_class") else PHOTON_DTYPE[name])
+    for name in PHOTON_DTYPE.names
+])
+
+
+def _row_capacity(path: Path) -> int:
+    """The lines after the first line of a text file, split as ``_csv_blocks``
+    splits them: at least as many as the rows it yields."""
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as f:
+        return max(sum(1 for _ in f) - 1, 0)
 
 
 def _csv_blocks(path: Path, header: tuple[str, ...]) -> Iterator[tuple[list[str], np.ndarray]]:
@@ -147,7 +164,7 @@ def _csv_blocks(path: Path, header: tuple[str, ...]) -> Iterator[tuple[list[str]
             start += len(lines)
 
 
-def _parse_rows(texts: list[str], dtype: np.dtype = PHOTON_DTYPE) -> np.ndarray:
+def _parse_rows(texts: list[str], dtype: np.dtype) -> np.ndarray:
     if not texts:
         return np.empty(0, dtype=dtype)
     return np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1)
@@ -155,26 +172,34 @@ def _parse_rows(texts: list[str], dtype: np.dtype = PHOTON_DTYPE) -> np.ndarray:
 
 def load_photons(path: Path | str) -> np.ndarray:
     """Read a photon CSV into a ``PHOTON_DTYPE`` table, rejecting malformed
-    rows with their row numbers.  The file is parsed ``CSV_BLOCK_ROWS`` lines
-    at a time, so that its text is never held whole."""
+    rows with their row numbers.  The table is allocated once, a row for
+    each line of the file, and filled ``CSV_BLOCK_ROWS`` parsed lines at a
+    time, so that neither the file's text nor a second copy of the table is
+    ever held."""
     path = Path(path)
-    blocks, linenos = [_parse_rows([])], [np.zeros(0, dtype=np.int64)]
+    table = np.empty(_row_capacity(path), dtype=PHOTON_DTYPE)
+    linenos = np.empty(len(table), dtype=np.int64)
+    valid = np.empty(len(table), dtype=bool)
     problems: list[tuple[int, str]] = []
+    n = 0
     for texts, rownos in _csv_blocks(path, PHOTON_CSV_HEADER):
         try:
-            table = _parse_rows(texts)
+            block = _parse_rows(texts, _PHOTON_PARSE_DTYPE)
         except ValueError:
             bad = _unparsable_rows(texts, rownos)
             parsed = ~np.isin(rownos, [lineno for lineno, _ in bad])
             texts = [text for text, ok in zip(texts, parsed) if ok]
             rownos = rownos[parsed]
-            table = _parse_rows(texts)
+            block = _parse_rows(texts, _PHOTON_PARSE_DTYPE)
             problems += bad
-        blocks.append(table)
-        linenos.append(rownos)
-    table = np.concatenate(blocks)
-    del blocks
-    problems += _invalid_rows(table, np.concatenate(linenos))
+        ok, bad = _invalid_values(block, rownos)
+        problems += bad
+        end = n + len(block)
+        table[n:end], linenos[n:end], valid[n:end] = block, rownos, ok
+        n = end
+    # fewer rows than lines only where lines are blank or rows rejected
+    table.resize(n, refcheck=False)
+    problems += _duplicate_ids(table["id"], linenos[:n], valid[:n])
 
     if problems:
         problems.sort()
@@ -196,39 +221,48 @@ def _unparsable_rows(texts: list[str], linenos: np.ndarray) -> list[tuple[int, s
             )
             continue
         try:
-            _parse_rows([text])
+            _parse_rows([text], _PHOTON_PARSE_DTYPE)
         except ValueError:
             problems.append((lineno, f"row {lineno}: unparsable field in {row!r}"))
     return problems
 
 
-def _invalid_rows(table: np.ndarray, linenos: np.ndarray) -> list[tuple[int, str]]:
-    """Parsed rows with a non-finite value, a code out of range or an id seen
-    on an earlier valid row; a row is reported for its first problem."""
+def _invalid_values(
+    block: np.ndarray, linenos: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The rows of a parsed block without a non-finite value or a code out
+    of range, as a mask, and the others' problems; a row is reported for its
+    first problem."""
     checks = [
-        (~np.isfinite(table[name]), name, "is not finite") for name in ("x", "y", "elev", "t")
+        (~np.isfinite(block[name]), name, "is not finite") for name in ("x", "y", "elev", "t")
     ]
     checks += [
-        ((table[name] < lo) | (table[name] > hi), name, f"outside {lo}..{hi}")
+        ((block[name] < lo) | (block[name] > hi), name, f"outside {lo}..{hi}")
         for name, lo, hi in (("signal_conf", 0, 4), ("atl08_class", 0, 3))
     ]
     problems = []
-    ok = np.ones(len(table), dtype=bool)
+    ok = np.ones(len(block), dtype=bool)
     for bad, name, what in checks:
         bad &= ok
         ok &= ~bad
         problems += [
             (lineno, f"row {lineno}: {name}={value} {what}")
-            for lineno, value in zip(linenos[bad].tolist(), table[name][bad].tolist())
+            for lineno, value in zip(linenos[bad].tolist(), block[name][bad].tolist())
         ]
-    valid = np.nonzero(ok)[0]
-    valid = valid[np.argsort(table["id"][valid], kind="stable")]
-    repeat = valid[1:][table["id"][valid[1:]] == table["id"][valid[:-1]]]
-    problems += [
+    return ok, problems
+
+
+def _duplicate_ids(
+    ids: np.ndarray, linenos: np.ndarray, valid: np.ndarray
+) -> list[tuple[int, str]]:
+    """Valid rows whose id was seen on an earlier valid row."""
+    rows = np.nonzero(valid)[0]
+    rows = rows[np.argsort(ids[rows], kind="stable")]
+    repeat = rows[1:][ids[rows[1:]] == ids[rows[:-1]]]
+    return [
         (lineno, f"row {lineno}: duplicate photon id {pid}")
-        for lineno, pid in zip(linenos[repeat].tolist(), table["id"][repeat].tolist())
+        for lineno, pid in zip(linenos[repeat].tolist(), ids[repeat].tolist())
     ]
-    return problems
 
 
 def _row_blocks(table: np.ndarray) -> Iterator[list[tuple]]:
@@ -267,13 +301,18 @@ def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
 
 def read_clean_csv(path: Path | str) -> np.ndarray:
     """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table, rejecting a bad
-    header or the first malformed row with its row number.  The file is
-    parsed ``CSV_BLOCK_ROWS`` lines at a time, as ``load_photons`` parses."""
+    header or the first malformed row with its row number.  The table is
+    allocated once and filled ``CSV_BLOCK_ROWS`` parsed lines at a time, as
+    ``load_photons`` fills its table."""
     path = Path(path)
-    blocks = [np.empty(0, dtype=CLEAN_DTYPE)]
-    blocks += (_parse_clean_block(path, lines, linenos)
-               for lines, linenos in _csv_blocks(path, CLEAN_CSV_HEADER))
-    return np.concatenate(blocks)
+    table = np.empty(_row_capacity(path), dtype=CLEAN_DTYPE)
+    n = 0
+    for lines, linenos in _csv_blocks(path, CLEAN_CSV_HEADER):
+        block = _parse_clean_block(path, lines, linenos)
+        table[n : n + len(block)] = block
+        n += len(block)
+    table.resize(n, refcheck=False)
+    return table
 
 
 def _parse_clean_block(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:

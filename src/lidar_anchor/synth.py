@@ -322,9 +322,11 @@ def simulate_tracks(
     A photon's elevation is terrain (bilinear) plus truth at the containing
     pixel plus Gaussian noise.  Samples whose truth is below 0.5 m read as
     ground class, the rest as top of canopy.  Beam number is the track
-    index; ids are sequential over the emitted photons.  Returns a
-    ``PHOTON_DTYPE`` table as a record array, whose rows read their fields
-    as attributes (``p.x``).
+    index; ids are sequential over the emitted photons.  The table is
+    allocated once, a row for each track sample on the scene, and each
+    track's photons are written into it in turn; it is shrunk in place to
+    the photons emitted.  Returns a ``PHOTON_DTYPE`` table as a record
+    array, whose rows read their fields as attributes (``p.x``).
     """
     h = truth.header
     if not h.same_grid(dtm.header) or not h.same_grid(lc.header):
@@ -342,23 +344,24 @@ def simulate_tracks(
     reach = math.hypot(extent_x, extent_y) / 2.0 + cfg.along_spacing
     s_values = np.arange(-reach, reach + cfg.along_spacing, cfg.along_spacing)
 
-    parts = []
-    next_id = 0
-    for track in range(cfg.n_tracks):
+    def samples(track: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The track's sample positions on the scene: x, y and along-track s."""
         offset = (track - (cfg.n_tracks - 1) / 2.0) * cfg.cross_spacing
-        ox = cx + offset * perp_x
-        oy = cy + offset * perp_y
-        px = ox + s_values * dir_x
-        py = oy + s_values * dir_y
+        px = cx + offset * perp_x + s_values * dir_x
+        py = cy + offset * perp_y + s_values * dir_y
         inside = (
             (px >= h.origin_x)
             & (px <= h.origin_x + extent_x)
             & (py >= h.origin_y - extent_y)
             & (py <= h.origin_y)
         )
-        xs = px[inside]
-        ys = py[inside]
-        ss = s_values[inside]
+        return px[inside], py[inside], s_values[inside]
+
+    photons = np.empty(sum(samples(track)[0].size for track in range(cfg.n_tracks)),
+                       dtype=PHOTON_DTYPE)
+    n = 0
+    for track in range(cfg.n_tracks):
+        xs, ys, ss = samples(track)
         m = xs.size
         if m == 0:
             continue
@@ -375,17 +378,18 @@ def simulate_tracks(
         elev = ground + t_val + noise[kept]
         klass = np.where(t_val < GROUND_SPLIT, CLASS_GROUND, CLASS_TOP_OF_CANOPY)
         t = track * 10.0 + (ss[kept] - ss[0]) / _TRACK_SPEED
-        part = np.empty(kept.size, dtype=PHOTON_DTYPE)
-        for name, values in (("id", next_id + np.arange(kept.size)), ("x", xs[kept]),
+        end = n + kept.size
+        for name, values in (("id", np.arange(n, end)), ("x", xs[kept]),
                              ("y", ys[kept]), ("elev", elev), ("signal_conf", confs[kept]),
                              ("atl08_class", klass), ("beam", track), ("t", t)):
-            part[name] = values
-        parts.append(part)
-        next_id += kept.size
+            photons[name][n:end] = values
+        n = end
 
-    if next_id == 0:
+    if n == 0:
         raise ValueError("no track intersects the scene; check cross_spacing and azimuth")
-    photons = np.concatenate(parts).view(np.recarray)
+    # dropout and DTM nodata leave fewer photons than samples
+    photons.resize(n, refcheck=False)
+    photons = photons.view(np.recarray)
     logger.info("simulated %d photons over %d tracks", len(photons), cfg.n_tracks)
     return photons
 

@@ -1222,3 +1222,57 @@ def raster_payload_whole(values, bands, dtype):
     if bands > 1 and dtype == "float32":
         return np.ascontiguousarray(np.moveaxis(values, 2, 0)).astype("<f4").tobytes()
     return values.astype("<f4" if dtype == "float32" else "u1").tobytes()
+
+
+# ----- track simulation -----
+
+
+def simulate_tracks_concat(truth, dtm, cfg):
+    """The photons of a ``TrackConfig`` over truth and DTM rasters, as the
+    track simulation first made them: each track's photons a table of their
+    own, made one sample at a time, the tables concatenated at the end with
+    the codes at int64 width.  The RNG draws are made per track in the
+    simulation's order."""
+    h = truth.header
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    az = math.radians(cfg.track_azimuth)
+    dir_x, dir_y = math.sin(az), math.cos(az)
+    perp_x, perp_y = math.cos(az), -math.sin(az)
+    extent_x, extent_y = h.width * h.gsd, h.height * h.gsd
+    cx = h.origin_x + extent_x / 2.0
+    cy = h.origin_y - extent_y / 2.0
+    reach = math.hypot(extent_x, extent_y) / 2.0 + cfg.along_spacing
+    s_values = np.arange(-reach, reach + cfg.along_spacing, cfg.along_spacing).tolist()
+
+    parts = []
+    for track in range(cfg.n_tracks):
+        offset = (track - (cfg.n_tracks - 1) / 2.0) * cfg.cross_spacing
+        ox, oy = cx + offset * perp_x, cy + offset * perp_y
+        samples = []
+        for s in s_values:
+            x, y = ox + s * dir_x, oy + s * dir_y
+            if (h.origin_x <= x <= h.origin_x + extent_x
+                    and h.origin_y - extent_y <= y <= h.origin_y):
+                samples.append((x, y, s))
+        m = len(samples)
+        if m == 0:
+            continue
+        noise = rng.normal(0.0, cfg.noise_sigma, size=m) if cfg.noise_sigma > 0 else np.zeros(m)
+        confs = rng.choice(5, size=m, p=np.asarray(cfg.conf_profile, dtype=np.float64))
+        keep = rng.random(m) >= cfg.dropout
+        rows = []
+        for (x, y, s), e, conf, kept in zip(samples, noise.tolist(), confs.tolist(), keep.tolist()):
+            ground = sample_bilinear_direct(dtm, x, y) if kept else None
+            if ground is None:
+                continue
+            col = min(math.floor((x - h.origin_x) / h.gsd), h.width - 1)
+            row = min(math.floor((h.origin_y - y) / h.gsd), h.height - 1)
+            t_val = float(truth.values[row, col])
+            t = track * 10.0 + (s - samples[0][2]) / 7000.0
+            rows.append((x, y, ground + t_val + e, conf, 1 if t_val < 0.5 else 3, track, t))
+        parts.append(np.array(rows, dtype=[
+            ("x", "<f8"), ("y", "<f8"), ("elev", "<f8"), ("signal_conf", "<i8"),
+            ("atl08_class", "<i8"), ("beam", "<i8"), ("t", "<f8"),
+        ]))
+    table = np.concatenate(parts)
+    return {"id": np.arange(len(table)), **{name: table[name] for name in table.dtype.names}}

@@ -120,6 +120,26 @@ class TestCsv:
         for row in ("row 3", "row 4", "row 5", "row 6"):
             assert row in msg
 
+    @pytest.mark.parametrize("conf, klass, want", [
+        ("300", "1", "signal_conf=300 outside 0..4"),
+        ("4", "-200", "atl08_class=-200 outside 0..3"),
+        (str(2**63 - 1), "1", f"signal_conf={2**63 - 1} outside 0..4"),
+        # 260 and 257 are 4 and 1 in one byte
+        ("260", "1", "signal_conf=260 outside 0..4"),
+        ("4", "257", "atl08_class=257 outside 0..3"),
+    ])
+    def test_codes_too_wide_for_a_byte_are_reported_as_written(self, tmp_path, conf, klass, want):
+        lines = [
+            "id,x,y,elev,signal_conf,atl08_class,beam,t",
+            "0,1.0,2.0,3.0,4,1,0,0.0",
+            f"1,1.0,2.0,3.0,{conf},{klass},0,0.0",
+        ]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_photons(path)
+        assert str(err.value) == f"{path}: 1 malformed rows: row 3: {want}"
+
     def test_non_finite_values_rejected_with_row_numbers(self, tmp_path):
         lines = [
             "id,x,y,elev,signal_conf,atl08_class,beam,t",
@@ -268,8 +288,10 @@ def random_clean(n, seed=0):
     return table
 
 
-_BLOCK_EDGES = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                2 * CSV_BLOCK_ROWS + 1]
+# Table lengths at block edges: empty, one row, one and four blocks and a
+# row either side of them, three and nine blocks with one row in the last.
+_BLOCK_EDGES = sorted({0, 1, 2 * CSV_BLOCK_ROWS + 1, 8 * CSV_BLOCK_ROWS + 1}
+                      | {k * CSV_BLOCK_ROWS + d for k in (1, 4) for d in (-1, 0, 1)})
 
 
 class TestCsvBlocks:
@@ -355,6 +377,21 @@ class TestCsvBlocks:
         with pytest.raises(ValueError) as got:
             read_clean_csv(path)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("read, header, row", [
+        (load_photons, "id,x,y,elev,signal_conf,atl08_class,beam,t", "{},1.5,2.5,3.5,4,1,0,0.25"),
+        (read_clean_csv, "x,y,h_ag,kind,lc_class,cluster_size", "{},2.5,0.0,ground,1,1"),
+    ])
+    def test_every_line_end_and_blank_lines_read_back(self, tmp_path, monkeypatch, read,
+                                                      header, row):
+        # the table is allocated for every line and shrunk to the rows: LF,
+        # CR and CRLF ends, blank lines, and a last line without its end
+        ends = ["\n", "\r", "\r\n", "\r\n\r\n", "\r", "\n\n", ""]
+        text = header + "\r" + "".join(row.format(i) + end for i, end in enumerate(ends))
+        (tmp_path / "t.csv").write_bytes(text.encode())
+        monkeypatch.setattr(photons, "CSV_BLOCK_ROWS", 3)
+        got = read(tmp_path / "t.csv")
+        assert got[got.dtype.names[0]].tolist() == list(range(len(ends)))
 
     def test_whitespace_line_is_a_malformed_photon_row(self, tmp_path):
         # only a line holding nothing but its line end is blank

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidar_anchor.photons import CLASS_GROUND, CLASS_TOP_OF_CANOPY, write_photons_csv
+from lidar_anchor.photons import (
+    CLASS_GROUND,
+    CLASS_TOP_OF_CANOPY,
+    PHOTON_DTYPE,
+    write_photons_csv,
+)
 from lidar_anchor.raster import LC_BUILDING, LC_TREE, STRIP_ROWS, HeightRaster
 from lidar_anchor.synth import (
     PALETTE,
@@ -21,7 +26,7 @@ from lidar_anchor.synth import (
 )
 
 from conftest import make_height, make_landcover
-from oracles import corrupt_prediction_whole, generate_scene_whole
+from oracles import corrupt_prediction_whole, generate_scene_whole, simulate_tracks_concat
 
 
 def traced_peak(call):
@@ -293,6 +298,31 @@ class TestSimulateTracks:
             assert [p.id for p in photons] == list(range(count))
             write_photons_csv(photons, tmp_path / "photons.csv")
             assert hashlib.sha256((tmp_path / "photons.csv").read_bytes()).hexdigest() == digest
+
+    def test_matches_the_per_track_concatenation(self):
+        # dropout, a nodata hole under the northern half of the middle
+        # track, and outer tracks 80 m off the 128 m scene's centre line
+        truth, _, lc, dtm = generate_scene(SceneConfig(size=256, seed=15))
+        holed = dtm.values.copy()
+        holed[:128, 100:160] = -9999.0
+        holed = HeightRaster(dataclasses.replace(dtm.header, nodata=-9999.0), holed)
+        cfg = TrackConfig(n_tracks=5, cross_spacing=40.0, dropout=0.3, seed=15)
+        got = simulate_tracks(truth, holed, lc, cfg)
+        want = simulate_tracks_concat(truth, holed, cfg)
+        assert got.dtype == PHOTON_DTYPE
+        assert set(got.beam.tolist()) == {1, 2, 3}
+        assert np.count_nonzero(got.beam == 2) < 0.75 * np.count_nonzero(got.beam == 1)
+        for name in PHOTON_DTYPE.names:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_memory_is_about_the_table_it_returns(self):
+        # all 24 tracks, 20 m apart, cross the 512 m scene; per-track
+        # tables concatenated at the end peaked at about 2.1x the table
+        truth, _, lc, dtm = generate_scene(SceneConfig(size=1024, seed=5))
+        cfg = TrackConfig(n_tracks=24, cross_spacing=20.0, seed=5)
+        peak, photons = traced_peak(lambda: simulate_tracks(truth, dtm, lc, cfg))
+        assert set(photons.beam.tolist()) == set(range(24))
+        assert peak <= 1.5 * photons.nbytes, f"peak {peak / photons.nbytes:.2f}x the table"
 
     def test_grid_mismatch_raises(self):
         truth, _, lc, dtm = generate_scene(SceneConfig(size=128, seed=14))
