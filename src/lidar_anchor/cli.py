@@ -127,7 +127,8 @@ def _cmd_fit_scale(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
-    report = pipeline.stage_train(cfg, cfg.pred, _out_dir(cfg))
+    out = _out_dir(cfg)
+    report = pipeline.stage_train(cfg, pipeline.residual_input(cfg, out), out)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -135,7 +136,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
     out = _out_dir(cfg)
-    pipeline.stage_correct(cfg, cfg.pred, out)
+    pipeline.stage_correct(cfg, pipeline.residual_input(cfg, out), out)
     print(f"wrote {out / 'corrected.bin'} and {out / 'residual.bin'}")
     return 0
 

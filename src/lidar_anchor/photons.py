@@ -20,10 +20,9 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -133,35 +132,87 @@ class PreprocessParams:
 # table: about 1 MB of formatted photon rows.
 CSV_BLOCK_ROWS = 2048
 
-# Photon CSV blocks are parsed with the codes at int64 width, so that a code
-# too wide for its one-byte field is read, and reported, as written.
+# The dtypes CSV blocks are parsed at, wide enough that a value is read,
+# and reported, as written: the photon codes at int64, too wide for their
+# one-byte fields, and the clean kind one character wider than
+# CLEAN_DTYPE's, so that a longer kind cannot parse as a valid one cut short
+# (it is reported cut to seven characters).
 _PHOTON_PARSE_DTYPE = np.dtype([
     (name, "<i8" if name in ("signal_conf", "atl08_class") else PHOTON_DTYPE[name])
     for name in PHOTON_DTYPE.names
 ])
+_CLEAN_PARSE_DTYPE = np.dtype([
+    (name, "<U7" if name == "kind" else CLEAN_DTYPE[name]) for name in CLEAN_DTYPE.names
+])
+
+
+# The value rules of each CSV: a field, the mask of its parsed values that
+# break the rule, and what the error report says of them.
+_NOT_FINITE = (lambda v: ~np.isfinite(v), "is not finite")
+_PHOTON_RULES = (*((name, *_NOT_FINITE) for name in ("x", "y", "elev", "t")),
+                 ("signal_conf", lambda v: (v < 0) | (v > 4), "outside 0..4"),
+                 ("atl08_class", lambda v: (v < 0) | (v > 3), "outside 0..3"))
+_CLEAN_RULES = (*((name, *_NOT_FINITE) for name in ("x", "y", "h_ag")),
+                ("kind", lambda v: ~np.isin(v, (KIND_GROUND, KIND_OBJECT)),
+                 f"is not {KIND_GROUND} or {KIND_OBJECT}"))
 
 
 def _row_capacity(path: Path) -> int:
-    """The lines after the first line of a text file, split as ``_csv_blocks``
-    splits them: at least as many as the rows it yields."""
+    """The lines after the first line of a text file, split as ``_read_csv``
+    splits them: at least as many as the rows it reads."""
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as f:
         return max(sum(1 for _ in f) - 1, 0)
 
 
-def _csv_blocks(path: Path, header: tuple[str, ...]) -> Iterator[tuple[list[str], np.ndarray]]:
-    """The rows of a CSV file whose first line must be ``header``, read
-    ``CSV_BLOCK_ROWS`` lines at a time: each block's lines, line ends kept,
-    and their line numbers in the file.  As in the ``csv`` module, a line
-    holding nothing but its line end is skipped; one row is one line."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        first = next(csv.reader([f.readline()]))
-        if tuple(h.strip() for h in first) != header:
-            raise ValueError(f"{path}: bad header, expected {','.join(header)}")
-        start = 2
-        while lines := list(itertools.islice(f, CSV_BLOCK_ROWS)):
-            rows = [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
-            yield [lines[i] for i in rows], np.array(rows, dtype=np.int64) + start
-            start += len(lines)
+def _read_csv(path: Path | str, header: tuple[str, ...], dtype: np.dtype,
+              parse_dtype: np.dtype, rules: tuple, table_problems=None) -> np.ndarray:
+    """Read a CSV whose first line must be ``header`` into a ``dtype`` table,
+    allocated once, a row for each line, and filled ``CSV_BLOCK_ROWS`` lines
+    at a time.  One row is one line, but a line holding nothing but its line
+    end is skipped, as the ``csv`` module skips it.  A block's rows parsed at
+    ``parse_dtype`` are checked against ``rules``, and those that pass go
+    into the table; ``table_problems`` then gives the table's rows at fault,
+    and what is wrong with each.  Every malformed row is reported in one
+    ``ValueError`` by its line number, the first ten shown."""
+    path = Path(path)
+    table = np.empty(_row_capacity(path), dtype=dtype)
+    problems: list[tuple[int, str]] = []  # a line number and what is wrong on it
+    gaps = [np.empty(0, dtype=np.int64)]  # line numbers that hold no table row
+    n = 0
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            first = next(csv.reader([f.readline()]))
+            if tuple(h.strip() for h in first) != header:
+                raise ValueError(f"{path}: bad header, expected {','.join(header)}")
+            start = 2
+            while lines := list(itertools.islice(f, CSV_BLOCK_ROWS)):
+                numbers = np.arange(start, start + len(lines))
+                start += len(lines)
+                rows = [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
+                block, linenos, bad = _parse_block([lines[i] for i in rows], numbers[rows],
+                                                   parse_dtype)
+                ok, invalid = _invalid_values(block, linenos, rules)
+                problems += bad + invalid
+                kept = int(np.count_nonzero(ok))
+                if kept < len(lines):  # blank lines or rows rejected
+                    gaps.append(numbers[np.isin(numbers, linenos[ok], invert=True)])
+                    block = block[ok]
+                table[n : n + kept] = block
+                n += kept
+                # one block's strings and rows are held at a time
+                del lines, block
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    table.resize(n, refcheck=False)
+    if table_problems is not None:
+        at, whats = table_problems(table)
+        problems += zip(_line_numbers(at, np.concatenate(gaps)).tolist(), whats)
+    if problems:
+        problems.sort()
+        shown = "; ".join(f"row {lineno}: {what}" for lineno, what in problems[:10])
+        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
+        raise ValueError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
+    return table
 
 
 def _parse_rows(texts: list[str], dtype: np.dtype) -> np.ndarray:
@@ -170,188 +221,106 @@ def _parse_rows(texts: list[str], dtype: np.dtype) -> np.ndarray:
     return np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1)
 
 
-def load_photons(path: Path | str) -> np.ndarray:
-    """Read a photon CSV into a ``PHOTON_DTYPE`` table, rejecting malformed
-    rows with their row numbers.  The table is allocated once, a row for
-    each line of the file, and filled ``CSV_BLOCK_ROWS`` parsed lines at a
-    time, so that neither the file's text nor a second copy of the table is
-    ever held."""
-    path = Path(path)
-    table = np.empty(_row_capacity(path), dtype=PHOTON_DTYPE)
-    linenos = np.empty(len(table), dtype=np.int64)
-    valid = np.empty(len(table), dtype=bool)
-    problems: list[tuple[int, str]] = []
-    n = 0
-    for texts, rownos in _csv_blocks(path, PHOTON_CSV_HEADER):
-        try:
-            block = _parse_rows(texts, _PHOTON_PARSE_DTYPE)
-        except ValueError:
-            bad = _unparsable_rows(texts, rownos)
-            parsed = ~np.isin(rownos, [lineno for lineno, _ in bad])
-            texts = [text for text, ok in zip(texts, parsed) if ok]
-            rownos = rownos[parsed]
-            block = _parse_rows(texts, _PHOTON_PARSE_DTYPE)
-            problems += bad
-        ok, bad = _invalid_values(block, rownos)
-        problems += bad
-        end = n + len(block)
-        table[n:end], linenos[n:end], valid[n:end] = block, rownos, ok
-        n = end
-    # fewer rows than lines only where lines are blank or rows rejected
-    table.resize(n, refcheck=False)
-    problems += _duplicate_ids(table["id"], linenos[:n], valid[:n])
-
-    if problems:
-        problems.sort()
-        shown = "; ".join(msg for _, msg in problems[:10])
-        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
-        raise ValueError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
-    return table
-
-
-def _unparsable_rows(texts: list[str], linenos: np.ndarray) -> list[tuple[int, str]]:
-    """Rows with a wrong field count or a field that does not parse.  Rows
-    are parsed one at a time here, only after their block's parse failed."""
+def _parse_block(
+    texts: list[str], linenos: np.ndarray, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """A block's rows parsed at ``dtype``, their line numbers, and the
+    problems of the rows left out for a wrong field count or a field that
+    does not parse.  Rows are parsed one at a time only after the block's
+    parse failed."""
+    try:
+        return _parse_rows(texts, dtype), linenos, []
+    except ValueError:
+        pass
     problems = []
     for lineno, text in zip(linenos.tolist(), texts):
         row = next(csv.reader([text]))
-        if len(row) != len(PHOTON_CSV_HEADER):
-            problems.append(
-                (lineno, f"row {lineno}: expected {len(PHOTON_CSV_HEADER)} fields, got {len(row)}")
-            )
-            continue
         try:
-            _parse_rows([text], _PHOTON_PARSE_DTYPE)
+            if len(row) != len(dtype):
+                problems.append((lineno, f"expected {len(dtype)} fields, got {len(row)}"))
+            else:
+                _parse_rows([text], dtype)
         except ValueError:
-            problems.append((lineno, f"row {lineno}: unparsable field in {row!r}"))
-    return problems
+            problems.append((lineno, f"unparsable field in {row!r}"))
+    parsed = ~np.isin(linenos, [lineno for lineno, _ in problems])
+    return _parse_rows([t for t, ok in zip(texts, parsed) if ok], dtype), linenos[parsed], problems
 
 
 def _invalid_values(
-    block: np.ndarray, linenos: np.ndarray
+    block: np.ndarray, linenos: np.ndarray, rules: tuple
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """The rows of a parsed block without a non-finite value or a code out
-    of range, as a mask, and the others' problems; a row is reported for its
-    first problem."""
-    checks = [
-        (~np.isfinite(block[name]), name, "is not finite") for name in ("x", "y", "elev", "t")
-    ]
-    checks += [
-        ((block[name] < lo) | (block[name] > hi), name, f"outside {lo}..{hi}")
-        for name, lo, hi in (("signal_conf", 0, 4), ("atl08_class", 0, 3))
-    ]
+    """The rows of a parsed block that break none of ``rules``, as a mask,
+    and the others' problems; a row is reported for the first rule it
+    breaks."""
     problems = []
     ok = np.ones(len(block), dtype=bool)
-    for bad, name, what in checks:
-        bad &= ok
+    for name, breaks, what in rules:
+        bad = breaks(block[name]) & ok
         ok &= ~bad
         problems += [
-            (lineno, f"row {lineno}: {name}={value} {what}")
+            (lineno, f"{name}={value!r} {what}")
             for lineno, value in zip(linenos[bad].tolist(), block[name][bad].tolist())
         ]
     return ok, problems
 
 
-def _duplicate_ids(
-    ids: np.ndarray, linenos: np.ndarray, valid: np.ndarray
-) -> list[tuple[int, str]]:
-    """Valid rows whose id was seen on an earlier valid row."""
-    rows = np.nonzero(valid)[0]
-    rows = rows[np.argsort(ids[rows], kind="stable")]
+def _line_numbers(rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The line numbers of table rows, given the sorted line numbers after
+    the header that hold no table row."""
+    # the table rows that come before each gap
+    before = gaps - 2 - np.arange(len(gaps))
+    return rows + 2 + np.searchsorted(before, rows, side="right")
+
+
+def load_photons(path: Path | str) -> np.ndarray:
+    """Read a photon CSV into a ``PHOTON_DTYPE`` table by ``_read_csv``,
+    rejecting malformed rows, a repeated id among them, with their row
+    numbers."""
+    return _read_csv(path, PHOTON_CSV_HEADER, PHOTON_DTYPE, _PHOTON_PARSE_DTYPE, _PHOTON_RULES,
+                     _duplicate_ids)
+
+
+def _duplicate_ids(table: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The rows whose id was seen on an earlier row, and their problem."""
+    ids = table["id"]
+    rows = np.argsort(ids, kind="stable")
     repeat = rows[1:][ids[rows[1:]] == ids[rows[:-1]]]
-    return [
-        (lineno, f"row {lineno}: duplicate photon id {pid}")
-        for lineno, pid in zip(linenos[repeat].tolist(), ids[repeat].tolist())
-    ]
+    return repeat, [f"duplicate photon id {pid}" for pid in ids[repeat].tolist()]
 
 
-def _row_blocks(table: np.ndarray) -> Iterator[list[tuple]]:
-    """The table's rows as tuples, ``CSV_BLOCK_ROWS`` at a time."""
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        yield table[start : start + CSV_BLOCK_ROWS].tolist()
+def read_clean_csv(path: Path | str) -> np.ndarray:
+    """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table by
+    ``_read_csv``, rejecting malformed rows with their row numbers."""
+    return _read_csv(path, CLEAN_CSV_HEADER, CLEAN_DTYPE, _CLEAN_PARSE_DTYPE, _CLEAN_RULES)
+
+
+def _write_csv(table: np.ndarray, path: Path | str, header: tuple[str, ...], format_rows) -> None:
+    """Write a table as CSV under ``header``, ``format_rows`` turning a list
+    of ``CSV_BLOCK_ROWS`` row tuples at a time into their text."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            f.write(format_rows(table[start : start + CSV_BLOCK_ROWS].tolist()))
 
 
 def write_photons_csv(table: np.ndarray, path: Path | str) -> None:
     """Write a ``PHOTON_DTYPE`` table in the interchange CSV layout: floats
     as their ``repr``, CRLF line ends, as the ``csv`` module writes them."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(PHOTON_CSV_HEADER) + "\r\n")
-        for rows in _row_blocks(table):
-            f.write("".join([
-                f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
-                for pid, x, y, elev, conf, klass, beam, t in rows
-            ]))
+    _write_csv(table, path, PHOTON_CSV_HEADER, lambda rows: "".join([
+        f"{pid},{x!r},{y!r},{elev!r},{conf},{klass},{beam},{t!r}\r\n"
+        for pid, x, y, elev, conf, klass, beam, t in rows
+    ]))
 
 
 def write_clean_csv(clean: np.ndarray, path: Path | str) -> None:
     """Write a ``CLEAN_DTYPE`` table as clean-photon CSV: floats as their
     ``repr``, CRLF line ends, as the ``csv`` module writes them."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(CLEAN_CSV_HEADER) + "\r\n")
-        for rows in _row_blocks(clean):
-            f.write("".join([
-                f"{x!r},{y!r},{h!r},{kind},{lc_class},{size}\r\n"
-                for x, y, h, kind, lc_class, size in rows
-            ]))
-
-
-def read_clean_csv(path: Path | str) -> np.ndarray:
-    """Read a clean-photon CSV into a ``CLEAN_DTYPE`` table, rejecting a bad
-    header or the first malformed row with its row number.  The table is
-    allocated once and filled ``CSV_BLOCK_ROWS`` parsed lines at a time, as
-    ``load_photons`` fills its table."""
-    path = Path(path)
-    table = np.empty(_row_capacity(path), dtype=CLEAN_DTYPE)
-    n = 0
-    for lines, linenos in _csv_blocks(path, CLEAN_CSV_HEADER):
-        block = _parse_clean_block(path, lines, linenos)
-        table[n : n + len(block)] = block
-        n += len(block)
-    table.resize(n, refcheck=False)
-    return table
-
-
-def _parse_clean_block(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:
-    """A block's rows as a ``CLEAN_DTYPE`` table: one ``np.loadtxt`` parse, or
-    the row parser where that fails, reads a kind other than the two or a
-    non-finite coordinate or height."""
-    try:
-        table = _parse_rows(lines, _CLEAN_PARSE_DTYPE)
-        finite = all(np.isfinite(table[name]).all() for name in ("x", "y", "h_ag"))
-        if finite and np.isin(table["kind"], (KIND_GROUND, KIND_OBJECT)).all():
-            return table.astype(CLEAN_DTYPE)
-    except ValueError:
-        pass
-    return _parse_clean_rows(path, lines, linenos)
-
-
-# The kind field is one character wider than CLEAN_DTYPE's, so that a longer
-# kind cannot parse as a valid one cut short.
-_CLEAN_PARSE_DTYPE = np.dtype([
-    (name, "<U7" if name == "kind" else CLEAN_DTYPE[name]) for name in CLEAN_DTYPE.names
-])
-
-
-def _parse_clean_rows(path: Path, lines: list[str], linenos: np.ndarray) -> np.ndarray:
-    """A block's clean-photon rows parsed one at a time with the ``csv``
-    module, only after the block's parse failed: the block's table, or its
-    first malformed row."""
-    out = []
-    for lineno, line in zip(linenos.tolist(), lines):
-        row = next(csv.reader([line]))
-        try:
-            kind = row[3]
-            x, y, h_ag = (float(value) for value in row[:3])
-            if kind not in (KIND_GROUND, KIND_OBJECT) or not all(map(math.isfinite, (x, y, h_ag))):
-                raise ValueError(kind)
-            out.append((x, y, h_ag, kind, int(row[4]), int(row[5])))
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
-    return np.array(out, dtype=CLEAN_DTYPE)
+    _write_csv(clean, path, CLEAN_CSV_HEADER, lambda rows: "".join([
+        f"{x!r},{y!r},{h!r},{kind},{lc_class},{size}\r\n"
+        for x, y, h, kind, lc_class, size in rows
+    ]))
 
 
 # ===== Filtering and ground estimation =====

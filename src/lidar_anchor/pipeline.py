@@ -191,6 +191,13 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     return fit
 
 
+def residual_input(cfg: PipelineConfig, out_dir: Path) -> Path:
+    """The height raster the train and correct stages read: in relative mode
+    the calibrated pred_abs that fit-scale writes to ``out_dir``, otherwise
+    the input prediction."""
+    return out_dir / "pred_abs" if cfg.mode == MODE_RELATIVE else Path(cfg.pred)
+
+
 def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> dict:
     """Residual training: clean photons + rasters -> model.json + report.
 
@@ -325,13 +332,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     summary["preprocess"] = run_stage("preprocess", stage_preprocess, cfg, out_dir)["counts"]
 
+    summary["affine"] = None
     if cfg.mode == MODE_RELATIVE:
         fit = run_stage("fit-scale", stage_fit_scale, cfg, out_dir)
         summary["affine"] = dataclasses.asdict(fit)
-        pred_path = out_dir / "pred_abs"
-    else:
-        summary["affine"] = None
-        pred_path = Path(cfg.pred)
+    pred_path = residual_input(cfg, out_dir)
 
     summary["train"] = run_stage("train", stage_train, cfg, pred_path, out_dir)
     summary["correct"] = run_stage("correct", stage_correct, cfg, pred_path, out_dir)

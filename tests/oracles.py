@@ -792,8 +792,8 @@ def residual_field_whole(valid, patch, stride, score):
 def read_clean_direct(path):
     """Clean-photon CSV rows as (x, y, h_ag, kind, lc_class, cluster_size)
     tuples, parsed a row at a time with the csv module; raises ValueError
-    naming the bad header or the first malformed row, a non-finite x, y or
-    h_ag counting as malformed."""
+    naming the bad header or the first malformed row, a row without exactly
+    six fields or with a non-finite x, y or h_ag counting as malformed."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -806,7 +806,7 @@ def read_clean_direct(path):
             if not row:
                 continue
             try:
-                if row[3] not in ("ground", "object"):
+                if len(row) != 6 or row[3] not in ("ground", "object"):
                     raise ValueError(row[3])
                 x, y, h_ag = float(row[0]), float(row[1]), float(row[2])
                 if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(h_ag)):

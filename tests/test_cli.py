@@ -327,6 +327,31 @@ class TestStagewiseEquivalence:
         for name in shared:
             assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
+    def test_relative_stage_sequence_matches_single_run(self, ws, tmp_path):
+        """In relative mode, fit-scale run between preprocess and train makes
+        train and correct read its calibrated pred_abs, as the pipeline
+        command's run does."""
+        truth = load_raster(ws["scene"] / "truth")
+        depth = height_like(truth.header, (truth.values.astype(np.float64) + 10.0) / 40.0)
+        save_raster(depth, tmp_path / "depth")
+        cfg = json.loads(ws["pipe_cfg"].read_text())
+        cfg.update(mode="relative", pred=str(tmp_path / "depth"), footprint=0.5)
+        p = tmp_path / "rel.json"
+        p.write_text(json.dumps(cfg))
+        run, out = tmp_path / "single", tmp_path / "staged"
+        assert cli.main(["pipeline", "--config", str(p), "--out", str(run)]) == 0
+        base = ["--config", str(p), "--out", str(out)]
+        for command in ("preprocess", "fit-scale", "train", "correct"):
+            assert cli.main([command] + base) == 0, command
+        assert cli.main(["evaluate"] + base + ["--pred", str(out / "corrected")]) == 0
+        shared = [
+            "clean_photons.csv", "affine.json", "pred_abs.bin", "pred_abs.json", "model.json",
+            "importance.csv", "train_report.json", "residual.bin", "residual.json",
+            "corrected.bin", "corrected.json", "correct_report.json", "metrics.json",
+        ]
+        for name in shared:
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
 
 class TestEvaluateCommand:
     def test_prints_metrics_json(self, ws, tmp_path, capsys):
@@ -382,7 +407,9 @@ class TestRelativeMode:
         (out / "clean_photons.csv").write_bytes(b"\r\n".join(lines))
         argv = ["fit-scale", "--pred", str(tmp_path / "depth"), "--out", str(out)]
         assert cli.main(argv) == 1
-        assert "malformed row 2:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == (f"error: fit-scale: {out / 'clean_photons.csv'}: "
+                       "1 malformed rows: row 2: h_ag=nan is not finite\n")
         assert not (out / "affine.json").exists()
 
 
