@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One subcommand per pipeline stage plus `synth` for benchmark scenes and
-`pipeline` for the whole run.  Flags beat config-file values, which beat
-built-in defaults.  Verbosity comes from the LIDAR_ANCHOR_LOG environment
-variable (error, warn, info, debug).
+`pipeline` for the whole run.  Every `PipelineConfig` field is a flag of
+each stage command; a flag that is set beats the config-file value, which
+beats the built-in default.  Verbosity comes from the LIDAR_ANCHOR_LOG
+environment variable (error, warn, info, debug).
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import pipeline, synth
-
-logger = logging.getLogger(__name__)
+from .raster import record_from_json
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -41,31 +42,76 @@ def _setup_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS[name], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--pred", help="predicted height or relative depth raster (stem or .bin/.json)")
-    p.add_argument("--optical", help="RGB optical raster")
-    p.add_argument("--landcover", help="land-cover class raster")
-    p.add_argument("--dtm", help="terrain elevation raster")
-    p.add_argument("--photons", help="raw photon CSV")
-    p.add_argument("--reference", help="reference height raster for evaluation")
-    p.add_argument("--embeddings", help="embedding grid for nrf features")
-    p.add_argument("--out", help="output directory")
+_HELP = {
+    "mode": "input height semantics: metric or relative",
+    "features": "feature extraction mode: hrf or nrf",
+    "pred": "predicted height or relative depth raster (stem or .bin/.json)",
+    "optical": "RGB optical raster",
+    "landcover": "land-cover class raster",
+    "dtm": "terrain elevation raster",
+    "photons": "raw photon CSV",
+    "reference": "reference height raster for evaluation",
+    "embeddings": "embedding grid for nrf features",
+    "out": "output directory",
+    "seed": "RNG seed recorded in all outputs (default 42)",
+    "threads": "processes that compute the training features and grow the forest; "
+    "results do not depend on this",
+    "patch": "window size in pixels",
+    "stride": "window stride in pixels (default patch // 2)",
+    "trees": "number of trees in the forest",
+    "footprint": "supervision footprint diameter in meters",
+}
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["metric", "relative"], help="input height semantics")
-    p.add_argument("--features", choices=["hrf", "nrf"], help="feature extraction mode")
-    p.add_argument("--patch", type=int, help="window size in pixels")
-    p.add_argument("--stride", type=int, help="window stride in pixels (default patch // 2)")
-    p.add_argument("--trees", type=int, help="number of trees in the forest")
-    p.add_argument("--seed", type=int, help="RNG seed recorded in all outputs (default 42)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="processes that compute the training features and grow the forest; "
-        "results do not depend on this",
+def _pipeline_line(summary: dict, cfg: pipeline.PipelineConfig) -> str:
+    corrected = summary["corrected_metrics"]
+    if corrected is None:
+        return f"done; outputs in {cfg.out}"
+    ssim = "null" if corrected["ssim"] is None else f"{corrected['ssim']:.4f}"
+    return "corrected: mae={mae:.4f} rmse={rmse:.4f} ssim={ssim} f1={f1_he:.4f}".format(
+        **{**corrected, "ssim": ssim}
     )
+
+
+# Each stage command's help text, and the call that runs it on the checked
+# config and the run directory and returns the line it prints.
+_STAGES = {
+    "preprocess": (
+        "clean and normalize raw photons",
+        lambda cfg, out: json.dumps(pipeline.stage_preprocess(cfg, out)["counts"], sort_keys=True),
+    ),
+    "fit-scale": (
+        "fit the affine depth-to-height calibration",
+        lambda cfg, out: "a={a!r} b={b!r} n={n_points} rmse={rmse!r}".format_map(
+            vars(pipeline.stage_fit_scale(cfg, out))
+        ),
+    ),
+    "train": (
+        "train the residual forest from clean photons",
+        lambda cfg, out: json.dumps(
+            pipeline.stage_train(cfg, pipeline.residual_input(cfg, out), out), sort_keys=True
+        ),
+    ),
+    "correct": (
+        "apply a trained model to the full raster",
+        # the pair runs the stage, then names what it wrote
+        lambda cfg, out: (
+            pipeline.stage_correct(cfg, pipeline.residual_input(cfg, out), out),
+            f"wrote {out / 'corrected.bin'} and {out / 'residual.bin'}",
+        )[1],
+    ),
+    "evaluate": (
+        "score a height raster against the reference",
+        lambda cfg, out: json.dumps(
+            pipeline._metrics_doc(pipeline.stage_evaluate(cfg, cfg.pred, out)[0], cfg.seed),
+            sort_keys=True,
+        ),
+    ),
+    "pipeline": (
+        "run every stage in order",
+        lambda cfg, out: _pipeline_line(pipeline.run_pipeline(cfg), cfg),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,17 +121,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("preprocess", "clean and normalize raw photons"),
-        ("fit-scale", "fit the affine depth-to-height calibration"),
-        ("train", "train the residual forest from clean photons"),
-        ("correct", "apply a trained model to the full raster"),
-        ("evaluate", "score a height raster against the reference"),
-        ("pipeline", "run every stage in order"),
-    ]:
+    types = typing.get_type_hints(pipeline.PipelineConfig)
+    for name, (help_text, _) in _STAGES.items():
         p = sub.add_parser(name, help=help_text)
-        _add_io_flags(p)
-        _add_run_flags(p)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for field in dataclasses.fields(pipeline.PipelineConfig):
+            tp = types[field.name]
+            # a flag of an Optional[X] field takes an X
+            tp = next((t for t in typing.get_args(tp) if t is not type(None)), tp)
+            p.add_argument(f"--{field.name}", type=tp, help=_HELP[field.name])
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark scene")
     p.add_argument("--config", help="JSON with scene / tracks / corruption sections")
@@ -95,96 +139,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    if args.config:
-        cfg = pipeline.load_config(args.config)
-    else:
-        cfg = pipeline.PipelineConfig()
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    cfg = pipeline.merge_overrides(cfg, overrides)
+    """The config file, or the defaults, with every flag that is set applied
+    and checked as a config-file value is."""
+    cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     pipeline.validate_inputs(cfg, args.command)
     return cfg
 
 
-def _out_dir(cfg: pipeline.PipelineConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    report = pipeline.stage_preprocess(cfg, _out_dir(cfg))
-    print(json.dumps(report["counts"], sort_keys=True))
-    return 0
-
-
-def _cmd_fit_scale(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    fit = pipeline.stage_fit_scale(cfg, _out_dir(cfg))
-    print(f"a={fit.a!r} b={fit.b!r} n={fit.n_points} rmse={fit.rmse!r}")
-    return 0
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    out = _out_dir(cfg)
-    report = pipeline.stage_train(cfg, pipeline.residual_input(cfg, out), out)
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
-def _cmd_correct(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    out = _out_dir(cfg)
-    pipeline.stage_correct(cfg, pipeline.residual_input(cfg, out), out)
-    print(f"wrote {out / 'corrected.bin'} and {out / 'residual.bin'}")
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    report, _ = pipeline.stage_evaluate(cfg, cfg.pred, _out_dir(cfg))
-    doc = pipeline._metrics_doc(report, cfg.seed)
-    print(json.dumps(doc, sort_keys=True))
-    return 0
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    summary = pipeline.run_pipeline(cfg)
-    corrected = summary.get("corrected_metrics")
-    if corrected is not None:
-        ssim = "null" if corrected["ssim"] is None else f"{corrected['ssim']:.4f}"
-        print(
-            "corrected: mae={mae:.4f} rmse={rmse:.4f} ssim={ssim} f1={f1_he:.4f}".format(
-                **{**corrected, "ssim": ssim}
-            )
-        )
-    else:
-        print(f"done; outputs in {cfg.out}")
-    return 0
-
-
 def _section(doc: dict, key: str, cls, seed_override: Optional[int]):
-    section = doc.get(key)
-    if not isinstance(section, (dict, type(None))):
-        raise ValueError(f"synth config section {key!r} must be a JSON object, got {section!r}")
-    section = dict(section or {})
-    known = {f.name for f in dataclasses.fields(cls)}
-    extra = set(section) - known
-    if extra:
-        raise ValueError(f"synth config section {key!r}: unknown keys {sorted(extra)}")
-    if seed_override is not None:
-        section["seed"] = seed_override
-    bias = section.get("class_bias")
-    if key == "corruption" and isinstance(bias, dict):
-        # codes that are not decimal text stay strings, and CorruptionConfig
-        # rejects them as it rejects a class_bias that is not an object
-        section["class_bias"] = {int(k) if k.isdecimal() else k: v for k, v in bias.items()}
-    return cls(**section)
+    section = {} if doc.get(key) is None else doc[key]
+    if isinstance(section, dict):
+        section = dict(section)
+        if seed_override is not None:
+            section["seed"] = seed_override
+        bias = section.get("class_bias")
+        if isinstance(bias, dict):
+            # codes that are not decimal text stay strings, and CorruptionConfig
+            # rejects them as it rejects a class_bias that is not an object
+            section["class_bias"] = {int(k) if k.isdecimal() else k: v for k, v in bias.items()}
+    return record_from_json(cls, section, f"synth config section {key!r}")
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _synth(args: argparse.Namespace) -> str:
     doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -200,33 +178,28 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if doc.get("corruption") is not None:
         corruption_cfg = _section(doc, "corruption", synth.CorruptionConfig, args.seed)
     manifest = pipeline.run_synth(scene_cfg, track_cfg, corruption_cfg, args.out)
-    print(f"wrote scene with {manifest['n_photons']} photons to {args.out}")
-    return 0
-
-
-_COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "fit-scale": _cmd_fit_scale,
-    "train": _cmd_train,
-    "correct": _cmd_correct,
-    "evaluate": _cmd_evaluate,
-    "pipeline": _cmd_pipeline,
-    "synth": _cmd_synth,
-}
+    return f"wrote scene with {manifest['n_photons']} photons to {args.out}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "synth":
+            line = _synth(args)
+        else:
+            cfg = _pipeline_config(args)
+            out = Path(cfg.out)
+            out.mkdir(parents=True, exist_ok=True)
+            line = _STAGES[args.command][1](cfg, out)
     except pipeline.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
+    print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .raster import (
     Raster,
     check_fields,
     load_raster,
+    record_from_json,
     save_raster,
 )
 
@@ -54,10 +55,11 @@ class PipelineConfig:
     """What a run reads, where it writes, and the few settings a caller
     chooses: window geometry, forest size and the supervision footprint.
 
-    Resolution order for values: command-line flags beat the config file,
-    which beats these defaults.  The photon cleaning settings, the forest's
-    other hyperparameters and the scoring thresholds are fixed library defaults
-    (``PreprocessParams``, ``ForestParams`` and the ``metrics`` constants).
+    Each field is also a flag of every stage command, typed as declared; a
+    flag that is set beats the config file, which beats these defaults.  The
+    photon cleaning settings, the forest's other hyperparameters and the
+    scoring thresholds are fixed library defaults (``PreprocessParams``,
+    ``ForestParams`` and the ``metrics`` constants).
     """
 
     mode: str = MODE_METRIC
@@ -96,57 +98,28 @@ class PipelineConfig:
 def load_config(path: Path | str) -> PipelineConfig:
     """Read a JSON config file into a PipelineConfig."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return config_from_dict(doc, source=str(path))
-
-
-def config_from_dict(doc: dict, source: str = "config") -> PipelineConfig:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source}: a config must be a JSON object, got {doc!r}")
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise ValueError(f"{source}: unknown config keys {sorted(extra)}")
-    return PipelineConfig(**doc)
-
-
-def merge_overrides(cfg: PipelineConfig, overrides: dict[str, Any]) -> PipelineConfig:
-    """Apply non-None override values on top of a config."""
-    merged = dataclasses.asdict(cfg)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in merged:
-            raise ValueError(f"unknown config override {key!r}")
-        merged[key] = value
-    return PipelineConfig(**merged)
-
-
-def _require(cfg: PipelineConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(cfg, n) is None]
-    if missing:
-        raise ValueError(
-            f"mode {cfg.mode!r} with {cfg.features!r} features requires: {', '.join(missing)}"
-        )
+        return record_from_json(PipelineConfig, json.load(f), f"config {path}")
 
 
 def validate_inputs(cfg: PipelineConfig, command: str = "pipeline") -> None:
     """Check that every input the configured run, or one stage command of
-    it, reads is set.
-
-    Runs before any compute so misconfiguration fails fast; in particular,
-    relative-depth mode insists on a DTM and photons for calibration.
-    """
+    it, reads is set, so that misconfiguration fails before any compute."""
     features = ("optical", "landcover") if cfg.features == SCHEMA_HRF else ("embeddings",)
+    # train and correct read pred only where residual_input hands it to them
+    residual = ("pred",) if residual_input(cfg, Path(cfg.out)) is cfg.pred else ()
     needs = {
         "preprocess": ("photons", "dtm", "landcover"),
         "fit-scale": ("pred",),
-        "train": ("pred", *features),
-        "correct": ("pred", *features),
+        "train": (*residual, *features),
+        "correct": (*residual, *features),
         "evaluate": ("pred", "reference"),
         "pipeline": ("pred", "photons", "dtm", "landcover", *features),
     }[command]
-    _require(cfg, *dict.fromkeys(needs))
+    missing = [n for n in dict.fromkeys(needs) if getattr(cfg, n) is None]
+    if missing:
+        raise ValueError(
+            f"mode {cfg.mode!r} with {cfg.features!r} features requires: {', '.join(missing)}"
+        )
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -191,11 +164,11 @@ def stage_fit_scale(cfg: PipelineConfig, out_dir: Path) -> scaling.AffineFit:
     return fit
 
 
-def residual_input(cfg: PipelineConfig, out_dir: Path) -> Path:
+def residual_input(cfg: PipelineConfig, out_dir: Path) -> Optional[Path | str]:
     """The height raster the train and correct stages read: in relative mode
     the calibrated pred_abs that fit-scale writes to ``out_dir``, otherwise
-    the input prediction."""
-    return out_dir / "pred_abs" if cfg.mode == MODE_RELATIVE else Path(cfg.pred)
+    ``pred`` itself (None while it is unset)."""
+    return out_dir / "pred_abs" if cfg.mode == MODE_RELATIVE else cfg.pred
 
 
 def stage_train(cfg: PipelineConfig, pred_path: Path | str, out_dir: Path) -> dict:

@@ -146,6 +146,18 @@ def check_fields(obj, bounds: dict[str, str]) -> None:
         check_value(name, getattr(obj, name), tp, bounds.get(name))
 
 
+def record_from_json(cls: type, doc, what: str):
+    """Build the dataclass ``cls``, which checks its fields, from the JSON
+    object ``doc``; ``what`` names ``doc`` in the ValueError raised when it
+    is not an object or holds a key that is not a field of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    extra = set(doc) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"{what}: unknown keys {sorted(extra)}")
+    return cls(**doc)
+
+
 @dataclass(frozen=True)
 class RasterHeader:
     """Geometry and storage metadata for one raster.

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 
 from lidar_anchor import cli, pipeline
 from lidar_anchor.raster import height_like, load_raster, save_raster
+
+STAGE_COMMANDS = ["preprocess", "fit-scale", "train", "correct", "evaluate", "pipeline"]
 
 
 def _digests(out_dir: Path) -> dict:
@@ -253,7 +256,7 @@ class TestPipelineCommand:
             rc = cli.main(["pipeline", "--config", str(p)])
             assert rc == 1
             err = capsys.readouterr().err
-            assert "unknown config keys" in err and key in err
+            assert "unknown keys" in err and key in err
 
     @pytest.mark.parametrize("doc", [[], "x"])
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys, doc):
@@ -286,25 +289,73 @@ class TestPipelineCommand:
         assert cli.main(["preprocess", "--config", str(p)]) == 1
         assert f"error: preprocess: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, missing", [
-        ("preprocess", "photons, dtm, landcover"),
-        ("fit-scale", "pred"),
-        ("train", "pred, optical, landcover"),
-        ("correct", "pred, optical, landcover"),
-        ("evaluate", "pred, reference"),
+    @pytest.mark.parametrize("command, missing, mode", [
+        ("preprocess", "photons, dtm, landcover", "metric"),
+        ("fit-scale", "pred", "metric"),
+        ("train", "pred, optical, landcover", "metric"),
+        ("correct", "pred, optical, landcover", "metric"),
+        ("evaluate", "pred, reference", "metric"),
+        # in relative mode train and correct read <out>/pred_abs, not pred
+        ("train", "optical, landcover", "relative"),
+        ("correct", "optical, landcover", "relative"),
     ])
     def test_stage_command_with_an_input_unset_fails_before_any_output(
-        self, tmp_path, monkeypatch, capsys, command, missing
+        self, tmp_path, monkeypatch, capsys, command, missing, mode
     ):
         # each stage command checks the inputs it reads before it opens any
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "bare.json"
-        p.write_text(json.dumps({"out": "o1"}))
+        p.write_text(json.dumps({"out": "o1", "mode": mode}))
         assert cli.main([command, "--config", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {command}: "), err
         assert f"requires: {missing}\n" in err, err
         assert not (tmp_path / "o1").exists()
+
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS)
+    def test_every_config_key_is_a_flag_of_its_declared_type(self, command):
+        types = typing.get_type_hints(pipeline.PipelineConfig)
+        parser = cli._build_parser()
+        for field in dataclasses.fields(pipeline.PipelineConfig):
+            declared = types[field.name]
+            declared = next((t for t in typing.get_args(declared) if t is not type(None)), declared)
+            # mode and features get values the flags have always taken
+            text = {"mode": "relative", "features": "nrf"}.get(field.name) or {
+                int: "3", float: "0.5", str: "text"}[declared]
+            value = getattr(parser.parse_args([command, f"--{field.name}", text]), field.name)
+            assert type(value) is declared and value == declared(text), field.name
+
+    def test_footprint_flag_writes_what_the_config_key_writes(self, ws, tmp_path):
+        cfg = json.loads(ws["pipe_cfg"].read_text())
+        cfg["footprint"] = 0.5
+        p = tmp_path / "fp.json"
+        p.write_text(json.dumps(cfg))
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        argv = ["pipeline", "--config", str(ws["pipe_cfg"]), "--out", str(by_flag)]
+        assert cli.main(argv + ["--footprint", "0.5"]) == 0
+        assert cli.main(["pipeline", "--config", str(p), "--out", str(by_key)]) == 0
+        assert _digests(by_flag) == _digests(by_key)
+        # the footprint reaches the model: the default one writes another
+        assert (by_flag / "model.json").read_bytes() != (ws["run"] / "model.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mode", "foo", "unknown mode 'foo', expected one of "),
+        ("--features", "xyz", "unknown feature mode 'xyz', expected hrf or nrf"),
+    ])
+    def test_unknown_mode_flag_fails_as_the_config_key_does(
+        self, ws, tmp_path, capsys, flag, value, message
+    ):
+        # a flag value is checked by PipelineConfig, not by argparse, so it
+        # fails with a config file's error line and exit code
+        out = tmp_path / "never"
+        for command in STAGE_COMMANDS:
+            argv = [command, "--config", str(ws["pipe_cfg"]), "--out", str(out), flag, value]
+            assert cli.main(argv) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {command}: {message}"), err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
 
 
 class TestStagewiseEquivalence:
@@ -411,6 +462,29 @@ class TestRelativeMode:
         assert err == (f"error: fit-scale: {out / 'clean_photons.csv'}: "
                        "1 malformed rows: row 2: h_ag=nan is not finite\n")
         assert not (out / "affine.json").exists()
+
+    def test_relative_train_and_correct_need_no_pred(self, ws, tmp_path):
+        """After preprocess and fit-scale, relative train and correct read
+        pred_abs, so they run with pred unset and write what the pipeline
+        command writes."""
+        truth = load_raster(ws["scene"] / "truth")
+        depth = height_like(truth.header, (truth.values.astype(np.float64) + 10.0) / 40.0)
+        save_raster(depth, tmp_path / "depth")
+        cfg = json.loads(ws["pipe_cfg"].read_text())
+        cfg.update(mode="relative", pred=str(tmp_path / "depth"), footprint=0.5)
+        p = tmp_path / "rel.json"
+        p.write_text(json.dumps(cfg))
+        del cfg["pred"]
+        no_pred = tmp_path / "no_pred.json"
+        no_pred.write_text(json.dumps(cfg))
+        run, out = tmp_path / "single", tmp_path / "staged"
+        assert cli.main(["pipeline", "--config", str(p), "--out", str(run)]) == 0
+        for command in ("preprocess", "fit-scale"):
+            assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0, command
+        for command in ("train", "correct"):
+            assert cli.main([command, "--config", str(no_pred), "--out", str(out)]) == 0, command
+        for name in ("model.json", "corrected.bin"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 
 class TestLogging:
